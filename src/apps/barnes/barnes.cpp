@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cmath>
 
-#include "replay/session.h"
+#include "replay/hooks.h"
 #include "runtime/api.h"
 #include "runtime/sync.h"
 #include "util/check.h"

@@ -27,14 +27,20 @@ bool AsyncDfScheduler::register_thread(Tcb* parent, Tcb* child) {
 }
 
 void AsyncDfScheduler::on_ready(Tcb* t, int proc) {
-  (void)t;
   (void)proc;
-  // The thread's placeholder never moved; becoming ready is a pure state
-  // flip. ("When a thread is preempted, it is returned to the scheduling
-  // queue in the same position that it was in when it was last selected.")
+  // The thread's placeholder never moved; becoming ready only links it into
+  // the ready list at that position. ("When a thread is preempted, it is
+  // returned to the scheduling queue in the same position that it was in
+  // when it was last selected.")
   DFTH_DCHECK(t->order.linked());
   DFTH_DCHECK(t->state.load(std::memory_order_relaxed) == ThreadState::Ready);
-  ++ready_;
+  Tcb** link = &ready_[static_cast<std::size_t>(t->attr.priority)];
+  while (*link != nullptr && (*link)->order.tag < t->order.tag) {
+    link = &(*link)->sched_next;
+  }
+  t->sched_next = *link;
+  *link = t;
+  ++ready_count_;
   DFTH_COUNT(obs::Counter::ReadyPushes);
 }
 
@@ -42,13 +48,13 @@ Tcb* AsyncDfScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* ear
   (void)proc;
   *earliest = std::numeric_limits<std::uint64_t>::max();
   for (int prio = kNumPriorities - 1; prio >= 0; --prio) {
-    const OrderList& list = lists_[static_cast<std::size_t>(prio)];
-    if (list.empty()) continue;
-    for (OrderNode* node = list.front(); node != list.end_sentinel(); node = node->next) {
-      auto* t = static_cast<Tcb*>(node->owner);
-      if (t->state.load(std::memory_order_relaxed) != ThreadState::Ready) continue;
+    for (Tcb** link = &ready_[static_cast<std::size_t>(prio)]; *link != nullptr;
+         link = &(*link)->sched_next) {
+      Tcb* t = *link;
       if (t->ready_at_ns <= now) {
-        --ready_;
+        *link = t->sched_next;
+        t->sched_next = nullptr;
+        --ready_count_;
         DFTH_COUNT(obs::Counter::ReadyPops);
         DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
         return t;  // leftmost ready thread at the highest non-empty level
@@ -60,6 +66,8 @@ Tcb* AsyncDfScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* ear
 }
 
 void AsyncDfScheduler::unregister_thread(Tcb* t) {
+  // A thread exits while running, so it is never on the ready list here.
+  DFTH_DCHECK(t->state.load(std::memory_order_relaxed) != ThreadState::Ready);
   if (!t->order.linked()) return;
   lists_[static_cast<std::size_t>(t->attr.priority)].erase(&t->order);
 }

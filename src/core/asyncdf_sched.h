@@ -21,11 +21,12 @@
 //    df_malloc (runtime/api.cpp) since it is a library-level rewrite, not a
 //    queue policy.
 //
-// Dispatch scans the ordered list from the left for a Ready thread. The scan
-// is O(live threads), and AsyncDF's entire point is that the live-thread
-// count stays small (≈ serial depth + p·constant), so the scan is short in
-// exactly the executions this scheduler produces; bench/micro_sched_ops
-// measures it.
+// Ready threads are also linked into a list sorted by their serial-order
+// tags, so dispatch takes the leftmost ready thread without walking past the
+// blocked and running placeholders to its left (hundreds of them when many
+// long-lived fibers block on sync objects). Relabeling the order list never
+// changes the relative order of two entries, so the list stays sorted; an
+// insert walks only the ready threads, of which AsyncDF keeps few.
 #pragma once
 
 #include <array>
@@ -47,7 +48,7 @@ class AsyncDfScheduler : public Scheduler {
   void on_ready(Tcb* t, int proc) override;
   Tcb* pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) override;
   void unregister_thread(Tcb* t) override;
-  std::size_t ready_count() const override { return ready_; }
+  std::size_t ready_count() const override { return ready_count_; }
 
   /// Live entries (placeholders) at a priority level — tests use this to
   /// verify the S1 + O(pKD) bound's structural preconditions.
@@ -66,7 +67,9 @@ class AsyncDfScheduler : public Scheduler {
 
  private:
   std::array<OrderList, kNumPriorities> lists_;
-  std::size_t ready_ = 0;
+  /// The Ready threads of each level, leftmost first (through sched_next).
+  std::array<Tcb*, kNumPriorities> ready_{};
+  std::size_t ready_count_ = 0;
 };
 
 }  // namespace dfth

@@ -76,6 +76,7 @@ std::string to_json(const RunStats& s) {
       ", \"oom_preemptions\": %" PRIu64 ", \"inline_runs\": %" PRIu64
       ", \"sync_timeouts\": %" PRIu64 ", \"faults_injected\": %" PRIu64
       ", \"faults_recovered\": %" PRIu64
+      ", \"sched_lock_sections\": %" PRIu64
       ", \"heap_peak\": %" PRId64 ", \"stack_peak\": %" PRId64
       ", \"stacks_fresh\": %" PRIu64 ", \"stacks_reused\": %" PRIu64
       ", \"stack_high_water\": %" PRId64
@@ -84,9 +85,9 @@ std::string to_json(const RunStats& s) {
       to_string(s.engine), to_string(s.sched), s.nprocs, s.threads_created,
       s.dummy_threads, s.max_live_threads, s.dispatches, s.quota_preemptions,
       s.steals, s.oom_preemptions, s.inline_runs, s.sync_timeouts,
-      s.faults_injected, s.faults_recovered, s.heap_peak, s.stack_peak,
-      s.stacks_fresh, s.stacks_reused, s.stack_high_water, s.elapsed_us,
-      s.cache_hits, s.cache_misses);
+      s.faults_injected, s.faults_recovered, s.sched_lock_sections,
+      s.heap_peak, s.stack_peak, s.stacks_fresh, s.stacks_reused,
+      s.stack_high_water, s.elapsed_us, s.cache_hits, s.cache_misses);
   return std::string(buf) + to_json(s.breakdown) +
          ", \"profile\": " + to_json(s.profile) + "}";
 }

@@ -7,6 +7,9 @@
 //    instrumented lock (nested sync sections excepted — proven safe there).
 //  * DFTH_REPLAY_COMMIT / _SYNC_COMMIT / _FAULT_COMMIT run inside the
 //    critical section that serializes the decision being logged.
+//  * A section deciding several things at once (the real engine's merged
+//    scheduling transitions) gates once and stages its records in a
+//    replay::SectionLog, committed as one batch inside the section.
 //  * DFTH_REPLAY_STEAL is an annotation: recorded inside the scheduler's
 //    pick (itself inside the dispatching lane's section), verified on replay
 //    by ReplayScheduler — never gated on.
@@ -76,10 +79,19 @@
 
 #include <cstdint>
 
+#include "replay/log.h"
+
 namespace dfth::replay {
+// Engine-section batch (see session.h): nothing to record or verify.
+struct SectionLog {
+  void add(EvKind, std::uint64_t, std::uint64_t, std::uint64_t) {}
+  void commit() {}
+};
+
 // Function-shaped hooks (serve/server.cpp threads observed values through
 // its control flow, which a statement macro cannot express): OFF-mode
 // passthroughs matching the session.h declarations.
+inline std::uint64_t self_actor() { return 0; }
 inline bool pinned() { return false; }
 inline bool pinned_active() { return false; }
 inline std::uint64_t observe_u64(std::uint64_t /*site*/, std::uint64_t live) {

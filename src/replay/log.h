@@ -43,8 +43,10 @@ enum class EvKind : std::uint16_t {
   SpawnReg,       ///< actor registered child `a` with the scheduler; b = flags
   Dispatch,       ///< lane actor dispatched fiber `a`; b = kDispatch* flags
   Requeue,        ///< lane actor re-enqueued preempted/yielded fiber `a`
-  Wake,           ///< actor made blocked fiber `a` runnable
-  ExitSched,      ///< exiting fiber (actor) left the scheduler; a = own tid
+  Wake,           ///< actor made blocked fiber `a` runnable (Real: a lane
+                  ///< actor when the waker is an exiting fiber)
+  ExitSched,      ///< exiting fiber `a` left the scheduler (Real: the lane
+                  ///< that retired it is the actor; Sim: the fiber itself)
   ExitJoin,       ///< exiting fiber published `finished` under its join lock
   Join,           ///< actor joined child `a`; b = 1 when the joiner blocked
   Sync,           ///< actor's sync-primitive op: a = object id, b = op code
@@ -123,7 +125,9 @@ struct SiteSpecWire {
 };
 
 inline constexpr char kLogMagic[8] = {'D', 'F', 'T', 'H', 'L', 'O', 'G', '1'};
-inline constexpr std::uint32_t kLogVersion = 2;
+/// 3: the real engine retires an exiting fiber (ExitSched, its joiner's
+/// Wake) in the lane's next scheduling section, committed as one batch.
+inline constexpr std::uint32_t kLogVersion = 3;
 inline constexpr int kMaxFaultSitesWire = 8;
 
 struct LogHeader {

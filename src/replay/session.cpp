@@ -244,6 +244,51 @@ void Session::commit(EvKind kind, std::uint64_t actor, std::uint64_t a,
   cursor_cv_.notify_all();
 }
 
+void Session::commit_batch(const Record* recs, std::size_t n) {
+  if (mode_ == Mode::Record) {
+    const int lane = (g_tls_lane >= 0 &&
+                      g_tls_lane < static_cast<int>(lanes_.size()))
+                         ? g_tls_lane
+                         : static_cast<int>(lanes_.size()) - 1;
+    LaneBuf& buf = *lanes_[static_cast<std::size_t>(lane)];
+    std::lock_guard<std::mutex> lg(buf.mu);
+    const std::uint64_t base = seq_.fetch_add(n, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < n; ++i) {
+      Record r = recs[i];
+      r.seq = base + i;
+      r.lane = static_cast<std::uint32_t>(lane);
+      buf.records.push_back(r);
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    commit(static_cast<EvKind>(recs[i].kind), recs[i].actor, recs[i].a,
+           recs[i].b);
+  }
+}
+
+SectionLog::SectionLog() : session_(active()) {}
+
+void SectionLog::add(EvKind kind, std::uint64_t actor, std::uint64_t a,
+                     std::uint64_t b) {
+  if (session_ == nullptr) return;
+  if (session_->mode() != Mode::Record) {
+    session_->commit(kind, actor, a, b);
+    return;
+  }
+  DFTH_CHECK(n_ < kMaxRecords);
+  Record& r = recs_[n_++];
+  r.actor = actor;
+  r.kind = static_cast<std::uint16_t>(kind);
+  r.a = a;
+  r.b = b;
+}
+
+void SectionLog::commit() {
+  if (n_ != 0) session_->commit_batch(recs_, n_);
+  n_ = 0;
+}
+
 std::uint64_t Session::alloc_tid(std::atomic<std::uint64_t>& next,
                                  std::uint64_t actor) {
   if (mode_ == Mode::CrossReplay) return next++;

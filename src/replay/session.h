@@ -114,6 +114,13 @@ class Session {
   /// Call inside the decision's critical section.
   void commit(EvKind kind, std::uint64_t actor, std::uint64_t a, std::uint64_t b);
 
+  /// Commits the n records of one critical section that makes several
+  /// ordered decisions (the engine's merged scheduling transitions). Record:
+  /// the batch takes n consecutive seqs, so no other actor's record can land
+  /// between them and the replaying gate, once open for the first record,
+  /// stays open through the last. Replay: verifies them in turn, as commit().
+  void commit_batch(const Record* recs, std::size_t n);
+
   /// TidAlloc: gate + serialize + fetch + commit in one step, so thread-id
   /// assignment order is itself a logged decision (next_tid_ alone is a
   /// racy atomic the log could not otherwise reproduce).
@@ -226,6 +233,24 @@ class Session {
   std::uint64_t last_advance_ns_ = 0;  ///< steady clock at last cursor move
   std::unordered_map<std::uint64_t, std::deque<Record>> steal_fifos_;  ///< by lane actor
   std::mutex steal_mu_;
+};
+
+/// Ordered records of one engine-lock section, gated once before the
+/// section and committed as one batch (Session::commit_batch). Recording
+/// buffers the records until commit(); replaying verifies each at add(), so
+/// a pinned pick later in the same section already sees its own Dispatch at
+/// the head of the log.
+class SectionLog {
+ public:
+  SectionLog();
+  void add(EvKind kind, std::uint64_t actor, std::uint64_t a, std::uint64_t b);
+  void commit();
+
+ private:
+  static constexpr std::size_t kMaxRecords = 4;
+  Session* session_;
+  Record recs_[kMaxRecords];
+  std::size_t n_ = 0;
 };
 
 /// The installed session, or nullptr. Installed by api.cpp around a run;

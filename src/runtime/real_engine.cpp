@@ -9,7 +9,6 @@
 #include "obs/counters.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
-#include "replay/hooks.h"
 #include "replay/log.h"
 #include "resil/faults.h"
 #include "resil/watchdog.h"
@@ -30,6 +29,10 @@ namespace {
 
 constexpr std::uint64_t kInf = std::numeric_limits<std::uint64_t>::max();
 constexpr std::size_t kRealStackFloor = 64 << 10;
+/// How long the last worker to go idle waits for a wake before it declares
+/// a deadlock (a bound thread or an in-flight wake may be about to ready
+/// someone).
+constexpr std::uint64_t kStuckGraceNs = 500'000'000;
 
 std::uint64_t steady_now_ns() {
   return static_cast<std::uint64_t>(
@@ -53,7 +56,41 @@ std::uint64_t take_tid(std::atomic<std::uint64_t>& next) {
   return next++;
 }
 
+// True while a same-engine replay still pins dispatches to the log. Idle
+// lanes then wait in the session's gate for their next record instead of
+// parking: the gate, not a scheduler notification, admits them.
+bool replay_pins_dispatch() {
+#if DFTH_REPLAY
+  auto* rs = replay::active();
+  return rs != nullptr && rs->mode() == replay::Mode::Replay &&
+         !rs->replay_exhausted();
+#else
+  return false;
+#endif
+}
+
+void push_created(std::atomic<Tcb*>& head, Tcb* t) {
+  t->created_next = head.load(std::memory_order_relaxed);
+  while (!head.compare_exchange_weak(t->created_next, t,
+                                     std::memory_order_release,
+                                     std::memory_order_relaxed)) {
+  }
+}
+
 }  // namespace
+
+void RealEngine::LaneCounters::add_to(RunStats* s) const {
+  s->threads_created += threads_created;
+  s->dummy_threads += dummy_threads;
+  s->max_live_threads = std::max(s->max_live_threads, max_live_threads);
+  s->dispatches += dispatches;
+  s->quota_preemptions += quota_preemptions;
+  s->oom_preemptions += oom_preemptions;
+  s->inline_runs += inline_runs;
+  s->sync_timeouts += sync_timeouts;
+  s->deadline_expirations += deadline_expirations;
+  s->sched_lock_sections += sched_lock_sections;
+}
 
 // Both accessors are noinline on purpose: fibers migrate between kernel
 // threads, and a thread-local read cached across a context switch would
@@ -65,6 +102,29 @@ __attribute__((noinline)) RealEngine::Worker* RealEngine::this_worker() {
 __attribute__((noinline)) Tcb* RealEngine::current() {
   if (Worker* w = this_worker()) return w->current;
   return tl_bound;
+}
+
+RealEngine::LaneCounters& RealEngine::counters() {
+  if (Worker* w = this_worker()) return w->counters;
+  return ext_counters_;
+}
+
+void RealEngine::remember(Tcb* t) {
+  Worker* w = this_worker();
+  push_created(w ? w->created : ext_created_, t);
+}
+
+template <typename F>
+void RealEngine::for_each_tcb(F&& f) const {
+  auto walk = [&f](const std::atomic<Tcb*>& head) {
+    for (Tcb* t = head.load(std::memory_order_acquire); t != nullptr;) {
+      Tcb* next = t->created_next;
+      f(t);
+      t = next;
+    }
+  };
+  walk(ext_created_);
+  for (const Worker& w : workers_) walk(w.created);
 }
 
 RealEngine::RealEngine(const RuntimeOptions& opts) : opts_(opts) {
@@ -90,15 +150,16 @@ RealEngine::RealEngine(const RuntimeOptions& opts) : opts_(opts) {
 }
 
 RealEngine::~RealEngine() {
-  for (Tcb* t : all_tcbs_) {
+  for_each_tcb([](Tcb* t) {
     if (t->stack) StackPool::instance().release(t->stack);
     context_destroy(&t->ctx);
     delete t;
-  }
+  });
 }
 
 Tcb* RealEngine::make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy) {
   Tcb* t = new Tcb(take_tid(next_tid_));
+  remember(t);
   t->attr = attr;
   if (t->attr.stack_size == 0) t->attr.stack_size = opts_.default_stack_size;
   DFTH_CHECK(t->attr.priority >= 0 && t->attr.priority < kNumPriorities);
@@ -131,10 +192,10 @@ void RealEngine::fiber_entry(void* arg) {
   t->result = t->entry();
   t->entry = nullptr;
   auto* self = static_cast<RealEngine*>(engine());
-  // Flush the final slice and seal the span *before* finish_thread wakes the
-  // joiner — the wake edge must read the fiber's finished span. run_fiber
-  // skips its post-switch charge on ExitCleanup so nothing double-counts;
-  // the slice restarts so the wake edge's offset covers only finish_thread.
+  // Flush the final slice and seal the span *before* the joiner is woken —
+  // the wake edge must read the fiber's finished span. run_fiber skips its
+  // post-switch charge on ExitCleanup so nothing double-counts; the slice
+  // restarts so the wake edge's offset covers only the exit itself.
 #if DFTH_PROF
   if (obs::Profiler* pr = obs::profiler()) {
     Worker* w = this_worker();
@@ -144,31 +205,27 @@ void RealEngine::fiber_entry(void* arg) {
     pr->exit_fiber(t->id, 0);
   }
 #endif
-  self->finish_thread(t);
+  DFTH_TRACE_EMIT(this_worker()->id, obs::EvKind::Exit, t->id, 0);
+  Tcb* joiner = self->publish_exit(t);
+  if (joiner != nullptr) {
+    self->note_wake(joiner);
+    if (joiner->attr.bound) {
+      // A bound joiner spins on its own state word (see wake()).
+      joiner->state.store(ThreadState::Ready, std::memory_order_release);
+      joiner = nullptr;
+    }
+  }
   t->state.store(ThreadState::Done, std::memory_order_release);
+  // The scheduler side of the exit (unregister, live_, the joiner's wake)
+  // joins the worker's next section.
   Worker* w = this_worker();
   w->post = Post::ExitCleanup;
   w->post_fiber = t;
+  w->post_next = joiner;
   context_switch_final(&t->ctx, &w->ctx);
 }
 
-void RealEngine::finish_thread(Tcb* t) {
-  DFTH_TRACE_EMIT(this_worker() ? this_worker()->id : opts_.nprocs,
-                  obs::EvKind::Exit, t->id, 0);
-  DFTH_REPLAY_GATE_SELF();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!t->attr.bound) sched_->unregister_thread(t);
-    --live_;
-    progress_.fetch_add(1, std::memory_order_relaxed);
-    DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::ExitSched,
-                       ::dfth::replay::self_actor(), t->id, 0);
-    if (live_ == 0) {
-      done_ = true;
-      cv_.notify_all();
-      done_cv_.notify_all();
-    }
-  }
+Tcb* RealEngine::publish_exit(Tcb* t) {
   DFTH_REPLAY_GATE_SELF();
   t->join_lock.lock();
   t->finished = true;
@@ -180,7 +237,25 @@ void RealEngine::finish_thread(Tcb* t) {
                      ::dfth::replay::self_actor(), t->id,
                      joiner ? joiner->id : 0);
   t->join_lock.unlock();
-  if (joiner) wake(joiner);
+  return joiner;
+}
+
+void RealEngine::finish_bound_thread(Tcb* t) {
+  DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Exit, t->id, 0);
+  bool done;
+  DFTH_REPLAY_GATE_SELF();
+  {
+    Section s(*this);
+    --bound_live_;
+    --live_;
+    progress_.fetch_add(1, std::memory_order_relaxed);
+    DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::ExitSched,
+                       ::dfth::replay::self_actor(), t->id, 0);
+    done = live_ == 0;
+    if (done) done_.store(true, std::memory_order_release);
+  }
+  if (done) wake_all();
+  if (Tcb* joiner = publish_exit(t)) wake(joiner);
 }
 
 Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy,
@@ -216,12 +291,12 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
   if (child->attr.bound) {
     DFTH_REPLAY_GATE_SELF();
     {
-      std::lock_guard<std::mutex> lk(mu_);
-      all_tcbs_.push_back(child);
+      Section s(*this);
       ++live_;
       ++bound_live_;
-      ++stats_.threads_created;
-      stats_.max_live_threads = std::max(stats_.max_live_threads, live_);
+      LaneCounters& c = counters();
+      ++c.threads_created;
+      c.max_live_threads = std::max(c.max_live_threads, live_);
       DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
                          ::dfth::replay::self_actor(), child->id,
                          ::dfth::replay::kSpawnBound);
@@ -233,33 +308,43 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
   if (!child->stack) return run_inline(child);
 
   bool preempt;
+  Worker* to_wake;
   DFTH_REPLAY_GATE_SELF();
   {
-    std::lock_guard<std::mutex> lk(mu_);
-    all_tcbs_.push_back(child);
+    Section s(*this);
+    replay::SectionLog log;
     preempt = sched_->register_thread(parent, child);
     ++live_;
-    ++stats_.threads_created;
-    if (is_dummy) ++stats_.dummy_threads;
-    stats_.max_live_threads = std::max(stats_.max_live_threads, live_);
+    LaneCounters& c = counters();
+    ++c.threads_created;
+    if (is_dummy) ++c.dummy_threads;
+    c.max_live_threads = std::max(c.max_live_threads, live_);
     // A bound (or engine-external) caller has no worker to preempt.
-    if (!(preempt && w && parent && !parent->attr.bound)) {
-      preempt = false;
-      child->state.store(ThreadState::Ready, std::memory_order_relaxed);
-      sched_->on_ready(child, w ? w->id : 0);
-      cv_.notify_one();
+    preempt = preempt && w && parent && !parent->attr.bound;
+    // Logged once the placement is final: b is the *effective* decision
+    // (fork dive or queued), which is what replay must pin.
+    log.add(::dfth::replay::EvKind::SpawnReg, ::dfth::replay::self_actor(),
+            child->id, preempt ? ::dfth::replay::kSpawnPreempt : 0);
+    if (preempt) {
+      // Fork dive in this same section: the parent is requeued before its
+      // context is saved, so it is flagged until the worker has switched
+      // away from it (save-before-publish, see header comment), and the
+      // child is dispatched here.
+      parent->saving.store(true, std::memory_order_relaxed);
+      make_ready_locked(parent, w->id);
+      log.add(::dfth::replay::EvKind::Requeue, ::dfth::replay::lane_actor(w->id),
+              parent->id, 0);
+      begin_dispatch(*w, child, ::dfth::replay::kDispatchForkDive, log);
+    } else {
+      make_ready_locked(child, w ? w->id : 0);
     }
-    // Committed after the placement is final: b is the *effective*
-    // decision (fork dive or queued), which is what replay must pin.
-    DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                       ::dfth::replay::self_actor(), child->id,
-                       preempt ? ::dfth::replay::kSpawnPreempt : 0);
+    to_wake = claim_idle_worker();
+    log.commit();
   }
+  if (to_wake) to_wake->parker.unpark();
   DFTH_PROF_FORK_COST(child->id, steady_now_ns() - fork_t0);
 
   if (preempt) {
-    // Dive into the child; the worker requeues the parent once its context
-    // is fully saved (save-before-publish, see header comment).
     DFTH_TRACE_EMIT(w->id, obs::EvKind::Preempt, parent->id,
                     obs::kPreemptForkDive);
     w->post = Post::RunNext;
@@ -281,11 +366,11 @@ Tcb* RealEngine::run_inline(Tcb* child) {
   [[maybe_unused]] Tcb* parent = current();
   DFTH_REPLAY_GATE_SELF();
   {
-    std::lock_guard<std::mutex> lk(mu_);
-    all_tcbs_.push_back(child);
-    ++stats_.threads_created;
-    ++stats_.inline_runs;
-    if (child->is_dummy) ++stats_.dummy_threads;
+    Section s(*this);
+    LaneCounters& c = counters();
+    ++c.threads_created;
+    ++c.inline_runs;
+    if (child->is_dummy) ++c.dummy_threads;
 #if DFTH_VALIDATE
     if (auto* aud = analyze::active_auditor()) aud->on_inline_run(parent, child);
 #endif
@@ -313,7 +398,7 @@ Tcb* RealEngine::run_inline(Tcb* child) {
 }
 
 void RealEngine::start_bound_thread(Tcb* t) {
-  std::lock_guard<std::mutex> lk(mu_);
+  Section s(*this);
   bound_threads_.emplace_back([this, t] {
     tl_bound = t;
     t->state.store(ThreadState::Running, std::memory_order_relaxed);
@@ -324,11 +409,7 @@ void RealEngine::start_bound_thread(Tcb* t) {
     DFTH_PROF_WORK(t->id, steady_now_ns() - t0);
     DFTH_PROF_EXIT(t->id, 0);
     t->state.store(ThreadState::Done, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> inner(mu_);
-      --bound_live_;
-    }
-    finish_thread(t);
+    finish_bound_thread(t);
     tl_bound = nullptr;
   });
 }
@@ -352,7 +433,7 @@ void* RealEngine::join(Tcb* t) {
     cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
     block_current(&t->join_lock);  // releases join_lock after the switch
     DFTH_CHECK(t->finished);
-    // Span edge for this path: the wake() from finish_thread.
+    // Span edge for this path: the wake from publish_exit.
   } else {
     t->join_lock.unlock();
     // Fast path — the child already finished; take the span max here.
@@ -441,8 +522,8 @@ void RealEngine::block_current_timed(SpinLock* guard, WaitList* list,
           cur->timed_out = true;
           cur->state.store(ThreadState::Ready, std::memory_order_relaxed);
           {
-            std::lock_guard<std::mutex> lk(mu_);
-            ++stats_.sync_timeouts;
+            Section s(*this);
+            ++counters().sync_timeouts;
           }
           DFTH_COUNT(obs::Counter::SyncTimeouts);
           DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, cur->id, 0);
@@ -483,17 +564,19 @@ void RealEngine::cancel_sleeper(Tcb* t) {
   }
 }
 
+void RealEngine::note_wake(Tcb* t) {
+  Worker* w = this_worker();
+  Tcb* cur = current();
+  DFTH_TRACE_EMIT(w ? w->id : opts_.nprocs, obs::EvKind::Wake, t->id,
+                  cur ? cur->id : 0);
+  DFTH_PROF_WAKE(cur ? cur->id : 0, t->id,
+                 (w && cur && !cur->attr.bound)
+                     ? steady_now_ns() - w->slice_start_ns
+                     : 0);
+}
+
 void RealEngine::wake(Tcb* t) {
-  DFTH_TRACE_EMIT(this_worker() ? this_worker()->id : opts_.nprocs,
-                  obs::EvKind::Wake, t->id, current() ? current()->id : 0);
-  {
-    Worker* w = this_worker();
-    Tcb* cur = current();
-    DFTH_PROF_WAKE(
-        cur ? cur->id : 0, t->id,
-        (w && cur && !cur->attr.bound) ? steady_now_ns() - w->slice_start_ns
-                                       : 0);
-  }
+  note_wake(t);
   if (t->attr.bound) {
     // A bound waiter spins on its own state word; no shared scheduler state
     // is touched, so this store is not an ordered replay event (documented
@@ -502,15 +585,20 @@ void RealEngine::wake(Tcb* t) {
     return;
   }
   Worker* w = this_worker();
+  Worker* to_wake = nullptr;
   DFTH_REPLAY_GATE_SELF();
-  std::lock_guard<std::mutex> lk(mu_);
-  t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-  t->ready_at_ns = 0;
-  sched_->on_ready(t, w ? w->id : 0);
-  progress_.fetch_add(1, std::memory_order_relaxed);
-  DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Wake, ::dfth::replay::self_actor(),
-                     t->id, 0);
-  cv_.notify_one();
+  {
+    Section s(*this);
+    make_ready_locked(t, w ? w->id : 0);
+    DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Wake,
+                       ::dfth::replay::self_actor(), t->id, 0);
+    // A waker on a worker leaves the woken fiber to its own lane's next
+    // section (which claims an idle worker if ready work is left over):
+    // block/wake handoffs then stay on one core instead of bouncing every
+    // token between cores. Wakes from off the workers must claim one.
+    if (w == nullptr) to_wake = claim_idle_worker();
+  }
+  if (to_wake) to_wake->parker.unpark();
 }
 
 void RealEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
@@ -524,10 +612,7 @@ void RealEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
   if (!cur || !w || cur->attr.bound) return;
   cur->quota -= static_cast<std::int64_t>(bytes);
   if (cur->quota <= 0) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++stats_.quota_preemptions;
-    }
+    ++w->counters.quota_preemptions;
     DFTH_TRACE_EMIT(w->id, obs::EvKind::QuotaExhaust, cur->id, bytes);
     DFTH_TRACE_EMIT(w->id, obs::EvKind::Preempt, cur->id, obs::kPreemptQuota);
     w->post = Post::Requeue;
@@ -565,8 +650,8 @@ bool RealEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   // pin.
   DFTH_REPLAY_GATE_SELF();
   {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.oom_preemptions;
+    Section s(*this);
+    ++counters().oom_preemptions;
     const std::size_t q = eff_quota_.load(std::memory_order_relaxed);
     std::size_t shrunk = q;
     if (q > 0) {
@@ -611,45 +696,89 @@ void RealEngine::run_fiber(Worker& w, Tcb* t) {
   w.current = nullptr;
 }
 
-void RealEngine::handle_post(Worker& w) {
-  switch (w.post) {
-    case Post::None:
-      break;
-    case Post::ReleaseGuard:
-      w.post_guard->unlock();
-      break;
-    case Post::Requeue:
-      enqueue_ready(w.post_fiber, w.id);
-      break;
-    case Post::RunNext:
-      enqueue_ready(w.post_fiber, w.id);
-      break;  // caller inspects post_next
-    case Post::ExitCleanup: {
-      Tcb* t = w.post_fiber;
-      context_finalize(&t->ctx);
-      StackPool::instance().release(t->stack);
-      t->stack = Stack{};
-      break;
-    }
+void RealEngine::release_post(Worker& w) {
+  if (w.post == Post::ReleaseGuard) {
+    w.post_guard->unlock();
+    w.post = Post::None;
+  } else if (w.post == Post::ExitCleanup) {
+    Tcb* t = w.post_fiber;
+    context_finalize(&t->ctx);
+    StackPool::instance().release(t->stack);
+    t->stack = Stack{};
   }
 }
 
-void RealEngine::enqueue_ready(Tcb* t, int proc_hint) {
-  // Only workers reach here (handle_post), so the deciding actor is the
-  // lane, not a fiber — the requeued fiber's context is already detached.
-  DFTH_REPLAY_GATE(::dfth::replay::lane_actor(proc_hint));
-  std::lock_guard<std::mutex> lk(mu_);
+void RealEngine::settle_post(Worker& w, replay::SectionLog& log) {
+  // Only workers reach here, so the deciding actor is the lane, not a fiber
+  // — the requeued or exited fiber's context is already detached.
+  const std::uint64_t lane = ::dfth::replay::lane_actor(w.id);
+  switch (w.post) {
+    case Post::None:
+    case Post::ReleaseGuard:
+      break;
+    case Post::RunNext:  // settled in the spawn's section
+      break;
+    case Post::Requeue:
+      make_ready_locked(w.post_fiber, w.id);
+      log.add(::dfth::replay::EvKind::Requeue, lane, w.post_fiber->id, 0);
+      break;
+    case Post::ExitCleanup: {
+      Tcb* t = w.post_fiber;
+      sched_->unregister_thread(t);
+      progress_.fetch_add(1, std::memory_order_relaxed);
+      log.add(::dfth::replay::EvKind::ExitSched, lane, t->id, 0);
+      if (Tcb* joiner = w.post_next) {
+        make_ready_locked(joiner, w.id);
+        log.add(::dfth::replay::EvKind::Wake, lane, joiner->id, 0);
+      }
+      if (--live_ == 0) done_.store(true, std::memory_order_release);
+      break;
+    }
+  }
+  w.post = Post::None;
+}
+
+void RealEngine::make_ready_locked(Tcb* t, int proc_hint) {
   t->state.store(ThreadState::Ready, std::memory_order_relaxed);
+  t->ready_at_ns = 0;
   sched_->on_ready(t, proc_hint);
   progress_.fetch_add(1, std::memory_order_relaxed);
-  DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Requeue,
-                     ::dfth::replay::lane_actor(proc_hint), t->id, 0);
-  cv_.notify_one();
+}
+
+void RealEngine::begin_dispatch(Worker& w, Tcb* t, std::uint64_t flags,
+                                replay::SectionLog& log) {
+  t->state.store(ThreadState::Running, std::memory_order_relaxed);
+  t->quota =
+      static_cast<std::int64_t>(eff_quota_.load(std::memory_order_relaxed));
+  ++t->dispatches;
+  ++w.counters.dispatches;
+  progress_.fetch_add(1, std::memory_order_relaxed);
+  DFTH_TRACE_EMIT(w.id, obs::EvKind::Dispatch, t->id, t->dispatches);
+  log.add(::dfth::replay::EvKind::Dispatch, ::dfth::replay::lane_actor(w.id),
+          t->id, dispatch_cancel_flags(w, t, flags));
+}
+
+RealEngine::Worker* RealEngine::claim_idle_worker() {
+  if (idle_.empty() || sched_->ready_count() == 0) return nullptr;
+  Worker& w = workers_[static_cast<std::size_t>(idle_.back())];
+  idle_.pop_back();
+  w.idle = false;
+  return &w;
+}
+
+void RealEngine::wake_all() {
+  for (Worker& w : workers_) w.parker.unpark();
+  host_parker_.unpark();
+}
+
+bool RealEngine::all_stuck() const {
+  return idle_.size() == workers_.size() && live_ > 0 && bound_live_ == 0 &&
+         sched_->ready_count() == 0;
 }
 
 std::uint64_t RealEngine::now_ns() const { return steady_now_ns(); }
 
-std::uint64_t RealEngine::dispatch_cancel_flags(Tcb* t, int lane,
+std::uint64_t RealEngine::dispatch_cancel_flags(Worker& w, Tcb* t,
                                                 std::uint64_t base) {
   CancelToken* c = t->cancel;
   bool fire = false;
@@ -657,22 +786,23 @@ std::uint64_t RealEngine::dispatch_cancel_flags(Tcb* t, int lane,
   if (auto* rs = replay::active();
       rs != nullptr && rs->mode() == replay::Mode::Replay &&
       !rs->replay_exhausted()) {
-    // Pinned replay: this lane's gate already passed, so the head is this
-    // very Dispatch — read the recorded expire-or-not flag instead of the
-    // clock (which drifts between runs). head_is failing here just means
-    // the run is about to diverge; commit will diagnose that, so stay
-    // conservative and don't fire.
+    // Pinned replay: this lane's gate already passed and the section's
+    // earlier records are committed, so the head is this very Dispatch —
+    // read the recorded expire-or-not flag instead of the clock (which
+    // drifts between runs). head_is failing here just means the run is
+    // about to diverge; commit will diagnose that, so stay conservative and
+    // don't fire.
     std::uint64_t tid = 0;
     std::uint64_t logged_b = 0;
-    if (rs->head_is(replay::EvKind::Dispatch, replay::lane_actor(lane), &tid,
+    if (rs->head_is(replay::EvKind::Dispatch, replay::lane_actor(w.id), &tid,
                     nullptr, &logged_b) &&
         tid == t->id) {
       fire = (logged_b & replay::kDispatchDeadline) != 0;
     }
     if (!fire) return base;
     if (c != nullptr && !c->is_cancelled()) c->cancel();
-    ++stats_.deadline_expirations;
-    DFTH_TRACE_EMIT(lane, obs::EvKind::Preempt, t->id, obs::kPreemptDeadline);
+    ++w.counters.deadline_expirations;
+    DFTH_TRACE_EMIT(w.id, obs::EvKind::Preempt, t->id, obs::kPreemptDeadline);
     return base | replay::kDispatchDeadline;
   }
 #endif
@@ -680,126 +810,101 @@ std::uint64_t RealEngine::dispatch_cancel_flags(Tcb* t, int lane,
          steady_now_ns() >= c->deadline_ns;
   if (!fire) return base;
   c->cancel();
-  ++stats_.deadline_expirations;
-  DFTH_TRACE_EMIT(lane, obs::EvKind::Preempt, t->id, obs::kPreemptDeadline);
-  DFTH_REPLAY_CANCEL_FIRE(lane, t->id);
+  ++w.counters.deadline_expirations;
+  DFTH_TRACE_EMIT(w.id, obs::EvKind::Preempt, t->id, obs::kPreemptDeadline);
+  DFTH_REPLAY_CANCEL_FIRE(w.id, t->id);
   return base | ::dfth::replay::kDispatchDeadline;
 }
 
 void RealEngine::worker_loop(Worker& w) {
   tl_worker = &w;
   DFTH_REPLAY_BIND_LANE(w.id);
-  std::unique_lock<std::mutex> lk(mu_);
-  while (!done_) {
-#if DFTH_REPLAY
-    // Admission control: in a pinned replay a lane may only take the
-    // scheduler lock to dispatch when the log's next ordered decision is its
-    // own (its events are all emitted from this kernel thread in program
-    // order, so the head here is always this lane's next Dispatch).
-    if (auto* rs = replay::active();
-        rs != nullptr && rs->mode() == replay::Mode::Replay) {
-      lk.unlock();
-      rs->gate(replay::lane_actor(w.id));
-      lk.lock();
-      if (done_) break;
-    }
-#endif
+  bool stuck_timed_out = false;
+  // A worker's first park sleeps without spinning: the kernel places a
+  // thread on an idle core when it wakes it, while a worker that has never
+  // slept stays on the core of the thread that created it.
+  bool slept = false;
+  for (;;) {
 #if DFTH_PROF
     std::uint64_t pick_t0 = 0;
     if (obs::profiler()) pick_t0 = steady_now_ns();
 #endif
-    std::uint64_t earliest = kInf;
-    Tcb* t = sched_->pick_next(w.id, kInf, &earliest);
-    if (!t) {
-      ++idle_workers_;
-      auto all_stuck = [this] {
-        if (idle_workers_ != static_cast<int>(workers_.size())) return false;
-        if (live_ <= 0 || bound_live_ > 0 || sched_->ready_count() != 0) return false;
-        for (const auto& other : workers_) {
-          if (other.current) return false;
-        }
-        return true;
-      };
-      if (all_stuck()) {
-        // Possible deadlock — but a bound thread or an in-flight wake() may
-        // be about to ready someone, so only abort if the condition persists
-        // across a grace period with no notification arriving.
-        const auto verdict = cv_.wait_for(lk, std::chrono::milliseconds(500));
-        if (verdict == std::cv_status::timeout && all_stuck()) {
+    Tcb* t = nullptr;
+    const bool dive = w.post == Post::RunNext;
+    if (dive) {
+      // The spawn's section already requeued the parent and dispatched the
+      // child; the parent's context is saved now.
+      w.post_fiber->saving.store(false, std::memory_order_release);
+      t = w.post_next;
+      w.post = Post::None;
+    } else {
+      // One gate and one section per scheduling transition: the previous
+      // fiber's post-switch action, then this lane's next dispatch.
+      DFTH_REPLAY_GATE(::dfth::replay::lane_actor(w.id));
+      bool done = false;
+      bool parks = false;
+      bool stuck = false;
+      Worker* to_wake = nullptr;
+      {
+        Section s(*this);
+        if (stuck_timed_out && all_stuck()) {
+          // Nothing readied anyone during the grace period.
           dump_flight("RealEngine: deadlock — all workers idle, no ready work",
                       /*have_lock=*/true);
           DFTH_CHECK_MSG(false, "deadlock: all threads blocked");
         }
-      } else {
-        cv_.wait(lk);
+        if (w.idle) {
+          idle_.erase(std::find(idle_.begin(), idle_.end(), w.id));
+          w.idle = false;
+        }
+        replay::SectionLog log;
+        settle_post(w, log);
+        done = done_.load(std::memory_order_relaxed);
+        if (!done) {
+          std::uint64_t earliest = kInf;
+          t = sched_->pick_next(w.id, kInf, &earliest);
+          if (t) {
+            begin_dispatch(w, t, 0, log);
+            to_wake = claim_idle_worker();
+          } else if (!replay_pins_dispatch()) {
+            idle_.push_back(w.id);
+            w.idle = true;
+            parks = true;
+            stuck = all_stuck();
+          }
+        }
+        log.commit();
       }
-      --idle_workers_;
-      continue;
+      if (done) {
+        wake_all();
+        break;
+      }
+      if (to_wake) to_wake->parker.unpark();
+      if (!t) {
+        // Parked until a section leaves ready work behind (or, when every
+        // worker is idle with live work, until the deadlock grace ends).
+        // In a pinned replay the gate does the waiting instead.
+        stuck_timed_out =
+            parks && !w.parker.park(stuck ? kStuckGraceNs : 0, slept);
+        slept = slept || parks;
+        continue;
+      }
+      stuck_timed_out = false;
+      // A fork-dive parent can be picked before its worker has switched
+      // away from it; the wait is the rest of that context switch.
+      while (t->saving.load(std::memory_order_acquire)) cpu_relax();
     }
-    t->state.store(ThreadState::Running, std::memory_order_relaxed);
-    t->quota =
-        static_cast<std::int64_t>(eff_quota_.load(std::memory_order_relaxed));
-    ++t->dispatches;
-    ++stats_.dispatches;
-    progress_.fetch_add(1, std::memory_order_relaxed);
-    DFTH_TRACE_EMIT(w.id, obs::EvKind::Dispatch, t->id, t->dispatches);
-    [[maybe_unused]] const std::uint64_t cancel_b =
-        dispatch_cancel_flags(t, w.id, 0);
-    DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Dispatch,
-                       ::dfth::replay::lane_actor(w.id), t->id, cancel_b);
 #if DFTH_PROF
     if (obs::Profiler* pr = obs::profiler()) {
       const std::uint64_t now = steady_now_ns();
       const std::uint64_t gap =
-          w.idle_since_ns ? now - w.idle_since_ns : 0;
+          (!dive && w.idle_since_ns) ? now - w.idle_since_ns : 0;
       pr->dispatch(t->id, now - pick_t0, gap);
-      DFTH_HIST(obs::Hist::DispatchGapNs, gap);
+      if (!dive) DFTH_HIST(obs::Hist::DispatchGapNs, gap);
     }
 #endif
-    lk.unlock();
-
-    Tcb* next = t;
-    while (next) {
-      run_fiber(w, next);
-      const Post post = w.post;
-      Tcb* follow = w.post_next;
-      handle_post(w);
-      if (post == Post::RunNext) {
-#if DFTH_PROF
-        std::uint64_t dive_t0 = 0;
-        if (obs::profiler()) dive_t0 = steady_now_ns();
-#endif
-        DFTH_REPLAY_GATE(::dfth::replay::lane_actor(w.id));
-        {
-          std::lock_guard<std::mutex> inner(mu_);
-          follow->state.store(ThreadState::Running, std::memory_order_relaxed);
-          follow->quota = static_cast<std::int64_t>(
-              eff_quota_.load(std::memory_order_relaxed));
-          ++follow->dispatches;
-          ++stats_.dispatches;
-          progress_.fetch_add(1, std::memory_order_relaxed);
-          DFTH_TRACE_EMIT(w.id, obs::EvKind::Dispatch, follow->id,
-                          follow->dispatches);
-          // kDispatchForkDive: a dive, not a queue-served pick — cross-replay
-          // on the simulator excludes these (they re-happen on its own spawn
-          // path).
-          [[maybe_unused]] const std::uint64_t dive_b = dispatch_cancel_flags(
-              follow, w.id, ::dfth::replay::kDispatchForkDive);
-          DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Dispatch,
-                             ::dfth::replay::lane_actor(w.id), follow->id,
-                             dive_b);
-        }
-#if DFTH_PROF
-        if (obs::Profiler* pr = obs::profiler()) {
-          pr->dispatch(follow->id, steady_now_ns() - dive_t0, 0);
-        }
-#endif
-        next = follow;
-      } else {
-        next = nullptr;
-      }
-    }
-    lk.lock();
+    run_fiber(w, t);
+    release_post(w);
   }
   tl_worker = nullptr;
 }
@@ -831,16 +936,17 @@ restart:
       s.t->timed_out = true;
       DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, s.t->id, 0);
       DFTH_COUNT(obs::Counter::SyncTimeouts);
+      Worker* to_wake;
       DFTH_REPLAY_GATE(::dfth::replay::kActorTimer);
-      std::lock_guard<std::mutex> g(mu_);
-      ++stats_.sync_timeouts;
-      s.t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-      s.t->ready_at_ns = 0;
-      sched_->on_ready(s.t, 0);
-      progress_.fetch_add(1, std::memory_order_relaxed);
-      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::TimeoutReady,
-                         ::dfth::replay::kActorTimer, s.t->id, 0);
-      cv_.notify_one();
+      {
+        Section g(*this);
+        ++ext_counters_.sync_timeouts;
+        make_ready_locked(s.t, 0);
+        DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::TimeoutReady,
+                           ::dfth::replay::kActorTimer, s.t->id, 0);
+        to_wake = claim_idle_worker();
+      }
+      if (to_wake) to_wake->parker.unpark();
     }
     lk.lock();
     firing_ = nullptr;
@@ -882,16 +988,15 @@ restart:
     DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, s.t->id, 0);
     DFTH_COUNT(obs::Counter::SyncTimeouts);
     rs->gate(replay::kActorTimer);
+    Worker* to_wake;
     {
-      std::lock_guard<std::mutex> g(mu_);
-      ++stats_.sync_timeouts;
-      s.t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-      s.t->ready_at_ns = 0;
-      sched_->on_ready(s.t, 0);
-      progress_.fetch_add(1, std::memory_order_relaxed);
+      Section g(*this);
+      ++ext_counters_.sync_timeouts;
+      make_ready_locked(s.t, 0);
       rs->commit(replay::EvKind::TimeoutReady, replay::kActorTimer, tid, 0);
-      cv_.notify_one();
+      to_wake = claim_idle_worker();
     }
+    if (to_wake) to_wake->parker.unpark();
     lk.lock();
     firing_ = nullptr;
     sup_cv_.notify_all();
@@ -973,8 +1078,8 @@ void RealEngine::supervisor_loop() {
         lk.unlock();
         bool outstanding;
         {
-          std::lock_guard<std::mutex> g(mu_);
-          outstanding = live_ > 0 && !done_;
+          Section g(*this);
+          outstanding = live_ > 0 && !done_.load(std::memory_order_relaxed);
         }
         if (outstanding) {
           dump_flight("RealEngine watchdog: no scheduler progress within the "
@@ -992,7 +1097,7 @@ void RealEngine::supervisor_loop() {
 void RealEngine::dump_flight(const char* reason, bool have_lock) {
   // A wedged worker may hold mu_ forever; bound the wait, then dump the
   // possibly-inconsistent snapshot anyway (flagged as such).
-  std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
+  std::unique_lock<SpinFutexLock> lk(mu_, std::defer_lock);
   bool locked = have_lock;
   if (!have_lock) {
     for (int i = 0; i < 200 && !locked; ++i) {
@@ -1000,13 +1105,17 @@ void RealEngine::dump_flight(const char* reason, bool have_lock) {
       if (!locked) std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   }
+  std::vector<Tcb*> tcbs;
+  for_each_tcb([&tcbs](Tcb* t) { tcbs.push_back(t); });
+  std::sort(tcbs.begin(), tcbs.end(),
+            [](const Tcb* a, const Tcb* b) { return a->id < b->id; });
   resil::FlightInfo info;
   info.reason = reason;
   info.engine = "real";
   info.live_threads = live_;
   info.sched_state_consistent = locked;
   for (const Worker& w : workers_) info.lanes.push_back({w.id, w.current});
-  info.all_tcbs = &all_tcbs_;
+  info.all_tcbs = &tcbs;
   info.sched = sched_.get();
   info.tracer = obs::tracer();
 #if DFTH_REPLAY
@@ -1080,12 +1189,11 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
     main->attr.bound = true;
     DFTH_REPLAY_GATE(::dfth::replay::kActorHost);
     {
-      std::lock_guard<std::mutex> lk(mu_);
-      all_tcbs_.push_back(main);
+      Section s(*this);
       live_ = 1;
       ++bound_live_;
-      stats_.threads_created = 1;
-      stats_.max_live_threads = 1;
+      ext_counters_.threads_created = 1;
+      ext_counters_.max_live_threads = 1;
       DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
                          ::dfth::replay::kActorHost, main->id,
                          ::dfth::replay::kSpawnBound);
@@ -1093,14 +1201,13 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
     start_bound_thread(main);
   } else {
     DFTH_REPLAY_GATE(::dfth::replay::kActorHost);
-    std::lock_guard<std::mutex> lk(mu_);
-    all_tcbs_.push_back(main);
+    Section s(*this);
     sched_->register_thread(nullptr, main);
     main->state.store(ThreadState::Ready, std::memory_order_relaxed);
     sched_->on_ready(main, 0);
     live_ = 1;
-    stats_.threads_created = 1;
-    stats_.max_live_threads = 1;
+    ext_counters_.threads_created = 1;
+    ext_counters_.max_live_threads = 1;
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
                        ::dfth::replay::kActorHost, main->id, 0);
   }
@@ -1117,7 +1224,8 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
     }
     ++kept_workers;
   }
-  workers_.resize(static_cast<std::size_t>(kept_workers));
+  workers_ = std::vector<Worker>(static_cast<std::size_t>(kept_workers));
+  idle_.reserve(static_cast<std::size_t>(kept_workers));
   for (int i = 0; i < kept_workers; ++i) {
     workers_[static_cast<std::size_t>(i)].id = i;
   }
@@ -1152,7 +1260,7 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
         obs::Sample s;
         s.ts_ns = tr->now();
         {
-          std::lock_guard<std::mutex> lk(mu_);
+          Section g(*this);
           s.live_threads = live_;
           s.ready = static_cast<std::int64_t>(sched_->ready_count());
         }
@@ -1165,10 +1273,7 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   }
 #endif
 
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    done_cv_.wait(lk, [this] { return done_; });
-  }
+  while (!done_.load(std::memory_order_acquire)) host_parker_.park();
   for (auto& w : workers_) w.thread.join();
   // Worker dispatch-loop contexts are created implicitly by their first
   // save; the ucontext backend heap-allocates an impl for them.
@@ -1182,6 +1287,14 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   sup_cv_.notify_all();
   supervisor_.join();
 
+#if DFTH_TRACE
+  if (sampler.joinable()) {
+    sampler_stop.store(true, std::memory_order_release);
+    sampler.join();
+  }
+#endif
+  ext_counters_.add_to(&stats_);
+  for (const Worker& w : workers_) w.counters.add_to(&stats_);
   stats_.elapsed_us = timer.elapsed_us();
   stats_.heap_peak = TrackedHeap::instance().peak_bytes();
   stats_.stack_peak = StackPool::instance().peak_bytes();
@@ -1199,8 +1312,6 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
 
 #if DFTH_TRACE
   if (obs::Tracer* tr = obs::tracer()) {
-    sampler_stop.store(true, std::memory_order_release);
-    sampler.join();
     tr->end_run();
     obs::detail::set_tracer(nullptr);
   }

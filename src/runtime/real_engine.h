@@ -2,23 +2,35 @@
 // the two-level Solaris model (unbound Pthreads over LWPs) built for real.
 //
 // nprocs kernel threads ("LWPs") each run a dispatch loop; unbound fibers
-// are handed out by the pluggable Scheduler under one global mutex (the
+// are handed out by the pluggable Scheduler under one global lock (the
 // same serialized-scheduler structure as the paper's library, §6). Bound
 // threads (Attr::bound) get a dedicated kernel thread and bypass the
 // scheduler entirely, exactly like bound Solaris threads.
 //
 // This engine provides true concurrency for the synchronization stress
-// tests and real microsecond costs for the Figure 3 microbenchmark. On the
-// single-CPU reproduction host it cannot demonstrate speedup — that is
-// SimEngine's job — but oversubscribed workers still exercise every race.
+// tests and the wall-clock numbers of bench/perf (speedup over serial code
+// at p = the host's core count). SimEngine remains the reference for the
+// paper's shapes, which do not depend on the host.
 //
 // Blocking protocol (the classic save-before-publish problem): a fiber that
 // blocks or is preempted never publishes itself as resumable directly.
 // It records a post-switch action and switches to the worker's context; the
 // worker — running strictly after the fiber's state is saved — performs the
-// action (release a spinlock, requeue the fiber, free an exited fiber's
-// stack). A fiber can therefore never be resumed by another worker while
-// its context is half-saved.
+// action (release a spinlock, requeue the fiber, retire an exited fiber).
+// A fiber can therefore never be resumed by another worker while its
+// context is half-saved.
+//
+// Lock protocol (DESIGN.md §2): mu_ guards scheduler state only — the
+// policy's queues, live_/bound_live_/done_, and the idle-worker list. Each
+// scheduling transition is one section. A spawn registers the child and,
+// for a fork dive, requeues the parent and dispatches the child in the same
+// section (the parent is flagged `saving` until its worker has switched
+// away from it). A worker folds its post-switch action (requeue, or an
+// exited fiber's retirement with its joiner's wake) into the section of its
+// next pick. Run counters and the created-Tcb lists are per worker. mu_
+// spins before it sleeps; an idle worker spins on its own Parker before it
+// sleeps, and is unparked only by a section that leaves ready work nobody
+// else will take.
 #pragma once
 
 #include <atomic>
@@ -29,8 +41,10 @@
 #include <thread>
 #include <vector>
 
+#include "replay/hooks.h"
 #include "runtime/api.h"
 #include "runtime/engine.h"
+#include "util/spin_park.h"
 
 namespace dfth {
 
@@ -73,11 +87,31 @@ class RealEngine final : public Engine {
     None,
     ReleaseGuard,   ///< unlock post_guard (fiber blocked on a wait list)
     Requeue,        ///< make post_fiber Ready again (yield / quota preempt)
-    RunNext,        ///< requeue post_fiber, then run post_next directly
-    ExitCleanup,    ///< post_fiber exited: release its stack
+    RunNext,        ///< fork dive: post_fiber (already requeued) is saved;
+                    ///< run post_next (already dispatched) directly
+    ExitCleanup,    ///< post_fiber exited: release its stack, retire it from
+                    ///< the scheduler and make post_next (its joiner) ready
   };
 
-  struct Worker {
+  /// Run counters one lane owns. A worker's are written only by its own
+  /// kernel thread; ext_counters_ (host, supervisor, bound threads) only
+  /// under mu_. run() sums them into the RunStats.
+  struct LaneCounters {
+    std::uint64_t threads_created = 0;
+    std::uint64_t dummy_threads = 0;
+    std::int64_t max_live_threads = 0;
+    std::uint64_t dispatches = 0;
+    std::uint64_t quota_preemptions = 0;
+    std::uint64_t oom_preemptions = 0;
+    std::uint64_t inline_runs = 0;
+    std::uint64_t sync_timeouts = 0;
+    std::uint64_t deadline_expirations = 0;
+    std::uint64_t sched_lock_sections = 0;
+
+    void add_to(RunStats* s) const;
+  };
+
+  struct alignas(64) Worker {
     int id = 0;
     Context ctx;             ///< dispatch-loop context
     Tcb* current = nullptr;  ///< fiber this worker is executing
@@ -93,7 +127,28 @@ class RealEngine final : public Engine {
     /// Steady-clock instant the worker last finished a slice; the next
     /// dispatch reads it as its dispatch-gap measurement.
     std::uint64_t idle_since_ns = 0;
+    LaneCounters counters;
+    /// Tcbs created by fibers on this worker (intrusive list through
+    /// Tcb::created_next), read by the destructor and the flight recorder.
+    std::atomic<Tcb*> created{nullptr};
+    bool idle = false;  ///< on idle_ (guarded by mu_)
+    Parker parker;
     std::thread thread;
+  };
+
+  /// One critical section of mu_, counted on the caller's lane.
+  class Section {
+   public:
+    explicit Section(RealEngine& e) : e_(e) {
+      e_.mu_.lock();
+      ++e_.counters().sched_lock_sections;
+    }
+    ~Section() { e_.mu_.unlock(); }
+    Section(const Section&) = delete;
+    Section& operator=(const Section&) = delete;
+
+   private:
+    RealEngine& e_;
   };
 
   /// A timed wait's timer entry, fired by the supervisor thread. Deadlines
@@ -108,25 +163,52 @@ class RealEngine final : public Engine {
   static void fiber_entry(void* arg);
   static Worker* this_worker();
 
+  /// The calling lane's counters: its worker's, else ext_counters_ (then
+  /// the caller must hold mu_).
+  LaneCounters& counters();
   Tcb* make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy);
+  /// Links t into the calling lane's created list.
+  void remember(Tcb* t);
   /// Degraded spawn: no stack/context for the child — run it to completion
   /// on the caller's stack (the serial depth-first order). Never registered
   /// with the scheduler.
   Tcb* run_inline(Tcb* child);
   void worker_loop(Worker& w);
   void run_fiber(Worker& w, Tcb* t);
-  void handle_post(Worker& w);
-  void enqueue_ready(Tcb* t, int proc_hint);
+  /// The scheduler half of w's post-switch action, first thing in the
+  /// lane's next section (mu_ held): requeue, or retire an exited fiber.
+  void settle_post(Worker& w, replay::SectionLog& log);
+  /// The half that needs no engine lock: release a guard or a stack.
+  void release_post(Worker& w);
+  /// mu_ held: t becomes Ready with the scheduler.
+  void make_ready_locked(Tcb* t, int proc_hint);
+  /// mu_ held: marks t Running on w and stages its Dispatch record.
+  void begin_dispatch(Worker& w, Tcb* t, std::uint64_t flags,
+                      replay::SectionLog& log);
   /// Deadline check folded into a dispatch: fires `t`'s cancel token when
   /// its deadline passed on the steady clock, and returns `base` (the
   /// kDispatchForkDive flag or 0) OR'd with kDispatchDeadline when it fired.
   /// In a pinned replay the recorded Dispatch flags win over the live clock
   /// — wall time drifts between runs, and the flag is the one place the
   /// expire-or-not race is logged. Called with mu_ held, immediately before
-  /// the Dispatch commit.
-  std::uint64_t dispatch_cancel_flags(Tcb* t, int lane, std::uint64_t base);
+  /// the Dispatch record is staged.
+  std::uint64_t dispatch_cancel_flags(Worker& w, Tcb* t, std::uint64_t base);
+  /// mu_ held: when ready work is left and a worker is idle, takes one off
+  /// idle_ for the caller to unpark after the section.
+  Worker* claim_idle_worker();
+  /// Once done_ is set: unparks every worker (each then sees done_ in its
+  /// next section and leaves) and the host.
+  void wake_all();
+  /// mu_ held: every worker idle, live work remains, none of it ready, and
+  /// no bound thread that could make some ready.
+  bool all_stuck() const;
+  /// Publishes t's exit under its join lock; returns the blocked joiner
+  /// (not yet woken), if any.
+  Tcb* publish_exit(Tcb* t);
+  /// Trace + profiler side of a wake edge from the calling context.
+  void note_wake(Tcb* t);
   void start_bound_thread(Tcb* t);
-  void finish_thread(Tcb* t);  ///< shared exit bookkeeping (fiber + bound)
+  void finish_bound_thread(Tcb* t);
 
   /// Timer + stall-watchdog thread: fires due RtSleepers and aborts with a
   /// flight-recorder dump when no dispatch progress happens for longer than
@@ -149,26 +231,30 @@ class RealEngine final : public Engine {
   /// have_lock is false, mu_ is try-locked (bounded) — a wedged worker
   /// holding it must not block the dump forever.
   void dump_flight(const char* reason, bool have_lock);
+  template <typename F>
+  void for_each_tcb(F&& f) const;
 
   RuntimeOptions opts_;
   std::unique_ptr<Scheduler> sched_;
 
-  std::mutex mu_;                 ///< the global scheduler lock
-  std::condition_variable cv_;    ///< workers: "ready work exists" / shutdown
-  std::condition_variable done_cv_;  ///< host thread in run(): completion.
-                                     ///< Separate from cv_ so a notify_one
-                                     ///< meant for a worker can never be
-                                     ///< swallowed by the waiting host.
-  bool done_ = false;
+  // The lock shares its cache line with the engine state every section
+  // touches, so a section's owner fetches the line once.
+  alignas(64) SpinFutexLock mu_;  ///< the global scheduler lock
+  std::atomic<bool> done_{false};  ///< written under mu_; the host polls it
   std::int64_t live_ = 0;
   std::int64_t bound_live_ = 0;
-  int idle_workers_ = 0;
+  /// Monotonic dispatch/wake/exit counter, bumped under mu_; the watchdog
+  /// trips when it stops moving while live work remains.
+  std::atomic<std::uint64_t> progress_{0};
+  std::vector<int> idle_;  ///< parked or parking worker ids (guarded by mu_)
   // Atomic: make_tcb runs in the spawning fiber before it takes mu_, so
   // concurrent spawns on different workers allocate ids in parallel.
-  std::atomic<std::uint64_t> next_tid_{1};
+  alignas(64) std::atomic<std::uint64_t> next_tid_{1};
+  Parker host_parker_;  ///< host thread in run(): completion
 
   std::vector<Worker> workers_;
-  std::vector<Tcb*> all_tcbs_;    ///< guarded by mu_
+  LaneCounters ext_counters_;          ///< guarded by mu_
+  std::atomic<Tcb*> ext_created_{nullptr};  ///< Tcbs made off the workers
   std::vector<std::thread> bound_threads_;  ///< guarded by mu_
 
   /// Effective allocation quota K; OOM recovery halves it (atomic: read on
@@ -182,11 +268,8 @@ class RealEngine final : public Engine {
   Tcb* firing_ = nullptr;             ///< sleeper whose fire is in flight
   bool sup_stop_ = false;
   std::thread supervisor_;
-  /// Monotonic dispatch/wake/exit counter; the watchdog trips when it stops
-  /// moving while live work remains.
-  std::atomic<std::uint64_t> progress_{0};
 
-  RunStats stats_;  ///< counter fields guarded by mu_
+  RunStats stats_;  ///< configuration echo; counters merged at the end of run()
 };
 
 }  // namespace dfth

@@ -55,8 +55,11 @@ class IngressRing {
         if (tail_.compare_exchange_weak(pos, pos + 1,
                                         std::memory_order_relaxed)) {
           c.val = std::move(v);
-          c.seq.store(pos + 1, std::memory_order_release);
+          // Count before publishing: the consumer's fetch_sub for this cell
+          // happens after its acquire of seq, so it can never run first and
+          // drive depth_ below zero.
           depth_.fetch_add(1, std::memory_order_relaxed);
+          c.seq.store(pos + 1, std::memory_order_release);
           return true;
         }
         // CAS refreshed pos; retry with the new tail.

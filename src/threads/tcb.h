@@ -48,6 +48,10 @@ struct Tcb {
 
   // -- execution state -------------------------------------------------------
   std::atomic<ThreadState> state{ThreadState::Embryo};
+  /// RealEngine: Ready already, but its context is still being saved (a
+  /// fork-dive parent between its spawn section and its switch out). A
+  /// worker that picks it waits for the flag to clear before resuming it.
+  std::atomic<bool> saving{false};
   Context ctx;
   Stack stack;
 
@@ -67,6 +71,8 @@ struct Tcb {
   std::int64_t quota = 0;   ///< remaining memory quota for this scheduling
   int home_proc = 0;        ///< policy data: WS deque / clustered SMP id
   Tcb* sched_next = nullptr;  ///< intrusive link for FIFO/LIFO/deque storage
+                              ///< and AsyncDF's ready list
+  Tcb* created_next = nullptr;  ///< RealEngine's per-lane list of created Tcbs
 
   // -- wait queues ------------------------------------------------------------
   Tcb* wait_next = nullptr;  ///< intrusive link while blocked on a sync object

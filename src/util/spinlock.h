@@ -12,6 +12,12 @@
 
 namespace dfth {
 
+inline void cpu_relax() {
+#if defined(__x86_64__)
+  _mm_pause();
+#endif
+}
+
 class SpinLock {
  public:
   void lock() {
@@ -30,12 +36,6 @@ class SpinLock {
   bool is_locked() const { return locked_.load(std::memory_order_relaxed); }
 
  private:
-  static void cpu_relax() {
-#if defined(__x86_64__)
-    _mm_pause();
-#endif
-  }
-
   std::atomic<bool> locked_{false};
 };
 

@@ -3,15 +3,18 @@
 // schedule-dependent RunStats (and identical race-report sets when the
 // build carries -DDFTH_RACE); corrupt or mismatched logs are rejected with
 // a diagnostic before any engine state exists; a RealEngine log
-// cross-replays to completion on the SimEngine.
+// cross-replays to completion on the SimEngine; the engine's merged
+// scheduling sections (fork dive, exit retirement) replay exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "../runtime/uneven_tree.h"
 #include "analyze/race_detector.h"
 #include "apps_runner.h"
 #include "replay/log.h"
@@ -156,6 +159,57 @@ TEST(ReplayDeterminism, CrossReplayOnSimCompletes) {
   EXPECT_EQ(rep.threads_created, rec.threads_created);
   std::remove(path.c_str());
 }
+
+// The merged sections batch records of several decisions (spawn + parent
+// requeue + dive dispatch; exit + joiner wake + next pick) under one gate.
+// An uneven tree at p = 4 exercises all of them along with blocking joins,
+// dummy threads and quota preemptions; replay must reproduce the run, and
+// the same log must cross-replay on the simulator.
+class ReplayMergedSections : public ::testing::TestWithParam<SchedKind> {
+ protected:
+  RuntimeOptions opts() const {
+    RuntimeOptions o = real_opts();
+    o.sched = GetParam();
+    o.mem_quota = 4 << 10;
+    return o;
+  }
+  static RunStats run_uneven(const RuntimeOptions& o) {
+    std::atomic<std::uint64_t> spawned{0};
+    return run(o, [&spawned] { test::uneven_tree(0, 256, 6 << 10, &spawned); });
+  }
+};
+
+TEST_P(ReplayMergedSections, UnevenTreeReplaysAndCrossReplays) {
+  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
+  const std::string path = temp_path(std::string("merged_") + to_string(GetParam()));
+  RuntimeOptions o = opts();
+  o.record_path = path;
+  const RunStats rec = run_uneven(o);
+  if (GetParam() == SchedKind::AsyncDf) {
+    EXPECT_GT(rec.dummy_threads, 0u);
+    EXPECT_GT(rec.quota_preemptions, 0u);
+  }
+
+  RuntimeOptions r = opts();
+  r.replay_path = path;
+  const RunStats rep = run_uneven(r);
+  EXPECT_EQ(replay::determinism_signature(rec),
+            replay::determinism_signature(rep));
+
+  RuntimeOptions s = opts();
+  s.engine = EngineKind::Sim;
+  s.replay_path = path;
+  const RunStats sim = run_uneven(s);
+  EXPECT_EQ(sim.threads_created, rec.threads_created);
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, ReplayMergedSections,
+                         ::testing::Values(SchedKind::AsyncDf,
+                                           SchedKind::WorkSteal),
+                         [](const ::testing::TestParamInfo<SchedKind>& info) {
+                           return std::string(to_string(info.param));
+                         });
 
 using ReplayDeathTest = ::testing::Test;
 

@@ -1,16 +1,21 @@
 // Real-engine specifics: bound threads, fiber migration across workers,
-// oversubscription stress, and wall-clock sanity.
+// oversubscription stress, wall-clock sanity, and the scheduler-lock
+// protocol (sections per spawn, spin-then-park wakeups under 4-way load).
 #include "runtime/real_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "runtime/api.h"
 #include "runtime/sync.h"
+#include "uneven_tree.h"
+#include "space/stack_pool.h"
+#include "space/tracked_heap.h"
 
 namespace dfth {
 namespace {
@@ -181,6 +186,92 @@ TEST(RealEngine, QuotaPreemptionUnderAsyncDf) {
   });
   EXPECT_GE(stats.quota_preemptions, 8u);
 }
+
+void* binary_tree(int depth) {
+  if (depth == 0) return nullptr;
+  Thread a = spawn([depth] { return binary_tree(depth - 1); });
+  Thread b = spawn([depth] { return binary_tree(depth - 1); });
+  join(a);
+  join(b);
+  return nullptr;
+}
+
+// One engine-lock section per scheduling transition: a spawned thread pays
+// for its registration (which also dispatches the fork dive) and for its
+// exit (which also picks the next thread), so at p = 1 the whole run stays
+// within three sections per spawned thread. The p = 1 AsyncDF schedule is
+// deterministic, so the count repeats exactly.
+TEST(RealEngine, AtMostThreeSchedLockSectionsPerSpawnAtP1) {
+  auto once = [] {
+    return run(real_opts(SchedKind::AsyncDf, 1), [] { binary_tree(10); });
+  };
+  const RunStats a = once();
+  const RunStats b = once();
+  const std::uint64_t spawned = a.threads_created - 1;
+  ASSERT_EQ(spawned, (1u << 11) - 2);
+  EXPECT_GT(a.sched_lock_sections, 0u);
+  EXPECT_LE(a.sched_lock_sections, 3 * spawned);
+  EXPECT_EQ(a.sched_lock_sections, b.sched_lock_sections);
+}
+
+// Fibers pass tokens around a ring of Semaphores with short timed waits, so
+// the timer readies fibers as well as the wakers do.
+void timed_ring(int fibers, int tokens, int steps,
+                std::atomic<std::uint64_t>* spawned) {
+  auto sems = std::make_unique<Semaphore[]>(static_cast<std::size_t>(fibers));
+  std::vector<Thread> ths;
+  for (int i = 0; i < fibers; ++i) {
+    ths.push_back(spawn([&sems, fibers, steps, i]() -> void* {
+      for (int j = 0; j < steps; ++j) {
+        while (!sems[static_cast<std::size_t>(i)].try_acquire_for(20'000)) {
+        }
+        sems[static_cast<std::size_t>((i + 1) % fibers)].release();
+      }
+      return nullptr;
+    }));
+  }
+  spawned->fetch_add(static_cast<std::uint64_t>(fibers), std::memory_order_relaxed);
+  for (int t = 0; t < tokens; ++t) {
+    sems[static_cast<std::size_t>(t * fibers / tokens)].release();
+  }
+  for (Thread& th : ths) join(th);
+}
+
+// Spin-then-park under real 4-way load: a lost wakeup leaves live work with
+// every worker parked, which the 5 s stall watchdog turns into an abort.
+class RealEngineStress : public ::testing::TestWithParam<SchedKind> {};
+
+TEST_P(RealEngineStress, UnevenTreeAndTimedRingComplete) {
+  constexpr std::size_t kLeaves = 256;
+  for (int rep = 0; rep < 20; ++rep) {
+    RuntimeOptions o = real_opts(GetParam(), 4);
+    o.mem_quota = 4 << 10;
+    o.watchdog.stall_deadline_ms = 5000;
+    const std::int64_t heap0 = TrackedHeap::instance().live_bytes();
+    std::atomic<std::uint64_t> spawned{0};
+    std::uint64_t sum = 0;
+    const RunStats st = run(o, [&] {
+      sum = test::uneven_tree(0, kLeaves, 6 << 10, &spawned);
+      timed_ring(16, 4, 8, &spawned);
+    });
+    EXPECT_EQ(sum, kLeaves * (kLeaves - 1) / 2);
+    EXPECT_EQ(st.threads_created, 1 + spawned.load() + st.dummy_threads);
+    if (GetParam() != SchedKind::WorkSteal) {
+      EXPECT_GT(st.dummy_threads, 0u);
+      EXPECT_GT(st.quota_preemptions, 0u);
+    }
+    EXPECT_EQ(StackPool::instance().live_bytes(), 0);
+    EXPECT_EQ(TrackedHeap::instance().live_bytes(), heap0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, RealEngineStress,
+                         ::testing::Values(SchedKind::AsyncDf,
+                                           SchedKind::WorkSteal,
+                                           SchedKind::ClusteredAdf),
+                         [](const ::testing::TestParamInfo<SchedKind>& info) {
+                           return std::string(to_string(info.param));
+                         });
 
 }  // namespace
 }  // namespace dfth

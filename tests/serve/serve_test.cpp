@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "replay/log.h"
@@ -76,6 +78,33 @@ TEST(IngressRing, WrapsAcrossManyLaps) {
     EXPECT_EQ(a, lap);
     EXPECT_EQ(b, lap + 1'000'000);
   }
+}
+
+// Four producers, one consumer. The depth counter is bumped before a cell is
+// published, so the consumer's decrement can never run first and wrap
+// size() around to ~2^64, which the shed tiers would read as a full ring.
+TEST(IngressRing, DepthNeverUnderflowsWithConcurrentProducers) {
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 50'000;
+  IngressRing<int> ring(64);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&ring, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        while (!ring.try_push(p * kPerProducer + i)) std::this_thread::yield();
+      }
+    });
+  }
+  std::size_t worst = 0;
+  for (int popped = 0; popped < kProducers * kPerProducer;) {
+    int v = 0;
+    if (!ring.try_pop(&v)) continue;
+    ++popped;
+    worst = std::max(worst, ring.size());
+  }
+  for (std::thread& t : producers) t.join();
+  EXPECT_LE(worst, ring.capacity());
+  EXPECT_EQ(ring.size(), 0u);
 }
 
 // ---------- admission controller ---------------------------------------------
@@ -510,6 +539,56 @@ TEST_P(ServeTest, TimedWaitDeadlineRaceUnwindsWithoutLeaks) {
     EXPECT_EQ(replayed.completed, 0u);
   }
   if (replay::kReplayEnabled) std::remove(log_path.c_str());
+}
+
+// Light load from four client fibers on four workers: the ring is almost
+// always empty, so the pump pops right behind each push. With the default
+// tier thresholds nothing may be shed.
+TEST(ServeRealEngine, DefaultTiersShedNothingUnderLightLoad) {
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 64;
+  constexpr int kTotal = kProducers * kPerProducer;
+  RuntimeOptions o;
+  o.engine = EngineKind::Real;
+  o.sched = SchedKind::AsyncDf;
+  o.nprocs = 4;
+  o.default_stack_size = 32 << 10;
+  std::atomic<int> done_calls{0};
+  ServeReport rep;
+  run(o, [&] {
+    std::vector<Request> arena(kTotal);
+    ServerConfig cfg;
+    cfg.poll_ns = 100'000;
+    cfg.on_done = [&done_calls](Request*) {
+      done_calls.fetch_add(1, std::memory_order_relaxed);
+    };
+    EndpointSpec ep;
+    ep.name = "echo";
+    ep.mem_bound = 1024;
+    ep.handler = [](Request&) {};
+    rep = serve_scenario(cfg, {ep}, [&](Server& s) {
+      std::vector<Thread> clients;
+      for (int p = 0; p < kProducers; ++p) {
+        clients.push_back(spawn([&s, &arena, p]() -> void* {
+          Semaphore pace{0};
+          for (int i = 0; i < kPerProducer; ++i) {
+            Request& r = arena[static_cast<std::size_t>(p * kPerProducer + i)];
+            r.id = static_cast<std::uint64_t>(p * kPerProducer + i);
+            s.submit(&r);
+            pace.try_acquire_for(20'000);
+          }
+          return nullptr;
+        }));
+      }
+      for (Thread& c : clients) join(c);
+      Semaphore idle{0};
+      while (done_calls.load(std::memory_order_relaxed) < kTotal) {
+        idle.try_acquire_for(100'000);
+      }
+    });
+  });
+  EXPECT_EQ(rep.rejected_shed, 0u);
+  EXPECT_EQ(rep.completed, static_cast<std::uint64_t>(kTotal));
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, ServeTest,
