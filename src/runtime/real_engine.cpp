@@ -308,11 +308,10 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
   if (!child->stack) return run_inline(child);
 
   bool preempt;
-  Worker* to_wake;
+  Worker* to_wake = nullptr;
   DFTH_REPLAY_GATE_SELF();
   {
     Section s(*this);
-    replay::SectionLog log;
     preempt = sched_->register_thread(parent, child);
     ++live_;
     LaneCounters& c = counters();
@@ -323,23 +322,15 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
     preempt = preempt && w && parent && !parent->attr.bound;
     // Logged once the placement is final: b is the *effective* decision
     // (fork dive or queued), which is what replay must pin.
-    log.add(::dfth::replay::EvKind::SpawnReg, ::dfth::replay::self_actor(),
-            child->id, preempt ? ::dfth::replay::kSpawnPreempt : 0);
-    if (preempt) {
-      // Fork dive in this same section: the parent is requeued before its
-      // context is saved, so it is flagged until the worker has switched
-      // away from it (save-before-publish, see header comment), and the
-      // child is dispatched here.
-      parent->saving.store(true, std::memory_order_relaxed);
-      make_ready_locked(parent, w->id);
-      log.add(::dfth::replay::EvKind::Requeue, ::dfth::replay::lane_actor(w->id),
-              parent->id, 0);
-      begin_dispatch(*w, child, ::dfth::replay::kDispatchForkDive, log);
-    } else {
+    DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
+                       ::dfth::replay::self_actor(), child->id,
+                       preempt ? ::dfth::replay::kSpawnPreempt : 0);
+    // A fork dive's parent requeue and child dispatch wait for the lane's
+    // post-switch section: the parent is published only once it is saved.
+    if (!preempt) {
       make_ready_locked(child, w ? w->id : 0);
+      to_wake = claim_idle_worker();
     }
-    to_wake = claim_idle_worker();
-    log.commit();
   }
   if (to_wake) to_wake->parker.unpark();
   DFTH_PROF_FORK_COST(child->id, steady_now_ns() - fork_t0);
@@ -585,18 +576,16 @@ void RealEngine::wake(Tcb* t) {
     return;
   }
   Worker* w = this_worker();
-  Worker* to_wake = nullptr;
+  Worker* to_wake;
   DFTH_REPLAY_GATE_SELF();
   {
     Section s(*this);
     make_ready_locked(t, w ? w->id : 0);
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Wake,
                        ::dfth::replay::self_actor(), t->id, 0);
-    // A waker on a worker leaves the woken fiber to its own lane's next
-    // section (which claims an idle worker if ready work is left over):
-    // block/wake handoffs then stay on one core instead of bouncing every
-    // token between cores. Wakes from off the workers must claim one.
-    if (w == nullptr) to_wake = claim_idle_worker();
+    // The waker may keep running (a barrier's last arrival, a spin-wait on
+    // the woken fiber), so a parked worker takes the woken fiber now.
+    to_wake = claim_idle_worker();
   }
   if (to_wake) to_wake->parker.unpark();
 }
@@ -716,9 +705,8 @@ void RealEngine::settle_post(Worker& w, replay::SectionLog& log) {
     case Post::None:
     case Post::ReleaseGuard:
       break;
-    case Post::RunNext:  // settled in the spawn's section
-      break;
     case Post::Requeue:
+    case Post::RunNext:
       make_ready_locked(w.post_fiber, w.id);
       log.add(::dfth::replay::EvKind::Requeue, lane, w.post_fiber->id, 0);
       break;
@@ -820,80 +808,71 @@ void RealEngine::worker_loop(Worker& w) {
   tl_worker = &w;
   DFTH_REPLAY_BIND_LANE(w.id);
   bool stuck_timed_out = false;
-  // A worker's first park sleeps without spinning: the kernel places a
-  // thread on an idle core when it wakes it, while a worker that has never
-  // slept stays on the core of the thread that created it.
-  bool slept = false;
   for (;;) {
 #if DFTH_PROF
     std::uint64_t pick_t0 = 0;
     if (obs::profiler()) pick_t0 = steady_now_ns();
 #endif
     Tcb* t = nullptr;
+    // A fork dive runs the child its spawn registered, without a pick.
     const bool dive = w.post == Post::RunNext;
-    if (dive) {
-      // The spawn's section already requeued the parent and dispatched the
-      // child; the parent's context is saved now.
-      w.post_fiber->saving.store(false, std::memory_order_release);
-      t = w.post_next;
-      w.post = Post::None;
-    } else {
-      // One gate and one section per scheduling transition: the previous
-      // fiber's post-switch action, then this lane's next dispatch.
-      DFTH_REPLAY_GATE(::dfth::replay::lane_actor(w.id));
-      bool done = false;
-      bool parks = false;
-      bool stuck = false;
-      Worker* to_wake = nullptr;
-      {
-        Section s(*this);
-        if (stuck_timed_out && all_stuck()) {
-          // Nothing readied anyone during the grace period.
-          dump_flight("RealEngine: deadlock — all workers idle, no ready work",
-                      /*have_lock=*/true);
-          DFTH_CHECK_MSG(false, "deadlock: all threads blocked");
-        }
-        if (w.idle) {
-          idle_.erase(std::find(idle_.begin(), idle_.end(), w.id));
-          w.idle = false;
-        }
-        replay::SectionLog log;
-        settle_post(w, log);
-        done = done_.load(std::memory_order_relaxed);
-        if (!done) {
-          std::uint64_t earliest = kInf;
-          t = sched_->pick_next(w.id, kInf, &earliest);
-          if (t) {
-            begin_dispatch(w, t, 0, log);
-            to_wake = claim_idle_worker();
-          } else if (!replay_pins_dispatch()) {
-            idle_.push_back(w.id);
-            w.idle = true;
-            parks = true;
-            stuck = all_stuck();
-          }
-        }
-        log.commit();
+    // One gate and one section per scheduling transition: the previous
+    // fiber's post-switch action, then this lane's next dispatch.
+    DFTH_REPLAY_GATE(::dfth::replay::lane_actor(w.id));
+    bool done = false;
+    bool parks = false;
+    bool stuck = false;
+    Worker* to_wake = nullptr;
+    {
+      Section s(*this);
+      if (stuck_timed_out && all_stuck()) {
+        // Nothing readied anyone during the grace period.
+        dump_flight("RealEngine: deadlock — all workers idle, no ready work",
+                    /*have_lock=*/true);
+        DFTH_CHECK_MSG(false, "deadlock: all threads blocked");
       }
-      if (done) {
-        wake_all();
-        break;
+      if (w.idle) {
+        idle_.erase(std::find(idle_.begin(), idle_.end(), w.id));
+        w.idle = false;
       }
-      if (to_wake) to_wake->parker.unpark();
-      if (!t) {
-        // Parked until a section leaves ready work behind (or, when every
-        // worker is idle with live work, until the deadlock grace ends).
-        // In a pinned replay the gate does the waiting instead.
-        stuck_timed_out =
-            parks && !w.parker.park(stuck ? kStuckGraceNs : 0, slept);
-        slept = slept || parks;
-        continue;
+      replay::SectionLog log;
+      settle_post(w, log);
+      done = !dive && done_.load(std::memory_order_relaxed);
+      if (dive) {
+        // kDispatchForkDive: a dive, not a queue-served pick — cross-replay
+        // on the simulator excludes these (they re-happen on its own spawn
+        // path).
+        t = w.post_next;
+        begin_dispatch(w, t, ::dfth::replay::kDispatchForkDive, log);
+        to_wake = claim_idle_worker();
+      } else if (!done) {
+        std::uint64_t earliest = kInf;
+        t = sched_->pick_next(w.id, kInf, &earliest);
+        if (t) {
+          begin_dispatch(w, t, 0, log);
+          to_wake = claim_idle_worker();
+        } else if (!replay_pins_dispatch()) {
+          idle_.push_back(w.id);
+          w.idle = true;
+          parks = true;
+          stuck = all_stuck();
+        }
       }
-      stuck_timed_out = false;
-      // A fork-dive parent can be picked before its worker has switched
-      // away from it; the wait is the rest of that context switch.
-      while (t->saving.load(std::memory_order_acquire)) cpu_relax();
+      log.commit();
     }
+    if (done) {
+      wake_all();
+      break;
+    }
+    if (to_wake) to_wake->parker.unpark();
+    if (!t) {
+      // Parked until a section leaves ready work behind (or, when every
+      // worker is idle with live work, until the deadlock grace ends).
+      // In a pinned replay the gate does the waiting instead.
+      stuck_timed_out = parks && !w.parker.park(stuck ? kStuckGraceNs : 0);
+      continue;
+    }
+    stuck_timed_out = false;
 #if DFTH_PROF
     if (obs::Profiler* pr = obs::profiler()) {
       const std::uint64_t now = steady_now_ns();

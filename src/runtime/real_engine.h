@@ -22,15 +22,14 @@
 //
 // Lock protocol (DESIGN.md §2): mu_ guards scheduler state only — the
 // policy's queues, live_/bound_live_/done_, and the idle-worker list. Each
-// scheduling transition is one section. A spawn registers the child and,
-// for a fork dive, requeues the parent and dispatches the child in the same
-// section (the parent is flagged `saving` until its worker has switched
-// away from it). A worker folds its post-switch action (requeue, or an
-// exited fiber's retirement with its joiner's wake) into the section of its
-// next pick. Run counters and the created-Tcb lists are per worker. mu_
-// spins before it sleeps; an idle worker spins on its own Parker before it
-// sleeps, and is unparked only by a section that leaves ready work nobody
-// else will take.
+// scheduling transition is one section. A spawn registers the child. A
+// worker folds its post-switch action (requeue, a fork dive's parent
+// requeue, or an exited fiber's retirement with its joiner's wake) into the
+// section of its next dispatch: the fork dive's child, or its next pick.
+// Run counters and the created-Tcb lists are per worker. mu_ spins before
+// it sleeps; an idle worker spins on its own Parker before it sleeps, and
+// is unparked only by a section that leaves ready work nobody else will
+// take.
 #pragma once
 
 #include <atomic>
@@ -87,8 +86,8 @@ class RealEngine final : public Engine {
     None,
     ReleaseGuard,   ///< unlock post_guard (fiber blocked on a wait list)
     Requeue,        ///< make post_fiber Ready again (yield / quota preempt)
-    RunNext,        ///< fork dive: post_fiber (already requeued) is saved;
-                    ///< run post_next (already dispatched) directly
+    RunNext,        ///< fork dive: requeue post_fiber and run post_next
+                    ///< (registered by the spawn) without a pick
     ExitCleanup,    ///< post_fiber exited: release its stack, retire it from
                     ///< the scheduler and make post_next (its joiner) ready
   };

@@ -48,10 +48,6 @@ struct Tcb {
 
   // -- execution state -------------------------------------------------------
   std::atomic<ThreadState> state{ThreadState::Embryo};
-  /// RealEngine: Ready already, but its context is still being saved (a
-  /// fork-dive parent between its spawn section and its switch out). A
-  /// worker that picks it waits for the flag to clear before resuming it.
-  std::atomic<bool> saving{false};
   Context ctx;
   Stack stack;
 

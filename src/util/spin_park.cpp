@@ -1,16 +1,11 @@
 #include "util/spin_park.h"
 
-#include <chrono>
-
-#if defined(__linux__)
 #include <linux/futex.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <ctime>
-#else
-#include <thread>
-#endif
 
 namespace dfth {
 namespace {
@@ -26,7 +21,6 @@ std::uint64_t steady_now_ns() {
 
 namespace detail {
 
-#if defined(__linux__)
 static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t),
               "futex words are plain 32-bit integers");
 
@@ -46,27 +40,13 @@ void futex_wake_one(std::atomic<std::uint32_t>* word) {
   syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(word), FUTEX_WAKE_PRIVATE,
           1, nullptr, nullptr, 0);
 }
-#else
-// Portable fallback: C++20 atomic wait has no timeout, so a timed wait
-// degrades to a short nap and the caller's re-check loop.
-void futex_wait(std::atomic<std::uint32_t>* word, std::uint32_t expected,
-                std::uint64_t timeout_ns) {
-  if (timeout_ns == 0) {
-    word->wait(expected, std::memory_order_relaxed);
-  } else if (word->load(std::memory_order_relaxed) == expected) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-}
-
-void futex_wake_one(std::atomic<std::uint32_t>* word) { word->notify_one(); }
-#endif
 
 }  // namespace detail
 
-bool Parker::park(std::uint64_t timeout_ns, bool spin) {
+bool Parker::park(std::uint64_t timeout_ns) {
   const std::uint64_t start = steady_now_ns();
   // Spin phase: poll the permit, reading the clock every 64 polls.
-  for (int i = 0; spin; ++i) {
+  for (int i = 0;; ++i) {
     if (state_.load(std::memory_order_relaxed) == kNotified) break;
     if ((i & 63) == 63 && steady_now_ns() - start >= kSpinNs) break;
     cpu_relax();

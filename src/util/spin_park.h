@@ -73,8 +73,8 @@ class Parker {
   static constexpr std::uint64_t kSpinNs = 20'000;
 
   /// Returns true when a permit was consumed, false when timeout_ns
-  /// (0 = no limit) elapsed first. With spin = false it sleeps at once.
-  bool park(std::uint64_t timeout_ns = 0, bool spin = true);
+  /// (0 = no limit) elapsed first.
+  bool park(std::uint64_t timeout_ns = 0);
 
   void unpark() {
     if (state_.exchange(kNotified, std::memory_order_release) == kParked) {

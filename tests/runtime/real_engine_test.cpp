@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <thread>
@@ -197,21 +198,53 @@ void* binary_tree(int depth) {
 }
 
 // One engine-lock section per scheduling transition: a spawned thread pays
-// for its registration (which also dispatches the fork dive) and for its
-// exit (which also picks the next thread), so at p = 1 the whole run stays
-// within three sections per spawned thread. The p = 1 AsyncDF schedule is
-// deterministic, so the count repeats exactly.
+// for its registration, for the fork dive (its parent's requeue with its own
+// dispatch) and for its exit (which also picks the next thread). The
+// difference between two tree sizes leaves out the run's fixed sections.
+// The p = 1 AsyncDF schedule is deterministic, so the count repeats exactly.
 TEST(RealEngine, AtMostThreeSchedLockSectionsPerSpawnAtP1) {
-  auto once = [] {
-    return run(real_opts(SchedKind::AsyncDf, 1), [] { binary_tree(10); });
+  auto once = [](int depth) {
+    return run(real_opts(SchedKind::AsyncDf, 1), [depth] { binary_tree(depth); });
   };
-  const RunStats a = once();
-  const RunStats b = once();
-  const std::uint64_t spawned = a.threads_created - 1;
-  ASSERT_EQ(spawned, (1u << 11) - 2);
-  EXPECT_GT(a.sched_lock_sections, 0u);
-  EXPECT_LE(a.sched_lock_sections, 3 * spawned);
+  const RunStats small = once(9);
+  const RunStats a = once(10);
+  const RunStats b = once(10);
+  const std::uint64_t spawned = a.threads_created - small.threads_created;
+  ASSERT_EQ(spawned, (1u << 10));
+  EXPECT_GT(a.sched_lock_sections, small.sched_lock_sections);
+  EXPECT_LE(a.sched_lock_sections - small.sched_lock_sections, 3 * spawned);
   EXPECT_EQ(a.sched_lock_sections, b.sched_lock_sections);
+}
+
+// A waker that keeps running must not hold up the fiber it woke: with the
+// other workers parked, the woken fiber has to run on one of them while the
+// waker spins on its progress (a wait the pthread layer allows).
+TEST(RealEngine, WokenFiberRunsBesideSpinningWaker) {
+  for (SchedKind k : {SchedKind::AsyncDf, SchedKind::WorkSteal}) {
+    bool seen = true;
+    run(real_opts(k, 4), [&] {
+      for (int round = 0; round < 50 && seen; ++round) {
+        Semaphore go(0);
+        std::atomic<bool> ran{false};
+        Thread t = spawn([&]() -> void* {
+          go.acquire();
+          ran.store(true, std::memory_order_release);
+          return nullptr;
+        });
+        // Let t block and the idle workers park before the wake.
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        go.release();
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!ran.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < deadline) {
+        }
+        seen = ran.load(std::memory_order_acquire);
+        join(t);  // blocking here lets this lane run t if nobody else did
+      }
+    });
+    EXPECT_TRUE(seen) << to_string(k);
+  }
 }
 
 // Fibers pass tokens around a ring of Semaphores with short timed waits, so
