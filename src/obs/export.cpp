@@ -59,9 +59,11 @@ std::string to_json(const ProfileStats& p) {
                 "{\"enabled\": %s, \"work_ns\": %" PRIu64
                 ", \"span_ns\": %" PRIu64 ", \"burdened_span_ns\": %" PRIu64
                 ", \"overhead_ns\": %" PRIu64 ", \"fibers\": %" PRIu64
+                ", \"fork_depth\": %" PRIu32 ", \"span_segments\": %" PRIu32
                 ", \"parallelism\": %.3f}",
                 p.enabled ? "true" : "false", p.work_ns, p.span_ns,
-                p.burdened_span_ns, p.overhead_ns, p.fibers, p.parallelism());
+                p.burdened_span_ns, p.overhead_ns, p.fibers, p.fork_depth,
+                p.span_segments, p.parallelism());
   return buf;
 }
 

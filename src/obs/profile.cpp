@@ -1,8 +1,10 @@
 #include "obs/profile.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <map>
+#include <mutex>
 
 namespace dfth::obs {
 namespace {
@@ -41,7 +43,7 @@ Profiler::~Profiler() {
 }
 
 void Profiler::begin_run() {
-  Guard g(mu_);
+  std::lock_guard<SpinLock> g(mu_);
   fibers_.clear();
   sites_.clear();
   site_ids_.clear();
@@ -50,6 +52,7 @@ void Profiler::begin_run() {
   arena_.clear();
   work_ns_ = overhead_ns_ = fiber_count_ = 0;
   max_span_ns_ = max_burden_ns_ = 0;
+  max_depth_ = crit_segments_ = 0;
   crit_head_ = nullptr;
   stats_ = ProfileStats{};
   elapsed_us_ = 0;
@@ -59,16 +62,11 @@ void Profiler::begin_run() {
 }
 
 void Profiler::end_run(double elapsed_us, int nprocs) {
-  Guard g(mu_);
+  std::lock_guard<SpinLock> g(mu_);
   // Fibers still live at the end of the run (the caller's root, anything
   // blocked at teardown) compete for the span with their current value.
-  for (Fiber& f : fibers_) {
-    if (!f.seen || f.finished) continue;
-    if (f.span_ns > max_span_ns_) {
-      max_span_ns_ = f.span_ns;
-      crit_head_ = f.head;
-    }
-    max_burden_ns_ = std::max(max_burden_ns_, f.burden_ns);
+  for (const Fiber& f : fibers_) {
+    if (f.seen && !f.finished) compete_for_span(f);
   }
   stats_.enabled = true;
   stats_.work_ns = work_ns_;
@@ -76,6 +74,8 @@ void Profiler::end_run(double elapsed_us, int nprocs) {
   stats_.burdened_span_ns = std::max(max_burden_ns_, max_span_ns_);
   stats_.overhead_ns = overhead_ns_;
   stats_.fibers = fiber_count_;
+  stats_.fork_depth = max_depth_;
+  stats_.span_segments = crit_segments_;
   elapsed_us_ = elapsed_us;
   nprocs_ = nprocs;
 }
@@ -140,14 +140,38 @@ void Profiler::flush_offset(Fiber& f, std::uint64_t offset_ns) {
   accrue_ledger(f, amount);
 }
 
+void Profiler::adopt_span(std::uint64_t to_tid, std::uint64_t from_tid) {
+  fiber(std::max(to_tid, from_tid));  // grow once: both references stay valid
+  Fiber& from = fibers_[from_tid];
+  Fiber& to = fibers_[to_tid];
+  seal(from);  // `to` may share its ledger from here on
+  if (from.span_ns > to.span_ns) {
+    to.span_ns = from.span_ns;
+    to.segments = from.segments + 1;
+    to.head = from.head;
+    to.head_owned = false;
+  }
+  to.burden_ns = std::max(to.burden_ns, from.burden_ns);
+}
+
+void Profiler::compete_for_span(const Fiber& f) {
+  if (f.span_ns > max_span_ns_) {
+    max_span_ns_ = f.span_ns;
+    crit_segments_ = f.segments;
+    crit_head_ = f.head;
+  }
+  max_burden_ns_ = std::max(max_burden_ns_, f.burden_ns);
+}
+
 void Profiler::thread_start(std::uint64_t child, std::uint64_t parent,
                             std::uint64_t offset_ns, const char* file,
                             int line) {
-  Guard g(mu_);
+  std::lock_guard<SpinLock> g(mu_);
   ++fiber_count_;
   // Resolve the parent *before* fiber(child) — that call may grow fibers_
   // and invalidate references.
   std::uint64_t base_span = 0, base_burden = 0;
+  std::uint32_t base_depth = 0, base_segments = 0;
   Ledger* base_head = nullptr;
   std::uint32_t parent_node = 0;
   if (parent != 0) {
@@ -155,13 +179,19 @@ void Profiler::thread_start(std::uint64_t child, std::uint64_t parent,
     flush_offset(p, offset_ns);  // materialize uncharged work before sharing
     base_span = p.span_ns;
     base_burden = p.burden_ns;
+    base_depth = p.depth;
+    base_segments = p.segments;
     base_head = p.head;
     parent_node = p.node;
     seal(p);  // the child now shares the parent's ledger
+    ++p.segments;  // the fork ends the parent's segment
   }
   Fiber& c = fiber(child);
   c.seen = true;
   c.finished = false;
+  c.depth = base_depth + 1;
+  c.segments = base_segments + 1;
+  max_depth_ = std::max(max_depth_, c.depth);
   c.span_ns = base_span;
   c.burden_ns = base_burden;
   c.prepaid_ns = 0;
@@ -172,7 +202,7 @@ void Profiler::thread_start(std::uint64_t child, std::uint64_t parent,
 
 void Profiler::work(std::uint64_t tid, std::uint64_t ns) {
   if (ns == 0) return;
-  Guard g(mu_);
+  std::lock_guard<SpinLock> g(mu_);
   Fiber& f = fiber(tid);
   f.seen = true;
   // Edges may have flushed part of this charge already (prepaid); only the
@@ -191,13 +221,13 @@ void Profiler::work(std::uint64_t tid, std::uint64_t ns) {
 void Profiler::overhead(std::uint64_t tid, std::uint64_t ns) {
   (void)tid;
   if (ns == 0) return;
-  Guard g(mu_);
+  std::lock_guard<SpinLock> g(mu_);
   overhead_ns_ += ns;
 }
 
 void Profiler::dispatch(std::uint64_t tid, std::uint64_t overhead_ns,
                         std::uint64_t gap_ns) {
-  Guard g(mu_);
+  std::lock_guard<SpinLock> g(mu_);
   overhead_ns_ += overhead_ns;
   Fiber& f = fiber(tid);
   f.burden_ns += overhead_ns + gap_ns;
@@ -205,67 +235,42 @@ void Profiler::dispatch(std::uint64_t tid, std::uint64_t overhead_ns,
 
 void Profiler::fork_cost(std::uint64_t child, std::uint64_t ns) {
   if (ns == 0) return;
-  Guard g(mu_);
+  std::lock_guard<SpinLock> g(mu_);
   overhead_ns_ += ns;
   fiber(child).burden_ns += ns;
 }
 
 void Profiler::join_edge(std::uint64_t joiner, std::uint64_t child,
                          std::uint64_t offset_ns) {
-  Guard g(mu_);
-  // Two fiber() calls: take references one at a time (resize invalidates).
+  std::lock_guard<SpinLock> g(mu_);
   flush_offset(fiber(joiner), offset_ns);
-  const std::uint64_t child_span = fiber(child).span_ns;
-  const std::uint64_t child_burden = fiber(child).burden_ns;
-  Ledger* child_head = fiber(child).head;
-  fiber(child).head_owned = false;
-  Fiber& j = fiber(joiner);
-  if (child_span > j.span_ns) {
-    j.span_ns = child_span;
-    j.head = child_head;
-    j.head_owned = false;
-  }
-  j.burden_ns = std::max(j.burden_ns, child_burden);
+  adopt_span(joiner, child);
 }
 
 void Profiler::wake_edge(std::uint64_t waker, std::uint64_t wakee,
                          std::uint64_t offset_ns) {
-  Guard g(mu_);
+  std::lock_guard<SpinLock> g(mu_);
   flush_offset(fiber(waker), offset_ns);
-  const std::uint64_t waker_span = fiber(waker).span_ns;
-  const std::uint64_t waker_burden = fiber(waker).burden_ns;
-  Ledger* waker_head = fiber(waker).head;
-  fiber(waker).head_owned = false;
-  Fiber& e = fiber(wakee);
-  if (waker_span > e.span_ns) {
-    e.span_ns = waker_span;
-    e.head = waker_head;
-    e.head_owned = false;
-  }
-  e.burden_ns = std::max(e.burden_ns, waker_burden);
+  adopt_span(wakee, waker);
 }
 
 void Profiler::steal(std::uint64_t tid, std::uint64_t burden_ns) {
   if (burden_ns == 0) return;
-  Guard g(mu_);
+  std::lock_guard<SpinLock> g(mu_);
   fiber(tid).burden_ns += burden_ns;
 }
 
 void Profiler::exit_fiber(std::uint64_t tid, std::uint64_t offset_ns) {
   if (offset_ns != 0) work(tid, offset_ns);
-  Guard g(mu_);
+  std::lock_guard<SpinLock> g(mu_);
   Fiber& f = fiber(tid);
   f.finished = true;
   seal(f);
-  if (f.span_ns > max_span_ns_) {
-    max_span_ns_ = f.span_ns;
-    crit_head_ = f.head;
-  }
-  max_burden_ns_ = std::max(max_burden_ns_, f.burden_ns);
+  compete_for_span(f);
 }
 
 std::vector<CritSegment> Profiler::critical_path() const {
-  Guard g(mu_);
+  std::lock_guard<SpinLock> g(mu_);
   std::map<std::uint32_t, std::uint64_t> by_node;
   for (const Ledger* l = crit_head_; l; l = l->prev) by_node[l->node] += l->ns;
   std::vector<CritSegment> out;
@@ -279,7 +284,7 @@ std::vector<CritSegment> Profiler::critical_path() const {
 }
 
 std::vector<CollapsedLine> Profiler::collapsed() const {
-  Guard g(mu_);
+  std::lock_guard<SpinLock> g(mu_);
   std::vector<CollapsedLine> out;
   for (const Node& n : trie_) {
     if (n.self_work_ns == 0) continue;

@@ -15,7 +15,10 @@
 //                  parent's current span to the child, a join takes the max
 //                  over joiner and child, a wake takes the max over waker
 //                  and wakee — the exact hook sites the happens-before race
-//                  detector uses for its vector-clock edges.
+//                  detector uses for its vector-clock edges. The segment
+//                  count D of that chain and the fork depth d ride along:
+//                  the paper's space bound S1 + O(p·K·D) and its "d
+//                  simultaneously active threads" are stated in them.
 //   burdened span — span plus per-edge scheduling burden: every dispatch is
 //                  charged its observed scheduler-lock + context-switch cost
 //                  and the lane's idle gap before it, every fork its
@@ -56,7 +59,6 @@
 // clock synchronization; SimEngine's virtual clock is exact. DESIGN.md §10.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -64,6 +66,7 @@
 #include <vector>
 
 #include "runtime/run_stats.h"
+#include "util/spinlock.h"
 
 namespace dfth::obs {
 
@@ -163,6 +166,8 @@ class Profiler {
     bool seen = false;
     bool finished = false;
     std::uint32_t node = 0;        ///< spawn-stack trie node
+    std::uint32_t depth = 0;       ///< fork nesting (root = 1)
+    std::uint32_t segments = 0;    ///< segments on the span path so far
     std::uint64_t span_ns = 0;
     std::uint64_t burden_ns = 0;   ///< span + scheduling burden
     /// Uncharged work already materialized into span/ledger by an edge's
@@ -183,20 +188,6 @@ class Profiler {
     int line = 0;
   };
 
-  struct SpinLock {
-    std::atomic_flag flag = ATOMIC_FLAG_INIT;
-    void lock() {
-      while (flag.test_and_set(std::memory_order_acquire)) {
-      }
-    }
-    void unlock() { flag.clear(std::memory_order_release); }
-  };
-  struct Guard {
-    explicit Guard(SpinLock& l) : l_(l) { l_.lock(); }
-    ~Guard() { l_.unlock(); }
-    SpinLock& l_;
-  };
-
   Fiber& fiber(std::uint64_t tid);
   std::uint32_t intern_site(const char* file, int line);
   std::uint32_t trie_child(std::uint32_t parent, std::uint32_t site);
@@ -208,6 +199,11 @@ class Profiler {
   /// the delta beyond what is already prepaid lands.
   void flush_offset(Fiber& f, std::uint64_t offset_ns);
   void seal(Fiber& f) { f.head_owned = false; }
+  /// Join/wake edge: `to` takes max(its span, `from`'s span); a longer
+  /// `from` path is adopted with its ledger and one more segment.
+  void adopt_span(std::uint64_t to_tid, std::uint64_t from_tid);
+  /// A final (exited or end-of-run) fiber span competes for the run span.
+  void compete_for_span(const Fiber& f);
 
   mutable SpinLock mu_;
   std::vector<Fiber> fibers_;
@@ -222,6 +218,8 @@ class Profiler {
   std::uint64_t fiber_count_ = 0;
   std::uint64_t max_span_ns_ = 0;
   std::uint64_t max_burden_ns_ = 0;
+  std::uint32_t max_depth_ = 0;
+  std::uint32_t crit_segments_ = 0;  ///< segments of the span-winning fiber
   Ledger* crit_head_ = nullptr;  ///< ledger of the span-winning fiber
 
   ProfileStats stats_;

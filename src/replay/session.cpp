@@ -7,6 +7,7 @@
 #include "threads/tcb.h"
 #include "util/check.h"
 #include "util/log.h"
+#include "util/timer.h"
 
 namespace dfth::replay {
 namespace {
@@ -26,13 +27,6 @@ void on_abort(int) {
   // Best-effort: persist the in-flight record log so the abort itself is
   // replayable. abort() re-raises with the default action after we return.
   if (Session* s = g_active.load(std::memory_order_acquire)) s->flush_partial();
-}
-
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 }  // namespace

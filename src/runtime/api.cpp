@@ -2,7 +2,6 @@
 
 #include <atomic>
 
-#include "graph/recorder.h"
 #if DFTH_VALIDATE
 #include "analyze/auditor.h"
 #endif
@@ -13,12 +12,12 @@
 #include "space/tracked_heap.h"
 #include "util/check.h"
 #include "util/log.h"
+#include "util/timer.h"
 #if DFTH_REPLAY
 #include <cstring>
 
 #include "replay/session.h"
 #endif
-#include <chrono>
 
 namespace dfth {
 namespace {
@@ -160,8 +159,6 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
     eng = std::make_unique<RealEngine>(effective);
   }
 
-  if (effective.recorder) detail::set_recorder(effective.recorder);
-
   // Fiber ids restart per run, so stale happens-before state from a prior
   // run must not leak into this one (accumulated reports are kept).
   DFTH_RACE_BEGIN_RUN();
@@ -169,7 +166,6 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
   detail::set_engine(eng.get());
   RunStats stats = eng->run(main_fn);
   detail::set_engine(nullptr);
-  detail::set_recorder(nullptr);
 #if DFTH_REPLAY
   if (session) {
     std::string error;
@@ -187,9 +183,6 @@ Thread spawn(std::function<void*()> fn, const Attr& attr,
              std::source_location site) {
   Engine* e = engine();
   DFTH_CHECK_MSG(e, "spawn outside dfth::run");
-  // Graph recording happens inside the engine: under a child-runs-first
-  // policy the child may execute to completion before this call returns, so
-  // its start must be recorded before the scheduling decision.
   Tcb* child = e->spawn(std::move(fn), attr, /*is_dummy=*/false,
                         site.file_name(), static_cast<int>(site.line()));
   return Thread(child);
@@ -203,9 +196,6 @@ void* join(Thread t) {
   // Exit→joiner edge: everything the child (and its whole joined subtree)
   // did happens-before the code after this join.
   DFTH_RACE_JOIN(e->current(), t.tcb_);
-  if (Recorder* rec = active_recorder()) {
-    rec->on_join(t.tcb_->id, e->current() ? e->current()->id : 0);
-  }
   return result;
 }
 
@@ -279,10 +269,7 @@ std::uint64_t now_ns() {
     return e->now_ns();
 #endif
   }
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+  return steady_now_ns();
 }
 
 namespace {
@@ -394,9 +381,6 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
     }
     e->on_alloc(bytes, fresh);  // may quota-preempt the calling thread
   }
-  if (Recorder* rec = active_recorder()) {
-    rec->on_alloc(self_id(), static_cast<std::int64_t>(bytes));
-  }
   if (status) *status = DfStatus::kOk;
   return p;
 }
@@ -413,9 +397,6 @@ void df_free(void* p) {
       }
     }
     e->on_free(bytes);
-  }
-  if (Recorder* rec = active_recorder()) {
-    rec->on_alloc(self_id(), -static_cast<std::int64_t>(bytes));
   }
 }
 
@@ -440,7 +421,6 @@ void df_write(const void* p, std::size_t bytes, const char* site) {
 void annotate_work(std::uint64_t ops) {
   if (ops == 0) return;
   if (Engine* e = engine()) e->add_work(ops);
-  if (Recorder* rec = active_recorder()) rec->on_work(self_id(), ops);
 }
 
 void annotate_touch(const std::uint32_t* block_ids, std::size_t count) {

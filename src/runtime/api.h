@@ -28,7 +28,6 @@
 #include <new>
 #include <source_location>
 
-#include "graph/recorder.h"
 #include "resil/watchdog.h"
 #include "runtime/cost_model.h"
 #include "runtime/engine.h"
@@ -65,11 +64,6 @@ struct RuntimeOptions {
 
   /// Cost-model constants for the simulation engine.
   CostModel cost;
-
-  /// Optional caller-owned computation-graph recorder (graph/recorder.h):
-  /// when set, the run records its fork/join DAG with per-segment work into
-  /// it, for graph/analysis.h. Adds overhead; off by default.
-  Recorder* recorder = nullptr;
 
   /// Optional caller-owned trace session (obs/trace.h): when set (and the
   /// build has DFTH_TRACE), the engine records scheduler events and

@@ -1,10 +1,11 @@
 // Virtual-time cost model for the SMP simulation engine.
 //
-// The host for this reproduction has a single CPU, so the paper's speedup
-// and time-breakdown measurements cannot be taken on real hardware; instead
 // SimEngine executes the benchmarks' real code under a discrete-event model
-// of a p-processor SMP. This struct holds every constant of that model,
-// calibrated to the paper's Figure 3 (167 MHz UltraSPARC, Solaris 2.5):
+// of a p-processor SMP and stays the reference for the paper's speedup and
+// time-breakdown shapes. The host has 4 cores, so RealEngine wall-clock is
+// measured too (bench/perf), but it is a different machine from the
+// paper's. This struct holds every constant of the model, calibrated to the
+// paper's Figure 3 (167 MHz UltraSPARC, Solaris 2.5):
 //
 //   * unbound thread create 20.5 µs (their headline number; "over 3400
 //     cycles"), bound create an order of magnitude higher;

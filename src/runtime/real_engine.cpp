@@ -34,13 +34,6 @@ constexpr std::size_t kRealStackFloor = 64 << 10;
 /// someone).
 constexpr std::uint64_t kStuckGraceNs = 500'000'000;
 
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 thread_local void* tl_worker = nullptr;  // RealEngine::Worker*
 thread_local Tcb* tl_bound = nullptr;    // bound thread's own Tcb
 
@@ -272,9 +265,6 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
   child->cancel =
       attr.cancel != nullptr ? attr.cancel : (parent ? parent->cancel : nullptr);
   DFTH_RACE_FORK(child, parent);
-  if (Recorder* rec = active_recorder()) {
-    rec->on_thread_start(child->id, parent ? parent->id : 0);
-  }
   DFTH_TRACE_EMIT(w ? w->id : opts_.nprocs,
                   is_dummy ? obs::EvKind::DummySpawn : obs::EvKind::Fork,
                   parent ? parent->id : 0, child->id);

@@ -63,6 +63,13 @@ struct ProfileStats {
   std::uint64_t burdened_span_ns = 0;  ///< T_inf + per-edge scheduler burden
   std::uint64_t overhead_ns = 0;       ///< dispatch/fork/exit/steal/lock time
   std::uint64_t fibers = 0;            ///< fibers seen (incl. main + dummies)
+  /// The paper's d: deepest fork nesting (main = 1). A serial depth-first
+  /// schedule holds at most this many threads live at once (Fig 1).
+  std::uint32_t fork_depth = 0;
+  /// The paper's D: segments on the critical path. A fork ends the current
+  /// segment of parent and child; a join or wake that lengthens a fiber's
+  /// span continues the winner's path with one more segment.
+  std::uint32_t span_segments = 0;
 
   double parallelism() const {
     return span_ns ? static_cast<double>(work_ns) / static_cast<double>(span_ns)

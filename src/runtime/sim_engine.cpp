@@ -157,7 +157,6 @@ Tcb* SimEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy
   child->site_file = site_file;
   child->site_line = site_line;
   DFTH_RACE_FORK(child, cur_);
-  if (Recorder* rec = active_recorder()) rec->on_thread_start(child->id, cur_->id);
   DFTH_TRACE_EMIT(cur_proc_,
                   is_dummy ? obs::EvKind::DummySpawn : obs::EvKind::Fork,
                   cur_->id, child->id);

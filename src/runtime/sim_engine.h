@@ -1,13 +1,14 @@
 // SimEngine: a deterministic discrete-event simulation of a p-processor
 // shared-memory machine executing the user's real threaded code.
 //
-// Why it exists: the reproduction host has one CPU, so the paper's speedup
-// and memory-vs-processors curves cannot be measured in wall-clock time.
-// Every one of those measurements, however, is a function of the *schedule*
-// — which thread runs where and when, how many threads are simultaneously
-// live, and how much memory the resulting interleaving keeps allocated.
-// SimEngine reproduces the schedule exactly: fibers execute their real code
-// on the single host CPU, virtual processors carry virtual clocks, and the
+// Why it exists: the paper's speedup and memory-vs-processors curves are
+// functions of the *schedule* — which thread runs where and when, how many
+// threads are simultaneously live, and how much memory the resulting
+// interleaving keeps allocated — on a 1998 p-processor SMP. The host has 4
+// cores and RealEngine wall-clock is measured by bench/perf, but SimEngine
+// stays the reference for the paper's shapes: it reproduces the schedule
+// exactly at any p. Fibers execute their real code on one host thread,
+// virtual processors carry virtual clocks, and the
 // pluggable Scheduler is consulted with the same lock-serialized discipline
 // as the Solaris library. Costs come from CostModel (calibrated to the
 // paper's Figure 3); determinism comes from integer nanosecond clocks and

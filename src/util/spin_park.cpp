@@ -4,21 +4,11 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <ctime>
 
+#include "util/timer.h"
+
 namespace dfth {
-namespace {
-
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
 namespace detail {
 
 static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t),

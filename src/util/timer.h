@@ -1,4 +1,5 @@
-// Wall-clock timing helpers for the real engine and microbenchmarks.
+// Wall-clock timing helpers for the real engine, the replay session and
+// microbenchmarks.
 #pragma once
 
 #include <chrono>
@@ -24,8 +25,9 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Monotonic nanosecond stamp (for coarse event ordering in logs/stats).
-inline std::uint64_t now_ns() {
+/// Monotonic steady-clock nanosecond stamp. Unlike the engine clock
+/// dfth::now_ns() (runtime/api.h), this is host time even under SimEngine.
+inline std::uint64_t steady_now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())

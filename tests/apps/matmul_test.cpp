@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "runtime/api.h"
@@ -224,18 +226,18 @@ TEST(Matmul, TotalOpsFormulaMatchesAnnotations) {
   std::vector<double> a(cfg.n * cfg.n), b(cfg.n * cfg.n), c(cfg.n * cfg.n);
   apps::matmul_fill(a.data(), cfg.n, 9);
   apps::matmul_fill(b.data(), cfg.n, 10);
-  // Use the recorder to sum annotated ops and compare to the formula.
-  Recorder rec;
+  // One op per virtual ns and no memory-pressure slowdown: the simulator's
+  // work time then counts exactly the annotated ops.
   RuntimeOptions o;
   o.engine = EngineKind::Sim;
   o.sched = SchedKind::Lifo;
   o.nprocs = 1;
-  o.recorder = &rec;
-  run(o, [&] { apps::matmul_threaded(a.data(), b.data(), c.data(), cfg); });
-  Graph g = rec.take();
-  std::uint64_t total = 0;
-  for (const auto& seg : g.segments) total += seg.ops;
-  EXPECT_EQ(total, apps::matmul_total_ops(cfg));
+  o.cost.ops_per_us = 1000;
+  o.cost.pressure_max = 1;
+  const RunStats stats = run(
+      o, [&] { apps::matmul_threaded(a.data(), b.data(), c.data(), cfg); });
+  EXPECT_EQ(static_cast<std::uint64_t>(std::llround(stats.breakdown.work_us * 1000)),
+            apps::matmul_total_ops(cfg));
 }
 
 }  // namespace

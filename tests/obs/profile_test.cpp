@@ -69,6 +69,103 @@ TEST(ProfileTest, SingleFiberWorkEqualsSpan) {
   EXPECT_GT(p.span_ns, 0u);
   EXPECT_GE(p.burdened_span_ns, p.span_ns);
   EXPECT_EQ(p.fibers, 1u);
+  EXPECT_EQ(p.fork_depth, 1u);
+  EXPECT_EQ(p.span_segments, 1u);
+}
+
+TEST(ProfileTest, EmptyRunIsAllZero) {
+  obs::Profiler prof;
+  prof.end_run(0, 1);
+  const ProfileStats& p = prof.stats();
+  EXPECT_EQ(p.work_ns, 0u);
+  EXPECT_EQ(p.span_ns, 0u);
+  EXPECT_EQ(p.fibers, 0u);
+  EXPECT_EQ(p.fork_depth, 0u);
+  EXPECT_EQ(p.span_segments, 0u);
+}
+
+TEST(ProfileTest, ChargesOnOneFiberAreOneSegment) {
+  // Driven through the hook backend: two charges on the only fiber sum
+  // into one chain of one segment, with no fork below it.
+  obs::Profiler prof;
+  prof.thread_start(1, 0, 0, "t.cpp", 1);
+  prof.work(1, 500);
+  prof.work(1, 250);
+  prof.exit_fiber(1, 0);
+  prof.end_run(0, 1);
+  const ProfileStats& p = prof.stats();
+  EXPECT_EQ(p.work_ns, 750u);
+  EXPECT_EQ(p.span_ns, 750u);
+  EXPECT_EQ(p.span_segments, 1u);
+  EXPECT_EQ(p.fibers, 1u);
+  EXPECT_EQ(p.fork_depth, 1u);
+}
+
+/// Drives the hook backend directly: fiber 1 works `pre`, forks 2, works
+/// `post`; 2 works `child`; 1 joins 2 and works `tail`.
+ProfileStats fork_work_join(std::uint64_t pre, std::uint64_t post,
+                            std::uint64_t child, std::uint64_t tail) {
+  obs::Profiler prof;
+  prof.thread_start(1, 0, 0, "t.cpp", 1);
+  prof.work(1, pre);
+  prof.thread_start(2, 1, 0, "t.cpp", 2);
+  prof.work(1, post);
+  prof.work(2, child);
+  prof.exit_fiber(2, 0);
+  prof.join_edge(1, 2, 0);
+  prof.work(1, tail);
+  prof.exit_fiber(1, 0);
+  prof.end_run(0, 1);
+  return prof.stats();
+}
+
+TEST(ProfileTest, ForkWorkJoinCriticalPathIsExact) {
+  // The child is longer: the critical path is 1's first segment, then 2,
+  // then 1 after the join.
+  const ProfileStats via_child = fork_work_join(100, 10, 200, 30);
+  EXPECT_EQ(via_child.work_ns, 340u);
+  EXPECT_EQ(via_child.span_ns, 330u);
+  EXPECT_EQ(via_child.span_segments, 3u);
+  EXPECT_EQ(via_child.fork_depth, 2u);
+  // The parent's continuation is longer: the join does not raise its span,
+  // so the path is 1's segment before the fork and the one after it.
+  const ProfileStats via_parent = fork_work_join(100, 300, 10, 30);
+  EXPECT_EQ(via_parent.span_ns, 430u);
+  EXPECT_EQ(via_parent.span_segments, 2u);
+}
+
+TEST(ProfileTest, ForkDepthOfSixDeepChain) {
+  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
+  obs::Profiler prof;
+  run(prof_opts(&prof, 2), [] { serial_chain(6, 100); });
+  EXPECT_EQ(prof.stats().fork_depth, 6u);
+  EXPECT_EQ(prof.stats().fibers, 6u);
+}
+
+TEST(ProfileTest, EndToEndForkJoinThroughRuntime) {
+  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
+  obs::Profiler prof;
+  run(prof_opts(&prof, 2), [] {
+    annotate_work(100000);
+    auto a = spawn([]() -> void* {
+      annotate_work(400000);
+      return nullptr;
+    });
+    auto b = spawn([]() -> void* {
+      annotate_work(300000);
+      return nullptr;
+    });
+    join(a);
+    join(b);
+    annotate_work(50000);
+  });
+  const ProfileStats& p = prof.stats();
+  EXPECT_EQ(p.fibers, 3u);
+  EXPECT_EQ(p.fork_depth, 2u);
+  // Span: main's first segment, then a, then main after the joins. The
+  // fork/join charges around the 5.5 ms of bodies stay within 2%.
+  EXPECT_EQ(p.span_segments, 3u);
+  EXPECT_NEAR(p.parallelism(), 850.0 / 550.0, 0.02 * 850.0 / 550.0);
 }
 
 TEST(ProfileTest, SerialChainParallelismIsOne) {

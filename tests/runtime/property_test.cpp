@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/analysis.h"
+#include "obs/profile.h"
 #include "runtime/api.h"
 #include "util/rng.h"
 
@@ -95,45 +95,44 @@ TEST_P(RandomProgramTest, AllSchedulersComputeTheSameResult) {
 }
 
 TEST_P(RandomProgramTest, AsyncDfLiveThreadsNearSerialDepth) {
+  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   RandomProgram prog{GetParam(), 6};
-  // Ground truth from the recorded computation graph.
-  Recorder rec;
+  // Ground truth from the work/span profiler: d is the deepest fork nesting.
+  obs::Profiler prof;
   RuntimeOptions o = sim_opts(SchedKind::AsyncDf, 1);
-  o.recorder = &rec;
+  o.profiler = &prof;
   const RunStats serial = run(o, [&] { prog(); });
-  const GraphSummary g = analyze(rec.take());
+  const std::uint32_t d = serial.profile.fork_depth;
 
   // p = 1: live threads bounded by the serial fork depth plus a small
   // constant (dummy-thread trees for >K allocations add up to ~log(delta)).
-  EXPECT_LE(serial.max_live_threads,
-            static_cast<std::int64_t>(g.serial_live_depth) + 8)
-      << "depth " << g.serial_live_depth;
+  EXPECT_LE(serial.max_live_threads, static_cast<std::int64_t>(d) + 8)
+      << "depth " << d;
 
   // p = 8: the bound gains an O(p) factor on the depth term.
   const RunStats par = run(sim_opts(SchedKind::AsyncDf, 8), [&] { prog(); });
-  EXPECT_LE(par.max_live_threads,
-            static_cast<std::int64_t>(8 * (g.serial_live_depth + 8)));
+  EXPECT_LE(par.max_live_threads, static_cast<std::int64_t>(8 * (d + 8)));
 
   // FIFO, for contrast, holds essentially every thread at once on the same
-  // program (total threads ~ segment count's thread census).
+  // program (every fiber the run created, dummies included).
   const RunStats fifo = run(sim_opts(SchedKind::Fifo, 1), [&] { prog(); });
   EXPECT_GE(fifo.max_live_threads, par.max_live_threads);
   EXPECT_GE(fifo.max_live_threads,
-            static_cast<std::int64_t>(g.thread_count) / 2);
+            static_cast<std::int64_t>(serial.profile.fibers) / 2);
 }
 
 TEST_P(RandomProgramTest, AsyncDfHeapWithinS1PlusPkd) {
+  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   RandomProgram prog{GetParam(), 6};
   const std::size_t quota = 16 << 10;
-  // S1: serial depth-first execution's heap peak.
-  RunStats serial = run(sim_opts(SchedKind::AsyncDf, 1, quota), [&] { prog(); });
-  const auto s1 = serial.heap_peak;
-
-  Recorder rec;
+  // S1: serial depth-first execution's heap peak; D: the segment count of
+  // its critical path, from the work/span profiler.
+  obs::Profiler prof;
   RuntimeOptions o = sim_opts(SchedKind::AsyncDf, 1, quota);
-  o.recorder = &rec;
-  run(o, [&] { prog(); });
-  const GraphSummary g = analyze(rec.take());
+  o.profiler = &prof;
+  const RunStats serial = run(o, [&] { prog(); });
+  const auto s1 = serial.heap_peak;
+  const std::uint32_t span_segments = serial.profile.span_segments;
 
   for (int p : {2, 4, 8}) {
     const RunStats stats = run(sim_opts(SchedKind::AsyncDf, p, quota), [&] { prog(); });
@@ -141,7 +140,7 @@ TEST_P(RandomProgramTest, AsyncDfHeapWithinS1PlusPkd) {
     // proxy for the depth of the premature subcomputation frontier).
     const auto bound =
         s1 + static_cast<std::int64_t>(2ull * static_cast<std::uint64_t>(p) *
-                                       quota * g.span_segments);
+                                       quota * span_segments);
     EXPECT_LE(stats.heap_peak, bound) << "p=" << p << " S1=" << s1;
     // And the useful direction: far below FIFO on the same p.
     const RunStats fifo = run(sim_opts(SchedKind::Fifo, p, quota), [&] { prog(); });
