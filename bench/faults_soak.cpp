@@ -18,6 +18,11 @@
 // plan travels through RuntimeOptions::fault_plan instead of manual arming
 // — recording embeds the plan in the log header, and replay re-arms from
 // that embedded copy, so the injector draws land on the pinned schedule.
+//
+// The real pass runs every app under AsyncDF (one scheduler lock domain)
+// and under work stealing (one lock domain per lane), so the determinism
+// gate covers steals between lanes under fault injection as well. Work
+// stealing's logs and signatures carry a "-worksteal" suffix on the slug.
 #include <cstdio>
 #include <filesystem>
 #include <random>
@@ -113,12 +118,15 @@ int main(int argc, char** argv) {
   struct Pass {
     const char* tag;
     std::vector<bench::AppSpec> apps;
+    std::vector<SchedKind> scheds;
   };
   Pass passes[] = {
       {"sim",
-       bench::make_apps(/*full=*/false, app_seed, EngineKind::Sim, nullptr, tweak)},
+       bench::make_apps(/*full=*/false, app_seed, EngineKind::Sim, nullptr, tweak),
+       {SchedKind::AsyncDf}},
       {"real",
-       bench::make_apps(/*full=*/false, app_seed, EngineKind::Real, nullptr, tweak)},
+       bench::make_apps(/*full=*/false, app_seed, EngineKind::Real, nullptr, tweak),
+       {SchedKind::AsyncDf, SchedKind::WorkSteal}},
   };
 
   auto& inj = resil::FaultInjector::instance();
@@ -127,43 +135,48 @@ int main(int argc, char** argv) {
   int failures = 0;
   for (Pass& pass : passes) {
     for (bench::AppSpec& app : pass.apps) {
-      const std::string slug = bench::app_slug(app.name);
-      if (recording) {
-        rr_path = *record_dir + "/" + pass.tag + "-" + slug + ".dfthlog";
-        rr_tag = slug;
-      } else if (replaying) {
-        rr_path = *replay_dir + "/" + pass.tag + "-" + slug + ".dfthlog";
-      }
-      const std::uint64_t injected_before = inj.injected_total();
-      const RunStats stats = app.fine(SchedKind::AsyncDf, p, app_seed);
-      // Per-run arming (rec/rep modes) resets the injector's counters each
-      // run, so the cumulative delta only works in the manually-armed mode.
-      const std::uint64_t injected_here =
-          (recording || replaying) ? stats.faults_injected
-                                   : inj.injected_total() - injected_before;
-      common.record(app.name + " (" + pass.tag + ")", stats);
-      std::printf(
-          "%-4s %-14s %9.3f s  injected=%-6llu oom-preempts=%-5llu "
-          "inline-runs=%-5llu%s\n",
-          pass.tag, app.name.c_str(), stats.elapsed_us / 1e6,
-          static_cast<unsigned long long>(injected_here),
-          static_cast<unsigned long long>(stats.oom_preemptions),
-          static_cast<unsigned long long>(stats.inline_runs),
-          injected_here == 0 ? "  (no faults hit this app)" : "");
-      if (recording || replaying) {
-        // CI diffs these lines between the record and replay legs; only the
-        // real pass is a strict byte-for-byte determinism promise (the sim
-        // pass cross-replays, where the engine re-derives its own stats).
-        std::printf("DFTH-SIG %s/%s %s\n", pass.tag, slug.c_str(),
-                    replay::determinism_signature(stats).c_str());
-      }
-      std::fflush(stdout);
-      // Reaching this line at all means the run completed; a recovery bug
-      // would have aborted or hung. Threads may never be lost, though:
-      if (stats.threads_created == 0) {
-        std::fprintf(stderr, "faults_soak: %s (%s) reported zero threads\n",
-                     app.name.c_str(), pass.tag);
-        ++failures;
+      for (SchedKind sched : pass.scheds) {
+        const std::string suffix =
+            sched == SchedKind::AsyncDf ? "" : std::string("-") + to_string(sched);
+        const std::string slug = bench::app_slug(app.name) + suffix;
+        const std::string label = app.name + " (" + pass.tag + suffix + ")";
+        if (recording) {
+          rr_path = *record_dir + "/" + pass.tag + "-" + slug + ".dfthlog";
+          rr_tag = slug;
+        } else if (replaying) {
+          rr_path = *replay_dir + "/" + pass.tag + "-" + slug + ".dfthlog";
+        }
+        const std::uint64_t injected_before = inj.injected_total();
+        const RunStats stats = app.fine(sched, p, app_seed);
+        // Per-run arming (rec/rep modes) resets the injector's counters each
+        // run, so the cumulative delta only works in the manually-armed mode.
+        const std::uint64_t injected_here =
+            (recording || replaying) ? stats.faults_injected
+                                     : inj.injected_total() - injected_before;
+        common.record(label, stats);
+        std::printf(
+            "%-4s %-9s %-14s %9.3f s  injected=%-6llu oom-preempts=%-5llu "
+            "inline-runs=%-5llu%s\n",
+            pass.tag, to_string(sched), app.name.c_str(), stats.elapsed_us / 1e6,
+            static_cast<unsigned long long>(injected_here),
+            static_cast<unsigned long long>(stats.oom_preemptions),
+            static_cast<unsigned long long>(stats.inline_runs),
+            injected_here == 0 ? "  (no faults hit this app)" : "");
+        if (recording || replaying) {
+          // CI diffs these lines between the record and replay legs; only the
+          // real pass is a strict byte-for-byte determinism promise (the sim
+          // pass cross-replays, where the engine re-derives its own stats).
+          std::printf("DFTH-SIG %s/%s %s\n", pass.tag, slug.c_str(),
+                      replay::determinism_signature(stats).c_str());
+        }
+        std::fflush(stdout);
+        // Reaching this line at all means the run completed; a recovery bug
+        // would have aborted or hung. Threads may never be lost, though:
+        if (stats.threads_created == 0) {
+          std::fprintf(stderr, "faults_soak: %s reported zero threads\n",
+                       label.c_str());
+          ++failures;
+        }
       }
     }
   }

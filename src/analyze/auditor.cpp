@@ -29,6 +29,7 @@ void InvariantAuditor::violation(const char* what, const Tcb* t) {
 }
 
 void InvariantAuditor::check_registered(const Tcb* t, const char* hook) {
+  // Caller holds mu_.
   if (live_.count(t) == 0) violation(hook, t);
 }
 
@@ -46,6 +47,7 @@ void InvariantAuditor::check_asyncdf_step(const Scheduler& inner) {
 void InvariantAuditor::on_register(const Scheduler& inner, Tcb* parent,
                                    Tcb* child, bool preempt) {
   steps_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lk(mu_);
   if (!live_.insert(child).second) violation("thread registered twice", child);
   if (parent) check_registered(parent, "register_thread with unknown parent");
 
@@ -72,6 +74,7 @@ void InvariantAuditor::on_register(const Scheduler& inner, Tcb* parent,
 
 void InvariantAuditor::on_ready(const Scheduler& inner, Tcb* t) {
   steps_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lk(mu_);
   check_registered(t, "on_ready for unregistered thread");
   if (t->state.load(std::memory_order_relaxed) != ThreadState::Ready) {
     violation("on_ready for a thread not in state Ready", t);
@@ -83,6 +86,7 @@ void InvariantAuditor::on_pick(const Scheduler& inner, Tcb* t,
                                std::uint64_t now) {
   steps_.fetch_add(1, std::memory_order_relaxed);
   if (t == nullptr) return;
+  std::lock_guard<std::mutex> lk(mu_);
   check_registered(t, "pick_next returned an unregistered thread");
   if (t->state.load(std::memory_order_relaxed) != ThreadState::Ready) {
     violation("pick_next returned a thread not in state Ready", t);
@@ -120,6 +124,7 @@ void InvariantAuditor::on_pick(const Scheduler& inner, Tcb* t,
 
 void InvariantAuditor::on_unregister(const Scheduler& inner, Tcb* t) {
   steps_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lk(mu_);
   if (live_.erase(t) == 0) violation("unregister of unknown thread", t);
   check_asyncdf_step(inner);
 }
@@ -146,6 +151,7 @@ void InvariantAuditor::on_alloc(Tcb* t, std::size_t bytes, std::size_t quota) {
 
 void InvariantAuditor::on_inline_run(Tcb* parent, Tcb* child) {
   steps_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lk(mu_);
   if (live_.count(child) != 0) {
     violation("inline-run of a scheduler-registered thread", child);
   }
@@ -188,6 +194,13 @@ void AuditedScheduler::on_ready(Tcb* t, int proc) {
 Tcb* AuditedScheduler::pick_next(int proc, std::uint64_t now,
                                  std::uint64_t* earliest) {
   Tcb* t = inner_->pick_next(proc, now, earliest);
+  auditor_.on_pick(*inner_, t, now);
+  return t;
+}
+
+Tcb* AuditedScheduler::steal(int proc, int victim, std::uint64_t now,
+                             std::uint64_t* earliest) {
+  Tcb* t = inner_->steal(proc, victim, now, earliest);
   auditor_.on_pick(*inner_, t, now);
   return t;
 }

@@ -23,7 +23,9 @@
 //   * an allocation of m > K bytes is preceded by δ = ceil(m/K) dummy
 //     threads (df_malloc's binary dummy tree, credited at registration).
 //
-// The scheduler-side hooks run under the engine's scheduler lock; the
+// The scheduler-side hooks run under a lock domain's lock, and processors
+// in different domains call them at the same time, so the auditor keeps
+// its registered set behind a lock of its own (validate builds only). The
 // allocation hook runs in fiber context and touches only the allocating
 // thread's own Tcb fields plus atomic counters.
 #pragma once
@@ -31,6 +33,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <unordered_set>
 
 #include "core/scheduler.h"
@@ -68,8 +71,8 @@ class InvariantAuditor {
   /// `parent`'s stack. Legal because inline execution *is* the serial
   /// depth-first order — but only if the child was never registered with
   /// the scheduler (a registered child would additionally occupy an
-  /// order-list slot the scheduler believes it can dispatch). Called with
-  /// the engine's scheduler lock held.
+  /// order-list slot the scheduler believes it can dispatch). Called in
+  /// a section of the spawning lane's lock domain.
   void on_inline_run(Tcb* parent, Tcb* child);
 
   /// Heap exhaustion preempted `t` AsyncDF-style. The re-dispatch grants a
@@ -82,7 +85,8 @@ class InvariantAuditor {
   void check_asyncdf_step(const Scheduler& inner);
   void violation(const char* what, const Tcb* t);
 
-  std::unordered_set<const Tcb*> live_;  // guarded by the engine scheduler lock
+  std::mutex mu_;  ///< guards live_
+  std::unordered_set<const Tcb*> live_;
   std::atomic<std::uint64_t> steps_{0};
   std::atomic<std::uint64_t> violations_{0};
   std::atomic<bool> abort_on_violation_{true};
@@ -106,7 +110,17 @@ class AuditedScheduler final : public Scheduler {
   Tcb* pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) override;
   void unregister_thread(Tcb* t) override;
   std::size_t ready_count() const override { return inner_->ready_count(); }
+  int domains() const override { return inner_->domains(); }
   int lock_domain(int proc) const override { return inner_->lock_domain(proc); }
+  int ready_domain(const Tcb* t, int proc) const override {
+    return inner_->ready_domain(t, proc);
+  }
+  std::size_t ready_in(int domain) const override { return inner_->ready_in(domain); }
+  int steal_start(int proc) override { return inner_->steal_start(proc); }
+  Tcb* steal(int proc, int victim, std::uint64_t now,
+             std::uint64_t* earliest) override;
+  bool keeps_home() const override { return inner_->keeps_home(); }
+  void rehome(Tcb* t, int proc) override { inner_->rehome(t, proc); }
 
   InvariantAuditor& auditor() { return auditor_; }
 

@@ -1,9 +1,13 @@
 // Counters registry — the always-cheap half of the observability layer.
 //
-// One process-global array of relaxed atomic counters, shared by both
-// engines, all schedulers, the stack pool and the tracked heap. A trace
-// session (obs/trace.h) resets the registry at begin_run() and snapshots it
-// at end_run(), so the exported RunStats-superset JSON carries exact
+// One process-global set of relaxed atomic counters, shared by both
+// engines, all schedulers, the stack pool and the tracked heap. It is
+// sharded: each kernel thread increments its own cache-line-aligned shard
+// (assigned round robin on its first increment), so workers counting
+// allocations and stack reuse do not bounce one line between cores;
+// value() sums the shards. A trace session (obs/trace.h) resets the
+// registry at begin_run() and snapshots it at end_run(), both with the
+// workers quiesced, so the exported RunStats-superset JSON carries exact
 // per-run operation counts even for events the ring buffer dropped or that
 // fall under the alloc-event threshold.
 //
@@ -48,24 +52,49 @@ inline constexpr int kNumCounters = static_cast<int>(Counter::kCount);
 
 const char* to_string(Counter c);
 
+namespace detail {
+/// The calling kernel thread's counter shard, -1 until its first increment.
+extern constinit thread_local int tl_counter_shard;
+/// Assigns the calling thread its shard and returns it.
+int assign_counter_shard();
+}  // namespace detail
+
 class CounterRegistry {
  public:
+  /// Shards the kernel threads are spread over.
+  static constexpr int kShards = 16;
+
   void inc(Counter c, std::uint64_t n = 1) {
-    vals_[static_cast<int>(c)].fetch_add(n, std::memory_order_relaxed);
+    int i = detail::tl_counter_shard;
+    if (i < 0) i = detail::assign_counter_shard();
+    shards_[i].vals[static_cast<int>(c)].fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value(Counter c) const {
-    return vals_[static_cast<int>(c)].load(std::memory_order_relaxed);
+    std::uint64_t sum = 0;
+    for (const Shard& s : shards_) {
+      sum += s.vals[static_cast<int>(c)].load(std::memory_order_relaxed);
+    }
+    return sum;
   }
   void reset() {
-    for (auto& v : vals_) v.store(0, std::memory_order_relaxed);
+    for (Shard& s : shards_) {
+      for (auto& v : s.vals) v.store(0, std::memory_order_relaxed);
+    }
   }
 
  private:
-  std::atomic<std::uint64_t> vals_[kNumCounters] = {};
+  struct alignas(64) Shard {
+    std::atomic<std::uint64_t> vals[kNumCounters] = {};
+  };
+  Shard shards_[kShards];
 };
 
+namespace detail {
+extern constinit CounterRegistry g_counters;
+}  // namespace detail
+
 /// The process-global registry.
-CounterRegistry& counters();
+inline CounterRegistry& counters() { return detail::g_counters; }
 
 // ---- log-bucketed histograms ------------------------------------------------
 //

@@ -18,8 +18,9 @@
 //  * compile-time: every hook goes through DFTH_TRACE_EMIT / DFTH_COUNT,
 //    which expand to ((void)0) when the build does not set -DDFTH_TRACE
 //    (tests/obs verify the expansion is literally empty);
-//  * run-time: with tracing compiled in but no Tracer installed, a hook is
-//    one relaxed pointer load and a branch;
+//  * run-time: with tracing compiled in but no Tracer installed, an event
+//    hook is one relaxed pointer load and a branch; a counter hook still
+//    counts (one relaxed fetch_add on the thread's shard, obs/counters.h);
 //  * recording: a ring push is one relaxed fetch_add plus a 24-byte store —
 //    no locks. Rings never grow; on overflow new events are dropped and the
 //    drop is *counted*, never silent.

@@ -84,6 +84,12 @@ inline std::uint64_t lane_actor(int lane) {
 inline constexpr std::uint64_t kSpawnPreempt = 1;  ///< fork dive: child runs now
 inline constexpr std::uint64_t kSpawnBound = 2;    ///< child got a kernel thread
 inline constexpr std::uint64_t kSpawnInline = 4;   ///< child ran on the parent's stack
+/// Real-engine SpawnReg `b` bits from here up: the live-thread count the
+/// spawn observed. The real engine counts live threads in one atomic shared
+/// by every lock domain, and the log does not pin that atomic's increment
+/// order; a pinned replay takes the recorded count, so max_live_threads
+/// replays exactly. (The simulator's count is deterministic; it logs 0.)
+inline constexpr int kSpawnLiveShift = 8;
 
 /// Dispatch `b` flags. The deadline bit rides on the Dispatch record (one
 /// ordered decision, committed in one critical section) instead of being a
@@ -127,7 +133,8 @@ struct SiteSpecWire {
 inline constexpr char kLogMagic[8] = {'D', 'F', 'T', 'H', 'L', 'O', 'G', '1'};
 /// 3: the real engine retires an exiting fiber (ExitSched, its joiner's
 /// Wake) in the lane's next scheduling section, committed as one batch.
-inline constexpr std::uint32_t kLogVersion = 3;
+/// 4: SpawnReg `b` carries the observed live-thread count (kSpawnLiveShift).
+inline constexpr std::uint32_t kLogVersion = 4;
 inline constexpr int kMaxFaultSitesWire = 8;
 
 struct LogHeader {

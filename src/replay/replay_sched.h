@@ -43,6 +43,12 @@ class ReplayScheduler final : public Scheduler {
 
   SchedKind kind() const override { return logged_kind_; }
   bool needs_quota() const override;
+  /// One lock domain, but the section layout of the recorded policy: a
+  /// policy whose threads keep a home domain committed an exited fiber's
+  /// joiner wake in a section of its own (core/scheduler.h).
+  bool keeps_home() const override {
+    return logged_kind_ == SchedKind::ClusteredAdf;
+  }
 
   bool register_thread(Tcb* parent, Tcb* child) override;
   void on_ready(Tcb* t, int proc) override;
@@ -68,7 +74,7 @@ class ReplayScheduler final : public Scheduler {
   Pinning pinning_;
 
   // Ready structure: FIFO order for fallback picks, tid index for pinned
-  // picks. Engines call every method with their scheduler lock held.
+  // picks. One lock domain: engines call every method under its lock.
   std::list<Tcb*> ready_;
   std::unordered_map<std::uint64_t, std::list<Tcb*>::iterator> by_tid_;
 

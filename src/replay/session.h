@@ -1,9 +1,11 @@
 // Record/replay session: the gate/commit protocol over the schedule log.
 //
 // The protocol has one invariant: every ordered decision is committed inside
-// the same critical section that serializes it in the live runtime (the
-// engine's mu_, a sync primitive's guard_, a Tcb's join_lock, the fault
-// injector's mu_, or the session's own tid-order lock), and every such
+// the same critical section that serializes it in the live runtime (a
+// scheduler lock domain of the engine — a steal's under the victim's — the
+// engine's mu_ for bound threads, a sync primitive's guard_, a Tcb's
+// join_lock, the fault injector's mu_, or the session's own tid-order
+// lock), and every such
 // section is entered through a gate taken while holding NO instrumented
 // lock.
 //
@@ -235,8 +237,8 @@ class Session {
   std::mutex steal_mu_;
 };
 
-/// Ordered records of one engine-lock section, gated once before the
-/// section and committed as one batch (Session::commit_batch). Recording
+/// Ordered records of one engine section (one lock domain), gated once
+/// before the section and committed as one batch (Session::commit_batch). Recording
 /// buffers the records until commit(); replaying verifies each at add(), so
 /// a pinned pick later in the same section already sees its own Dispatch at
 /// the head of the log.

@@ -62,6 +62,21 @@ bool replay_pins_dispatch() {
 #endif
 }
 
+// A SpawnReg record's b: the placement flags plus the live-thread count the
+// spawn observed. live_ is one atomic across every lock domain, so a pinned
+// replay cannot reproduce its increment order; it reads the recorded count
+// back into *live instead.
+std::uint64_t spawn_record_b(std::uint64_t flags, std::int64_t* live) {
+  const int shift = ::dfth::replay::kSpawnLiveShift;
+#if DFTH_REPLAY
+  if (auto* rs = replay::active()) {
+    *live = static_cast<std::int64_t>(
+        rs->spawn_flags_hint(static_cast<std::uint64_t>(*live) << shift) >> shift);
+  }
+#endif
+  return flags | (static_cast<std::uint64_t>(*live) << shift);
+}
+
 void push_created(std::atomic<Tcb*>& head, Tcb* t) {
   t->created_next = head.load(std::memory_order_relaxed);
   while (!head.compare_exchange_weak(t->created_next, t,
@@ -97,9 +112,24 @@ __attribute__((noinline)) Tcb* RealEngine::current() {
   return tl_bound;
 }
 
-RealEngine::LaneCounters& RealEngine::counters() {
-  if (Worker* w = this_worker()) return w->counters;
-  return ext_counters_;
+template <typename F>
+void RealEngine::count(Worker* w, F&& f) {
+  if (w) {
+    f(w->counters);
+    return;
+  }
+  ColdSection s(*this);
+  f(ext_counters_);
+}
+
+void RealEngine::bump_progress(Worker* w) {
+  if (w) {
+    // Only w's kernel thread writes its counter.
+    w->progress.store(w->progress.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
+  } else {
+    ext_progress_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void RealEngine::remember(Tcb* t) {
@@ -136,6 +166,8 @@ RealEngine::RealEngine(const RuntimeOptions& opts) : opts_(opts) {
     sched_ = make_scheduler(opts_.sched, opts_.nprocs, opts_.seed,
                             opts_.cluster_size);
   }
+  ndomains_ = sched_->domains();
+  domains_ = std::make_unique<Domain[]>(static_cast<std::size_t>(ndomains_));
   eff_quota_.store(opts_.mem_quota, std::memory_order_relaxed);
   stats_.engine = EngineKind::Real;
   stats_.sched = opts_.sched;
@@ -238,13 +270,12 @@ void RealEngine::finish_bound_thread(Tcb* t) {
   bool done;
   DFTH_REPLAY_GATE_SELF();
   {
-    Section s(*this);
-    --bound_live_;
-    --live_;
-    progress_.fetch_add(1, std::memory_order_relaxed);
+    ColdSection s(*this);
+    bound_live_.fetch_sub(1, std::memory_order_relaxed);
+    bump_progress(nullptr);
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::ExitSched,
                        ::dfth::replay::self_actor(), t->id, 0);
-    done = live_ == 0;
+    done = live_.fetch_sub(1, std::memory_order_relaxed) == 1;
     if (done) done_.store(true, std::memory_order_release);
   }
   if (done) wake_all();
@@ -281,15 +312,16 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
   if (child->attr.bound) {
     DFTH_REPLAY_GATE_SELF();
     {
-      Section s(*this);
-      ++live_;
-      ++bound_live_;
-      LaneCounters& c = counters();
+      ColdSection s(*this);
+      std::int64_t live = live_.fetch_add(1, std::memory_order_relaxed) + 1;
+      bound_live_.fetch_add(1, std::memory_order_relaxed);
+      [[maybe_unused]] const std::uint64_t b =
+          spawn_record_b(::dfth::replay::kSpawnBound, &live);
+      LaneCounters& c = w ? w->counters : ext_counters_;
       ++c.threads_created;
-      c.max_live_threads = std::max(c.max_live_threads, live_);
+      c.max_live_threads = std::max(c.max_live_threads, live);
       DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                         ::dfth::replay::self_actor(), child->id,
-                         ::dfth::replay::kSpawnBound);
+                         ::dfth::replay::self_actor(), child->id, b);
     }
     start_bound_thread(child);
     return child;
@@ -297,32 +329,36 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
 
   if (!child->stack) return run_inline(child);
 
+  // Counted live before it is published: its exit may follow at once.
+  std::int64_t live = live_.fetch_add(1, std::memory_order_relaxed) + 1;
   bool preempt;
-  Worker* to_wake = nullptr;
+  bool left = false;
   DFTH_REPLAY_GATE_SELF();
   {
-    Section s(*this);
+    Section s(*this, own_domain(w), w);
     preempt = sched_->register_thread(parent, child);
-    ++live_;
-    LaneCounters& c = counters();
-    ++c.threads_created;
-    if (is_dummy) ++c.dummy_threads;
-    c.max_live_threads = std::max(c.max_live_threads, live_);
     // A bound (or engine-external) caller has no worker to preempt.
     preempt = preempt && w && parent && !parent->attr.bound;
     // Logged once the placement is final: b is the *effective* decision
     // (fork dive or queued), which is what replay must pin.
+    [[maybe_unused]] const std::uint64_t b =
+        spawn_record_b(preempt ? ::dfth::replay::kSpawnPreempt : 0, &live);
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                       ::dfth::replay::self_actor(), child->id,
-                       preempt ? ::dfth::replay::kSpawnPreempt : 0);
+                       ::dfth::replay::self_actor(), child->id, b);
     // A fork dive's parent requeue and child dispatch wait for the lane's
     // post-switch section: the parent is published only once it is saved.
     if (!preempt) {
-      make_ready_locked(child, w ? w->id : 0);
-      to_wake = claim_idle_worker();
+      DFTH_DCHECK(sched_->ready_domain(child, w ? w->id : 0) == own_domain(w));
+      make_ready_locked(child, w ? w->id : 0, w);
+      left = true;
     }
   }
-  if (to_wake) to_wake->parker.unpark();
+  if (left) wake_idle();
+  count(w, [&](LaneCounters& c) {
+    ++c.threads_created;
+    if (is_dummy) ++c.dummy_threads;
+    c.max_live_threads = std::max(c.max_live_threads, live);
+  });
   DFTH_PROF_FORK_COST(child->id, steady_now_ns() - fork_t0);
 
   if (preempt) {
@@ -345,13 +381,15 @@ Tcb* RealEngine::run_inline(Tcb* child) {
   // parallel. The child is never registered with the scheduler and never
   // counted in live_ (it is already Done when the handle becomes visible).
   [[maybe_unused]] Tcb* parent = current();
-  DFTH_REPLAY_GATE_SELF();
-  {
-    Section s(*this);
-    LaneCounters& c = counters();
+  Worker* w = this_worker();
+  count(w, [child](LaneCounters& c) {
     ++c.threads_created;
     ++c.inline_runs;
     if (child->is_dummy) ++c.dummy_threads;
+  });
+  DFTH_REPLAY_GATE_SELF();
+  {
+    Section s(*this, own_domain(w), w);
 #if DFTH_VALIDATE
     if (auto* aud = analyze::active_auditor()) aud->on_inline_run(parent, child);
 #endif
@@ -379,7 +417,7 @@ Tcb* RealEngine::run_inline(Tcb* child) {
 }
 
 void RealEngine::start_bound_thread(Tcb* t) {
-  Section s(*this);
+  ColdSection s(*this);
   bound_threads_.emplace_back([this, t] {
     tl_bound = t;
     t->state.store(ThreadState::Running, std::memory_order_relaxed);
@@ -502,10 +540,7 @@ void RealEngine::block_current_timed(SpinLock* guard, WaitList* list,
         if (claimed) {
           cur->timed_out = true;
           cur->state.store(ThreadState::Ready, std::memory_order_relaxed);
-          {
-            Section s(*this);
-            ++counters().sync_timeouts;
-          }
+          count(nullptr, [](LaneCounters& c) { ++c.sync_timeouts; });
           DFTH_COUNT(obs::Counter::SyncTimeouts);
           DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, cur->id, 0);
           return;
@@ -565,19 +600,27 @@ void RealEngine::wake(Tcb* t) {
     t->state.store(ThreadState::Ready, std::memory_order_release);
     return;
   }
-  Worker* w = this_worker();
-  Worker* to_wake;
-  DFTH_REPLAY_GATE_SELF();
+  // The waker may keep running (a barrier's last arrival, a spin-wait on
+  // the woken fiber), so a parked worker takes the woken fiber now.
+  ready_section(t, this_worker(), ::dfth::replay::EvKind::Wake,
+                ::dfth::replay::self_actor());
+}
+
+void RealEngine::ready_section(Tcb* t, Worker* w, replay::EvKind kind,
+                               std::uint64_t actor) {
+  (void)kind;
+  (void)actor;
+  const int proc = w ? w->id : 0;
+  const int domain = sched_->ready_domain(t, proc);
+  bool left;
+  DFTH_REPLAY_GATE(actor);
   {
-    Section s(*this);
-    make_ready_locked(t, w ? w->id : 0);
-    DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Wake,
-                       ::dfth::replay::self_actor(), t->id, 0);
-    // The waker may keep running (a barrier's last arrival, a spin-wait on
-    // the woken fiber), so a parked worker takes the woken fiber now.
-    to_wake = claim_idle_worker();
+    Section s(*this, domain, w);
+    make_ready_locked(t, proc, w);
+    DFTH_REPLAY_COMMIT(kind, actor, t->id, 0);
+    left = sched_->ready_in(domain) > 0;
   }
-  if (to_wake) to_wake->parker.unpark();
+  if (left) wake_idle();
 }
 
 void RealEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
@@ -623,14 +666,16 @@ bool RealEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   // The halving is an ordered decision: every later dispatch grants
   // t->quota from eff_quota_, so the quota a fiber runs with — and hence
   // where it quota-preempts — depends on how many halvings landed before
-  // its dispatch. Serialize the shrink under mu_ (the same lock the grant
-  // holds) and log it like any other scheduling decision; a lock-free CAS
-  // here raced the grants at physical timing, which record/replay cannot
-  // pin.
+  // its dispatch. Serialize the shrink under the caller's domain lock (for
+  // a one-domain policy, the lock every grant holds) and log it like any
+  // other scheduling decision; a lock-free CAS here raced the grants at
+  // physical timing, which record/replay cannot pin. A clustered policy's
+  // other clusters grant under their own locks, unordered with the shrink.
+  Worker* w = this_worker();
+  count(w, [](LaneCounters& c) { ++c.oom_preemptions; });
   DFTH_REPLAY_GATE_SELF();
   {
-    Section s(*this);
-    ++counters().oom_preemptions;
+    Section s(*this, own_domain(w), w);
     const std::size_t q = eff_quota_.load(std::memory_order_relaxed);
     std::size_t shrunk = q;
     if (q > 0) {
@@ -644,7 +689,6 @@ bool RealEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   // Real backoff: give concurrent frees a chance to land before retrying.
   std::this_thread::sleep_for(
       std::chrono::microseconds(50ull << std::min(attempt, 8)));
-  Worker* w = this_worker();
   if (cur && w && !cur->attr.bound) {
     DFTH_TRACE_EMIT(w->id, obs::EvKind::Preempt, cur->id, obs::kPreemptOom);
     w->post = Post::Requeue;
@@ -687,40 +731,49 @@ void RealEngine::release_post(Worker& w) {
   }
 }
 
-void RealEngine::settle_post(Worker& w, replay::SectionLog& log) {
+Tcb* RealEngine::settle_post(Worker& w, replay::SectionLog& log) {
   // Only workers reach here, so the deciding actor is the lane, not a fiber
-  // — the requeued or exited fiber's context is already detached.
+  // — the requeued or exited fiber's context is already detached. A fiber
+  // that ran on w belongs to w's own domain, so the requeue lands there.
   const std::uint64_t lane = ::dfth::replay::lane_actor(w.id);
+  Tcb* remote_joiner = nullptr;
   switch (w.post) {
     case Post::None:
     case Post::ReleaseGuard:
       break;
     case Post::Requeue:
     case Post::RunNext:
-      make_ready_locked(w.post_fiber, w.id);
+      make_ready_locked(w.post_fiber, w.id, &w);
       log.add(::dfth::replay::EvKind::Requeue, lane, w.post_fiber->id, 0);
       break;
     case Post::ExitCleanup: {
       Tcb* t = w.post_fiber;
       sched_->unregister_thread(t);
-      progress_.fetch_add(1, std::memory_order_relaxed);
+      bump_progress(&w);
       log.add(::dfth::replay::EvKind::ExitSched, lane, t->id, 0);
       if (Tcb* joiner = w.post_next) {
-        make_ready_locked(joiner, w.id);
-        log.add(::dfth::replay::EvKind::Wake, lane, joiner->id, 0);
+        if (sched_->keeps_home()) {
+          remote_joiner = joiner;
+        } else {
+          make_ready_locked(joiner, w.id, &w);
+          log.add(::dfth::replay::EvKind::Wake, lane, joiner->id, 0);
+        }
       }
-      if (--live_ == 0) done_.store(true, std::memory_order_release);
+      if (live_.fetch_sub(1, std::memory_order_relaxed) == 1) {
+        done_.store(true, std::memory_order_release);
+      }
       break;
     }
   }
   w.post = Post::None;
+  return remote_joiner;
 }
 
-void RealEngine::make_ready_locked(Tcb* t, int proc_hint) {
+void RealEngine::make_ready_locked(Tcb* t, int proc, Worker* w) {
   t->state.store(ThreadState::Ready, std::memory_order_relaxed);
   t->ready_at_ns = 0;
-  sched_->on_ready(t, proc_hint);
-  progress_.fetch_add(1, std::memory_order_relaxed);
+  sched_->on_ready(t, proc);
+  bump_progress(w);
 }
 
 void RealEngine::begin_dispatch(Worker& w, Tcb* t, std::uint64_t flags,
@@ -730,18 +783,47 @@ void RealEngine::begin_dispatch(Worker& w, Tcb* t, std::uint64_t flags,
       static_cast<std::int64_t>(eff_quota_.load(std::memory_order_relaxed));
   ++t->dispatches;
   ++w.counters.dispatches;
-  progress_.fetch_add(1, std::memory_order_relaxed);
+  bump_progress(&w);
   DFTH_TRACE_EMIT(w.id, obs::EvKind::Dispatch, t->id, t->dispatches);
   log.add(::dfth::replay::EvKind::Dispatch, ::dfth::replay::lane_actor(w.id),
           t->id, dispatch_cancel_flags(w, t, flags));
 }
 
-RealEngine::Worker* RealEngine::claim_idle_worker() {
-  if (idle_.empty() || sched_->ready_count() == 0) return nullptr;
-  Worker& w = workers_[static_cast<std::size_t>(idle_.back())];
-  idle_.pop_back();
-  w.idle = false;
-  return &w;
+void RealEngine::wake_idle() {
+  // Pairs with the fence in go_idle(): either this read sees the idle
+  // worker's registration, or that worker's re-scan sees the work just
+  // published.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (idle_count_.load(std::memory_order_relaxed) == 0) return;
+  Worker* claimed = nullptr;
+  {
+    std::lock_guard<SpinFutexLock> g(idle_mu_);
+    if (!idle_.empty()) {
+      claimed = &workers_[static_cast<std::size_t>(idle_.back())];
+      idle_.pop_back();
+      idle_count_.fetch_sub(1, std::memory_order_relaxed);
+      claimed->idle.store(false, std::memory_order_relaxed);
+    }
+  }
+  if (claimed) claimed->parker.unpark();
+}
+
+void RealEngine::go_idle(Worker& w) {
+  {
+    std::lock_guard<SpinFutexLock> g(idle_mu_);
+    idle_.push_back(w.id);
+    w.idle.store(true, std::memory_order_relaxed);
+    idle_count_.fetch_add(1, std::memory_order_seq_cst);
+  }
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+}
+
+void RealEngine::leave_idle(Worker& w) {
+  std::lock_guard<SpinFutexLock> g(idle_mu_);
+  if (!w.idle.load(std::memory_order_relaxed)) return;  // claimed meanwhile
+  idle_.erase(std::find(idle_.begin(), idle_.end(), w.id));
+  idle_count_.fetch_sub(1, std::memory_order_relaxed);
+  w.idle.store(false, std::memory_order_relaxed);
 }
 
 void RealEngine::wake_all() {
@@ -750,8 +832,20 @@ void RealEngine::wake_all() {
 }
 
 bool RealEngine::all_stuck() const {
-  return idle_.size() == workers_.size() && live_ > 0 && bound_live_ == 0 &&
-         sched_->ready_count() == 0;
+  return idle_count_.load(std::memory_order_relaxed) ==
+             static_cast<int>(workers_.size()) &&
+         live_.load(std::memory_order_relaxed) > 0 &&
+         bound_live_.load(std::memory_order_relaxed) == 0 &&
+         !done_.load(std::memory_order_relaxed);
+}
+
+std::size_t RealEngine::ready_total() {
+  std::size_t n = 0;
+  for (int d = 0; d < ndomains_; ++d) {
+    std::lock_guard<SpinFutexLock> g(domains_[static_cast<std::size_t>(d)].lock);
+    n += sched_->ready_in(d);
+  }
+  return n;
 }
 
 std::uint64_t RealEngine::now_ns() const { return steady_now_ns(); }
@@ -794,74 +888,130 @@ std::uint64_t RealEngine::dispatch_cancel_flags(Worker& w, Tcb* t,
   return base | ::dfth::replay::kDispatchDeadline;
 }
 
+Tcb* RealEngine::transition(Worker& w, bool dive) {
+  Tcb* t = nullptr;
+  Tcb* remote_joiner;
+  int steal_from = -1;
+  bool left;
+  // One gate and one section of the lane's own domain: the previous
+  // fiber's post-switch action, then this lane's next dispatch.
+  DFTH_REPLAY_GATE(::dfth::replay::lane_actor(w.id));
+  {
+    Section s(*this, w.domain, &w);
+    replay::SectionLog log;
+    remote_joiner = settle_post(w, log);
+    if (dive) {
+      // kDispatchForkDive: a dive, not a queue-served pick — cross-replay
+      // on the simulator excludes these (they re-happen on its own spawn
+      // path).
+      t = w.post_next;
+      begin_dispatch(w, t, ::dfth::replay::kDispatchForkDive, log);
+    } else if (!done_.load(std::memory_order_relaxed)) {
+      std::uint64_t earliest = kInf;
+      t = sched_->pick_next(w.id, kInf, &earliest);
+      if (t) {
+        begin_dispatch(w, t, 0, log);
+      } else if (ndomains_ > 1) {
+        steal_from = sched_->steal_start(w.id);
+      }
+    }
+    left = sched_->ready_in(w.domain) > 0;
+    log.commit();
+  }
+  if (left) wake_idle();
+  if (remote_joiner) {
+    ready_section(remote_joiner, &w, ::dfth::replay::EvKind::Wake,
+                  ::dfth::replay::lane_actor(w.id));
+  }
+  if (t || steal_from < 0) return t;
+  return steal_round(w, steal_from);
+}
+
+Tcb* RealEngine::steal_round(Worker& w, int start) {
+  const std::uint64_t lane = ::dfth::replay::lane_actor(w.id);
+  (void)lane;
+  for (int i = 0; i < ndomains_; ++i) {
+    const int victim = (start + i) % ndomains_;
+    // The unlocked count skips dry victims without touching their lock.
+    if (victim == w.domain || sched_->ready_in(victim) == 0) continue;
+    Tcb* t;
+    bool left;
+    DFTH_REPLAY_GATE(lane);
+    {
+      Section s(*this, victim, &w);
+      replay::SectionLog log;
+      std::uint64_t earliest = kInf;
+      t = sched_->steal(w.id, victim, kInf, &earliest);
+      if (t && !sched_->keeps_home()) begin_dispatch(w, t, 0, log);
+      left = sched_->ready_in(victim) > 0;
+      log.commit();
+    }
+    if (left) wake_idle();
+    if (!t) continue;
+    if (sched_->keeps_home()) {
+      // The migrant joins this lane's domain before it runs.
+      DFTH_REPLAY_GATE(lane);
+      Section s(*this, w.domain, &w);
+      replay::SectionLog log;
+      sched_->rehome(t, w.id);
+      begin_dispatch(w, t, 0, log);
+      log.commit();
+    }
+    return t;
+  }
+  return nullptr;
+}
+
 void RealEngine::worker_loop(Worker& w) {
   tl_worker = &w;
   DFTH_REPLAY_BIND_LANE(w.id);
   bool stuck_timed_out = false;
+  // Registered idle and not parked since: a claim landing now is a wake
+  // this worker has not consumed.
+  bool unparked_claim = false;
   for (;;) {
 #if DFTH_PROF
     std::uint64_t pick_t0 = 0;
     if (obs::profiler()) pick_t0 = steady_now_ns();
 #endif
-    Tcb* t = nullptr;
     // A fork dive runs the child its spawn registered, without a pick.
     const bool dive = w.post == Post::RunNext;
-    // One gate and one section per scheduling transition: the previous
-    // fiber's post-switch action, then this lane's next dispatch.
-    DFTH_REPLAY_GATE(::dfth::replay::lane_actor(w.id));
-    bool done = false;
-    bool parks = false;
-    bool stuck = false;
-    Worker* to_wake = nullptr;
-    {
-      Section s(*this);
-      if (stuck_timed_out && all_stuck()) {
+    Tcb* t = transition(w, dive);
+    if (!t) {
+      if (done_.load(std::memory_order_acquire)) {
+        wake_all();
+        break;
+      }
+      // In a pinned replay the gate does the waiting instead of the parker.
+      if (replay_pins_dispatch()) continue;
+      if (!w.idle.load(std::memory_order_relaxed)) {
+        // Register, then scan every domain once more before parking.
+        go_idle(w);
+        unparked_claim = true;
+        continue;
+      }
+      const bool stuck = all_stuck();
+      if (stuck && stuck_timed_out) {
         // Nothing readied anyone during the grace period.
-        dump_flight("RealEngine: deadlock — all workers idle, no ready work",
-                    /*have_lock=*/true);
+        dump_flight("RealEngine: deadlock — all workers idle, no ready work");
         DFTH_CHECK_MSG(false, "deadlock: all threads blocked");
       }
-      if (w.idle) {
-        idle_.erase(std::find(idle_.begin(), idle_.end(), w.id));
-        w.idle = false;
-      }
-      replay::SectionLog log;
-      settle_post(w, log);
-      done = !dive && done_.load(std::memory_order_relaxed);
-      if (dive) {
-        // kDispatchForkDive: a dive, not a queue-served pick — cross-replay
-        // on the simulator excludes these (they re-happen on its own spawn
-        // path).
-        t = w.post_next;
-        begin_dispatch(w, t, ::dfth::replay::kDispatchForkDive, log);
-        to_wake = claim_idle_worker();
-      } else if (!done) {
-        std::uint64_t earliest = kInf;
-        t = sched_->pick_next(w.id, kInf, &earliest);
-        if (t) {
-          begin_dispatch(w, t, 0, log);
-          to_wake = claim_idle_worker();
-        } else if (!replay_pins_dispatch()) {
-          idle_.push_back(w.id);
-          w.idle = true;
-          parks = true;
-          stuck = all_stuck();
-        }
-      }
-      log.commit();
-    }
-    if (done) {
-      wake_all();
-      break;
-    }
-    if (to_wake) to_wake->parker.unpark();
-    if (!t) {
       // Parked until a section leaves ready work behind (or, when every
       // worker is idle with live work, until the deadlock grace ends).
-      // In a pinned replay the gate does the waiting instead.
-      stuck_timed_out = parks && !w.parker.park(stuck ? kStuckGraceNs : 0);
+      stuck_timed_out = !w.parker.park(stuck ? kStuckGraceNs : 0);
+      unparked_claim = false;
       continue;
     }
+    // Found work during the re-scan: leave the idle list. A waker that
+    // claimed this worker before it parked may have meant its wake for work
+    // in another domain, so pass the wake on. (With one domain the
+    // transition's own wake_idle already covered any work left.)
+    if (w.idle.load(std::memory_order_relaxed)) {
+      leave_idle(w);
+    } else if (unparked_claim && ndomains_ > 1) {
+      wake_idle();
+    }
+    unparked_claim = false;
     stuck_timed_out = false;
 #if DFTH_PROF
     if (obs::Profiler* pr = obs::profiler()) {
@@ -905,17 +1055,9 @@ restart:
       s.t->timed_out = true;
       DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, s.t->id, 0);
       DFTH_COUNT(obs::Counter::SyncTimeouts);
-      Worker* to_wake;
-      DFTH_REPLAY_GATE(::dfth::replay::kActorTimer);
-      {
-        Section g(*this);
-        ++ext_counters_.sync_timeouts;
-        make_ready_locked(s.t, 0);
-        DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::TimeoutReady,
-                           ::dfth::replay::kActorTimer, s.t->id, 0);
-        to_wake = claim_idle_worker();
-      }
-      if (to_wake) to_wake->parker.unpark();
+      count(nullptr, [](LaneCounters& c) { ++c.sync_timeouts; });
+      ready_section(s.t, nullptr, ::dfth::replay::EvKind::TimeoutReady,
+                    ::dfth::replay::kActorTimer);
     }
     lk.lock();
     firing_ = nullptr;
@@ -956,16 +1098,9 @@ restart:
     s.t->timed_out = true;
     DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, s.t->id, 0);
     DFTH_COUNT(obs::Counter::SyncTimeouts);
-    rs->gate(replay::kActorTimer);
-    Worker* to_wake;
-    {
-      Section g(*this);
-      ++ext_counters_.sync_timeouts;
-      make_ready_locked(s.t, 0);
-      rs->commit(replay::EvKind::TimeoutReady, replay::kActorTimer, tid, 0);
-      to_wake = claim_idle_worker();
-    }
-    if (to_wake) to_wake->parker.unpark();
+    count(nullptr, [](LaneCounters& c) { ++c.sync_timeouts; });
+    ready_section(s.t, nullptr, replay::EvKind::TimeoutReady,
+                  replay::kActorTimer);
     lk.lock();
     firing_ = nullptr;
     sup_cv_.notify_all();
@@ -978,7 +1113,12 @@ void RealEngine::supervisor_loop() {
   using std::chrono::milliseconds;
   using std::chrono::nanoseconds;
   const milliseconds stall(opts_.watchdog.stall_deadline_ms);
-  std::uint64_t last_progress = progress_.load(std::memory_order_relaxed);
+  auto progress = [this] {
+    std::uint64_t p = ext_progress_.load(std::memory_order_relaxed);
+    for (const Worker& w : workers_) p += w.progress.load(std::memory_order_relaxed);
+    return p;
+  };
+  std::uint64_t last_progress = progress();
   auto last_change = std::chrono::steady_clock::now();
 
   std::unique_lock<std::mutex> lk(sup_mu_);
@@ -1033,7 +1173,7 @@ void RealEngine::supervisor_loop() {
       // Liveness heartbeat (resil/watchdog.h): an intentionally idle serving
       // engine beats instead of dispatching. Both counters only grow, so the
       // sum moves whenever either does and the snapshot logic is unchanged.
-      std::uint64_t p = progress_.load(std::memory_order_relaxed);
+      std::uint64_t p = progress();
       if (const auto* hb = opts_.watchdog.heartbeat) {
         p += hb->load(std::memory_order_relaxed);
       }
@@ -1045,15 +1185,10 @@ void RealEngine::supervisor_loop() {
         // No dispatch/wake/exit for a full deadline. Only trip while live
         // work remains — a finished run making no progress is just done.
         lk.unlock();
-        bool outstanding;
-        {
-          Section g(*this);
-          outstanding = live_ > 0 && !done_.load(std::memory_order_relaxed);
-        }
-        if (outstanding) {
+        if (live_.load(std::memory_order_relaxed) > 0 &&
+            !done_.load(std::memory_order_acquire)) {
           dump_flight("RealEngine watchdog: no scheduler progress within the "
-                      "stall deadline",
-                      /*have_lock=*/false);
+                      "stall deadline");
           DFTH_CHECK_MSG(false, "stall watchdog tripped");
         }
         lk.lock();
@@ -1063,16 +1198,24 @@ void RealEngine::supervisor_loop() {
   }
 }
 
-void RealEngine::dump_flight(const char* reason, bool have_lock) {
-  // A wedged worker may hold mu_ forever; bound the wait, then dump the
+void RealEngine::dump_flight(const char* reason) {
+  // A wedged worker may hold a lock forever; bound the wait, then dump the
   // possibly-inconsistent snapshot anyway (flagged as such).
-  std::unique_lock<SpinFutexLock> lk(mu_, std::defer_lock);
-  bool locked = have_lock;
-  if (!have_lock) {
-    for (int i = 0; i < 200 && !locked; ++i) {
-      locked = lk.try_lock();
-      if (!locked) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::vector<SpinFutexLock*> held;
+  auto try_hold = [&held](SpinFutexLock& l, int* budget) {
+    for (; *budget > 0; --*budget) {
+      if (l.try_lock()) {
+        held.push_back(&l);
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
+    return false;
+  };
+  int budget = 200;
+  bool locked = try_hold(mu_, &budget);
+  for (int d = 0; d < ndomains_; ++d) {
+    locked = try_hold(domains_[static_cast<std::size_t>(d)].lock, &budget) && locked;
   }
   std::vector<Tcb*> tcbs;
   for_each_tcb([&tcbs](Tcb* t) { tcbs.push_back(t); });
@@ -1081,7 +1224,7 @@ void RealEngine::dump_flight(const char* reason, bool have_lock) {
   resil::FlightInfo info;
   info.reason = reason;
   info.engine = "real";
-  info.live_threads = live_;
+  info.live_threads = live_.load(std::memory_order_relaxed);
   info.sched_state_consistent = locked;
   for (const Worker& w : workers_) info.lanes.push_back({w.id, w.current});
   info.all_tcbs = &tcbs;
@@ -1101,6 +1244,7 @@ void RealEngine::dump_flight(const char* reason, bool have_lock) {
   }
 #endif
   resil::dump_flight_recorder(info, opts_.watchdog);
+  for (SpinFutexLock* l : held) l->unlock();
 }
 
 RunStats RealEngine::run(const std::function<void()>& main_fn) {
@@ -1158,27 +1302,31 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
     main->attr.bound = true;
     DFTH_REPLAY_GATE(::dfth::replay::kActorHost);
     {
-      Section s(*this);
-      live_ = 1;
-      ++bound_live_;
+      ColdSection s(*this);
+      live_.store(1, std::memory_order_relaxed);
+      bound_live_.fetch_add(1, std::memory_order_relaxed);
       ext_counters_.threads_created = 1;
       ext_counters_.max_live_threads = 1;
+      std::int64_t live = 1;
+      [[maybe_unused]] const std::uint64_t b =
+          spawn_record_b(::dfth::replay::kSpawnBound, &live);
       DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                         ::dfth::replay::kActorHost, main->id,
-                         ::dfth::replay::kSpawnBound);
+                         ::dfth::replay::kActorHost, main->id, b);
     }
     start_bound_thread(main);
   } else {
     DFTH_REPLAY_GATE(::dfth::replay::kActorHost);
-    Section s(*this);
+    Section s(*this, own_domain(nullptr), nullptr);
     sched_->register_thread(nullptr, main);
     main->state.store(ThreadState::Ready, std::memory_order_relaxed);
     sched_->on_ready(main, 0);
-    live_ = 1;
+    live_.store(1, std::memory_order_relaxed);
     ext_counters_.threads_created = 1;
     ext_counters_.max_live_threads = 1;
+    std::int64_t live = 1;
+    [[maybe_unused]] const std::uint64_t b = spawn_record_b(0, &live);
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                       ::dfth::replay::kActorHost, main->id, 0);
+                       ::dfth::replay::kActorHost, main->id, b);
   }
 
   // Resource-exhaustion degradation: losing workers only loses parallelism.
@@ -1196,7 +1344,9 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   workers_ = std::vector<Worker>(static_cast<std::size_t>(kept_workers));
   idle_.reserve(static_cast<std::size_t>(kept_workers));
   for (int i = 0; i < kept_workers; ++i) {
-    workers_[static_cast<std::size_t>(i)].id = i;
+    Worker& w = workers_[static_cast<std::size_t>(i)];
+    w.id = i;
+    w.domain = sched_->lock_domain(i);
   }
   for (auto& w : workers_) {
     // Genuine kernel-thread exhaustion: retry with backoff — other processes
@@ -1228,11 +1378,8 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
       while (!sampler_stop.load(std::memory_order_acquire)) {
         obs::Sample s;
         s.ts_ns = tr->now();
-        {
-          Section g(*this);
-          s.live_threads = live_;
-          s.ready = static_cast<std::int64_t>(sched_->ready_count());
-        }
+        s.live_threads = live_.load(std::memory_order_relaxed);
+        s.ready = static_cast<std::int64_t>(ready_total());
         s.heap_bytes = TrackedHeap::instance().live_bytes();
         s.stack_bytes = StackPool::instance().live_bytes();
         tr->add_sample(s);
@@ -1262,8 +1409,10 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
     sampler.join();
   }
 #endif
+  ext_counters_.sched_lock_sections += ext_sections_.load(std::memory_order_relaxed);
   ext_counters_.add_to(&stats_);
   for (const Worker& w : workers_) w.counters.add_to(&stats_);
+  stats_.global_lock_sections = global_sections_;
   stats_.elapsed_us = timer.elapsed_us();
   stats_.heap_peak = TrackedHeap::instance().peak_bytes();
   stats_.stack_peak = StackPool::instance().peak_bytes();

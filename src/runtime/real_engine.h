@@ -2,8 +2,10 @@
 // the two-level Solaris model (unbound Pthreads over LWPs) built for real.
 //
 // nprocs kernel threads ("LWPs") each run a dispatch loop; unbound fibers
-// are handed out by the pluggable Scheduler under one global lock (the
-// same serialized-scheduler structure as the paper's library, §6). Bound
+// are handed out by the pluggable Scheduler under one lock per lock domain
+// (core/scheduler.h). A single-list policy is one domain, the same
+// serialized-scheduler structure as the paper's library (§6); work stealing
+// has one per lane and the clustered scheduler one per cluster. Bound
 // threads (Attr::bound) get a dedicated kernel thread and bypass the
 // scheduler entirely, exactly like bound Solaris threads.
 //
@@ -20,16 +22,19 @@
 // A fiber can therefore never be resumed by another worker while its
 // context is half-saved.
 //
-// Lock protocol (DESIGN.md §2): mu_ guards scheduler state only — the
-// policy's queues, live_/bound_live_/done_, and the idle-worker list. Each
-// scheduling transition is one section. A spawn registers the child. A
-// worker folds its post-switch action (requeue, a fork dive's parent
-// requeue, or an exited fiber's retirement with its joiner's wake) into the
-// section of its next dispatch: the fork dive's child, or its next pick.
-// Run counters and the created-Tcb lists are per worker. mu_ spins before
-// it sleeps; an idle worker spins on its own Parker before it sleeps, and
-// is unparked only by a section that leaves ready work nobody else will
-// take.
+// Lock protocol (DESIGN.md §2): a domain's lock guards only that domain's
+// scheduler state. Each scheduling transition is one section of the lane's
+// own domain. A spawn registers the child. A worker folds its post-switch
+// action (requeue, a fork dive's parent requeue, or an exited fiber's
+// retirement with its joiner's wake) into the section of its next dispatch:
+// the fork dive's child, or its next pick. A lane whose own domain is dry
+// steals: one section of the victim's domain per victim tried. No code
+// holds two domain locks at once. live_ is an atomic; run counters,
+// progress counts and the created-Tcb lists are per worker. Idle workers
+// register on an idle list behind its own lock, re-scan every domain, then
+// park; a section that leaves ready work behind unparks one of them. mu_
+// guards only cold state: bound threads, counters of callers that are not
+// workers, and the snapshots of the flight recorder.
 #pragma once
 
 #include <atomic>
@@ -112,6 +117,7 @@ class RealEngine final : public Engine {
 
   struct alignas(64) Worker {
     int id = 0;
+    int domain = 0;          ///< Scheduler::lock_domain(id)
     Context ctx;             ///< dispatch-loop context
     Tcb* current = nullptr;  ///< fiber this worker is executing
     Post post = Post::None;
@@ -130,21 +136,51 @@ class RealEngine final : public Engine {
     /// Tcbs created by fibers on this worker (intrusive list through
     /// Tcb::created_next), read by the destructor and the flight recorder.
     std::atomic<Tcb*> created{nullptr};
-    bool idle = false;  ///< on idle_ (guarded by mu_)
+    /// Dispatches, readies and exits on this lane; only this lane writes
+    /// it, the watchdog sums every lane's.
+    std::atomic<std::uint64_t> progress{0};
+    /// On idle_ (written under idle_mu_; the worker reads it without).
+    std::atomic<bool> idle{false};
     Parker parker;
     std::thread thread;
   };
 
-  /// One critical section of mu_, counted on the caller's lane.
+  /// One lock domain of the scheduler, on a cache line of its own.
+  struct alignas(64) Domain {
+    SpinFutexLock lock;
+  };
+
+  /// One critical section of a domain's lock, counted on the caller's lane
+  /// (w, or the external lane when w is null).
   class Section {
    public:
-    explicit Section(RealEngine& e) : e_(e) {
-      e_.mu_.lock();
-      ++e_.counters().sched_lock_sections;
+    Section(RealEngine& e, int domain, Worker* w)
+        : lock_(e.domains_[static_cast<std::size_t>(domain)].lock) {
+      lock_.lock();
+      if (w) {
+        ++w->counters.sched_lock_sections;
+      } else {
+        e.ext_sections_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
-    ~Section() { e_.mu_.unlock(); }
+    ~Section() { lock_.unlock(); }
     Section(const Section&) = delete;
     Section& operator=(const Section&) = delete;
+
+   private:
+    SpinFutexLock& lock_;
+  };
+
+  /// One critical section of mu_ (RunStats::global_lock_sections).
+  class ColdSection {
+   public:
+    explicit ColdSection(RealEngine& e) : e_(e) {
+      e_.mu_.lock();
+      ++e_.global_sections_;
+    }
+    ~ColdSection() { e_.mu_.unlock(); }
+    ColdSection(const ColdSection&) = delete;
+    ColdSection& operator=(const ColdSection&) = delete;
 
    private:
     RealEngine& e_;
@@ -162,9 +198,17 @@ class RealEngine final : public Engine {
   static void fiber_entry(void* arg);
   static Worker* this_worker();
 
-  /// The calling lane's counters: its worker's, else ext_counters_ (then
-  /// the caller must hold mu_).
-  LaneCounters& counters();
+  /// Applies f to the calling lane's counters: w's own, else ext_counters_
+  /// under mu_. Never called with mu_ or a domain lock held.
+  template <typename F>
+  void count(Worker* w, F&& f);
+  /// The domain a lane's own sections lock; callers that are not workers
+  /// (host, timer, bound threads) act as processor 0.
+  int own_domain(const Worker* w) const {
+    return w ? w->domain : sched_->lock_domain(0);
+  }
+  /// Counts a dispatch, ready or exit on the calling lane for the watchdog.
+  void bump_progress(Worker* w);
   Tcb* make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy);
   /// Links t into the calling lane's created list.
   void remember(Tcb* t);
@@ -173,15 +217,30 @@ class RealEngine final : public Engine {
   /// with the scheduler.
   Tcb* run_inline(Tcb* child);
   void worker_loop(Worker& w);
+  /// One scheduling transition of w: the section of its own domain settles
+  /// the post-switch action and dispatches the fork dive's child or its own
+  /// pick; a dry domain then starts a steal round. Returns the fiber to run,
+  /// or nullptr when there is none (or the run is done).
+  Tcb* transition(Worker& w, bool dive);
+  /// Tries each other domain that holds ready work, from `start` on, in one
+  /// section of the victim's lock each; returns the stolen, dispatched
+  /// fiber or nullptr.
+  Tcb* steal_round(Worker& w, int start);
   void run_fiber(Worker& w, Tcb* t);
   /// The scheduler half of w's post-switch action, first thing in the
-  /// lane's next section (mu_ held): requeue, or retire an exited fiber.
-  void settle_post(Worker& w, replay::SectionLog& log);
+  /// lane's next section (its own domain locked): requeue, or retire an
+  /// exited fiber. Returns the exited fiber's joiner when the policy readies
+  /// it in another section (Scheduler::keeps_home), else nullptr.
+  Tcb* settle_post(Worker& w, replay::SectionLog& log);
   /// The half that needs no engine lock: release a guard or a stack.
   void release_post(Worker& w);
-  /// mu_ held: t becomes Ready with the scheduler.
-  void make_ready_locked(Tcb* t, int proc_hint);
-  /// mu_ held: marks t Running on w and stages its Dispatch record.
+  /// Under the lock of ready_domain(t, proc): t becomes Ready with the
+  /// scheduler.
+  void make_ready_locked(Tcb* t, int proc, Worker* w);
+  /// A gated section of t's ready domain that readies t and commits `kind`
+  /// for `actor`, then unparks an idle worker if work is left.
+  void ready_section(Tcb* t, Worker* w, replay::EvKind kind, std::uint64_t actor);
+  /// Own domain locked: marks t Running on w and stages its Dispatch record.
   void begin_dispatch(Worker& w, Tcb* t, std::uint64_t flags,
                       replay::SectionLog& log);
   /// Deadline check folded into a dispatch: fires `t`'s cancel token when
@@ -189,18 +248,26 @@ class RealEngine final : public Engine {
   /// kDispatchForkDive flag or 0) OR'd with kDispatchDeadline when it fired.
   /// In a pinned replay the recorded Dispatch flags win over the live clock
   /// — wall time drifts between runs, and the flag is the one place the
-  /// expire-or-not race is logged. Called with mu_ held, immediately before
-  /// the Dispatch record is staged.
+  /// expire-or-not race is logged. Called inside the dispatching section,
+  /// immediately before the Dispatch record is staged.
   std::uint64_t dispatch_cancel_flags(Worker& w, Tcb* t, std::uint64_t base);
-  /// mu_ held: when ready work is left and a worker is idle, takes one off
-  /// idle_ for the caller to unpark after the section.
-  Worker* claim_idle_worker();
+  // The idle handshake (DESIGN.md §2). A section that leaves ready work
+  // behind calls wake_idle() after it unlocks: a seq_cst fence, then a read
+  // of idle_count_. A worker that found nothing calls go_idle(): it bumps
+  // idle_count_, fences, and re-scans every domain before it parks. One of
+  // the two always sees the other, so no ready work waits on a parked lane.
+  void wake_idle();
+  void go_idle(Worker& w);
+  /// Takes w off the idle list unless a waker already claimed it.
+  void leave_idle(Worker& w);
   /// Once done_ is set: unparks every worker (each then sees done_ in its
-  /// next section and leaves) and the host.
+  /// next transition and leaves) and the host.
   void wake_all();
-  /// mu_ held: every worker idle, live work remains, none of it ready, and
-  /// no bound thread that could make some ready.
+  /// Every worker idle, live work remains, and no bound thread that could
+  /// make some ready. The caller's re-scan just found nothing.
   bool all_stuck() const;
+  /// Ready threads over all domains, each read under its lock.
+  std::size_t ready_total();
   /// Publishes t's exit under its join lock; returns the blocked joiner
   /// (not yet woken), if any.
   Tcb* publish_exit(Tcb* t);
@@ -226,38 +293,49 @@ class RealEngine final : public Engine {
   /// Removes t's timer entry, waiting out an in-flight fire for t so a
   /// stale timer can never claim t's *next* wait.
   void cancel_sleeper(Tcb* t);
-  /// Best-effort crash dump through resil::dump_flight_recorder. When
-  /// have_lock is false, mu_ is try-locked (bounded) — a wedged worker
-  /// holding it must not block the dump forever.
-  void dump_flight(const char* reason, bool have_lock);
+  /// Best-effort crash dump through resil::dump_flight_recorder. mu_ and
+  /// every domain lock are try-locked within a bounded wait — a wedged
+  /// worker holding one must not block the dump forever.
+  void dump_flight(const char* reason);
   template <typename F>
   void for_each_tcb(F&& f) const;
 
   RuntimeOptions opts_;
   std::unique_ptr<Scheduler> sched_;
+  int ndomains_ = 1;
+  std::unique_ptr<Domain[]> domains_;
 
-  // The lock shares its cache line with the engine state every section
-  // touches, so a section's owner fetches the line once.
-  alignas(64) SpinFutexLock mu_;  ///< the global scheduler lock
-  std::atomic<bool> done_{false};  ///< written under mu_; the host polls it
-  std::int64_t live_ = 0;
-  std::int64_t bound_live_ = 0;
-  /// Monotonic dispatch/wake/exit counter, bumped under mu_; the watchdog
-  /// trips when it stops moving while live work remains.
-  std::atomic<std::uint64_t> progress_{0};
-  std::vector<int> idle_;  ///< parked or parking worker ids (guarded by mu_)
-  // Atomic: make_tcb runs in the spawning fiber before it takes mu_, so
-  // concurrent spawns on different workers allocate ids in parallel.
+  // The only line every lane writes on a spawn or an exit. next_tid_ is
+  // taken in the spawning fiber before any lock.
   alignas(64) std::atomic<std::uint64_t> next_tid_{1};
+  std::atomic<std::int64_t> live_{0};  ///< the decrement reaching 0 sets done_
+
+  // Read on every transition, written a few times per run.
+  alignas(64) std::atomic<bool> done_{false};  ///< the host polls it
+  std::atomic<std::int64_t> bound_live_{0};
   Parker host_parker_;  ///< host thread in run(): completion
 
-  std::vector<Worker> workers_;
+  // The idle list, written only when a worker goes idle or is claimed.
+  alignas(64) SpinFutexLock idle_mu_;
+  std::atomic<int> idle_count_{0};  ///< idle_.size(), readable without idle_mu_
+  std::vector<int> idle_;  ///< parked or parking worker ids (guarded by idle_mu_)
+
+  /// The engine-global lock of cold state: bound threads, ext_counters_
+  /// and the flight recorder's snapshot. Never held with a domain lock,
+  /// apart from the flight recorder's try-locks.
+  alignas(64) SpinFutexLock mu_;
+  std::uint64_t global_sections_ = 0;  ///< sections of mu_ (guarded by mu_)
   LaneCounters ext_counters_;          ///< guarded by mu_
-  std::atomic<Tcb*> ext_created_{nullptr};  ///< Tcbs made off the workers
   std::vector<std::thread> bound_threads_;  ///< guarded by mu_
+  /// Domain sections and progress of callers that are not workers.
+  std::atomic<std::uint64_t> ext_sections_{0};
+  std::atomic<std::uint64_t> ext_progress_{0};
+  std::atomic<Tcb*> ext_created_{nullptr};  ///< Tcbs made off the workers
+
+  std::vector<Worker> workers_;
 
   /// Effective allocation quota K; OOM recovery halves it (atomic: read on
-  /// every dispatch without mu_).
+  /// every dispatch without the lock that shrinks it).
   std::atomic<std::size_t> eff_quota_{0};
 
   // -- supervisor (timed waits + stall watchdog) ----------------------------

@@ -109,9 +109,14 @@ struct RunStats {
   std::uint64_t faults_injected = 0;   ///< resil injector failures this run
   std::uint64_t faults_recovered = 0;  ///< injected failures absorbed this run
   std::uint64_t deadline_expirations = 0;  ///< cancel tokens fired at dispatch
-  /// Critical sections of the RealEngine scheduler lock (0 on Sim); at
-  /// p = 1 a spawned AsyncDF thread costs at most three.
+  /// Critical sections of the RealEngine's scheduler lock domains, summed
+  /// over domains (0 on Sim); at p = 1 a spawned AsyncDF thread costs at
+  /// most three.
   std::uint64_t sched_lock_sections = 0;
+  /// Critical sections of the RealEngine's engine-global lock, which guards
+  /// only cold state (bound threads, counters of callers that are not
+  /// workers); 0 on Sim.
+  std::uint64_t global_lock_sections = 0;
 
   // Space (bytes).
   std::int64_t heap_peak = 0;          ///< the paper's space metric

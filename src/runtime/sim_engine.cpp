@@ -299,7 +299,7 @@ void SimEngine::fire_due_sleepers(VProc& vp, int pid) {
     ++stats_.sync_timeouts;
     DFTH_COUNT(obs::Counter::SyncTimeouts);
     DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Wake, vp.clock_ns, s.t->id, 0);
-    sched_lock_acquire(vp, pid);
+    sched_lock_own(vp, pid);
     s.t->state.store(ThreadState::Ready, std::memory_order_relaxed);
     s.t->ready_at_ns = s.deadline_ns;  // eligible from its deadline instant
     sched_->on_ready(s.t, pid);
@@ -714,9 +714,29 @@ void SimEngine::apply_pending(VProc& vp) {
   for (auto& p : pend_ns_) p = 0;
 }
 
-void SimEngine::sched_lock_acquire(VProc& vp) { sched_lock_acquire(vp, 0); }
+Tcb* SimEngine::pick_or_steal(VProc& vp, int pid, std::uint64_t* earliest) {
+  if (Tcb* t = sched_->pick_next(pid, vp.clock_ns, earliest)) {
+    sched_lock_own(vp, pid);
+    return t;
+  }
+  const int n = sched_->domains();
+  if (n <= 1) return nullptr;
+  const int home = sched_->lock_domain(pid);
+  const int start = sched_->steal_start(pid);
+  for (int i = 0; i < n; ++i) {
+    const int victim = (start + i) % n;
+    if (victim == home) continue;
+    if (Tcb* t = sched_->steal(pid, victim, vp.clock_ns, earliest)) {
+      // The steal serializes on the victim's lock, not the thief's.
+      sched_lock_acquire(vp, victim);
+      if (sched_->keeps_home()) sched_->rehome(t, pid);
+      return t;
+    }
+  }
+  return nullptr;
+}
 
-void SimEngine::sched_lock_acquire(VProc& vp, int proc) {
+void SimEngine::sched_lock_acquire(VProc& vp, int domain) {
   // The scheduler's global queue is serialized by one lock (paper §6). The
   // lock is busy only *during* queue operations, so a processor is made to
   // wait only when its operation lands within the contention window of the
@@ -726,7 +746,6 @@ void SimEngine::sched_lock_acquire(VProc& vp, int proc) {
   // of virtual-time order — a fiber's long run commits at its end — so the
   // busy horizon can be ahead of this processor's clock without implying
   // the lock was held the whole time.)
-  const int domain = sched_->lock_domain(proc);
   if (lock_free_ns_.size() <= static_cast<std::size_t>(domain)) {
     lock_free_ns_.resize(static_cast<std::size_t>(domain) + 1, 0);
   }
@@ -775,10 +794,9 @@ void SimEngine::attempt_dispatch(VProc& vp, int pid) {
   fire_due_sleepers(vp, pid);
   DFTH_PROF_OVERHEAD(0, vp.clock_ns - fire_t0);
   std::uint64_t earliest = kInf;
-  Tcb* t = sched_->pick_next(pid, vp.clock_ns, &earliest);
+  const std::uint64_t disp_t0 = vp.clock_ns;
+  Tcb* t = pick_or_steal(vp, pid, &earliest);
   if (t) {
-    const std::uint64_t disp_t0 = vp.clock_ns;
-    sched_lock_acquire(vp, pid);
     vp.clock_ns += us_to_ns(opts_.cost.ctx_switch_us);
     vp.bd.thread_us += opts_.cost.ctx_switch_us;
     t->state.store(ThreadState::Running, std::memory_order_relaxed);
@@ -835,7 +853,7 @@ void SimEngine::handle_event(VProc& vp, int pid) {
       vp.clock_ns += us_to_ns(stack_us);
       vp.bd.mem_us += stack_us;
 
-      sched_lock_acquire(vp, pid);
+      sched_lock_own(vp, pid);
       const bool preempt_parent = sched_->register_thread(parent, child);
       DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg, parent->id,
                          child->id,
@@ -884,7 +902,7 @@ void SimEngine::handle_event(VProc& vp, int pid) {
     case Ev::Exit: {
       Tcb* t = vp.running;
       const std::uint64_t exit_t0 = vp.clock_ns;
-      sched_lock_acquire(vp, pid);
+      sched_lock_own(vp, pid);
       sched_->unregister_thread(t);
       t->finished = true;
       t->state.store(ThreadState::Done, std::memory_order_relaxed);
@@ -926,7 +944,7 @@ void SimEngine::handle_event(VProc& vp, int pid) {
       const std::uint64_t pre_t0 = vp.clock_ns;
       vp.clock_ns += us_to_ns(opts_.cost.ctx_switch_us);
       vp.bd.thread_us += opts_.cost.ctx_switch_us;
-      sched_lock_acquire(vp, pid);
+      sched_lock_own(vp, pid);
       DFTH_PROF_OVERHEAD(t->id, vp.clock_ns - pre_t0);
       make_ready(vp, pid, t);
       if (ev_ == Ev::QuotaPreempt) ++stats_.quota_preemptions;

@@ -133,11 +133,18 @@ class SimEngine final : public Engine {
   void apply_pending(VProc& vp);
   void attempt_dispatch(VProc& vp, int pid);
   void handle_event(VProc& vp, int pid);
-  void sched_lock_acquire(VProc& vp);  ///< domain-0 convenience overload
-  /// Serializes queue ops within the scheduler's lock domain for `proc`,
-  /// charging lock wait to vp (paper §6: the global list's lock; the
-  /// clustered scheduler gets one lock per SMP).
-  void sched_lock_acquire(VProc& vp, int proc);
+  /// The real engine's pick path: proc's own domain first, then a steal
+  /// round over the other domains (core/scheduler.h). Charges the lock of
+  /// the domain the thread came from; nullptr when nothing is eligible.
+  Tcb* pick_or_steal(VProc& vp, int pid, std::uint64_t* earliest);
+  /// Serializes queue ops within one lock domain, charging lock wait to vp
+  /// (paper §6: the global list's lock; work stealing gets one lock per
+  /// processor and the clustered scheduler one per SMP).
+  void sched_lock_acquire(VProc& vp, int domain);
+  /// sched_lock_acquire on processor pid's own domain.
+  void sched_lock_own(VProc& vp, int pid) {
+    sched_lock_acquire(vp, sched_->lock_domain(pid));
+  }
   void make_ready(VProc& vp, int pid, Tcb* t);
   /// Deadline check at a dispatch: fires `t`'s cancel token (once per token)
   /// when the virtual clock has passed its deadline, and returns the

@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -30,6 +31,15 @@ std::size_t page_size() {
 std::size_t round_up_pages(std::size_t bytes) {
   const std::size_t mask = page_size() - 1;
   return (bytes + mask) & ~mask;
+}
+
+/// Raises `peak` to at least `v`.
+template <typename T>
+void raise_to(std::atomic<T>& peak, T v) {
+  T cur = peak.load(std::memory_order_relaxed);
+  while (v > cur &&
+         !peak.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
 }
 
 #if DFTH_STACK_USAGE
@@ -61,6 +71,8 @@ void* Stack::top() const {
   return static_cast<char*>(base) + size;
 }
 
+thread_local StackPool::LocalCache StackPool::tl_cache_;
+
 StackPool& StackPool::instance() {
   static StackPool* pool = new StackPool();  // leaked: outlives all fibers
   return *pool;
@@ -81,15 +93,13 @@ Stack StackPool::acquire(std::size_t usable_bytes) {
       !pre_inj_mmap && DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kStackMprotect);
 
   if (!pre_inj_mmap && !pre_inj_mprotect) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(usable);
-    if (it != cache_.end() && !it->second.empty()) {
-      void* base = it->second.back();
-      it->second.pop_back();
-      ++reuse_;
+    LocalCache& lc = tl_cache_;
+    void* base = (lc.n > 0 && lc.size == usable) ? lc.bases[--lc.n]
+                                                 : take_shared(lc, usable);
+    if (base != nullptr) {
+      reuse_.fetch_add(1, std::memory_order_relaxed);
       DFTH_COUNT(obs::Counter::StacksReused);
-      live_ += static_cast<std::int64_t>(usable);
-      if (live_ > peak_) peak_ = live_;
+      add_live(static_cast<std::int64_t>(usable));
       // Cached stacks are poisoned while idle (release below); re-arm.
       san::unpoison_stack(base, usable);
 #if DFTH_STACK_USAGE
@@ -134,13 +144,9 @@ Stack StackPool::acquire(std::size_t usable_bytes) {
       continue;
     }
 
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++fresh_;
-      DFTH_COUNT(obs::Counter::StacksFresh);
-      live_ += static_cast<std::int64_t>(usable);
-      if (live_ > peak_) peak_ = live_;
-    }
+    fresh_.fetch_add(1, std::memory_order_relaxed);
+    DFTH_COUNT(obs::Counter::StacksFresh);
+    add_live(static_cast<std::int64_t>(usable));
     if (mmap_failed) DFTH_FAULT_RECOVERED(resil::FaultSite::kStackMmap);
     if (mprotect_failed) DFTH_FAULT_RECOVERED(resil::FaultSite::kStackMprotect);
     // Stack.base stores the start of the *usable* region; release() and
@@ -157,13 +163,9 @@ Stack StackPool::acquire(std::size_t usable_bytes) {
   // bytes. Page-aligned so top()/context_make see the same geometry.
   void* heap_base = std::aligned_alloc(page_size(), usable);
   if (heap_base == nullptr) return Stack{};  // caller degrades further
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++fresh_;
-    DFTH_COUNT(obs::Counter::StacksFresh);
-    live_ += static_cast<std::int64_t>(usable);
-    if (live_ > peak_) peak_ = live_;
-  }
+  fresh_.fetch_add(1, std::memory_order_relaxed);
+  DFTH_COUNT(obs::Counter::StacksFresh);
+  add_live(static_cast<std::int64_t>(usable));
   if (mmap_failed) DFTH_FAULT_RECOVERED(resil::FaultSite::kStackMmap);
   if (mprotect_failed) DFTH_FAULT_RECOVERED(resil::FaultSite::kStackMprotect);
 #if DFTH_STACK_USAGE
@@ -184,70 +186,130 @@ void StackPool::release(Stack stack) {
 #else
   constexpr std::int64_t used = 0;
 #endif
+  raise_to(high_water_, used);
   if (stack.heap) {
     // Heap-backed fallback stacks exist only under memory pressure; free
     // them immediately rather than caching a guard-less stack for reuse.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (used > high_water_) high_water_ = used;
-    live_ -= static_cast<std::int64_t>(stack.size);
     std::free(stack.base);
+    add_live(-static_cast<std::int64_t>(stack.size));
     return;
   }
   // Poison the idle stack: any access to a cached-but-unowned stack (a
   // use-after-exit through a stale fiber pointer) becomes an ASan report.
   san::poison_stack(stack.base, stack.size);
+  add_live(-static_cast<std::int64_t>(stack.size));
+  LocalCache& lc = tl_cache_;
+  if ((lc.n > 0 && lc.size != stack.size) ||
+      shared_count_.load(std::memory_order_relaxed) == 0) {
+    // Share this one: the thread's cache holds another size class, or the
+    // shared cache ran dry and a thread that spawns more than it retires
+    // (a fiber forking for others to run) would otherwise map every stack
+    // fresh while the released ones sit in other threads' caches.
+    std::lock_guard<std::mutex> lock(mu_);
+    cache_[stack.size].push_back(stack.base);
+    shared_count_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  if (lc.n == kLocalStacks) spill(lc, kLocalStacks / 2);
+  lc.size = stack.size;
+  lc.bases[lc.n++] = stack.base;
+}
+
+void StackPool::add_live(std::int64_t bytes) {
+  const std::int64_t live = live_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  if (bytes > 0) raise_to(peak_, live);
+}
+
+void StackPool::spill(LocalCache& lc, int keep) {
+  if (lc.n <= keep) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (used > high_water_) high_water_ = used;
-  live_ -= static_cast<std::int64_t>(stack.size);
-  cache_[stack.size].push_back(stack.base);
+  std::vector<void*>& shared = cache_[lc.size];
+  // The oldest entries go; the most recently released (warmest) stay.
+  shared.insert(shared.end(), lc.bases, lc.bases + (lc.n - keep));
+  shared_count_.fetch_add(static_cast<std::size_t>(lc.n - keep),
+                          std::memory_order_relaxed);
+  std::copy(lc.bases + (lc.n - keep), lc.bases + lc.n, lc.bases);
+  lc.n = keep;
+}
+
+void* StackPool::take_shared(LocalCache& lc, std::size_t size) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = cache_.find(size);
+  if (it == cache_.end() || it->second.empty()) return nullptr;
+  std::vector<void*>& shared = it->second;
+  if (lc.n == 0) {
+    // Refill the thread's empty cache with half a batch of this class.
+    const std::size_t take =
+        std::min<std::size_t>(kLocalStacks / 2, shared.size());
+    lc.size = size;
+    for (std::size_t i = 1; i < take; ++i) {
+      lc.bases[lc.n++] = shared.back();
+      shared.pop_back();
+    }
+    shared_count_.fetch_sub(take - 1, std::memory_order_relaxed);
+  }
+  void* base = shared.back();
+  shared.pop_back();
+  shared_count_.fetch_sub(1, std::memory_order_relaxed);
+  return base;
+}
+
+StackPool::LocalCache::~LocalCache() {
+  if (n > 0) StackPool::instance().spill(*this, 0);
+}
+
+void StackPool::unmap_cached(std::size_t size, void* usable_lo) {
+  // Clear our poisoning before the pages go back to the OS — the address
+  // range may be recycled by an unrelated mmap with stale shadow.
+  san::unpoison_stack(usable_lo, size);
+  void* mapping = static_cast<char*>(usable_lo) - page_size();
+  ::munmap(mapping, size + page_size());
 }
 
 void StackPool::trim() {
+  LocalCache& lc = tl_cache_;
+  for (int i = 0; i < lc.n; ++i) unmap_cached(lc.size, lc.bases[i]);
+  lc.n = 0;
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [size, bases] : cache_) {
-    for (void* usable_lo : bases) {
-      // Clear our poisoning before the pages go back to the OS — the address
-      // range may be recycled by an unrelated mmap with stale shadow.
-      san::unpoison_stack(usable_lo, size);
-      void* mapping = static_cast<char*>(usable_lo) - page_size();
-      ::munmap(mapping, size + page_size());
-    }
-    bases.clear();
+    for (void* usable_lo : bases) unmap_cached(size, usable_lo);
   }
   cache_.clear();
+  shared_count_.store(0, std::memory_order_relaxed);
+}
+
+std::size_t StackPool::cached_count() const {
+  std::size_t n = static_cast<std::size_t>(tl_cache_.n);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [size, bases] : cache_) n += bases.size();
+  return n;
 }
 
 std::uint64_t StackPool::fresh_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fresh_;
+  return fresh_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t StackPool::reuse_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reuse_;
+  return reuse_.load(std::memory_order_relaxed);
 }
 
 std::int64_t StackPool::live_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return live_;
+  return live_.load(std::memory_order_relaxed);
 }
 
 std::int64_t StackPool::peak_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return peak_;
+  return peak_.load(std::memory_order_relaxed);
 }
 
 std::int64_t StackPool::high_water_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return high_water_;
+  return high_water_.load(std::memory_order_relaxed);
 }
 
 void StackPool::begin_epoch() {
-  std::lock_guard<std::mutex> lock(mu_);
-  peak_ = live_;
-  fresh_ = 0;
-  reuse_ = 0;
-  high_water_ = 0;
+  peak_.store(live_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  fresh_.store(0, std::memory_order_relaxed);
+  reuse_.store(0, std::memory_order_relaxed);
+  high_water_.store(0, std::memory_order_relaxed);
 }
 
 StackPool::~StackPool() { trim(); }

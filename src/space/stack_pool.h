@@ -9,6 +9,16 @@
 // fresh-vs-reused counts plus live/peak stack bytes so engines can charge
 // the right virtual cost and report stack footprints.
 //
+// Release and reuse stay off the shared lock: each kernel thread keeps a
+// bounded cache of released stacks of one size class (at most
+// kLocalStacks), spilling half of it to the shared per-size-class cache
+// when full and refilling from there when empty, under the pool's mutex.
+// A release also goes to the shared cache whenever that cache is empty, so
+// a thread that spawns for others never waits on their caches to fill.
+// A thread's cache returns to the shared cache when the thread exits, so
+// trim() after a run's workers are joined still unmaps every cached stack.
+// The counters (fresh, reuse, live, peak, high water) are exact atomics.
+//
 // Resource exhaustion is recoverable, not fatal: when the mapping syscalls
 // fail (or the resil fault injector says they did), acquire() trims the
 // idle cache and retries with exponential backoff, then degrades to a
@@ -17,6 +27,7 @@
 // child inline on its parent's stack.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -50,13 +61,20 @@ class StackPool {
   /// when every fallback failed.
   Stack acquire(std::size_t usable_bytes);
 
-  /// Returns the stack to the size-class cache (does not unmap). Heap-backed
-  /// fallback stacks are freed immediately instead of cached.
+  /// Returns the stack to the calling thread's cache (does not unmap).
+  /// Heap-backed fallback stacks are freed immediately instead of cached.
   void release(Stack stack);
 
-  /// Unmaps every cached stack (used between experiments, by tests, and by
-  /// acquire() itself under memory pressure).
+  /// Unmaps every stack in the shared cache and in the calling thread's own
+  /// (used between experiments, by tests, and by acquire() itself under
+  /// memory pressure). Other live threads keep their caches.
   void trim();
+
+  /// Stacks cached in the shared cache plus the calling thread's own.
+  std::size_t cached_count() const;
+
+  /// The most released stacks one thread keeps before spilling half.
+  static constexpr int kLocalStacks = 32;
 
   // -- statistics ---------------------------------------------------------
   std::uint64_t fresh_count() const;
@@ -76,15 +94,36 @@ class StackPool {
   ~StackPool();
 
  private:
+  /// One kernel thread's released stacks, all of one size class.
+  struct LocalCache {
+    std::size_t size = 0;  ///< the size class held (meaningful when n > 0)
+    int n = 0;
+    void* bases[kLocalStacks];
+    ~LocalCache();  ///< returns the stacks to the shared cache
+  };
+  static thread_local LocalCache tl_cache_;
+
   StackPool() = default;
 
-  mutable std::mutex mu_;
+  /// Shared-cache half of release/acquire, under mu_.
+  void spill(LocalCache& lc, int keep);
+  /// A shared stack of class `size`, or nullptr; an empty lc is refilled
+  /// with up to kLocalStacks / 2 - 1 more.
+  void* take_shared(LocalCache& lc, std::size_t size);
+  /// Accounts `bytes` more (or fewer) live stack bytes.
+  void add_live(std::int64_t bytes);
+  void unmap_cached(std::size_t size, void* usable_lo);
+
+  mutable std::mutex mu_;  ///< guards cache_
   std::unordered_map<std::size_t, std::vector<void*>> cache_;  // size -> bases
-  std::uint64_t fresh_ = 0;
-  std::uint64_t reuse_ = 0;
-  std::int64_t live_ = 0;
-  std::int64_t peak_ = 0;
-  std::int64_t high_water_ = 0;
+  /// Stacks in cache_, written under mu_ and read without it.
+  std::atomic<std::size_t> shared_count_{0};
+  // One line: an acquire writes live_ and reuse_ (or fresh_) together.
+  alignas(64) std::atomic<std::int64_t> live_{0};
+  std::atomic<std::int64_t> peak_{0};
+  std::atomic<std::uint64_t> fresh_{0};
+  std::atomic<std::uint64_t> reuse_{0};
+  std::atomic<std::int64_t> high_water_{0};
 };
 
 }  // namespace dfth

@@ -122,11 +122,14 @@ class TrackedHeap {
  private:
   TrackedHeap() = default;
 
-  std::atomic<std::int64_t> live_{0};
+  // live_ and peak_ are the paper's space metric: exact and global. The
+  // operation counts sit on a line of their own so the two pairs of
+  // read-modify-writes on every df_malloc/df_free do not share one line.
+  alignas(64) std::atomic<std::int64_t> live_{0};
   std::atomic<std::int64_t> peak_{0};
-  std::atomic<std::uint64_t> allocs_{0};
+  alignas(64) std::atomic<std::uint64_t> allocs_{0};
   std::atomic<std::uint64_t> frees_{0};
-  ShadowTable shadow_;
+  alignas(64) ShadowTable shadow_;
 };
 
 }  // namespace dfth

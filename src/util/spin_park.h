@@ -1,6 +1,6 @@
-// Spin-then-park primitives for the real engine's scheduler lock and idle
+// Spin-then-park primitives for the real engine's scheduler locks and idle
 // workers. Both spin for a bounded budget first — a scheduling transition
-// holds the engine lock for well under a microsecond, and on a small host a
+// holds a lock for well under a microsecond, and on a small host a
 // futex sleep/wake round trip costs tens of microseconds — and only then
 // sleep in the kernel on a futex word.
 #pragma once

@@ -45,6 +45,17 @@ struct Harness {
     if (t) t->state.store(ThreadState::Running, std::memory_order_relaxed);
     return t;
   }
+
+  /// A migration as the engines perform it: steal() under the victim
+  /// cluster's lock, then rehome() under the thief's.
+  Tcb* migrate(Scheduler& s, int proc, int victim) {
+    std::uint64_t earliest = kInf;
+    Tcb* t = s.steal(proc, victim, kInf, &earliest);
+    if (!t) return nullptr;
+    s.rehome(t, proc);
+    t->state.store(ThreadState::Running, std::memory_order_relaxed);
+    return t;
+  }
 };
 
 TEST(ClusteredAdf, LockDomainsFollowClusters) {
@@ -75,11 +86,12 @@ TEST(ClusteredAdf, ChildInheritsParentCluster) {
   Harness h;
   Tcb* root = h.make();
   h.spawn(s, nullptr, root);
-  // Migrate root to cluster 1 by dispatching from proc 4 while cluster 1 is
+  // Migrate root to cluster 1 by dispatching from proc 5 while cluster 1 is
   // dry (root is the only ready thread anywhere).
   root->state.store(ThreadState::Ready, std::memory_order_relaxed);
   s.on_ready(root, 0);
-  EXPECT_EQ(h.pick(s, /*proc=*/5), root);
+  EXPECT_EQ(h.pick(s, /*proc=*/5), nullptr);  // own cluster only
+  EXPECT_EQ(h.migrate(s, /*proc=*/5, /*victim=*/0), root);
   EXPECT_EQ(s.migrations(), 1u);
   EXPECT_EQ(root->home_proc, 1);
   // Its next child joins cluster 1, not 0.
@@ -98,6 +110,47 @@ TEST(ClusteredAdf, NoMigrationWhenHomeClusterHasWork) {
   s.on_ready(a, 0);
   EXPECT_EQ(h.pick(s, /*proc=*/1), a);  // same cluster: no migration
   EXPECT_EQ(s.migrations(), 0u);
+}
+
+// Two clusters: the migrant leaves the victim's list in steal() and joins
+// the thief's in rehome(), with no state of either cluster touched from the
+// other's side; a later wake readies it in its new home cluster.
+TEST(ClusteredAdf, MigrationLeavesVictimThenJoinsThiefCluster) {
+  ClusteredAdfScheduler s(4, 2);
+  Harness h;
+  ASSERT_EQ(s.domains(), 2);
+  EXPECT_TRUE(s.keeps_home());
+  Tcb* root = h.make();
+  h.spawn(s, nullptr, root);
+  Tcb* c1 = h.make();
+  h.spawn(s, root, c1);  // order in cluster 0: c1 < root; root is Ready
+  EXPECT_EQ(s.ready_in(0), 1u);
+  EXPECT_EQ(s.ready_in(1), 0u);
+
+  std::uint64_t earliest = kInf;
+  EXPECT_EQ(s.steal(/*proc=*/2, /*victim=*/1, kInf, &earliest), nullptr);
+  Tcb* t = s.steal(/*proc=*/2, /*victim=*/0, kInf, &earliest);
+  ASSERT_EQ(t, root);
+  // Out of cluster 0, not yet in cluster 1.
+  EXPECT_EQ(s.live_count(0), 1u);
+  EXPECT_EQ(s.live_count(1), 0u);
+  EXPECT_EQ(s.ready_in(0), 0u);
+  EXPECT_EQ(s.migrations(), 0u);
+  s.rehome(t, /*proc=*/2);
+  t->state.store(ThreadState::Running, std::memory_order_relaxed);
+  EXPECT_EQ(t->home_proc, 1);
+  EXPECT_EQ(s.live_count(1), 1u);
+  EXPECT_EQ(s.migrations(), 1u);
+
+  // It blocks and is woken from cluster 0: the wake lands in its new home.
+  t->state.store(ThreadState::Blocked, std::memory_order_relaxed);
+  EXPECT_EQ(s.ready_domain(t, /*proc=*/0), 1);
+  t->state.store(ThreadState::Ready, std::memory_order_relaxed);
+  s.on_ready(t, /*proc=*/0);
+  EXPECT_EQ(s.ready_in(1), 1u);
+  EXPECT_EQ(h.pick(s, /*proc=*/0), nullptr);
+  EXPECT_EQ(h.pick(s, /*proc=*/3), t);
+  EXPECT_EQ(s.ready_count(), 0u);
 }
 
 TEST(ClusteredAdf, LeftmostReadyWithinCluster) {

@@ -50,6 +50,15 @@ struct Harness {
     if (t) t->state.store(ThreadState::Running, std::memory_order_relaxed);
     return t;
   }
+
+  /// The cross-domain entry point, as an engine calls it under the
+  /// victim's lock.
+  Tcb* steal(Scheduler& s, int proc, int victim, std::uint64_t now = kInf) {
+    std::uint64_t earliest = kInf;
+    Tcb* t = s.steal(proc, victim, now, &earliest);
+    if (t) t->state.store(ThreadState::Running, std::memory_order_relaxed);
+    return t;
+  }
 };
 
 // ---------- FIFO ----------
@@ -267,10 +276,42 @@ TEST(WorkStealScheduler, ThiefStealsOldest) {
   b->state.store(ThreadState::Ready, std::memory_order_relaxed);
   s.on_ready(a, 0);
   s.on_ready(b, 0);
-  // Processor 1 owns an empty deque: it steals the *bottom* (oldest) of 0's.
-  EXPECT_EQ(h.pick(s, 1), a);
+  // Processor 1 owns an empty deque, and its own pick never crosses into
+  // another lane's domain; the steal entry point takes the *bottom*
+  // (oldest) of 0's.
+  EXPECT_EQ(h.pick(s, 1), nullptr);
+  EXPECT_EQ(s.steal_count(), 0u);
+  EXPECT_EQ(h.steal(s, 1, /*victim=*/0), a);
   EXPECT_EQ(s.steal_count(), 1u);
+  EXPECT_EQ(s.ready_in(0), 1u);
+  EXPECT_EQ(h.steal(s, 1, /*victim=*/1), nullptr);
   EXPECT_EQ(h.pick(s, 0), b);
+}
+
+TEST(WorkStealScheduler, OneLockDomainPerLane) {
+  WorkStealScheduler s(3, /*seed=*/1);
+  Harness h;
+  EXPECT_EQ(s.domains(), 3);
+  EXPECT_FALSE(s.keeps_home());
+  Tcb* a = h.make();
+  a->state.store(ThreadState::Ready, std::memory_order_relaxed);
+  for (int proc = 0; proc < 3; ++proc) {
+    EXPECT_EQ(s.lock_domain(proc), proc);
+    // A thread readied by a lane lands in that lane's own deque.
+    EXPECT_EQ(s.ready_domain(a, proc), proc);
+  }
+  s.on_ready(a, 2);
+  EXPECT_EQ(s.ready_in(2), 1u);
+  EXPECT_EQ(s.ready_in(0), 0u);
+  EXPECT_EQ(s.ready_count(), 1u);
+  // Each lane draws its first victim from its own seeded stream.
+  WorkStealScheduler twin(3, /*seed=*/1);
+  for (int i = 0; i < 8; ++i) {
+    const int start = s.steal_start(1);
+    EXPECT_GE(start, 0);
+    EXPECT_LT(start, 3);
+    EXPECT_EQ(twin.steal_start(1), start);
+  }
 }
 
 TEST(WorkStealScheduler, SpawnPreemptsParent) {

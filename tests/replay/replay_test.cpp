@@ -20,6 +20,7 @@
 #include "replay/log.h"
 #include "replay/signature.h"
 #include "runtime/api.h"
+#include "runtime/sync.h"
 
 namespace dfth {
 namespace {
@@ -175,7 +176,19 @@ class ReplayMergedSections : public ::testing::TestWithParam<SchedKind> {
   }
   static RunStats run_uneven(const RuntimeOptions& o) {
     std::atomic<std::uint64_t> spawned{0};
-    return run(o, [&spawned] { test::uneven_tree(0, 256, 6 << 10, &spawned); });
+    return run(o, [&spawned] {
+      // The child keeps its lane, yielding, until the parent's continuation
+      // has run: under work stealing another lane has to steal it. The wait
+      // goes through a Semaphore so that its outcome is a logged decision.
+      Semaphore ran(0);
+      Thread child = spawn([&ran]() -> void* {
+        while (!ran.try_acquire()) yield();
+        return nullptr;
+      });
+      ran.release();
+      join(child);
+      test::uneven_tree(0, 256, 6 << 10, &spawned);
+    });
   }
 };
 
@@ -188,6 +201,10 @@ TEST_P(ReplayMergedSections, UnevenTreeReplaysAndCrossReplays) {
   if (GetParam() == SchedKind::AsyncDf) {
     EXPECT_GT(rec.dummy_threads, 0u);
     EXPECT_GT(rec.quota_preemptions, 0u);
+  } else {
+    // Steals cross lock domains: each one is recorded under its victim's
+    // lock and must replay on the one-domain replay scheduler.
+    EXPECT_GT(rec.steals, 0u);
   }
 
   RuntimeOptions r = opts();

@@ -247,6 +247,109 @@ TEST(RealEngine, WokenFiberRunsBesideSpinningWaker) {
   }
 }
 
+// The all-idle deadlock abort: every fiber waits on a semaphore nobody will
+// release, every lane goes idle, and after the grace period the engine
+// dumps the flight recorder and aborts.
+TEST(RealEngineDeathTest, AllIdleDeadlockAbortsWithFlightRecorder) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (SchedKind k : {SchedKind::AsyncDf, SchedKind::WorkSteal}) {
+    auto deadlock = [k] {
+      run(real_opts(k, 4), [] {
+        Semaphore never(0);
+        std::vector<Thread> ths;
+        for (int i = 0; i < 8; ++i) {
+          ths.push_back(spawn([&never]() -> void* {
+            never.acquire();
+            return nullptr;
+          }));
+        }
+        for (Thread& t : ths) join(t);
+      });
+    };
+    EXPECT_DEATH(deadlock(),
+                 "DFTH FLIGHT RECORDER(.|\n)*deadlock: all threads blocked")
+        << to_string(k);
+  }
+}
+
+// No lost wakeup: between rounds every lane parks, and the only wakes then
+// come from outside the lanes — a bound thread releasing a semaphore and
+// the timer expiring timed waits. A lost one leaves ready work with every
+// lane parked, which the 5 s stall watchdog turns into an abort.
+TEST(RealEngine, NoLostWakeupFromBoundThreadsAndTimers) {
+  RuntimeOptions o = real_opts(SchedKind::WorkSteal, 4);
+  o.watchdog.stall_deadline_ms = 5000;
+  constexpr int kFibers = 12;
+  constexpr int kRounds = 25;
+  for (int rep = 0; rep < 8; ++rep) {
+    std::atomic<int> passes{0};
+    std::atomic<int> expiries{0};
+    run(o, [&] {
+      Semaphore go(0);
+      Semaphore never(0);
+      std::vector<Thread> ths;
+      for (int i = 0; i < kFibers; ++i) {
+        ths.push_back(spawn([&]() -> void* {
+          for (int r = 0; r < kRounds; ++r) {
+            go.acquire();
+            passes.fetch_add(1, std::memory_order_relaxed);
+          }
+          return nullptr;
+        }));
+      }
+      for (int i = 0; i < 4; ++i) {
+        ths.push_back(spawn([&]() -> void* {
+          for (int r = 0; r < kRounds; ++r) {
+            if (!never.try_acquire_for(300'000)) {
+              expiries.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+          return nullptr;
+        }));
+      }
+      Attr bound;
+      bound.bound = true;
+      ths.push_back(spawn(
+          [&]() -> void* {
+            for (int r = 0; r < kRounds; ++r) {
+              // Long enough for the lanes to run dry and park.
+              std::this_thread::sleep_for(std::chrono::microseconds(400));
+              for (int i = 0; i < kFibers; ++i) go.release();
+            }
+            return nullptr;
+          },
+          bound));
+      for (Thread& t : ths) join(t);
+    });
+    EXPECT_EQ(passes.load(), kFibers * kRounds);
+    EXPECT_EQ(expiries.load(), 4 * kRounds);
+  }
+}
+
+// Work stealing takes no engine-global lock on its spawn, dive, exit, pick
+// and steal paths: every section is one lane's domain.
+TEST(RealEngine, WorkStealSchedulesWithoutTheGlobalLock) {
+  std::atomic<std::uint64_t> spawned{0};
+  std::uint64_t sum = 0;
+  const RunStats st = run(real_opts(SchedKind::WorkSteal, 4), [&] {
+    sum = test::uneven_tree(0, 256, 64, &spawned);
+  });
+  EXPECT_EQ(sum, 256u * 255u / 2);
+  EXPECT_GT(st.sched_lock_sections, st.threads_created);
+  EXPECT_EQ(st.global_lock_sections, 0u);
+  // A policy with one domain takes none either; bound threads do.
+  const RunStats adf = run(real_opts(SchedKind::AsyncDf, 4), [&] {
+    test::uneven_tree(0, 64, 64, &spawned);
+  });
+  EXPECT_EQ(adf.global_lock_sections, 0u);
+  const RunStats bound = run(real_opts(SchedKind::WorkSteal, 4), [] {
+    Attr a;
+    a.bound = true;
+    join(spawn([]() -> void* { return nullptr; }, a));
+  });
+  EXPECT_GT(bound.global_lock_sections, 0u);
+}
+
 // Fibers pass tokens around a ring of Semaphores with short timed waits, so
 // the timer readies fibers as well as the wakers do.
 void timed_ring(int fibers, int tokens, int steps,

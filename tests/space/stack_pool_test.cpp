@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <csetjmp>
 #include <csignal>
 #include <cstdint>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "resil/faults.h"
 
@@ -83,6 +86,90 @@ TEST(StackPool, TopIsOnePastTheUsableRegion) {
   *word = 0xfeedfacecafebeefull;
   EXPECT_EQ(*word, 0xfeedfacecafebeefull);
   pool.release(s);
+}
+
+// Two kernel threads acquire and release through their own caches and the
+// shared one at once; every counter still adds up exactly.
+TEST(StackPool, CountsStayExactAcrossTwoThreads) {
+  auto& pool = StackPool::instance();
+  pool.trim();
+  pool.begin_epoch();
+  const std::int64_t live0 = pool.live_bytes();
+  constexpr int kRounds = 50;
+  constexpr int kBatch = StackPool::kLocalStacks + 8;  // spills every round
+  constexpr std::size_t kSize = 24 << 10;
+  auto churn = [&pool] {
+    std::vector<Stack> held;
+    for (int r = 0; r < kRounds; ++r) {
+      for (int i = 0; i < kBatch; ++i) held.push_back(pool.acquire(kSize));
+      for (Stack& s : held) pool.release(s);
+      held.clear();
+    }
+  };
+  std::thread a(churn);
+  std::thread b(churn);
+  a.join();
+  b.join();
+  EXPECT_EQ(pool.fresh_count() + pool.reuse_count(),
+            static_cast<std::uint64_t>(2 * kRounds * kBatch));
+  // Reuse crosses threads only through the shared cache, so each thread's
+  // own cache can hide up to kLocalStacks stacks from the other.
+  EXPECT_LE(pool.fresh_count(),
+            static_cast<std::uint64_t>(2 * (kBatch + StackPool::kLocalStacks)));
+  EXPECT_EQ(pool.live_bytes(), live0);
+  EXPECT_GE(pool.peak_bytes(), live0 + static_cast<std::int64_t>(kBatch * kSize));
+  EXPECT_LE(pool.peak_bytes(), live0 + static_cast<std::int64_t>(2 * kBatch * kSize));
+  pool.trim();
+}
+
+// A thread keeps at most kLocalStacks released stacks: past that it spills
+// half to the shared cache, and an empty cache refills from there — every
+// acquire of the second pass reuses a stack of the first.
+TEST(StackPool, LocalCacheSpillsAndRefills) {
+  auto& pool = StackPool::instance();
+  pool.trim();
+  constexpr int kCount = StackPool::kLocalStacks + 8;
+  constexpr std::size_t kSize = 28 << 10;
+  std::thread t([&pool] {
+    std::vector<Stack> held;
+    for (int i = 0; i < kCount; ++i) held.push_back(pool.acquire(kSize));
+    for (Stack& s : held) pool.release(s);
+    EXPECT_EQ(pool.cached_count(), static_cast<std::size_t>(kCount));
+    const std::uint64_t fresh = pool.fresh_count();
+    const std::uint64_t reused = pool.reuse_count();
+    held.clear();
+    for (int i = 0; i < kCount; ++i) held.push_back(pool.acquire(kSize));
+    EXPECT_EQ(pool.fresh_count(), fresh);
+    EXPECT_EQ(pool.reuse_count(), reused + kCount);
+    EXPECT_EQ(pool.cached_count(), 0u);
+    for (Stack& s : held) pool.release(s);
+  });
+  t.join();
+  pool.trim();
+}
+
+// A worker thread's cache goes back to the shared cache when it exits, so a
+// trim between runs unmaps every cached stack.
+TEST(StackPool, TrimAfterThreadsExitLeavesNoCachedStack) {
+  auto& pool = StackPool::instance();
+  pool.trim();
+  ASSERT_EQ(pool.cached_count(), 0u);
+  std::atomic<int> holding{0};
+  auto worker = [&pool, &holding] {
+    Stack s[4];
+    for (Stack& x : s) x = pool.acquire(36 << 10);
+    // Both threads hold their stacks at once, so there are eight.
+    holding.fetch_add(1);
+    while (holding.load() < 2) std::this_thread::yield();
+    for (Stack& x : s) pool.release(x);
+  };
+  std::thread a(worker);
+  std::thread b(worker);
+  a.join();
+  b.join();
+  EXPECT_EQ(pool.cached_count(), 8u);  // both caches, back in the shared one
+  pool.trim();
+  EXPECT_EQ(pool.cached_count(), 0u);
 }
 
 TEST(StackPool, HeapFallbackWhenMappingIsFailed) {
