@@ -45,7 +45,7 @@ void InvariantAuditor::check_asyncdf_step(const Scheduler& inner) {
 }
 
 void InvariantAuditor::on_register(const Scheduler& inner, Tcb* parent,
-                                   Tcb* child, bool preempt) {
+                                   Tcb* child, bool dives) {
   steps_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(mu_);
   if (!live_.insert(child).second) violation("thread registered twice", child);
@@ -64,7 +64,7 @@ void InvariantAuditor::on_register(const Scheduler& inner, Tcb* parent,
         !adf->serial_before(child, parent)) {
       violation("forked child not placed left of its parent", child);
     }
-    if (!preempt && (parent == nullptr ||
+    if (!dives && (parent == nullptr ||
                      child->attr.priority >= parent->attr.priority)) {
       violation("AsyncDF did not preempt the parent for its child", child);
     }
@@ -180,10 +180,10 @@ AuditedScheduler::~AuditedScheduler() {
   if (g_active == &auditor_) g_active = nullptr;
 }
 
-bool AuditedScheduler::register_thread(Tcb* parent, Tcb* child) {
-  const bool preempt = inner_->register_thread(parent, child);
-  auditor_.on_register(*inner_, parent, child, preempt);
-  return preempt;
+void AuditedScheduler::register_thread(Tcb* parent, Tcb* child) {
+  const bool dives = inner_->dives(parent, child);
+  inner_->register_thread(parent, child);
+  auditor_.on_register(*inner_, parent, child, dives);
 }
 
 void AuditedScheduler::on_ready(Tcb* t, int proc) {

@@ -14,7 +14,8 @@
 //  AsyncDF:
 //   * a forked child lands to the immediate left of its parent in the
 //     serial-order list (checked via serial_before);
-//   * the parent is preempted so the child runs first (the returned flag);
+//   * the parent is preempted so the child runs first (the policy's dives()
+//     query, which the engine asks before it registers the child);
 //   * the order list's tag-monotonicity invariant holds after every step;
 //   * pick_next returns the leftmost ready thread of the highest non-empty
 //     priority level;
@@ -56,7 +57,7 @@ class InvariantAuditor {
   std::uint64_t steps() const { return steps_.load(std::memory_order_relaxed); }
 
   // -- hooks (called by AuditedScheduler / df_malloc) ------------------------
-  void on_register(const Scheduler& inner, Tcb* parent, Tcb* child, bool preempt);
+  void on_register(const Scheduler& inner, Tcb* parent, Tcb* child, bool dives);
   void on_ready(const Scheduler& inner, Tcb* t);
   void on_pick(const Scheduler& inner, Tcb* t, std::uint64_t now);
   void on_unregister(const Scheduler& inner, Tcb* t);
@@ -105,7 +106,10 @@ class AuditedScheduler final : public Scheduler {
   bool needs_quota() const override { return inner_->needs_quota(); }
   Scheduler* underlying() override { return inner_->underlying(); }
 
-  bool register_thread(Tcb* parent, Tcb* child) override;
+  bool dives(const Tcb* parent, const Tcb* child) const override {
+    return inner_->dives(parent, child);
+  }
+  void register_thread(Tcb* parent, Tcb* child) override;
   void on_ready(Tcb* t, int proc) override;
   Tcb* pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) override;
   void unregister_thread(Tcb* t) override;

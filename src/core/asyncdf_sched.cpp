@@ -7,7 +7,15 @@
 
 namespace dfth {
 
-bool AsyncDfScheduler::register_thread(Tcb* parent, Tcb* child) {
+bool AsyncDfScheduler::dives(const Tcb* parent, const Tcb* child) const {
+  // "When a parent thread forks a child thread, the parent is preempted
+  // immediately and the processor starts executing the child thread."
+  // Running a lower-priority child would invert the priority order, so the
+  // preemption applies only when the child's level is at least the parent's.
+  return parent == nullptr || child->attr.priority >= parent->attr.priority;
+}
+
+void AsyncDfScheduler::register_thread(Tcb* parent, Tcb* child) {
   child->order.owner = child;
   OrderList& list = lists_[static_cast<std::size_t>(child->attr.priority)];
   if (parent && parent->order.linked() &&
@@ -19,11 +27,6 @@ bool AsyncDfScheduler::register_thread(Tcb* parent, Tcb* child) {
     // in a serial depth-first execution the newest work runs first.
     list.push_front(&child->order);
   }
-  // "When a parent thread forks a child thread, the parent is preempted
-  // immediately and the processor starts executing the child thread."
-  // Running a lower-priority child would invert the priority order, so the
-  // preemption applies only when the child's level is at least the parent's.
-  return parent == nullptr || child->attr.priority >= parent->attr.priority;
 }
 
 void AsyncDfScheduler::on_ready(Tcb* t, int proc) {

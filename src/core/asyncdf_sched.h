@@ -9,7 +9,7 @@
 //    that has been created but has not yet exited; blocked and executing
 //    threads keep their entries, which pin their position.
 //  * When a parent forks a child, the parent is preempted immediately and
-//    the processor runs the child (register_thread returns true).
+//    the processor runs the child (dives() is true).
 //  * A newly forked child is placed to the immediate left of its parent.
 //  * Every time a thread is scheduled it receives a memory quota of K bytes
 //    (needs_quota() = true; the engine resets t->quota and preempts the
@@ -44,7 +44,8 @@ class AsyncDfScheduler : public Scheduler {
   SchedKind kind() const override { return SchedKind::AsyncDf; }
   bool needs_quota() const override { return true; }
 
-  bool register_thread(Tcb* parent, Tcb* child) override;
+  bool dives(const Tcb* parent, const Tcb* child) const override;
+  void register_thread(Tcb* parent, Tcb* child) override;
   void on_ready(Tcb* t, int proc) override;
   Tcb* pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) override;
   void unregister_thread(Tcb* t) override;

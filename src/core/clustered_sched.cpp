@@ -22,7 +22,7 @@ void ClusteredAdfScheduler::add_ready(int cluster, std::ptrdiff_t delta) {
           std::memory_order_relaxed);
 }
 
-bool ClusteredAdfScheduler::register_thread(Tcb* parent, Tcb* child) {
+void ClusteredAdfScheduler::register_thread(Tcb* parent, Tcb* child) {
   child->order.owner = child;
   if (parent && parent->order.linked()) {
     // Child joins its parent's cluster, immediately to the parent's left —
@@ -35,7 +35,6 @@ bool ClusteredAdfScheduler::register_thread(Tcb* parent, Tcb* child) {
     child->home_proc = 0;
     clusters_[0].list.push_front(&child->order);
   }
-  return true;  // the parent is preempted; the processor runs the child
 }
 
 void ClusteredAdfScheduler::on_ready(Tcb* t, int proc) {

@@ -47,7 +47,13 @@ class ClusteredAdfScheduler final : public Scheduler {
   SchedKind kind() const override { return SchedKind::ClusteredAdf; }
   bool needs_quota() const override { return true; }
 
-  bool register_thread(Tcb* parent, Tcb* child) override;
+  /// The parent is preempted; the processor runs the child.
+  bool dives(const Tcb* parent, const Tcb* child) const override {
+    (void)parent;
+    (void)child;
+    return true;
+  }
+  void register_thread(Tcb* parent, Tcb* child) override;
   void on_ready(Tcb* t, int proc) override;
   Tcb* pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) override;
   void unregister_thread(Tcb* t) override;

@@ -22,12 +22,9 @@ DfDequesScheduler::DfDequesScheduler(int nprocs)
   }
 }
 
-bool DfDequesScheduler::register_thread(Tcb* parent, Tcb* child) {
+void DfDequesScheduler::register_thread(Tcb* parent, Tcb* child) {
   (void)parent;
   (void)child;
-  // Work-first, as in DFDeques: the processor dives into the child and its
-  // continuation (the parent) is pushed onto the processor's own deque.
-  return true;
 }
 
 void DfDequesScheduler::on_ready(Tcb* t, int proc) {

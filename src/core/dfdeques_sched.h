@@ -44,7 +44,14 @@ class DfDequesScheduler final : public Scheduler {
   SchedKind kind() const override { return SchedKind::DfDeques; }
   bool needs_quota() const override { return true; }
 
-  bool register_thread(Tcb* parent, Tcb* child) override;
+  /// Work-first, as in DFDeques: the processor dives into the child and its
+  /// continuation (the parent) is pushed onto the processor's own deque.
+  bool dives(const Tcb* parent, const Tcb* child) const override {
+    (void)parent;
+    (void)child;
+    return true;
+  }
+  void register_thread(Tcb* parent, Tcb* child) override;
   void on_ready(Tcb* t, int proc) override;
   Tcb* pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) override;
   void unregister_thread(Tcb* t) override;

@@ -7,10 +7,10 @@
 
 namespace dfth {
 
-bool FifoScheduler::register_thread(Tcb* parent, Tcb* child) {
+// The child is enqueued; the parent keeps the processor (dives() is false).
+void FifoScheduler::register_thread(Tcb* parent, Tcb* child) {
   (void)parent;
   (void)child;
-  return false;  // child is enqueued; parent keeps the processor
 }
 
 void FifoScheduler::on_ready(Tcb* t, int proc) {

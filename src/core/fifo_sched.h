@@ -16,7 +16,7 @@ class FifoScheduler final : public Scheduler {
  public:
   SchedKind kind() const override { return SchedKind::Fifo; }
 
-  bool register_thread(Tcb* parent, Tcb* child) override;
+  void register_thread(Tcb* parent, Tcb* child) override;
   void on_ready(Tcb* t, int proc) override;
   Tcb* pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) override;
   void unregister_thread(Tcb* t) override;

@@ -7,10 +7,10 @@
 
 namespace dfth {
 
-bool LifoScheduler::register_thread(Tcb* parent, Tcb* child) {
+// The child is pushed; the parent keeps the processor (dives() is false).
+void LifoScheduler::register_thread(Tcb* parent, Tcb* child) {
   (void)parent;
   (void)child;
-  return false;  // child is pushed; parent keeps the processor
 }
 
 void LifoScheduler::on_ready(Tcb* t, int proc) {

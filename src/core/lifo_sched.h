@@ -15,7 +15,7 @@ class LifoScheduler final : public Scheduler {
  public:
   SchedKind kind() const override { return SchedKind::Lifo; }
 
-  bool register_thread(Tcb* parent, Tcb* child) override;
+  void register_thread(Tcb* parent, Tcb* child) override;
   void on_ready(Tcb* t, int proc) override;
   Tcb* pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) override;
   void unregister_thread(Tcb* t) override;

@@ -23,16 +23,25 @@
 //    lock before t runs. No caller holds two domain locks at once.
 //  * ready_in(domain) must be safe to read without the lock when
 //    domains() > 1: engines read other domains' counts as a steal hint.
+//  * Hooks see each thread's events in the order they happened, not at the
+//    instant they happened. With one domain the real engine posts a
+//    spawn's registration, a fork dive's parent requeue and a fiber's wake
+//    to a per-lane list without the lock, and applies them at the start of
+//    the domain's next section (DESIGN.md §2); a policy sees only the
+//    applied state. With a replay session installed, every such event is
+//    applied at once, in its poster's own gated section.
 //
 // Lifecycle contract, in terms of thread states (threads/tcb.h):
+//  * dives(parent, child): a const query, answered before the child is
+//    registered and callable without the domain lock. True if the policy
+//    wants the child to run IMMEDIATELY on the spawning processor,
+//    preempting the parent (AsyncDF and work-first work stealing); the
+//    engine then marks the parent Ready and calls on_ready(parent) — the
+//    child never visits the ready set. False for FIFO/LIFO: the engine calls
+//    on_ready(child) and the parent keeps running.
 //  * register_thread(parent, child): child enters the system (placeholder
-//    creation for AsyncDF). Called once per thread, before it first becomes
-//    ready or running. Returns true if the policy wants the child to run
-//    IMMEDIATELY on the spawning processor, preempting the parent (AsyncDF
-//    and work-first work stealing); the engine then marks the parent Ready
-//    and calls on_ready(parent) — the child never visits the ready set.
-//    Returns false for FIFO/LIFO: the engine calls on_ready(child) and the
-//    parent keeps running.
+//    creation for AsyncDF). Called once per thread, before any other hook
+//    sees it.
 //  * on_ready(t, proc): t became runnable (spawned-not-run, unblocked,
 //    yielded, or quota-preempted) — enter the ready structure.
 //  * pick_next(proc, now, earliest): remove and return the policy's choice
@@ -81,7 +90,12 @@ class Scheduler {
   /// allocations larger than the quota.
   virtual bool needs_quota() const { return false; }
 
-  virtual bool register_thread(Tcb* parent, Tcb* child) = 0;
+  virtual bool dives(const Tcb* parent, const Tcb* child) const {
+    (void)parent;
+    (void)child;
+    return false;
+  }
+  virtual void register_thread(Tcb* parent, Tcb* child) = 0;
   virtual void on_ready(Tcb* t, int proc) = 0;
   virtual Tcb* pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) = 0;
   virtual void unregister_thread(Tcb* t) = 0;

@@ -19,12 +19,9 @@ WorkStealScheduler::WorkStealScheduler(int nprocs, std::uint64_t seed)
   }
 }
 
-bool WorkStealScheduler::register_thread(Tcb* parent, Tcb* child) {
+void WorkStealScheduler::register_thread(Tcb* parent, Tcb* child) {
   (void)parent;
   (void)child;
-  // Work-first: the processor dives into the child; the parent continuation
-  // is pushed onto the deque (by the engine via on_ready(parent)).
-  return true;
 }
 
 void WorkStealScheduler::on_ready(Tcb* t, int proc) {

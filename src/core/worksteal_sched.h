@@ -32,7 +32,14 @@ class WorkStealScheduler final : public Scheduler {
 
   SchedKind kind() const override { return SchedKind::WorkSteal; }
 
-  bool register_thread(Tcb* parent, Tcb* child) override;
+  /// Work-first: the processor dives into the child; the engine pushes the
+  /// parent continuation onto the deque (on_ready(parent)).
+  bool dives(const Tcb* parent, const Tcb* child) const override {
+    (void)parent;
+    (void)child;
+    return true;
+  }
+  void register_thread(Tcb* parent, Tcb* child) override;
   void on_ready(Tcb* t, int proc) override;
   Tcb* pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) override;
   void unregister_thread(Tcb* t) override;

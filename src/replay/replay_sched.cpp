@@ -60,29 +60,46 @@ bool ReplayScheduler::needs_quota() const {
   }
 }
 
-bool ReplayScheduler::register_thread(Tcb* parent, Tcb* child) {
+std::uint64_t ReplayScheduler::log_tid_of(const Tcb* parent) const {
+  if (parent == nullptr) return kActorHost;
+  auto it = sim_to_log_.find(parent->id);
+  return it == sim_to_log_.end() ? kActorHost : it->second;
+}
+
+const ReplayScheduler::LoggedChild* ReplayScheduler::next_logged_child(
+    std::uint64_t log_parent) const {
+  auto kids = children_of_.find(log_parent);
+  if (kids == children_of_.end()) return nullptr;
+  auto next = next_ordinal_.find(log_parent);
+  const std::size_t ordinal = next == next_ordinal_.end() ? 0 : next->second;
+  return ordinal < kids->second.size() ? &kids->second[ordinal] : nullptr;
+}
+
+bool ReplayScheduler::dives(const Tcb* parent, const Tcb* child) const {
+  (void)child;
   if (pinning_ == Pinning::Pin) {
     // The caller gated on this spawn's SpawnReg record, so the head's flags
     // are this child's logged placement. After log exhaustion, free-run as
     // FIFO (no preemption).
     return (session_->spawn_flags_hint(0) & kSpawnPreempt) != 0;
   }
-  const std::uint64_t log_parent = parent ? [this, parent] {
-    auto it = sim_to_log_.find(parent->id);
-    return it == sim_to_log_.end() ? kActorHost : it->second;
-  }() : kActorHost;
-  auto kids = children_of_.find(log_parent);
-  const std::size_t ordinal = next_ordinal_[log_parent]++;
-  if (kids == children_of_.end() || ordinal >= kids->second.size()) {
+  const LoggedChild* lc = next_logged_child(log_tid_of(parent));
+  return lc != nullptr && (lc->flags & kSpawnPreempt) != 0;
+}
+
+void ReplayScheduler::register_thread(Tcb* parent, Tcb* child) {
+  if (pinning_ == Pinning::Pin) return;
+  const std::uint64_t log_parent = log_tid_of(parent);
+  const LoggedChild* lc = next_logged_child(log_parent);
+  ++next_ordinal_[log_parent];
+  if (lc == nullptr) {
     // The simulated run spawned more children here than the log saw (fault
     // or OOM timing differs across engines) — unmapped, FIFO placement.
     ++divergences_;
-    return false;
+    return;
   }
-  const LoggedChild& lc = kids->second[ordinal];
-  sim_to_log_[child->id] = lc.tid;
-  log_to_sim_[lc.tid] = child->id;
-  return (lc.flags & kSpawnPreempt) != 0;
+  sim_to_log_[child->id] = lc->tid;
+  log_to_sim_[lc->tid] = child->id;
 }
 
 void ReplayScheduler::on_ready(Tcb* t, int proc) {

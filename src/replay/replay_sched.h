@@ -50,7 +50,10 @@ class ReplayScheduler final : public Scheduler {
     return logged_kind_ == SchedKind::ClusteredAdf;
   }
 
-  bool register_thread(Tcb* parent, Tcb* child) override;
+  /// Pin: the gated head SpawnReg's placement. Cross: the logged placement
+  /// of the parent's next child.
+  bool dives(const Tcb* parent, const Tcb* child) const override;
+  void register_thread(Tcb* parent, Tcb* child) override;
   void on_ready(Tcb* t, int proc) override;
   Tcb* pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) override;
   void unregister_thread(Tcb* t) override;
@@ -86,6 +89,11 @@ class ReplayScheduler final : public Scheduler {
     std::uint64_t tid = 0;
     std::uint64_t flags = 0;
   };
+  /// Cross mode: the log tid of a simulated parent (kActorHost for none).
+  std::uint64_t log_tid_of(const Tcb* parent) const;
+  /// Cross mode: the logged spawn the parent's next child maps to, or
+  /// nullptr when the simulated run spawned more children than the log.
+  const LoggedChild* next_logged_child(std::uint64_t log_parent) const;
   std::unordered_map<std::uint64_t, std::vector<LoggedChild>> children_of_;
   std::unordered_map<std::uint64_t, std::size_t> next_ordinal_;  ///< by log tid
   std::unordered_map<std::uint64_t, std::uint64_t> sim_to_log_;

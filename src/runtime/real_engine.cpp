@@ -167,6 +167,8 @@ RealEngine::RealEngine(const RuntimeOptions& opts) : opts_(opts) {
                             opts_.cluster_size);
   }
   ndomains_ = sched_->domains();
+  // A recording or a pinned replay must order every ready in a section.
+  posts_ = ndomains_ == 1 && !replay::pinned();
   domains_ = std::make_unique<Domain[]>(static_cast<std::size_t>(ndomains_));
   eff_quota_.store(opts_.mem_quota, std::memory_order_relaxed);
   stats_.engine = EngineKind::Real;
@@ -300,8 +302,8 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
                   is_dummy ? obs::EvKind::DummySpawn : obs::EvKind::Fork,
                   parent ? parent->id : 0, child->id);
   // Fork edge, emitted before the child is published to the scheduler —
-  // another worker may dispatch it (and charge work to it) the moment
-  // register_thread returns. The offset is the parent's uncharged partial
+  // another worker may dispatch it (and charge work to it) the moment it
+  // is ready. The offset is the parent's uncharged partial
   // slice so the child inherits the span as of *now*, not slice start.
   DFTH_PROF_THREAD_START(
       child->id, parent ? parent->id : 0,
@@ -331,29 +333,33 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
 
   // Counted live before it is published: its exit may follow at once.
   std::int64_t live = live_.fetch_add(1, std::memory_order_relaxed) + 1;
-  bool preempt;
-  bool left = false;
+  // A bound (or engine-external) caller has no worker to preempt. The gate
+  // comes first: a pinned replay answers dives() from the gated record.
   DFTH_REPLAY_GATE_SELF();
-  {
-    Section s(*this, own_domain(w), w);
-    preempt = sched_->register_thread(parent, child);
-    // A bound (or engine-external) caller has no worker to preempt.
-    preempt = preempt && w && parent && !parent->attr.bound;
-    // Logged once the placement is final: b is the *effective* decision
-    // (fork dive or queued), which is what replay must pin.
-    [[maybe_unused]] const std::uint64_t b =
-        spawn_record_b(preempt ? ::dfth::replay::kSpawnPreempt : 0, &live);
-    DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                       ::dfth::replay::self_actor(), child->id, b);
-    // A fork dive's parent requeue and child dispatch wait for the lane's
-    // post-switch section: the parent is published only once it is saved.
-    if (!preempt) {
-      DFTH_DCHECK(sched_->ready_domain(child, w ? w->id : 0) == own_domain(w));
-      make_ready_locked(child, w ? w->id : 0, w);
-      left = true;
+  const bool preempt =
+      w && parent && !parent->attr.bound && sched_->dives(parent, child);
+  // A fork dive's registration, parent requeue and child dispatch wait for
+  // the lane's post-switch step: the parent is published only once it is
+  // saved.
+  if (posts_ && w) {
+    if (!preempt) post(*w, child, PostKind::Spawn);
+  } else {
+    {
+      Section s(*this, own_domain(w), w);
+      sched_->register_thread(parent, child);
+      // b is the *effective* decision (fork dive or queued), which is what
+      // replay must pin.
+      [[maybe_unused]] const std::uint64_t b =
+          spawn_record_b(preempt ? ::dfth::replay::kSpawnPreempt : 0, &live);
+      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
+                         ::dfth::replay::self_actor(), child->id, b);
+      if (!preempt) {
+        DFTH_DCHECK(sched_->ready_domain(child, w ? w->id : 0) == own_domain(w));
+        make_ready_locked(child, w ? w->id : 0, w);
+      }
     }
+    if (!preempt) wake_idle();
   }
-  if (left) wake_idle();
   count(w, [&](LaneCounters& c) {
     ++c.threads_created;
     if (is_dummy) ++c.dummy_threads;
@@ -601,8 +607,15 @@ void RealEngine::wake(Tcb* t) {
     return;
   }
   // The waker may keep running (a barrier's last arrival, a spin-wait on
-  // the woken fiber), so a parked worker takes the woken fiber now.
-  ready_section(t, this_worker(), ::dfth::replay::EvKind::Wake,
+  // the woken fiber), so a parked worker takes the woken fiber now. A fiber
+  // whose own dive registration is still posted is readied in a section,
+  // which applies that registration first.
+  Worker* w = this_worker();
+  if (posts_ && w && !t->posted.load(std::memory_order_acquire)) {
+    post(*w, t, PostKind::Wake);
+    return;
+  }
+  ready_section(t, w, ::dfth::replay::EvKind::Wake,
                 ::dfth::replay::self_actor());
 }
 
@@ -611,7 +624,10 @@ void RealEngine::ready_section(Tcb* t, Worker* w, replay::EvKind kind,
   (void)kind;
   (void)actor;
   const int proc = w ? w->id : 0;
-  const int domain = sched_->ready_domain(t, proc);
+  // With one domain there is nothing to ask, and asking would read t's
+  // placement, which a drain may be writing: t's registration can still be
+  // posted.
+  const int domain = ndomains_ == 1 ? 0 : sched_->ready_domain(t, proc);
   bool left;
   DFTH_REPLAY_GATE(actor);
   {
@@ -776,6 +792,55 @@ void RealEngine::make_ready_locked(Tcb* t, int proc, Worker* w) {
   bump_progress(w);
 }
 
+void RealEngine::post(Worker& w, Tcb* t, PostKind kind) {
+  t->post_kind = static_cast<std::uint8_t>(kind);
+  t->posted.store(true, std::memory_order_relaxed);
+  t->post_link = w.posted.load(std::memory_order_relaxed);
+  while (!w.posted.compare_exchange_weak(t->post_link, t,
+                                         std::memory_order_release,
+                                         std::memory_order_relaxed)) {
+  }
+  wake_idle();
+}
+
+void RealEngine::drain(Worker* w) {
+  for (Worker& lane : workers_) {
+    if (lane.posted.load(std::memory_order_relaxed) == nullptr) continue;
+    // Newest first on the list; reverse it to apply in post order.
+    Tcb* fifo = nullptr;
+    for (Tcb* t = lane.posted.exchange(nullptr, std::memory_order_acquire);
+         t != nullptr;) {
+      Tcb* older = t->post_link;
+      t->post_link = fifo;
+      fifo = t;
+      t = older;
+    }
+    while (fifo != nullptr) {
+      Tcb* next = fifo->post_link;
+      apply_post(fifo, lane.id, w);
+      fifo = next;
+    }
+  }
+}
+
+void RealEngine::apply_post(Tcb* t, int proc, Worker* w) {
+  switch (static_cast<PostKind>(t->post_kind)) {
+    case PostKind::Spawn:
+      sched_->register_thread(t->parent, t);
+      make_ready_locked(t, proc, w);
+      break;
+    case PostKind::Dive:
+      sched_->register_thread(t->parent, t);
+      make_ready_locked(t->parent, proc, w);
+      break;
+    case PostKind::Wake:
+      make_ready_locked(t, proc, w);
+      break;
+  }
+  t->post_link = nullptr;
+  t->posted.store(false, std::memory_order_release);
+}
+
 void RealEngine::begin_dispatch(Worker& w, Tcb* t, std::uint64_t flags,
                                 replay::SectionLog& log) {
   t->state.store(ThreadState::Running, std::memory_order_relaxed);
@@ -889,6 +954,17 @@ std::uint64_t RealEngine::dispatch_cancel_flags(Worker& w, Tcb* t,
 }
 
 Tcb* RealEngine::transition(Worker& w, bool dive) {
+  if (dive && posts_) {
+    // The child runs at once; its registration and the saved parent's
+    // requeue are posted for the domain's next section.
+    Tcb* child = w.post_next;
+    DFTH_DCHECK(child->parent == w.post_fiber);
+    replay::SectionLog log;
+    begin_dispatch(w, child, ::dfth::replay::kDispatchForkDive, log);
+    w.post = Post::None;
+    post(w, child, PostKind::Dive);
+    return child;
+  }
   Tcb* t = nullptr;
   Tcb* remote_joiner;
   int steal_from = -1;
@@ -1003,12 +1079,12 @@ void RealEngine::worker_loop(Worker& w) {
       continue;
     }
     // Found work during the re-scan: leave the idle list. A waker that
-    // claimed this worker before it parked may have meant its wake for work
-    // in another domain, so pass the wake on. (With one domain the
-    // transition's own wake_idle already covered any work left.)
+    // claimed this worker before it parked meant its wake for work this
+    // worker may not have taken (another domain's, or a ready posted after
+    // its section), so pass the wake on.
     if (w.idle.load(std::memory_order_relaxed)) {
       leave_idle(w);
-    } else if (unparked_claim && ndomains_ > 1) {
+    } else if (unparked_claim) {
       wake_idle();
     }
     unparked_claim = false;
@@ -1283,6 +1359,28 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
 
   Timer timer;
 
+  // Resource-exhaustion degradation: losing workers only loses parallelism.
+  // Worker 0 is exempt so the run is always able to make progress. The kept
+  // count is fixed *before* any thread starts: ids stay dense in
+  // [0, nprocs), which every scheduler hint path assumes. The lanes exist
+  // before main is registered, because a bound main's sections drain every
+  // lane's posted list.
+  int kept_workers = 0;
+  for (int i = 0; i < opts_.nprocs; ++i) {
+    if (i > 0 && DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kWorkerSpawn)) {
+      DFTH_FAULT_RECOVERED(resil::FaultSite::kWorkerSpawn);
+      continue;
+    }
+    ++kept_workers;
+  }
+  workers_ = std::vector<Worker>(static_cast<std::size_t>(kept_workers));
+  idle_.reserve(static_cast<std::size_t>(kept_workers));
+  for (int i = 0; i < kept_workers; ++i) {
+    Worker& w = workers_[static_cast<std::size_t>(i)];
+    w.id = i;
+    w.domain = sched_->lock_domain(i);
+  }
+
   Tcb* main = make_tcb(
       [&main_fn]() -> void* {
         main_fn();
@@ -1329,25 +1427,6 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
                        ::dfth::replay::kActorHost, main->id, b);
   }
 
-  // Resource-exhaustion degradation: losing workers only loses parallelism.
-  // Worker 0 is exempt so the run is always able to make progress. The kept
-  // count is fixed *before* any thread starts: ids stay dense in
-  // [0, nprocs), which every scheduler hint path assumes.
-  int kept_workers = 0;
-  for (int i = 0; i < opts_.nprocs; ++i) {
-    if (i > 0 && DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kWorkerSpawn)) {
-      DFTH_FAULT_RECOVERED(resil::FaultSite::kWorkerSpawn);
-      continue;
-    }
-    ++kept_workers;
-  }
-  workers_ = std::vector<Worker>(static_cast<std::size_t>(kept_workers));
-  idle_.reserve(static_cast<std::size_t>(kept_workers));
-  for (int i = 0; i < kept_workers; ++i) {
-    Worker& w = workers_[static_cast<std::size_t>(i)];
-    w.id = i;
-    w.domain = sched_->lock_domain(i);
-  }
   for (auto& w : workers_) {
     // Genuine kernel-thread exhaustion: retry with backoff — other processes
     // (or our own exiting bound threads) may return slots — then give up

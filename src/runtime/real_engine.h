@@ -29,12 +29,24 @@
 // retirement with its joiner's wake) into the section of its next dispatch:
 // the fork dive's child, or its next pick. A lane whose own domain is dry
 // steals: one section of the victim's domain per victim tried. No code
-// holds two domain locks at once. live_ is an atomic; run counters,
-// progress counts and the created-Tcb lists are per worker. Idle workers
-// register on an idle list behind its own lock, re-scan every domain, then
-// park; a section that leaves ready work behind unparks one of them. mu_
-// guards only cold state: bound threads, counters of callers that are not
-// workers, and the snapshots of the flight recorder.
+// holds two domain locks at once.
+//
+// Posted readies: with a one-domain policy and no replay session, making a
+// thread ready takes no section. A spawn, a fork dive (once the parent is
+// saved) and a wake from a fiber push the Tcb onto the lane's own posted
+// list with one release CAS, and every section of the domain first applies
+// all lanes' lists, each in post order. A fork dive then dispatches its
+// child without a section, so a spawned AsyncDF thread costs one section:
+// its exit's. A wake of a fiber whose own registration is still posted
+// takes a section instead, so its events apply in order. With a replay
+// session installed, readies take the sections above, which the log orders.
+//
+// live_ is an atomic; run counters, progress counts and the created-Tcb
+// lists are per worker. Idle workers register on an idle list behind its
+// own lock, re-scan every domain, then park; a section that leaves ready
+// work behind, or a post, unparks one of them. mu_ guards only cold state:
+// bound threads, counters of callers that are not workers, and the
+// snapshots of the flight recorder.
 #pragma once
 
 #include <atomic>
@@ -97,6 +109,13 @@ class RealEngine final : public Engine {
                     ///< the scheduler and make post_next (its joiner) ready
   };
 
+  /// What a posted Tcb asks the domain's next section to apply.
+  enum class PostKind : std::uint8_t {
+    Spawn,  ///< register the child, then make it ready (the parent runs on)
+    Dive,   ///< register the child, then requeue its parent
+    Wake,   ///< make the woken fiber ready
+  };
+
   /// Run counters one lane owns. A worker's are written only by its own
   /// kernel thread; ext_counters_ (host, supervisor, bound threads) only
   /// under mu_. run() sums them into the RunStats.
@@ -143,6 +162,9 @@ class RealEngine final : public Engine {
     std::atomic<bool> idle{false};
     Parker parker;
     std::thread thread;
+    /// Posted readies, newest first (intrusive through Tcb::post_link). Only
+    /// this lane pushes; a section of the domain takes the whole list.
+    alignas(64) std::atomic<Tcb*> posted{nullptr};
   };
 
   /// One lock domain of the scheduler, on a cache line of its own.
@@ -151,7 +173,8 @@ class RealEngine final : public Engine {
   };
 
   /// One critical section of a domain's lock, counted on the caller's lane
-  /// (w, or the external lane when w is null).
+  /// (w, or the external lane when w is null). It first applies the posted
+  /// readies, so the section sees every event posted before it.
   class Section {
    public:
     Section(RealEngine& e, int domain, Worker* w)
@@ -162,6 +185,7 @@ class RealEngine final : public Engine {
       } else {
         e.ext_sections_.fetch_add(1, std::memory_order_relaxed);
       }
+      if (e.posts_) e.drain(w);
     }
     ~Section() { lock_.unlock(); }
     Section(const Section&) = delete;
@@ -219,8 +243,9 @@ class RealEngine final : public Engine {
   void worker_loop(Worker& w);
   /// One scheduling transition of w: the section of its own domain settles
   /// the post-switch action and dispatches the fork dive's child or its own
-  /// pick; a dry domain then starts a steal round. Returns the fiber to run,
-  /// or nullptr when there is none (or the run is done).
+  /// pick; a dry domain then starts a steal round. A posted fork dive takes
+  /// no section. Returns the fiber to run, or nullptr when there is none (or
+  /// the run is done).
   Tcb* transition(Worker& w, bool dive);
   /// Tries each other domain that holds ready work, from `start` on, in one
   /// section of the victim's lock each; returns the stolen, dispatched
@@ -237,6 +262,12 @@ class RealEngine final : public Engine {
   /// Under the lock of ready_domain(t, proc): t becomes Ready with the
   /// scheduler.
   void make_ready_locked(Tcb* t, int proc, Worker* w);
+  /// Pushes t onto w's posted list, then runs the idle handshake.
+  void post(Worker& w, Tcb* t, PostKind kind);
+  /// Domain locked: applies every lane's posted list, each in post order.
+  void drain(Worker* w);
+  /// Domain locked: applies one posted Tcb as lane `proc` posted it.
+  void apply_post(Tcb* t, int proc, Worker* w);
   /// A gated section of t's ready domain that readies t and commits `kind`
   /// for `actor`, then unparks an idle worker if work is left.
   void ready_section(Tcb* t, Worker* w, replay::EvKind kind, std::uint64_t actor);
@@ -303,6 +334,8 @@ class RealEngine final : public Engine {
   RuntimeOptions opts_;
   std::unique_ptr<Scheduler> sched_;
   int ndomains_ = 1;
+  /// One domain and no replay session: readies are posted, not locked.
+  bool posts_ = false;
   std::unique_ptr<Domain[]> domains_;
 
   // The only line every lane writes on a spawn or an exit. next_tid_ is

@@ -854,7 +854,8 @@ void SimEngine::handle_event(VProc& vp, int pid) {
       vp.bd.mem_us += stack_us;
 
       sched_lock_own(vp, pid);
-      const bool preempt_parent = sched_->register_thread(parent, child);
+      const bool preempt_parent = sched_->dives(parent, child);
+      sched_->register_thread(parent, child);
       DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg, parent->id,
                          child->id,
                          preempt_parent ? ::dfth::replay::kSpawnPreempt : 0);

@@ -69,6 +69,12 @@ struct Tcb {
   Tcb* sched_next = nullptr;  ///< intrusive link for FIFO/LIFO/deque storage
                               ///< and AsyncDF's ready list
   Tcb* created_next = nullptr;  ///< RealEngine's per-lane list of created Tcbs
+  /// RealEngine's posted readies (one-domain policies): the next older entry
+  /// of the lane's posted list, what the entry asks for, and whether it is
+  /// still waiting for a section to apply it. A Tcb sits on at most one list.
+  Tcb* post_link = nullptr;
+  std::uint8_t post_kind = 0;
+  std::atomic<bool> posted{false};
 
   // -- wait queues ------------------------------------------------------------
   Tcb* wait_next = nullptr;  ///< intrusive link while blocked on a sync object

@@ -33,7 +33,8 @@ struct Harness {
 
   bool spawn(Scheduler& s, Tcb* parent, Tcb* child, int proc = 0) {
     child->parent = parent;
-    const bool preempt = s.register_thread(parent, child);
+    const bool preempt = s.dives(parent, child);
+    s.register_thread(parent, child);
     if (preempt) {
       if (parent) {
         parent->state.store(ThreadState::Ready, std::memory_order_relaxed);

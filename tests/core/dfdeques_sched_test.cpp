@@ -73,7 +73,7 @@ TEST(DfDeques, SpawnPreemptsParentAndKeepsQuota) {
   Harness h;
   Tcb* parent = h.make();
   Tcb* child = h.make();
-  EXPECT_TRUE(s.register_thread(parent, child));  // work-first
+  EXPECT_TRUE(s.dives(parent, child));  // work-first
   EXPECT_TRUE(s.needs_quota());
 }
 

@@ -30,7 +30,8 @@ struct Harness {
   /// Emulates the engine's spawn protocol; returns true if the child
   /// preempted the parent.
   bool spawn(Scheduler& s, Tcb* parent, Tcb* child, int proc = 0) {
-    const bool preempt = s.register_thread(parent, child);
+    const bool preempt = s.dives(parent, child);
+    s.register_thread(parent, child);
     if (preempt) {
       if (parent) {
         parent->state.store(ThreadState::Ready, std::memory_order_relaxed);

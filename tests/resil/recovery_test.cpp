@@ -123,13 +123,19 @@ TEST_P(RecoveryTest, SyncTimeoutFaultForcesOneTimedOutLock) {
   EXPECT_TRUE(second);
 }
 
+// A heap that can never satisfy the request. One allocation request draws
+// the heap.alloc site once, so the injected failure covers the first
+// attempt only; every retry then fails for real (a size no allocator can
+// serve). K = 0 keeps df_malloc from forking a dummy tree for the request.
 TEST_P(RecoveryTest, DfTryMallocReportsNoMemWhenEveryRetryFails) {
   resil::FaultPlan plan;
   plan.site(resil::FaultSite::kHeapAlloc).probability = 1.0;
+  RuntimeOptions o = opts(&plan);
+  o.mem_quota = 0;
   DfStatus status = DfStatus::kOk;
   void* p = reinterpret_cast<void*>(1);
-  const RunStats stats = run(opts(&plan), [&] {
-    p = df_try_malloc(512, &status);
+  const RunStats stats = run(o, [&] {
+    p = df_try_malloc(std::size_t{1} << 62, &status);
   });
   EXPECT_EQ(p, nullptr);
   EXPECT_EQ(status, DfStatus::kNoMem);

@@ -3,7 +3,8 @@
 // hand-written benchmarks.
 //
 //  * AsyncDF space: live threads stay near the serial depth, and heap stays
-//    within S1 + c·p·K·D for generated allocating programs.
+//    within S1 + c·p·K·D for generated allocating programs, on the simulator
+//    and on the real engine.
 //  * FIFO live threads dominate AsyncDF's on every generated program.
 //  * All schedulers compute identical results (schedule-invariance).
 //  * Simulated time is deterministic and Brent-consistent.
@@ -146,6 +147,14 @@ TEST_P(RandomProgramTest, AsyncDfHeapWithinS1PlusPkd) {
     const RunStats fifo = run(sim_opts(SchedKind::Fifo, p, quota), [&] { prog(); });
     EXPECT_LE(stats.heap_peak, fifo.heap_peak * 110 / 100) << "p=" << p;
   }
+
+  // The real engine at p = 4 posts its readies and applies them at the
+  // domain's next section. The bound holds for any timing of readies.
+  RuntimeOptions real = sim_opts(SchedKind::AsyncDf, 4, quota);
+  real.engine = EngineKind::Real;
+  const RunStats stats = run(real, [&] { prog(); });
+  const auto bound = s1 + static_cast<std::int64_t>(2ull * 4 * quota * span_segments);
+  EXPECT_LE(stats.heap_peak, bound) << "real p=4 S1=" << s1;
 }
 
 TEST_P(RandomProgramTest, SimulationIsDeterministic) {

@@ -30,15 +30,26 @@ TEST_P(RwLockTest, ReadersShareWritersExclude) {
   std::atomic<bool> writer_alone_ok{true};
   long long value = 0;
 
+  // Handshake: in its first round every reader waits inside its read
+  // section until all readers have entered, and the writers start only
+  // then (a waiting writer would hold new readers out). The readers'
+  // overlap is then a fact of the program, not of the host's timing.
+  constexpr int kThreads = 24;
+  constexpr int kReaders = kThreads - kThreads / 4;
+  std::atomic<int> entered{0};
+
   // FIFO here on purpose: a yielding thread goes to the queue tail, so
   // reader sections interleave observably (AsyncDF's depth-first order
   // would legitimately resume the yielder immediately).
   run(opts(8, SchedKind::Fifo), [&] {
     RwLock lock;
     std::vector<Thread> threads;
-    for (int i = 0; i < 24; ++i) {
+    for (int i = 0; i < kThreads; ++i) {
       const bool is_writer = (i % 4 == 0);
       threads.push_back(spawn([&, is_writer]() -> void* {
+        if (is_writer) {
+          while (entered.load() < kReaders) yield();
+        }
         for (int round = 0; round < 20; ++round) {
           if (is_writer) {
             RwLock::WriteGuard guard(lock);
@@ -52,7 +63,12 @@ TEST_P(RwLockTest, ReadersShareWritersExclude) {
             int prev = max_readers.load();
             while (prev < now && !max_readers.compare_exchange_weak(prev, now)) {
             }
-            yield();
+            if (round == 0) {
+              entered.fetch_add(1);
+              while (entered.load() < kReaders) yield();
+            } else {
+              yield();
+            }
             concurrent_readers.fetch_sub(1);
           }
         }
