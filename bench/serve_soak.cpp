@@ -12,7 +12,7 @@
 // series and peak RSS are written to BENCH_serve_soak.json; read it back
 // with `tools/dfth-trace --serve BENCH_serve_soak.json`.
 //
-// CI runs this under -DDFTH_FAULTS=ON with a fixed fault seed, then uses
+// CI runs this on the default build with a fixed fault seed, then uses
 // --record-dir / --replay-dir (one run per engine pass, like faults_soak)
 // to gate the record leg against the replay leg on the DFTH-SIG lines.
 #include <cmath>
@@ -367,7 +367,7 @@ int main(int argc, char** argv) {
   auto* budget_kb = common.cli.int_opt(
       "budget-kb", 4096, "admission budget over baseline, KiB");
   auto* fault_seed = common.cli.int_opt(
-      "fault-seed", 0, "fault-plan seed (0 = faults off even when built in)");
+      "fault-seed", 0, "fault-plan seed (0 = no fault plan)");
   auto* record_dir = common.cli.str_opt(
       "record-dir", "", "record each pass's schedule log into this directory");
   auto* replay_dir = common.cli.str_opt(
@@ -393,7 +393,7 @@ int main(int argc, char** argv) {
   prm.seed = static_cast<std::uint64_t>(*common.seed);
 
   resil::FaultPlan plan;
-  const bool faulting = resil::kFaultsEnabled && *fault_seed != 0;
+  const bool faulting = *fault_seed != 0;
   if (faulting) {
     plan.seed = static_cast<std::uint64_t>(*fault_seed);
     Rng rng(plan.seed);

@@ -82,20 +82,17 @@ int main(int argc, char** argv) {
 
   common.write_json();
 
-  if (!resil::kFaultsEnabled) {
-    // Zero-overhead check for the default build: with -DDFTH_FAULTS=OFF the
-    // probe macros are literal constants, so after three full runs the
-    // injector must never have been consulted.
-    const auto evals = resil::FaultInjector::instance().evaluations_total();
-    if (evals != 0) {
-      std::fprintf(stderr,
-                   "fault hooks leaked into the faults-OFF build: %llu site "
-                   "evaluations\n",
-                   static_cast<unsigned long long>(evals));
-      return 1;
-    }
-    std::puts("fault hooks: compiled out, 0 site evaluations (zero overhead)");
+  // No plan, no evaluations: none of the runs above set fault_plan, so a
+  // disarmed probe must never have reached the injector.
+  const auto evals = resil::FaultInjector::instance().evaluations_total();
+  if (evals != 0) {
+    std::fprintf(stderr,
+                 "fault probes reached the injector with no plan armed: %llu "
+                 "site evaluations\n",
+                 static_cast<unsigned long long>(evals));
+    return 1;
   }
+  std::puts("fault probes: no plan armed, 0 site evaluations");
 
   std::printf("(inspect with: dfth-trace summary %s_sim_fifo.json)\n",
               out->c_str());

@@ -1,8 +1,8 @@
-// Scheduler-invariant validator. In -DDFTH_VALIDATE=ON builds,
-// make_scheduler wraps every policy in an AuditedScheduler decorator whose
-// InvariantAuditor re-checks, on every hook call, the contract documented in
-// core/scheduler.h plus the AsyncDF-specific properties from the paper
-// (§4 item 2):
+// Scheduler-invariant validator. While the validation switch is on
+// (analyze/validation.h), make_scheduler wraps every policy in an
+// AuditedScheduler decorator whose InvariantAuditor re-checks, on every hook
+// call, the contract documented in core/scheduler.h plus the
+// AsyncDF-specific properties from the paper (§4 item 2):
 //
 //  generic (any policy):
 //   * register_thread is called exactly once per thread, with a registered
@@ -26,7 +26,7 @@
 //
 // The scheduler-side hooks run under a lock domain's lock, and processors
 // in different domains call them at the same time, so the auditor keeps
-// its registered set behind a lock of its own (validate builds only). The
+// its registered set behind a lock of its own (validated runs only). The
 // allocation hook runs in fiber context and touches only the allocating
 // thread's own Tcb fields plus atomic counters.
 #pragma once
@@ -93,10 +93,10 @@ class InvariantAuditor {
   std::atomic<bool> abort_on_violation_{true};
 };
 
-/// Decorator installed by make_scheduler under DFTH_VALIDATE. Forwards every
-/// Scheduler call to the wrapped policy and audits the result. underlying()
-/// exposes the wrapped policy so engines can still dynamic_cast for
-/// policy-specific stats.
+/// Decorator installed by make_scheduler while the validation switch is on.
+/// Forwards every Scheduler call to the wrapped policy and audits the
+/// result. underlying() exposes the wrapped policy so engines can still
+/// dynamic_cast for policy-specific stats.
 class AuditedScheduler final : public Scheduler {
  public:
   explicit AuditedScheduler(std::unique_ptr<Scheduler> inner);

@@ -80,6 +80,13 @@ std::uint64_t LockGraph::cycles_detected() const {
   return cycles_;
 }
 
+std::size_t LockGraph::edge_count() const {
+  std::lock_guard<std::mutex> g(mu_);
+  std::size_t n = 0;
+  for (const auto& [from, to] : edges_) n += to.size();
+  return n;
+}
+
 void LockGraph::clear() {
   std::lock_guard<std::mutex> g(mu_);
   edges_.clear();

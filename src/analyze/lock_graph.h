@@ -10,12 +10,15 @@
 // checker would almost never trip; the order graph catches the hazard on
 // any schedule that merely exercises both paths.
 //
-// The graph is cumulative across the run (edges are never removed on
-// release) and keyed by lock address. Hooks are compiled into
-// runtime/sync.cpp only under -DDFTH_VALIDATE=ON; the class itself is
-// always built so unit tests can drive it directly.
+// The graph is cumulative across runs (edges are never removed on
+// release) and keyed by lock address. runtime/sync.cpp reports to
+// active_lock_graph(), which points at instance() only for the duration of
+// a run started with the validation switch on (analyze/validation.h); any
+// other run pays one load and a branch per lock operation. The class can
+// also be instantiated directly, so unit tests drive it without an engine.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
@@ -27,13 +30,19 @@ struct Tcb;
 
 namespace analyze {
 
-/// True when the build carries the validation hooks (-DDFTH_VALIDATE=ON).
-constexpr bool validate_enabled() {
-#if DFTH_VALIDATE
-  return true;
-#else
-  return false;
-#endif
+class LockGraph;
+
+namespace detail {
+/// Set by dfth::run for the duration of one run; nullptr outside validated
+/// runs. Constant while any fiber of the run executes, so a fiber's acquire
+/// and its release always reach the same graph (or neither does).
+inline std::atomic<LockGraph*> g_active_lock_graph{nullptr};
+}  // namespace detail
+
+/// The graph the sync primitives report to, or nullptr when this run is
+/// not validated.
+inline LockGraph* active_lock_graph() {
+  return detail::g_active_lock_graph.load(std::memory_order_relaxed);
 }
 
 class LockGraph {
@@ -66,6 +75,8 @@ class LockGraph {
 
   void set_abort_on_cycle(bool abort_on_cycle);
   std::uint64_t cycles_detected() const;
+  /// Order edges recorded so far.
+  std::size_t edge_count() const;
 
   /// Drops all edges and counters (tests; locks held by live threads stay
   /// in their Tcbs).

@@ -33,7 +33,7 @@
 // and the serial-order (order-list) positions of the racing segments, so
 // "these two segments are unordered in the depth-first serial order" reads
 // directly off the report. Hooks compile in under -DDFTH_RACE=ON
-// (composable with -DDFTH_VALIDATE); the class itself is always built and
+// (composable with validation); the class itself is always built and
 // instantiable so unit tests can drive it directly, mirroring LockGraph.
 #pragma once
 

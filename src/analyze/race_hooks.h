@@ -1,7 +1,8 @@
 // Hook macros the runtime uses to feed the happens-before race detector
 // (analyze/race_detector.h). They compile to nothing unless the build sets
-// -DDFTH_RACE=ON, mirroring the DFTH_LOCK_* hooks' relationship to
-// DFTH_VALIDATE, so release builds pay zero overhead.
+// -DDFTH_RACE=ON, so release builds pay zero overhead: the detector's
+// shadow memory is a structural cost, unlike the lock graph's run-time
+// switch (analyze/validation.h).
 //
 // Placement contract (matters only under the RealEngine, where fibers run
 // on concurrent kernel threads): release-side hooks and fast-path

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "analyze/auditor.h"
+#include "analyze/validation.h"
 #include "core/asyncdf_sched.h"
 #include "core/clustered_sched.h"
 #include "core/dfdeques_sched.h"
@@ -53,9 +54,9 @@ std::unique_ptr<Scheduler> make_scheduler(SchedKind kind, int nprocs,
       break;
   }
   DFTH_CHECK_MSG(sched != nullptr, "unknown scheduler kind");
-#if DFTH_VALIDATE
-  sched = std::make_unique<analyze::AuditedScheduler>(std::move(sched));
-#endif
+  if (analyze::validation()) {
+    sched = std::make_unique<analyze::AuditedScheduler>(std::move(sched));
+  }
   return sched;
 }
 

@@ -157,13 +157,15 @@ class Scheduler {
   }
 
   /// The concrete policy object, unwrapping any validation decorator
-  /// (DFTH_VALIDATE builds wrap every policy in analyze::AuditedScheduler);
+  /// (validated runs wrap every policy in analyze::AuditedScheduler);
   /// engines dynamic_cast this for policy-specific stats.
   virtual Scheduler* underlying() { return this; }
 };
 
 /// Factory. `nprocs`/`seed` matter only to work stealing (deque count and
-/// victim selection); `cluster_size` only to the clustered scheduler.
+/// victim selection); `cluster_size` only to the clustered scheduler. With
+/// the validation switch on (analyze/validation.h) the policy comes wrapped
+/// in analyze::AuditedScheduler.
 std::unique_ptr<Scheduler> make_scheduler(SchedKind kind, int nprocs,
                                           std::uint64_t seed,
                                           int cluster_size = 4);

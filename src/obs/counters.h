@@ -43,7 +43,7 @@ enum class Counter : int {
   OomPreempts,      ///< heap exhaustion handled as an AsyncDF-style preempt
   InlineRuns,       ///< children run inline on the parent's stack (degraded spawn)
   SyncTimeouts,     ///< timed waits that expired before a waker claimed them
-  FaultsInjected,   ///< resil::FaultInjector failures injected (-DDFTH_FAULTS)
+  FaultsInjected,   ///< resil::FaultInjector failures injected (fault_plan)
   FaultsRecovered,  ///< injected failures absorbed by a degradation path
   kCount,
 };

@@ -15,8 +15,8 @@
 // whenever the mapped thread is ready; when the simulator's own causality
 // disagrees (virtual time, different OOM/fault timing) it falls back to FIFO
 // and keeps a divergence count instead of wedging. Constructed directly, not
-// through make_scheduler, so DFTH_VALIDATE's AuditedScheduler never audits a
-// pinned schedule against a policy it does not implement.
+// through make_scheduler, so a validated run's AuditedScheduler never audits
+// a pinned schedule against a policy it does not implement.
 //
 // This header is only compiled into the build when -DDFTH_REPLAY is ON (the
 // source list gates on the option); everything else reaches replay through

@@ -51,20 +51,22 @@ void FaultInjector::arm(const FaultPlan& plan) {
     injected_[i] = 0;
     recovered_[i].store(0, std::memory_order_relaxed);
   }
-  armed_.store(true, std::memory_order_release);
+  detail::g_faults_armed.store(true, std::memory_order_release);
 }
 
-void FaultInjector::disarm() { armed_.store(false, std::memory_order_release); }
+void FaultInjector::disarm() {
+  detail::g_faults_armed.store(false, std::memory_order_release);
+}
 
 bool FaultInjector::should_fail(FaultSite site) {
-  if (!armed_.load(std::memory_order_acquire)) return false;
+  if (!armed()) return false;
   const int i = static_cast<int>(site);
 #if DFTH_REPLAY
   // Only probes of *enabled* sites are ordered decisions: a site's per-thread
   // probe interleaving decides which thread draws each every_nth/probability
   // outcome, so replay must pin it. Disabled-site probes are order-free
   // no-ops; gating them would serialize every heap allocation and flood the
-  // log. plan_ is constant while armed_ (arm() publishes it with release),
+  // log. plan_ is constant while armed (arm() publishes it with release),
   // so this pre-lock read is safe. Every probe site sits outside any shared
   // lock (verified per site), so gating here cannot deadlock.
   const bool ordered = ::dfth::replay::active() != nullptr &&

@@ -1,20 +1,20 @@
 // Deterministic fault injection — the "chaos" half of the resilience layer.
 //
 // Every recoverable resource-acquisition point in the runtime is a named
-// *fault site* (stack.mmap, heap.alloc, ctx.create, ...). A build with
-// -DDFTH_FAULTS=ON compiles a DFTH_FAULT_SHOULD_FAIL(site) probe into each
-// site; an armed FaultInjector then decides — from a seeded PRNG, an
-// every-Nth counter, or both — whether that particular acquisition should
-// pretend to fail. Because the injector consumes one deterministic stream
-// per site, an identical FaultPlan replayed under SimEngine (which
-// serializes all fibers onto one host thread) produces the identical
-// failure schedule, so every recovery path is testable byte-for-byte.
+// *fault site* (stack.mmap, heap.alloc, ctx.create, ...) carrying a
+// DFTH_FAULT_SHOULD_FAIL(site) probe. Every build compiles the probes in;
+// RuntimeOptions::fault_plan arms the FaultInjector for one run, and the
+// injector then decides — from a seeded PRNG, an every-Nth counter, or
+// both — whether that particular acquisition should pretend to fail.
+// Because the injector consumes one deterministic stream per site, an
+// identical FaultPlan replayed under SimEngine (which serializes all fibers
+// onto one host thread) produces the identical failure schedule, so every
+// recovery path is testable byte-for-byte.
 //
-// With -DDFTH_FAULTS=OFF (the default) both hooks are literal constants:
-// DFTH_FAULT_SHOULD_FAIL(site) expands to (false) and
-// DFTH_FAULT_RECOVERED(site) to ((void)0), so production builds pay nothing
-// — tests/resil/faults_test.cpp static_asserts the expansion, mirroring the
-// obs-layer hook proof.
+// With no plan armed a probe is one relaxed load of a namespace-scope
+// atomic and a branch: no call, and no touch of FaultInjector::instance().
+// tests/resil/faults_test.cpp checks that a run without a plan evaluates
+// no site.
 #pragma once
 
 #include <atomic>
@@ -25,12 +25,6 @@
 #include "util/rng.h"
 
 namespace dfth::resil {
-
-#if DFTH_FAULTS
-inline constexpr bool kFaultsEnabled = true;
-#else
-inline constexpr bool kFaultsEnabled = false;
-#endif
 
 /// Named resource-acquisition points that can be made to fail.
 enum class FaultSite : int {
@@ -86,10 +80,16 @@ struct FaultPlan {
   static FaultPlan uniform_probability(std::uint64_t seed, double p);
 };
 
-/// Process-global injector. Disarmed it is a single relaxed atomic load per
-/// probe; armed it serializes evaluations through a mutex — acceptable
-/// because fault sites sit on resource-acquisition slow paths, and required
-/// so the per-site streams stay deterministic under SimEngine.
+namespace detail {
+/// True while a plan is armed. The probe macro reads it before it calls the
+/// injector; arm() and disarm() are its only writers.
+inline std::atomic<bool> g_faults_armed{false};
+}  // namespace detail
+
+/// Process-global injector. Disarmed it costs the probe one load of
+/// detail::g_faults_armed; armed it serializes evaluations through a mutex —
+/// acceptable because fault sites sit on resource-acquisition slow paths,
+/// and required so the per-site streams stay deterministic under SimEngine.
 class FaultInjector {
  public:
   static FaultInjector& instance();
@@ -102,7 +102,9 @@ class FaultInjector {
   /// schedule a finished run experienced.
   void disarm();
 
-  bool armed() const { return armed_.load(std::memory_order_acquire); }
+  bool armed() const {
+    return detail::g_faults_armed.load(std::memory_order_acquire);
+  }
 
   /// One evaluation of `site`: returns true if this acquisition must fail.
   bool should_fail(FaultSite site);
@@ -126,7 +128,6 @@ class FaultInjector {
   FaultInjector() = default;
 
   mutable std::mutex mu_;
-  std::atomic<bool> armed_{false};
   FaultPlan plan_;
   Rng rng_[kNumFaultSites];
   std::uint64_t evals_[kNumFaultSites] = {};
@@ -136,12 +137,8 @@ class FaultInjector {
 
 }  // namespace dfth::resil
 
-#if DFTH_FAULTS
-#define DFTH_FAULT_SHOULD_FAIL(site) \
-  (::dfth::resil::FaultInjector::instance().should_fail(site))
+#define DFTH_FAULT_SHOULD_FAIL(site)                                       \
+  (::dfth::resil::detail::g_faults_armed.load(std::memory_order_relaxed) && \
+   ::dfth::resil::FaultInjector::instance().should_fail(site))
 #define DFTH_FAULT_RECOVERED(site) \
   ::dfth::resil::FaultInjector::instance().on_recovered(site)
-#else
-#define DFTH_FAULT_SHOULD_FAIL(site) (false)
-#define DFTH_FAULT_RECOVERED(site) ((void)0)
-#endif

@@ -2,10 +2,10 @@
 
 #include <atomic>
 
-#if DFTH_VALIDATE
 #include "analyze/auditor.h"
-#endif
+#include "analyze/lock_graph.h"
 #include "analyze/race_hooks.h"
+#include "analyze/validation.h"
 #include "resil/faults.h"
 #include "runtime/real_engine.h"
 #include "runtime/sim_engine.h"
@@ -152,6 +152,13 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
                  "record_path/replay_path set but the build has -DDFTH_REPLAY=OFF");
 #endif
 
+  // Validation is decided here, before the engine exists: with the switch
+  // on, make_scheduler (in the engine's constructor) audits the policy, and
+  // the sync hooks report to the lock graph until this run returns.
+  analyze::detail::g_active_lock_graph.store(
+      analyze::validation() ? &analyze::LockGraph::instance() : nullptr,
+      std::memory_order_relaxed);
+
   std::unique_ptr<Engine> eng;
   if (effective.engine == EngineKind::Sim) {
     eng = std::make_unique<SimEngine>(effective);
@@ -166,6 +173,7 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
   detail::set_engine(eng.get());
   RunStats stats = eng->run(main_fn);
   detail::set_engine(nullptr);
+  analyze::detail::g_active_lock_graph.store(nullptr, std::memory_order_relaxed);
 #if DFTH_REPLAY
   if (session) {
     std::string error;
@@ -331,7 +339,6 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
       insert_dummy_threads((bytes + quota - 1) / quota);
     }
   }
-#if DFTH_VALIDATE
   // Audited after the dummy-tree insertion so the δ credit those dummies
   // earn at registration is visible to the oversized-allocation check.
   if (e && e->uses_alloc_quota()) {
@@ -339,7 +346,6 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
       aud->on_alloc(e->current(), bytes, e->quota_bytes());
     }
   }
-#endif
   std::int64_t fresh = 0;
   bool injected = false;
   void* p = TrackedHeap::instance().allocate_ex(bytes, &fresh,

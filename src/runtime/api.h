@@ -77,10 +77,10 @@ struct RuntimeOptions {
   /// for obs/export.h / tools/dfth-prof.
   obs::Profiler* profiler = nullptr;
 
-  /// Optional caller-owned fault-injection plan (resil/faults.h): when set
-  /// (and the build has DFTH_FAULTS), the engine arms the injector for the
-  /// duration of run(), so the named resource-acquisition sites fail on the
-  /// plan's deterministic schedule.
+  /// Optional caller-owned fault-injection plan (resil/faults.h): when set,
+  /// the engine arms the injector for the duration of run(), so the named
+  /// resource-acquisition sites fail on the plan's deterministic schedule.
+  /// Unset, every fault probe is one load and a branch.
   const resil::FaultPlan* fault_plan = nullptr;
 
   /// Stall-watchdog deadlines and dump destination (resil/watchdog.h).

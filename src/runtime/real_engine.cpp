@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 
+#include "analyze/auditor.h"
 #include "analyze/race_hooks.h"
 #include "core/worksteal_sched.h"
 #include "obs/counters.h"
@@ -18,10 +19,6 @@
 
 #if DFTH_REPLAY
 #include "replay/replay_sched.h"
-#endif
-
-#if DFTH_VALIDATE
-#include "analyze/auditor.h"
 #endif
 
 namespace dfth {
@@ -396,9 +393,7 @@ Tcb* RealEngine::run_inline(Tcb* child) {
   DFTH_REPLAY_GATE_SELF();
   {
     Section s(*this, own_domain(w), w);
-#if DFTH_VALIDATE
     if (auto* aud = analyze::active_auditor()) aud->on_inline_run(parent, child);
-#endif
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
                        ::dfth::replay::self_actor(), child->id,
                        ::dfth::replay::kSpawnInline);
@@ -676,9 +671,7 @@ bool RealEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   if (attempt >= kOomMaxAttempts) return false;
   DFTH_COUNT(obs::Counter::OomPreempts);
   Tcb* cur = current();
-#if DFTH_VALIDATE
   if (auto* aud = analyze::active_auditor()) aud->on_oom_preempt(cur);
-#endif
   // The halving is an ordered decision: every later dispatch grants
   // t->quota from eff_quota_, so the quota a fiber runs with — and hence
   // where it quota-preempts — depends on how many halvings landed before
@@ -1328,11 +1321,11 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   StackPool::instance().begin_epoch();
   eff_quota_.store(opts_.mem_quota, std::memory_order_relaxed);
 
-  // Arm the fault injector for this run if the caller supplied a plan (no-op
-  // when faults are compiled out). Per-run fault stats are deltas so a
-  // harness that armed the injector itself still gets accurate counts.
+  // Arm the fault injector for this run if the caller supplied a plan.
+  // Per-run fault stats are deltas so a harness that armed the injector
+  // itself still gets accurate counts.
   auto& inj = resil::FaultInjector::instance();
-  const bool armed_here = resil::kFaultsEnabled && opts_.fault_plan != nullptr;
+  const bool armed_here = opts_.fault_plan != nullptr;
   if (armed_here) inj.arm(*opts_.fault_plan);
   const std::uint64_t injected0 = inj.injected_total();
   const std::uint64_t recovered0 = inj.recovered_total();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "analyze/auditor.h"
 #include "analyze/race_hooks.h"
 #include "core/worksteal_sched.h"
 #include "obs/counters.h"
@@ -17,10 +18,6 @@
 
 #if DFTH_REPLAY
 #include "replay/replay_sched.h"
-#endif
-
-#if DFTH_VALIDATE
-#include "analyze/auditor.h"
 #endif
 
 namespace dfth {
@@ -177,9 +174,7 @@ Tcb* SimEngine::run_inline(Tcb* child) {
   ++stats_.inline_runs;
   if (child->is_dummy) ++stats_.dummy_threads;
   DFTH_COUNT(obs::Counter::InlineRuns);
-#if DFTH_VALIDATE
   if (auto* aud = analyze::active_auditor()) aud->on_inline_run(cur_, child);
-#endif
   charge(kThread, opts_.cost.create_unbound_us);
   DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg, cur_->id, child->id,
                      ::dfth::replay::kSpawnInline);
@@ -367,9 +362,7 @@ bool SimEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   if (!in_fiber_ || attempt >= kOomMaxAttempts) return false;
   ++stats_.oom_preemptions;
   DFTH_COUNT(obs::Counter::OomPreempts);
-#if DFTH_VALIDATE
   if (auto* aud = analyze::active_auditor()) aud->on_oom_preempt(cur_);
-#endif
   if (eff_quota_ > 0) eff_quota_ = std::max<std::size_t>(eff_quota_ / 2, 4096);
   // Exponential virtual backoff: later attempts wait longer for concurrent
   // frees to land.
@@ -445,12 +438,11 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
   heap_initial_live_ = TrackedHeap::instance().live_bytes();
   eff_quota_ = opts_.mem_quota;
 
-  // Arm the fault injector for this run if the caller supplied a plan (no-op
-  // when faults are compiled out). Per-run fault stats are deltas so a
-  // harness that armed the injector itself (and keeps it armed across runs)
-  // still gets accurate counts.
+  // Arm the fault injector for this run if the caller supplied a plan.
+  // Per-run fault stats are deltas so a harness that armed the injector
+  // itself (and keeps it armed across runs) still gets accurate counts.
   auto& inj = resil::FaultInjector::instance();
-  const bool armed_here = resil::kFaultsEnabled && opts_.fault_plan != nullptr;
+  const bool armed_here = opts_.fault_plan != nullptr;
   if (armed_here) inj.arm(*opts_.fault_plan);
   const std::uint64_t injected0 = inj.injected_total();
   const std::uint64_t recovered0 = inj.recovered_total();

@@ -6,20 +6,18 @@
 
 // Lockset hooks (analyze/lock_graph.h): every acquire/release of a Mutex or
 // RwLock — write *and* read mode, since a shared hold blocks the next writer
-// under the writer-preferring discipline — is reported to the global
-// lock-order graph in DFTH_VALIDATE builds; release builds compile the hooks
-// away entirely.
-#if DFTH_VALIDATE
+// under the writer-preferring discipline — is reported to the lock-order
+// graph of a validated run. Any other run pays one load and a branch.
 #include "analyze/lock_graph.h"
-#define DFTH_LOCK_ACQUIRED(t, l) ::dfth::analyze::LockGraph::instance().on_acquire((t), (l))
-#define DFTH_LOCK_ACQUIRED_SHARED(t, l) \
-  ::dfth::analyze::LockGraph::instance().on_acquire_shared((t), (l))
-#define DFTH_LOCK_RELEASED(t, l) ::dfth::analyze::LockGraph::instance().on_release((t), (l))
-#else
-#define DFTH_LOCK_ACQUIRED(t, l) ((void)0)
-#define DFTH_LOCK_ACQUIRED_SHARED(t, l) ((void)0)
-#define DFTH_LOCK_RELEASED(t, l) ((void)0)
-#endif
+#define DFTH_LOCK_HOOK(method, t, l)                               \
+  do {                                                             \
+    if (auto* lg_ = ::dfth::analyze::active_lock_graph()) {        \
+      lg_->method((t), (l));                                       \
+    }                                                              \
+  } while (0)
+#define DFTH_LOCK_ACQUIRED(t, l) DFTH_LOCK_HOOK(on_acquire, t, l)
+#define DFTH_LOCK_ACQUIRED_SHARED(t, l) DFTH_LOCK_HOOK(on_acquire_shared, t, l)
+#define DFTH_LOCK_RELEASED(t, l) DFTH_LOCK_HOOK(on_release, t, l)
 
 // Happens-before hooks (analyze/race_hooks.h, -DDFTH_RACE builds): every
 // primitive publishes release→acquire edges to the race detector. See the

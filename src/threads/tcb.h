@@ -90,8 +90,8 @@ struct Tcb {
   // -- thread-specific data (pthread_key_t equivalent) -------------------------
   std::vector<void*> tls;
 
-  // -- correctness analysis (src/analyze/; updated only in DFTH_VALIDATE /
-  //    DFTH_RACE builds, but always present so layout is flag-independent) ---
+  // -- correctness analysis (src/analyze/; updated only in validated runs
+  //    and DFTH_RACE builds, but always present so layout is flag-independent)
   std::vector<const void*> held_locks;  ///< locks held (exclusive or read
                                         ///< mode), in acquire order
   std::vector<std::uint64_t> race_vc;   ///< happens-before vector clock,

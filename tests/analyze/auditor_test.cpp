@@ -1,7 +1,8 @@
 // Scheduler-invariant auditor tests: the AuditedScheduler decorator driven
 // directly at the Tcb level (clean runs stay silent, a deliberately broken
-// scheduler is caught), plus whole-engine property runs under DFTH_VALIDATE
-// where make_scheduler installs the decorator automatically.
+// scheduler is caught), plus whole-engine property runs, where
+// make_scheduler installs the decorator because the test binaries run with
+// the validation switch on (tests/validation_on.cpp).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -61,7 +62,7 @@ struct Harness {
   }
 };
 
-// ---------- decorator unit tests (independent of DFTH_VALIDATE) ----------
+// ---------- decorator unit tests (independent of the validation switch) ----------
 
 TEST(InvariantAuditor, CleanAsyncDfRunIsSilent) {
   analyze::AuditedScheduler s(std::make_unique<AsyncDfScheduler>());
@@ -209,7 +210,7 @@ TEST(InvariantAuditor, OversizedAllocNeedsDummyCredit) {
   EXPECT_EQ(s.auditor().violations(), 1u);  // no new violation
 }
 
-// ---------- whole-engine property runs (DFTH_VALIDATE builds) ----------
+// ---------- whole-engine property runs (validated runs) ----------
 
 RuntimeOptions sim_opts(SchedKind sched, int nprocs, std::size_t quota) {
   RuntimeOptions o;
@@ -258,10 +259,6 @@ struct AdversarialProgram {
 class AuditedEngineTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AuditedEngineTest, AsyncDfSimRunSatisfiesAllInvariants) {
-  if (!analyze::validate_enabled()) {
-    GTEST_SKIP() << "auditor is installed by make_scheduler only under "
-                    "-DDFTH_VALIDATE=ON";
-  }
   const std::size_t quota = 8 << 10;
   AdversarialProgram prog{GetParam(), 5, quota};
   std::uint64_t steps = 0;
@@ -278,10 +275,6 @@ TEST_P(AuditedEngineTest, AsyncDfSimRunSatisfiesAllInvariants) {
 }
 
 TEST_P(AuditedEngineTest, OtherPoliciesPassTheGenericChecks) {
-  if (!analyze::validate_enabled()) {
-    GTEST_SKIP() << "auditor is installed by make_scheduler only under "
-                    "-DDFTH_VALIDATE=ON";
-  }
   const std::size_t quota = 8 << 10;
   AdversarialProgram prog{GetParam(), 4, quota};
   for (SchedKind sched : {SchedKind::Fifo, SchedKind::Lifo, SchedKind::WorkSteal}) {
@@ -295,10 +288,6 @@ TEST_P(AuditedEngineTest, OtherPoliciesPassTheGenericChecks) {
 }
 
 TEST_P(AuditedEngineTest, RealEngineRunSatisfiesAllInvariants) {
-  if (!analyze::validate_enabled()) {
-    GTEST_SKIP() << "auditor is installed by make_scheduler only under "
-                    "-DDFTH_VALIDATE=ON";
-  }
   const std::size_t quota = 8 << 10;
   AdversarialProgram prog{GetParam(), 4, quota};
   RuntimeOptions o;

@@ -1,11 +1,13 @@
 // Lockset deadlock-detector tests: the lock-order graph itself (no engine
-// needed), the engine-level hooks in runtime/sync.cpp (DFTH_VALIDATE
-// builds), and the always-on CondVar held-mutex assertion.
+// needed), the engine-level hooks in runtime/sync.cpp (validated runs), the
+// per-run validation switch, and the always-on CondVar held-mutex assertion.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "analyze/auditor.h"
 #include "analyze/lock_graph.h"
+#include "analyze/validation.h"
 #include "runtime/api.h"
 #include "runtime/sync.h"
 #include "threads/tcb.h"
@@ -143,34 +145,31 @@ TEST(LockGraph, ClearResets) {
   EXPECT_EQ(g.cycles_detected(), 1u);
 }
 
-// ---------- engine-level hooks (compiled in under DFTH_VALIDATE) ----------
+// ---------- engine-level hooks (validated runs) ----------
 
-void run_abba_program() {
-  run(sim_opts(), [] {
-    static Mutex a, b;
-    Thread first = spawn([]() -> void* {
-      a.lock();
-      b.lock();
-      b.unlock();
-      a.unlock();
-      return nullptr;
-    });
-    join(first);
-    Thread second = spawn([]() -> void* {
-      b.lock();
-      a.lock();
-      a.unlock();
-      b.unlock();
-      return nullptr;
-    });
-    join(second);
+void abba_body() {
+  static Mutex a, b;
+  Thread first = spawn([]() -> void* {
+    a.lock();
+    b.lock();
+    b.unlock();
+    a.unlock();
+    return nullptr;
   });
+  join(first);
+  Thread second = spawn([]() -> void* {
+    b.lock();
+    a.lock();
+    a.unlock();
+    b.unlock();
+    return nullptr;
+  });
+  join(second);
 }
 
+void run_abba_program() { run(sim_opts(), abba_body); }
+
 TEST(LockGraphEngine, AbbaThroughMutexHooksFires) {
-  if (!analyze::validate_enabled()) {
-    GTEST_SKIP() << "lockset hooks need -DDFTH_VALIDATE=ON";
-  }
   analyze::LockGraph& g = analyze::LockGraph::instance();
   g.clear();
   g.set_abort_on_cycle(false);
@@ -181,9 +180,6 @@ TEST(LockGraphEngine, AbbaThroughMutexHooksFires) {
 }
 
 TEST(LockGraphEngine, RwLockWriteModeParticipates) {
-  if (!analyze::validate_enabled()) {
-    GTEST_SKIP() << "lockset hooks need -DDFTH_VALIDATE=ON";
-  }
   analyze::LockGraph& g = analyze::LockGraph::instance();
   g.clear();
   g.set_abort_on_cycle(false);
@@ -215,9 +211,6 @@ TEST(LockGraphEngine, RwLockWriteModeParticipates) {
 }
 
 TEST(LockGraphEngine, RwLockReadModeParticipates) {
-  if (!analyze::validate_enabled()) {
-    GTEST_SKIP() << "lockset hooks need -DDFTH_VALIDATE=ON";
-  }
   analyze::LockGraph& g = analyze::LockGraph::instance();
   g.clear();
   g.set_abort_on_cycle(false);
@@ -247,9 +240,6 @@ TEST(LockGraphEngine, RwLockReadModeParticipates) {
 }
 
 TEST(LockGraphEngine, CleanProgramStaysClean) {
-  if (!analyze::validate_enabled()) {
-    GTEST_SKIP() << "lockset hooks need -DDFTH_VALIDATE=ON";
-  }
   analyze::LockGraph& g = analyze::LockGraph::instance();
   g.clear();
   run(sim_opts(), [] {
@@ -272,11 +262,37 @@ TEST(LockGraphEngine, CleanProgramStaysClean) {
 }
 
 TEST(LockGraphDeathTest, AbbaAbortsByDefault) {
-  if (!analyze::validate_enabled()) {
-    GTEST_SKIP() << "lockset hooks need -DDFTH_VALIDATE=ON";
-  }
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_DEATH(run_abba_program(), "potential deadlock");
+}
+
+// ---------- the validation switch ----------
+
+TEST(ValidationSwitch, GatesTheAuditorAndTheLockGraphPerRun) {
+  analyze::LockGraph& g = analyze::LockGraph::instance();
+  g.clear();
+  g.set_abort_on_cycle(false);
+  // Runs the ABBA program; returns whether the run had an auditor.
+  auto audited_abba = [] {
+    bool audited = false;
+    run(sim_opts(), [&audited] {
+      audited = analyze::active_auditor() != nullptr;
+      abba_body();
+    });
+    return audited;
+  };
+
+  analyze::set_validation(false);
+  EXPECT_FALSE(audited_abba());
+  EXPECT_EQ(g.edge_count(), 0u);
+  EXPECT_EQ(g.cycles_detected(), 0u);
+
+  analyze::set_validation(true);
+  EXPECT_TRUE(audited_abba());
+  EXPECT_EQ(g.edge_count(), 2u);  // a → b, then b → a
+  EXPECT_EQ(g.cycles_detected(), 1u);
+  g.clear();
+  g.set_abort_on_cycle(true);
 }
 
 // ---------- always-on CondVar held-mutex assertion ----------

@@ -97,9 +97,11 @@ TEST(ReplayLog, RoundTrip) {
 }
 
 // Writes `path` as a copy of a valid log with `mutate` applied to the bytes.
+// The valid log goes next to `path`, so tests that ctest runs at the same
+// time never share a file.
 void write_mutated(const std::string& path,
                    const std::function<void(std::string*)>& mutate) {
-  const std::string good = temp_log_path("good");
+  const std::string good = path + ".good";
   std::string error;
   ASSERT_TRUE(save_log(good, make_header(), make_lanes(), &error)) << error;
   std::ifstream in(good, std::ios::binary);

@@ -1,7 +1,7 @@
 // End-to-end recovery tests: programs complete *correctly* while the resil
 // injector fails stacks, heap allocations, fiber contexts, worker spawns and
-// timed waits on a deterministic schedule. Requires -DDFTH_FAULTS=ON (the CI
-// faults-soak leg); every test self-skips in default builds.
+// timed waits on a deterministic schedule, armed through
+// RuntimeOptions::fault_plan.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,12 +18,6 @@ namespace {
 
 class RecoveryTest : public ::testing::TestWithParam<EngineKind> {
  protected:
-  void SetUp() override {
-    if (!resil::kFaultsEnabled) {
-      GTEST_SKIP() << "build has no fault hooks (-DDFTH_FAULTS=OFF)";
-    }
-  }
-
   RuntimeOptions opts(const resil::FaultPlan* plan) const {
     RuntimeOptions o;
     o.engine = GetParam();
@@ -144,9 +138,6 @@ TEST_P(RecoveryTest, DfTryMallocReportsNoMemWhenEveryRetryFails) {
 }
 
 TEST(RecoveryRealTest, WorkerSpawnFaultsDegradeToFewerWorkers) {
-  if (!resil::kFaultsEnabled) {
-    GTEST_SKIP() << "build has no fault hooks (-DDFTH_FAULTS=OFF)";
-  }
   // Fail every worker-spawn probe: only worker 0 (exempt by design — a
   // 0-worker engine cannot run anything) survives, and the run degrades to
   // serial execution rather than dying.
@@ -166,9 +157,6 @@ TEST(RecoveryRealTest, WorkerSpawnFaultsDegradeToFewerWorkers) {
 }
 
 TEST(RecoveryDeterminismTest, SameSeedSamePlanIsByteForByteRepeatableOnSim) {
-  if (!resil::kFaultsEnabled) {
-    GTEST_SKIP() << "build has no fault hooks (-DDFTH_FAULTS=OFF)";
-  }
   // SimEngine serializes all fibers onto one host thread, so an identical
   // FaultPlan must produce the identical failure schedule and therefore
   // identical stats — the property that makes every recovery path testable.
