@@ -11,10 +11,12 @@
 // any schedule that merely exercises both paths.
 //
 // The graph is cumulative across runs (edges are never removed on
-// release) and keyed by lock address. runtime/sync.cpp reports to
-// active_lock_graph(), which points at instance() only for the duration of
-// a run started with the validation switch on (analyze/validation.h); any
-// other run pays one load and a branch per lock operation. The class can
+// release) and keyed by lock address. runtime/sync.cpp reports through
+// obs::edges::acquire/release (obs/edges.h), under the lock object's guard,
+// to active_lock_graph(), which points at instance() only for the duration
+// of a run started with the validation switch on (analyze/validation.h);
+// any other run pays one load and a branch per lock operation. The graph
+// never takes a lock object's guard. The class can
 // also be instantiated directly, so unit tests drive it without an engine.
 #pragma once
 

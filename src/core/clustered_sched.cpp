@@ -4,8 +4,7 @@
 #include <limits>
 
 #include "obs/counters.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/edges.h"
 #include "replay/hooks.h"
 #include "util/check.h"
 
@@ -82,14 +81,10 @@ Tcb* ClusteredAdfScheduler::steal(int proc, int victim, std::uint64_t now,
   add_ready(victim, -1);
   DFTH_COUNT(obs::Counter::ReadyPops);
   DFTH_COUNT(obs::Counter::Steals);
-  DFTH_TRACE_EMIT(proc, obs::EvKind::Steal, t->id,
-                  static_cast<std::uint64_t>(victim));
+  obs::edges::steal(proc, t, static_cast<std::uint64_t>(victim), now);
   DFTH_REPLAY_STEAL(proc, t->id, static_cast<std::uint64_t>(victim));
   DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
   DFTH_HIST_WAIT(obs::Hist::StealLatencyNs, now, t->ready_at_ns);
-  if (now != std::numeric_limits<std::uint64_t>::max() && now >= t->ready_at_ns) {
-    DFTH_PROF_STEAL(t->id, now - t->ready_at_ns);
-  }
   return t;
 }
 

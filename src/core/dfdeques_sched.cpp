@@ -3,8 +3,7 @@
 #include <limits>
 
 #include "obs/counters.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/edges.h"
 #include "replay/hooks.h"
 #include "util/check.h"
 
@@ -83,15 +82,11 @@ Tcb* DfDequesScheduler::pick_next(int proc, std::uint64_t now,
       ++steals_;
       DFTH_COUNT(obs::Counter::ReadyPops);
       DFTH_COUNT(obs::Counter::Steals);
-      DFTH_TRACE_EMIT(proc, obs::EvKind::Steal, t->id,
-                      static_cast<std::uint64_t>(victim->owner));
+      obs::edges::steal(proc, t, static_cast<std::uint64_t>(victim->owner),
+                        now);
       DFTH_REPLAY_STEAL(proc, t->id, static_cast<std::uint64_t>(victim->owner));
       DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
       DFTH_HIST_WAIT(obs::Hist::StealLatencyNs, now, t->ready_at_ns);
-      if (now != std::numeric_limits<std::uint64_t>::max() &&
-          now >= t->ready_at_ns) {
-        DFTH_PROF_STEAL(t->id, now - t->ready_at_ns);
-      }
       // Reposition the thief's deque right of the victim so work spawned
       // from the stolen thread keeps its serial-order neighborhood.
       order_.erase(&own.order);

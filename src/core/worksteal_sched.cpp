@@ -3,8 +3,7 @@
 #include <limits>
 
 #include "obs/counters.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/edges.h"
 #include "replay/hooks.h"
 #include "util/check.h"
 
@@ -93,15 +92,12 @@ Tcb* WorkStealScheduler::steal(int proc, int victim, std::uint64_t now,
   ++lane.steals;
   DFTH_COUNT(obs::Counter::ReadyPops);
   DFTH_COUNT(obs::Counter::Steals);
-  DFTH_TRACE_EMIT(proc, obs::EvKind::Steal, t->id, victim);
+  // The steal latency burdens the stolen thread's critical path: an ideal
+  // scheduler would have run it the instant it became ready.
+  obs::edges::steal(proc, t, static_cast<std::uint64_t>(victim), now);
   DFTH_REPLAY_STEAL(proc, t->id, static_cast<std::uint64_t>(victim));
   DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
   DFTH_HIST_WAIT(obs::Hist::StealLatencyNs, now, t->ready_at_ns);
-  // The steal latency burdens the stolen thread's critical path: an ideal
-  // scheduler would have run it the instant it became ready.
-  if (now != std::numeric_limits<std::uint64_t>::max() && now >= t->ready_at_ns) {
-    DFTH_PROF_STEAL(t->id, now - t->ready_at_ns);
-  }
   return t;
 }
 

@@ -1,15 +1,12 @@
 #include "obs/profile.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <map>
 #include <mutex>
 
 namespace dfth::obs {
 namespace {
-
-std::atomic<Profiler*> g_profiler{nullptr};
 
 /// The displayed site name keeps only the basename — source_location hands
 /// us full build-tree paths, which would make every collapsed stack as wide
@@ -26,20 +23,12 @@ std::string site_label(const std::string& file, int line) {
 
 }  // namespace
 
-Profiler* profiler() { return g_profiler.load(std::memory_order_relaxed); }
-
-namespace detail {
-void set_profiler(Profiler* p) {
-  g_profiler.store(p, std::memory_order_release);
-}
-}  // namespace detail
-
 Profiler::Profiler() { begin_run(); }
 
 Profiler::~Profiler() {
-  // A session must not outlive installation (engines uninstall before
+  // A session must not outlive installation (dfth::run uninstalls it before
   // returning), but guard against a caller destroying an installed one.
-  if (profiler() == this) detail::set_profiler(nullptr);
+  if (profiler() == this) detail::g_profiler.store(nullptr);
 }
 
 void Profiler::begin_run() {

@@ -4,8 +4,7 @@
 // The paper's claim is that lightweight threads expose the parallelism of
 // dynamic, irregular programs; this layer is the instrument that says how
 // much parallelism a run actually had. Following the Cilkview/Cilkprof
-// lineage it computes, online, over the same fork/join DAG the race
-// detector orders:
+// lineage it computes, online, over the fork/join DAG:
 //
 //   work  T1     — the sum of every pure fiber charge (compute, tracked
 //                  allocation, sync operations, join bookkeeping): what one
@@ -14,8 +13,9 @@
 //                  fiber carries the span of its history; a fork hands the
 //                  parent's current span to the child, a join takes the max
 //                  over joiner and child, a wake takes the max over waker
-//                  and wakee — the exact hook sites the happens-before race
-//                  detector uses for its vector-clock edges. The segment
+//                  and wakee (the fork, join and wake edges of
+//                  obs/edges.h; an uncontended sync acquire, which the race
+//                  detector still orders, carries no span edge). The segment
 //                  count D of that chain and the fork depth d ride along:
 //                  the paper's space bound S1 + O(p·K·D) and its "d
 //                  simultaneously active threads" are stated in them.
@@ -46,12 +46,10 @@
 //   * collapsed stacks — total work per spawn-site stack, in the
 //     "semicolon-stack value" format speedscope and flamegraph.pl load.
 //
-// Cost discipline mirrors obs/trace.h: every hook goes through a
-// DFTH_PROF_* macro that expands to ((void)0) when the build does not set
-// -DDFTH_PROF (tests/obs stringify the expansion); with profiling compiled
-// in but no Profiler installed, a hook is one relaxed pointer load and a
-// branch. Recording takes a spin lock — the profiler favours exactness over
-// the tracer's lock-freedom, which is fine at fork/join/dispatch frequency.
+// Cost: hooks come through obs/edges.h; with no Profiler installed a hook
+// is one relaxed load of profiler() and a branch. Recording takes a spin
+// lock: exactness over the tracer's lock-freedom, fine at fork/join/dispatch
+// frequency.
 //
 // Clock caveat (RealEngine): charges are steady-clock slice durations
 // measured on different kernel threads, so span edges mix timestamps from
@@ -59,6 +57,7 @@
 // clock synchronization; SimEngine's virtual clock is exact. DESIGN.md §10.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -92,8 +91,8 @@ struct CollapsedLine {
 };
 
 /// A profiling session. Caller-owned (RuntimeOptions::profiler points at
-/// one); the engine installs it for the duration of run(), feeds it through
-/// the DFTH_PROF_* hooks, and merges its ProfileStats into RunStats.
+/// one); dfth::run installs it for the duration of the run, the engines feed
+/// it through obs/edges.h, and its ProfileStats are merged into RunStats.
 class Profiler {
  public:
   Profiler();
@@ -108,7 +107,7 @@ class Profiler {
   /// remembers the run's measured time for the what-if report.
   void end_run(double elapsed_us, int nprocs);
 
-  // -- hook backend (called through the DFTH_PROF_* macros) -------------------
+  // -- hook backend (called through obs/edges.h) ------------------------------
   /// Registers fiber `child` spawned by `parent` at `file:line`; the child
   /// inherits the parent's span as of the fork instant. `offset_ns` is work
   /// the parent has accrued but not yet charged through work() (SimEngine
@@ -227,48 +226,16 @@ class Profiler {
   int nprocs_ = 0;
 };
 
-/// The active profiling session, or nullptr when none is installed. Engines
-/// install opts.profiler at run() entry and clear it before returning.
-Profiler* profiler();
-
 namespace detail {
-void set_profiler(Profiler* p);
+/// Set by dfth::run (obs/edges.h) for the duration of one run.
+inline std::atomic<Profiler*> g_profiler{nullptr};
+}  // namespace detail
+
+/// The active session, or nullptr when none is installed (always, in a
+/// -DDFTH_PROF=OFF build).
+inline Profiler* profiler() {
+  if constexpr (!kProfEnabled) return nullptr;
+  return detail::g_profiler.load(std::memory_order_relaxed);
 }
 
 }  // namespace dfth::obs
-
-// Hook macros. OFF builds must expand to exactly ((void)0) — tests/obs
-// stringifies the expansion to prove no profiler symbol survives.
-#if DFTH_PROF
-#define DFTH_PROF_HOOK(call)                                           \
-  do {                                                                 \
-    if (::dfth::obs::Profiler* dfth_pr_ = ::dfth::obs::profiler()) {   \
-      dfth_pr_->call;                                                  \
-    }                                                                  \
-  } while (0)
-#define DFTH_PROF_THREAD_START(child, parent, offset_ns, file, line) \
-  DFTH_PROF_HOOK(thread_start((child), (parent), (offset_ns), (file), (line)))
-#define DFTH_PROF_WORK(tid, ns) DFTH_PROF_HOOK(work((tid), (ns)))
-#define DFTH_PROF_OVERHEAD(tid, ns) DFTH_PROF_HOOK(overhead((tid), (ns)))
-#define DFTH_PROF_DISPATCH(tid, overhead_ns, gap_ns) \
-  DFTH_PROF_HOOK(dispatch((tid), (overhead_ns), (gap_ns)))
-#define DFTH_PROF_FORK_COST(child, ns) DFTH_PROF_HOOK(fork_cost((child), (ns)))
-#define DFTH_PROF_JOIN(joiner, child, offset_ns) \
-  DFTH_PROF_HOOK(join_edge((joiner), (child), (offset_ns)))
-#define DFTH_PROF_WAKE(waker, wakee, offset_ns) \
-  DFTH_PROF_HOOK(wake_edge((waker), (wakee), (offset_ns)))
-#define DFTH_PROF_STEAL(tid, burden_ns) \
-  DFTH_PROF_HOOK(steal((tid), (burden_ns)))
-#define DFTH_PROF_EXIT(tid, offset_ns) \
-  DFTH_PROF_HOOK(exit_fiber((tid), (offset_ns)))
-#else
-#define DFTH_PROF_THREAD_START(child, parent, offset_ns, file, line) ((void)0)
-#define DFTH_PROF_WORK(tid, ns) ((void)0)
-#define DFTH_PROF_OVERHEAD(tid, ns) ((void)0)
-#define DFTH_PROF_DISPATCH(tid, overhead_ns, gap_ns) ((void)0)
-#define DFTH_PROF_FORK_COST(child, ns) ((void)0)
-#define DFTH_PROF_JOIN(joiner, child, offset_ns) ((void)0)
-#define DFTH_PROF_WAKE(waker, wakee, offset_ns) ((void)0)
-#define DFTH_PROF_STEAL(tid, burden_ns) ((void)0)
-#define DFTH_PROF_EXIT(tid, offset_ns) ((void)0)
-#endif

@@ -5,10 +5,8 @@
 namespace dfth::obs {
 namespace {
 
-Tracer* g_tracer = nullptr;
-
 /// Map an event kind to the counter it implies, so engines don't have to
-/// pair every DFTH_TRACE_EMIT with a DFTH_COUNT. Alloc/free and stack
+/// pair every traced event with a DFTH_COUNT. Alloc/free and stack
 /// events return kCount (no auto-bump): their counters must count *every*
 /// operation, not just those above the event threshold, so the heap and
 /// stack pool bump them at the source.
@@ -154,11 +152,5 @@ std::uint64_t Tracer::dropped() const {
   for (const auto& ring : rings_) n += ring->dropped();
   return n;
 }
-
-Tracer* tracer() { return g_tracer; }
-
-namespace detail {
-void set_tracer(Tracer* t) { g_tracer = t; }
-}  // namespace detail
 
 }  // namespace dfth::obs

@@ -14,16 +14,10 @@
 // nanoseconds since run start under RealEngine, so the same exporters
 // (obs/export.h) serve both engines.
 //
-// Cost discipline:
-//  * compile-time: every hook goes through DFTH_TRACE_EMIT / DFTH_COUNT,
-//    which expand to ((void)0) when the build does not set -DDFTH_TRACE
-//    (tests/obs verify the expansion is literally empty);
-//  * run-time: with tracing compiled in but no Tracer installed, an event
-//    hook is one relaxed pointer load and a branch; a counter hook still
-//    counts (one relaxed fetch_add on the thread's shard, obs/counters.h);
-//  * recording: a ring push is one relaxed fetch_add plus a 24-byte store —
-//    no locks. Rings never grow; on overflow new events are dropped and the
-//    drop is *counted*, never silent.
+// Cost: events come through obs/edges.h (counters through DFTH_COUNT); with
+// no Tracer installed an event is one relaxed load of tracer() and a branch.
+// A ring push is one relaxed fetch_add plus a 24-byte store, no locks; rings
+// never grow, and an overflowing event is dropped and *counted*.
 //
 // Writer contract: each lane is written by the kernel thread that owns it
 // (lock-free SPSC in the common case). The reservation index is atomic, so
@@ -124,8 +118,8 @@ struct TraceConfig {
 };
 
 /// A trace session. Caller-owned (RuntimeOptions::tracer points at one);
-/// the engine installs it for the duration of run() and stamps events
-/// through the engine-supplied clock.
+/// dfth::run installs it for the duration of the run and stamps events
+/// through the engine's clock.
 class Tracer {
  public:
   explicit Tracer(TraceConfig cfg = {});
@@ -175,42 +169,16 @@ class Tracer {
   HistSnapshot hist_snapshot_[kNumHists] = {};
 };
 
-/// The active trace session, or nullptr when none is installed. Engines
-/// install opts.tracer at run() entry and clear it before returning.
-Tracer* tracer();
-
 namespace detail {
-void set_tracer(Tracer* t);
+/// Set by dfth::run (obs/edges.h) for the duration of one run.
+inline std::atomic<Tracer*> g_tracer{nullptr};
+}  // namespace detail
+
+/// The active session, or nullptr when none is installed (always, in a
+/// -DDFTH_TRACE=OFF build).
+inline Tracer* tracer() {
+  if constexpr (!kTraceEnabled) return nullptr;
+  return detail::g_tracer.load(std::memory_order_relaxed);
 }
 
 }  // namespace dfth::obs
-
-// Hook macros. OFF builds must expand to exactly ((void)0) — tests/obs
-// stringifies the expansion to prove no tracer symbol survives.
-#if DFTH_TRACE
-#define DFTH_TRACE_EMIT(lane, kind, tid, arg)                      \
-  do {                                                             \
-    if (::dfth::obs::Tracer* dfth_tr_ = ::dfth::obs::tracer()) {   \
-      dfth_tr_->emit((lane), (kind), (tid), (arg));                \
-    }                                                              \
-  } while (0)
-#define DFTH_TRACE_EMIT_AT(lane, kind, ts, tid, arg)               \
-  do {                                                             \
-    if (::dfth::obs::Tracer* dfth_tr_ = ::dfth::obs::tracer()) {   \
-      dfth_tr_->emit_at((lane), (kind), (ts), (tid), (arg));       \
-    }                                                              \
-  } while (0)
-#define DFTH_TRACE_ALLOC_EVENT(lane, kind, tid, bytes)             \
-  do {                                                             \
-    if (::dfth::obs::Tracer* dfth_tr_ = ::dfth::obs::tracer()) {   \
-      if (static_cast<std::uint64_t>(bytes) >=                     \
-          dfth_tr_->config().alloc_event_min_bytes) {              \
-        dfth_tr_->emit((lane), (kind), (tid), (bytes));            \
-      }                                                            \
-    }                                                              \
-  } while (0)
-#else
-#define DFTH_TRACE_EMIT(lane, kind, tid, arg) ((void)0)
-#define DFTH_TRACE_EMIT_AT(lane, kind, ts, tid, arg) ((void)0)
-#define DFTH_TRACE_ALLOC_EVENT(lane, kind, tid, bytes) ((void)0)
-#endif

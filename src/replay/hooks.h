@@ -1,6 +1,7 @@
 // Record/replay hook macros, compiled to ((void)0) when -DDFTH_REPLAY is
-// OFF — the same zero-cost discipline as obs/trace.h and obs/profile.h
-// (tests/replay static_assert the OFF expansion).
+// OFF (tests/replay static_assert the OFF expansion). They stay macros, and
+// outside the observer edges of obs/edges.h: replay decides the order of
+// the events it logs rather than observing it.
 //
 // Placement contract (see replay/session.h for the protocol):
 //  * DFTH_REPLAY_GATE / _GATE_SELF run while the caller holds no

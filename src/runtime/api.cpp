@@ -3,9 +3,8 @@
 #include <atomic>
 
 #include "analyze/auditor.h"
-#include "analyze/lock_graph.h"
-#include "analyze/race_hooks.h"
 #include "analyze/validation.h"
+#include "obs/edges.h"
 #include "resil/faults.h"
 #include "runtime/real_engine.h"
 #include "runtime/sim_engine.h"
@@ -152,12 +151,10 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
                  "record_path/replay_path set but the build has -DDFTH_REPLAY=OFF");
 #endif
 
-  // Validation is decided here, before the engine exists: with the switch
-  // on, make_scheduler (in the engine's constructor) audits the policy, and
-  // the sync hooks report to the lock graph until this run returns.
-  analyze::detail::g_active_lock_graph.store(
-      analyze::validation() ? &analyze::LockGraph::instance() : nullptr,
-      std::memory_order_relaxed);
+  // Validation is read once, before the engine exists: with the switch on,
+  // make_scheduler (in the engine's constructor) audits the policy, and the
+  // sync primitives report to the lock graph until this run returns.
+  const bool validated = analyze::validation();
 
   std::unique_ptr<Engine> eng;
   if (effective.engine == EngineKind::Sim) {
@@ -166,14 +163,27 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
     eng = std::make_unique<RealEngine>(effective);
   }
 
-  // Fiber ids restart per run, so stale happens-before state from a prior
-  // run must not leak into this one (accumulated reports are kept).
-  DFTH_RACE_BEGIN_RUN();
+  // Arm the caller's fault plan for this run. Fault stats are deltas, exact
+  // even for a harness that keeps the injector armed across runs.
+  auto& inj = resil::FaultInjector::instance();
+  if (effective.fault_plan != nullptr) inj.arm(*effective.fault_plan);
+  const std::uint64_t injected0 = inj.injected_total();
+  const std::uint64_t recovered0 = inj.recovered_total();
 
-  detail::set_engine(eng.get());
-  RunStats stats = eng->run(main_fn);
+  // Every observer is installed here and nowhere else. The tracer's events
+  // carry engine-clock ns since the run began (virtual in Sim).
+  Engine* e = eng.get();
+  obs::edges::begin_run(effective.tracer, effective.profiler, validated,
+                        e->trace_lanes(),
+                        [e, t0 = e->now_ns()] { return e->now_ns() - t0; });
+
+  detail::set_engine(e);
+  RunStats stats = e->run(main_fn);
   detail::set_engine(nullptr);
-  analyze::detail::g_active_lock_graph.store(nullptr, std::memory_order_relaxed);
+  obs::edges::end_run(&stats);
+  stats.faults_injected = inj.injected_total() - injected0;
+  stats.faults_recovered = inj.recovered_total() - recovered0;
+  if (effective.fault_plan != nullptr) inj.disarm();
 #if DFTH_REPLAY
   if (session) {
     std::string error;
@@ -200,11 +210,9 @@ void* join(Thread t) {
   Engine* e = engine();
   DFTH_CHECK_MSG(e, "join outside dfth::run");
   DFTH_CHECK_MSG(t.valid(), "join of invalid thread handle");
-  void* result = e->join(t.tcb_);
-  // Exit→joiner edge: everything the child (and its whole joined subtree)
-  // did happens-before the code after this join.
-  DFTH_RACE_JOIN(e->current(), t.tcb_);
-  return result;
+  // The engine reports the exit→joiner edge: everything the child (and its
+  // whole joined subtree) did happens-before the code after this join.
+  return e->join(t.tcb_);
 }
 
 void detach(Thread t) {

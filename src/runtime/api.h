@@ -78,7 +78,7 @@ struct RuntimeOptions {
   obs::Profiler* profiler = nullptr;
 
   /// Optional caller-owned fault-injection plan (resil/faults.h): when set,
-  /// the engine arms the injector for the duration of run(), so the named
+  /// dfth::run arms the injector for the duration of the run, so the named
   /// resource-acquisition sites fail on the plan's deterministic schedule.
   /// Unset, every fault probe is one load and a branch.
   const resil::FaultPlan* fault_plan = nullptr;

@@ -69,6 +69,10 @@ class Engine {
   /// CancelToken::deadline_ns. Virtual ns in Sim, steady-clock ns in Real.
   virtual std::uint64_t now_ns() const = 0;
 
+  /// Event-trace lanes: one per processor, plus in Real one shared lane for
+  /// bound threads and external callers. Events carry now_ns() since run().
+  virtual int trace_lanes() const = 0;
+
   // -- allocation accounting (called by df_malloc / df_free) -----------------
   virtual void on_alloc(std::size_t bytes, std::int64_t fresh_bytes) = 0;
   virtual void on_free(std::size_t bytes) = 0;

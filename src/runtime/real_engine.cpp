@@ -5,11 +5,9 @@
 #include <limits>
 
 #include "analyze/auditor.h"
-#include "analyze/race_hooks.h"
 #include "core/worksteal_sched.h"
 #include "obs/counters.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/edges.h"
 #include "replay/log.h"
 #include "resil/faults.h"
 #include "resil/watchdog.h"
@@ -109,6 +107,11 @@ __attribute__((noinline)) Tcb* RealEngine::current() {
   return tl_bound;
 }
 
+int RealEngine::trace_lane() const {
+  Worker* w = this_worker();
+  return w ? w->id : opts_.nprocs;
+}
+
 template <typename F>
 void RealEngine::count(Worker* w, F&& f) {
   if (w) {
@@ -202,10 +205,8 @@ Tcb* RealEngine::make_tcb(std::function<void*()> fn, const Attr& attr, bool is_d
     }
     if (t->stack) {
       context_make(&t->ctx, t->stack.base, t->stack.top(), &fiber_entry, t);
-      DFTH_TRACE_EMIT(this_worker() ? this_worker()->id : opts_.nprocs,
-                      t->stack.fresh ? obs::EvKind::StackFresh
-                                     : obs::EvKind::StackReuse,
-                      t->id, t->stack.size);
+      obs::edges::stack([this] { return trace_lane(); }, t, t->stack.size,
+                        t->stack.fresh);
     }
   }
   return t;
@@ -216,20 +217,18 @@ void RealEngine::fiber_entry(void* arg) {
   t->result = t->entry();
   t->entry = nullptr;
   auto* self = static_cast<RealEngine*>(engine());
+  // No switch before the final one below, so w stays this fiber's worker.
+  Worker* w = this_worker();
   // Flush the final slice and seal the span *before* the joiner is woken —
   // the wake edge must read the fiber's finished span. run_fiber skips its
   // post-switch charge on ExitCleanup so nothing double-counts; the slice
   // restarts so the wake edge's offset covers only the exit itself.
-#if DFTH_PROF
-  if (obs::Profiler* pr = obs::profiler()) {
-    Worker* w = this_worker();
+  obs::edges::exit(w->id, t, [w] {
     const std::uint64_t now = steady_now_ns();
-    pr->work(t->id, now - w->slice_start_ns);
+    const std::uint64_t ns = now - w->slice_start_ns;
     w->slice_start_ns = now;
-    pr->exit_fiber(t->id, 0);
-  }
-#endif
-  DFTH_TRACE_EMIT(this_worker()->id, obs::EvKind::Exit, t->id, 0);
+    return ns;
+  });
   Tcb* joiner = self->publish_exit(t);
   if (joiner != nullptr) {
     self->note_wake(joiner);
@@ -242,7 +241,6 @@ void RealEngine::fiber_entry(void* arg) {
   t->state.store(ThreadState::Done, std::memory_order_release);
   // The scheduler side of the exit (unregister, live_, the joiner's wake)
   // joins the worker's next section.
-  Worker* w = this_worker();
   w->post = Post::ExitCleanup;
   w->post_fiber = t;
   w->post_next = joiner;
@@ -265,7 +263,6 @@ Tcb* RealEngine::publish_exit(Tcb* t) {
 }
 
 void RealEngine::finish_bound_thread(Tcb* t) {
-  DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Exit, t->id, 0);
   bool done;
   DFTH_REPLAY_GATE_SELF();
   {
@@ -294,19 +291,15 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
   // the parent's, so a request's token covers the whole spawn subtree.
   child->cancel =
       attr.cancel != nullptr ? attr.cancel : (parent ? parent->cancel : nullptr);
-  DFTH_RACE_FORK(child, parent);
-  DFTH_TRACE_EMIT(w ? w->id : opts_.nprocs,
-                  is_dummy ? obs::EvKind::DummySpawn : obs::EvKind::Fork,
-                  parent ? parent->id : 0, child->id);
-  // Fork edge, emitted before the child is published to the scheduler —
+  // Fork edge, taken before the child is published to the scheduler —
   // another worker may dispatch it (and charge work to it) the moment it
   // is ready. The offset is the parent's uncharged partial
   // slice so the child inherits the span as of *now*, not slice start.
-  DFTH_PROF_THREAD_START(
-      child->id, parent ? parent->id : 0,
-      (w && parent && !parent->attr.bound) ? steady_now_ns() - w->slice_start_ns
-                                           : 0,
-      child->site_file, child->site_line);
+  obs::edges::fork(w ? w->id : opts_.nprocs, parent, child, [&] {
+    return (w && parent && !parent->attr.bound)
+               ? steady_now_ns() - w->slice_start_ns
+               : 0;
+  });
 
   if (child->attr.bound) {
     DFTH_REPLAY_GATE_SELF();
@@ -362,11 +355,10 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
     if (is_dummy) ++c.dummy_threads;
     c.max_live_threads = std::max(c.max_live_threads, live);
   });
-  DFTH_PROF_FORK_COST(child->id, steady_now_ns() - fork_t0);
+  obs::edges::fork_cost(child, [fork_t0] { return steady_now_ns() - fork_t0; });
 
   if (preempt) {
-    DFTH_TRACE_EMIT(w->id, obs::EvKind::Preempt, parent->id,
-                    obs::kPreemptForkDive);
+    obs::edges::preempt(w->id, parent, obs::kPreemptForkDive);
     w->post = Post::RunNext;
     w->post_fiber = parent;
     w->post_next = child;
@@ -401,15 +393,13 @@ Tcb* RealEngine::run_inline(Tcb* child) {
   DFTH_COUNT(obs::Counter::InlineRuns);
   child->state.store(ThreadState::Running, std::memory_order_relaxed);
   ++child->dispatches;
-  DFTH_TRACE_EMIT(this_worker() ? this_worker()->id : opts_.nprocs,
-                  obs::EvKind::Dispatch, child->id, child->dispatches);
+  obs::edges::dispatch(w ? w->id : opts_.nprocs, child, obs::edges::DispatchCost{});
   child->result = child->entry();
   child->entry = nullptr;
-  DFTH_TRACE_EMIT(this_worker() ? this_worker()->id : opts_.nprocs,
-                  obs::EvKind::Exit, child->id, 0);
   // The body's time lands in the caller's slice (it ran on the caller's
   // stack — serialized on the caller's span, which is what inline means).
-  DFTH_PROF_EXIT(child->id, 0);
+  // The body may have switched, so the caller's lane is looked up anew.
+  obs::edges::exit([this] { return trace_lane(); }, child);
   child->join_lock.lock();
   child->finished = true;
   child->join_lock.unlock();
@@ -426,8 +416,7 @@ void RealEngine::start_bound_thread(Tcb* t) {
     t->result = t->entry();
     t->entry = nullptr;
     // A bound thread is one uninterrupted slice on its own kernel thread.
-    DFTH_PROF_WORK(t->id, steady_now_ns() - t0);
-    DFTH_PROF_EXIT(t->id, 0);
+    obs::edges::exit(opts_.nprocs, t, [t0] { return steady_now_ns() - t0; });
     t->state.store(ThreadState::Done, std::memory_order_release);
     finish_bound_thread(t);
     tl_bound = nullptr;
@@ -437,30 +426,27 @@ void RealEngine::start_bound_thread(Tcb* t) {
 void* RealEngine::join(Tcb* t) {
   DFTH_CHECK_MSG(!t->detached, "join of detached thread");
   DFTH_CHECK_MSG(!t->joined, "thread joined twice");
-  DFTH_TRACE_EMIT(this_worker() ? this_worker()->id : opts_.nprocs,
-                  obs::EvKind::Join, current() ? current()->id : 0, t->id);
+  Tcb* cur = current();
   DFTH_REPLAY_GATE_SELF();
   t->join_lock.lock();
   // The join-vs-exit race on join_lock decides blocking; commit the outcome
   // inside the section so replay reproduces (and verifies) it.
   DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Join, ::dfth::replay::self_actor(),
                      t->id, t->finished ? 0 : 1);
-  if (!t->finished) {
-    Tcb* cur = current();
+  const bool blocks = !t->finished;
+  if (!blocks) t->join_lock.unlock();
+  // A finished child gives its edge here, else publish_exit's wake does.
+  obs::edges::join([this] { return trace_lane(); }, cur, t, [this, cur] {
+    Worker* w = this_worker();
+    return (w && cur) ? steady_now_ns() - w->slice_start_ns : 0;
+  });
+  if (blocks) {
     DFTH_CHECK_MSG(cur, "join from outside the runtime");
     DFTH_CHECK_MSG(t->joiner == nullptr, "two concurrent joiners");
     t->joiner = cur;
     cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
     block_current(&t->join_lock);  // releases join_lock after the switch
     DFTH_CHECK(t->finished);
-    // Span edge for this path: the wake from publish_exit.
-  } else {
-    t->join_lock.unlock();
-    // Fast path — the child already finished; take the span max here.
-    Worker* w = this_worker();
-    Tcb* cur = current();
-    DFTH_PROF_JOIN(cur ? cur->id : 0, t->id,
-                   (w && cur) ? steady_now_ns() - w->slice_start_ns : 0);
   }
   t->joined = true;
   return t->result;
@@ -474,8 +460,11 @@ void RealEngine::yield() {
     std::this_thread::yield();  // bound threads yield to the kernel
     return;
   }
-  Tcb* cur = w->current;
-  DFTH_TRACE_EMIT(w->id, obs::EvKind::Preempt, cur->id, obs::kPreemptYield);
+  requeue(w, w->current, obs::kPreemptYield);
+}
+
+void RealEngine::requeue(Worker* w, Tcb* cur, std::uint64_t reason) {
+  obs::edges::preempt(w->id, cur, reason);
   w->post = Post::Requeue;
   w->post_fiber = cur;
   context_switch(&cur->ctx, &w->ctx);
@@ -487,7 +476,7 @@ void RealEngine::block_current(SpinLock* guard) {
   DFTH_CHECK_MSG(guard->is_locked(),
                  "block_current without holding the wait-list guard");
   Worker* w = this_worker();
-  DFTH_TRACE_EMIT(w ? w->id : opts_.nprocs, obs::EvKind::Block, cur->id, 0);
+  obs::edges::block(w ? w->id : opts_.nprocs, cur);
   if (!w || cur->attr.bound) {
     // Bound threads have no fiber to switch away from: release the guard
     // and wait for wake() to flip the state (kernel-level blocking stand-in).
@@ -511,7 +500,7 @@ void RealEngine::block_current_timed(SpinLock* guard, WaitList* list,
   DFTH_CHECK(list != nullptr);
   cur->timed_out = false;
   Worker* w = this_worker();
-  DFTH_TRACE_EMIT(w ? w->id : opts_.nprocs, obs::EvKind::Block, cur->id, 0);
+  obs::edges::block(w ? w->id : opts_.nprocs, cur);
 
   if (!w || cur->attr.bound) {
     // Bound threads poll with a deadline: on expiry, claim ourselves off the
@@ -543,7 +532,7 @@ void RealEngine::block_current_timed(SpinLock* guard, WaitList* list,
           cur->state.store(ThreadState::Ready, std::memory_order_relaxed);
           count(nullptr, [](LaneCounters& c) { ++c.sync_timeouts; });
           DFTH_COUNT(obs::Counter::SyncTimeouts);
-          DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, cur->id, 0);
+          obs::edges::wake(opts_.nprocs, nullptr, cur, 0);
           return;
         }
       }
@@ -584,12 +573,10 @@ void RealEngine::cancel_sleeper(Tcb* t) {
 void RealEngine::note_wake(Tcb* t) {
   Worker* w = this_worker();
   Tcb* cur = current();
-  DFTH_TRACE_EMIT(w ? w->id : opts_.nprocs, obs::EvKind::Wake, t->id,
-                  cur ? cur->id : 0);
-  DFTH_PROF_WAKE(cur ? cur->id : 0, t->id,
-                 (w && cur && !cur->attr.bound)
-                     ? steady_now_ns() - w->slice_start_ns
-                     : 0);
+  obs::edges::wake(w ? w->id : opts_.nprocs, cur, t, [w, cur] {
+    return (w && cur && !cur->attr.bound) ? steady_now_ns() - w->slice_start_ns
+                                          : 0;
+  });
 }
 
 void RealEngine::wake(Tcb* t) {
@@ -636,9 +623,8 @@ void RealEngine::ready_section(Tcb* t, Worker* w, replay::EvKind kind,
 
 void RealEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
   (void)fresh_bytes;
-  DFTH_TRACE_ALLOC_EVENT(this_worker() ? this_worker()->id : opts_.nprocs,
-                         obs::EvKind::Alloc, current() ? current()->id : 0,
-                         bytes);
+  obs::edges::heap([this] { return trace_lane(); }, [this] { return current(); },
+                   bytes, /*freed=*/false);
   if (!sched_->needs_quota()) return;
   Tcb* cur = current();
   Worker* w = this_worker();
@@ -646,18 +632,14 @@ void RealEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
   cur->quota -= static_cast<std::int64_t>(bytes);
   if (cur->quota <= 0) {
     ++w->counters.quota_preemptions;
-    DFTH_TRACE_EMIT(w->id, obs::EvKind::QuotaExhaust, cur->id, bytes);
-    DFTH_TRACE_EMIT(w->id, obs::EvKind::Preempt, cur->id, obs::kPreemptQuota);
-    w->post = Post::Requeue;
-    w->post_fiber = cur;
-    context_switch(&cur->ctx, &w->ctx);
+    obs::edges::quota_exhaust(w->id, cur, bytes);
+    requeue(w, cur, obs::kPreemptQuota);
   }
 }
 
 void RealEngine::on_free(std::size_t bytes) {
-  DFTH_TRACE_ALLOC_EVENT(this_worker() ? this_worker()->id : opts_.nprocs,
-                         obs::EvKind::Free, current() ? current()->id : 0,
-                         bytes);
+  obs::edges::heap([this] { return trace_lane(); }, [this] { return current(); },
+                   bytes, /*freed=*/true);
 }
 
 bool RealEngine::uses_alloc_quota() const { return sched_->needs_quota(); }
@@ -698,12 +680,7 @@ bool RealEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   // Real backoff: give concurrent frees a chance to land before retrying.
   std::this_thread::sleep_for(
       std::chrono::microseconds(50ull << std::min(attempt, 8)));
-  if (cur && w && !cur->attr.bound) {
-    DFTH_TRACE_EMIT(w->id, obs::EvKind::Preempt, cur->id, obs::kPreemptOom);
-    w->post = Post::Requeue;
-    w->post_fiber = cur;
-    context_switch(&cur->ctx, &w->ctx);
-  }
+  if (cur && w && !cur->attr.bound) requeue(w, cur, obs::kPreemptOom);
   return true;
 }
 
@@ -713,18 +690,14 @@ void RealEngine::run_fiber(Worker& w, Tcb* t) {
   w.post_fiber = nullptr;
   w.post_next = nullptr;
   w.post_guard = nullptr;
-#if DFTH_PROF
   if (obs::profiler()) w.slice_start_ns = steady_now_ns();
-#endif
   context_switch(&w.ctx, &t->ctx);
-#if DFTH_PROF
-  if (obs::Profiler* pr = obs::profiler()) {
+  if (obs::profiler()) {
     const std::uint64_t now = steady_now_ns();
     // ExitCleanup: fiber_entry already flushed the slice before sealing.
-    if (w.post != Post::ExitCleanup) pr->work(t->id, now - w.slice_start_ns);
+    if (w.post != Post::ExitCleanup) obs::edges::work(t, now - w.slice_start_ns);
     w.idle_since_ns = now;
   }
-#endif
   w.current = nullptr;
 }
 
@@ -842,7 +815,15 @@ void RealEngine::begin_dispatch(Worker& w, Tcb* t, std::uint64_t flags,
   ++t->dispatches;
   ++w.counters.dispatches;
   bump_progress(&w);
-  DFTH_TRACE_EMIT(w.id, obs::EvKind::Dispatch, t->id, t->dispatches);
+  // Burden: the pick's scheduler time and, but for a dive, the idle gap.
+  obs::edges::dispatch(w.id, t, [&w, flags] {
+    const std::uint64_t now = steady_now_ns();
+    const bool dive = (flags & ::dfth::replay::kDispatchForkDive) != 0;
+    const std::uint64_t gap =
+        (!dive && w.idle_since_ns) ? now - w.idle_since_ns : 0;
+    if (!dive) DFTH_HIST(obs::Hist::DispatchGapNs, gap);
+    return obs::edges::DispatchCost{now - w.pick_start_ns, gap};
+  });
   log.add(::dfth::replay::EvKind::Dispatch, ::dfth::replay::lane_actor(w.id),
           t->id, dispatch_cancel_flags(w, t, flags));
 }
@@ -929,19 +910,16 @@ std::uint64_t RealEngine::dispatch_cancel_flags(Worker& w, Tcb* t,
         tid == t->id) {
       fire = (logged_b & replay::kDispatchDeadline) != 0;
     }
-    if (!fire) return base;
-    if (c != nullptr && !c->is_cancelled()) c->cancel();
-    ++w.counters.deadline_expirations;
-    DFTH_TRACE_EMIT(w.id, obs::EvKind::Preempt, t->id, obs::kPreemptDeadline);
-    return base | replay::kDispatchDeadline;
-  }
+  } else
 #endif
-  fire = c != nullptr && c->deadline_ns != 0 && !c->is_cancelled() &&
-         steady_now_ns() >= c->deadline_ns;
+  {
+    fire = c != nullptr && c->deadline_ns != 0 && !c->is_cancelled() &&
+           steady_now_ns() >= c->deadline_ns;
+  }
   if (!fire) return base;
-  c->cancel();
+  if (c != nullptr && !c->is_cancelled()) c->cancel();
   ++w.counters.deadline_expirations;
-  DFTH_TRACE_EMIT(w.id, obs::EvKind::Preempt, t->id, obs::kPreemptDeadline);
+  obs::edges::preempt(w.id, t, obs::kPreemptDeadline);
   DFTH_REPLAY_CANCEL_FIRE(w.id, t->id);
   return base | ::dfth::replay::kDispatchDeadline;
 }
@@ -1039,10 +1017,7 @@ void RealEngine::worker_loop(Worker& w) {
   // this worker has not consumed.
   bool unparked_claim = false;
   for (;;) {
-#if DFTH_PROF
-    std::uint64_t pick_t0 = 0;
-    if (obs::profiler()) pick_t0 = steady_now_ns();
-#endif
+    if (obs::profiler()) w.pick_start_ns = steady_now_ns();
     // A fork dive runs the child its spawn registered, without a pick.
     const bool dive = w.post == Post::RunNext;
     Tcb* t = transition(w, dive);
@@ -1082,15 +1057,6 @@ void RealEngine::worker_loop(Worker& w) {
     }
     unparked_claim = false;
     stuck_timed_out = false;
-#if DFTH_PROF
-    if (obs::Profiler* pr = obs::profiler()) {
-      const std::uint64_t now = steady_now_ns();
-      const std::uint64_t gap =
-          (!dive && w.idle_since_ns) ? now - w.idle_since_ns : 0;
-      pr->dispatch(t->id, now - pick_t0, gap);
-      if (!dive) DFTH_HIST(obs::Hist::DispatchGapNs, gap);
-    }
-#endif
     run_fiber(w, t);
     release_post(w);
   }
@@ -1098,6 +1064,15 @@ void RealEngine::worker_loop(Worker& w) {
 }
 
 // -- supervisor: timed-wait timers + stall watchdog -------------------------
+
+void RealEngine::timer_ready(Tcb* t) {
+  t->timed_out = true;
+  obs::edges::wake(opts_.nprocs, nullptr, t, 0);
+  DFTH_COUNT(obs::Counter::SyncTimeouts);
+  count(nullptr, [](LaneCounters& c) { ++c.sync_timeouts; });
+  ready_section(t, nullptr, ::dfth::replay::EvKind::TimeoutReady,
+                ::dfth::replay::kActorTimer);
+}
 
 void RealEngine::fire_due_sleepers(std::unique_lock<std::mutex>& lk) {
   // Called with lk (sup_mu_) held. The vector mutates while unlocked, so
@@ -1120,14 +1095,7 @@ restart:
                          ::dfth::replay::kActorTimer, s.t->id, 0);
     }
     s.guard->unlock();
-    if (claimed) {
-      s.t->timed_out = true;
-      DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, s.t->id, 0);
-      DFTH_COUNT(obs::Counter::SyncTimeouts);
-      count(nullptr, [](LaneCounters& c) { ++c.sync_timeouts; });
-      ready_section(s.t, nullptr, ::dfth::replay::EvKind::TimeoutReady,
-                    ::dfth::replay::kActorTimer);
-    }
+    if (claimed) timer_ready(s.t);
     lk.lock();
     firing_ = nullptr;
     sup_cv_.notify_all();
@@ -1164,12 +1132,7 @@ restart:
     DFTH_CHECK_MSG(claimed, "replay: logged timeout claim lost its race");
     rs->commit(replay::EvKind::TimeoutClaim, replay::kActorTimer, tid, 0);
     s.guard->unlock();
-    s.t->timed_out = true;
-    DFTH_TRACE_EMIT(opts_.nprocs, obs::EvKind::Wake, s.t->id, 0);
-    DFTH_COUNT(obs::Counter::SyncTimeouts);
-    count(nullptr, [](LaneCounters& c) { ++c.sync_timeouts; });
-    ready_section(s.t, nullptr, replay::EvKind::TimeoutReady,
-                  replay::kActorTimer);
+    timer_ready(s.t);
     lk.lock();
     firing_ = nullptr;
     sup_cv_.notify_all();
@@ -1321,35 +1284,6 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   StackPool::instance().begin_epoch();
   eff_quota_.store(opts_.mem_quota, std::memory_order_relaxed);
 
-  // Arm the fault injector for this run if the caller supplied a plan.
-  // Per-run fault stats are deltas so a harness that armed the injector
-  // itself still gets accurate counts.
-  auto& inj = resil::FaultInjector::instance();
-  const bool armed_here = opts_.fault_plan != nullptr;
-  if (armed_here) inj.arm(*opts_.fault_plan);
-  const std::uint64_t injected0 = inj.injected_total();
-  const std::uint64_t recovered0 = inj.recovered_total();
-
-#if DFTH_TRACE
-  std::thread sampler;
-  std::atomic<bool> sampler_stop{false};
-  if (opts_.tracer) {
-    obs::detail::set_tracer(opts_.tracer);
-    // One lane per worker plus a shared "external" lane for bound threads
-    // and engine-external callers.
-    opts_.tracer->begin_run(
-        opts_.nprocs + 1,
-        [t0 = steady_now_ns()] { return steady_now_ns() - t0; });
-  }
-#endif
-
-#if DFTH_PROF
-  if (opts_.profiler) {
-    opts_.profiler->begin_run();
-    obs::detail::set_profiler(opts_.profiler);
-  }
-#endif
-
   Timer timer;
 
   // Resource-exhaustion degradation: losing workers only loses parallelism.
@@ -1383,8 +1317,7 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   main->is_main = true;
   main->site_file = "<main>";
   main->site_line = 0;
-  DFTH_RACE_FORK(main, nullptr);
-  DFTH_PROF_THREAD_START(main->id, 0, 0, main->site_file, main->site_line);
+  obs::edges::fork(0, nullptr, main, 0);
   if (!main->stack) {
     // No fiber stack for main even after the pool's heap fallback (or an
     // injected ctx.create fault): run main bound on a dedicated kernel
@@ -1442,12 +1375,13 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   }
   supervisor_ = std::thread([this] { supervisor_loop(); });
 
-#if DFTH_TRACE
+  // The tracer's time series; the thread stops and joins when run returns.
+  std::jthread sampler;
   if (obs::Tracer* tr = obs::tracer()) {
     std::uint64_t interval_ns = tr->config().sample_interval_ns;
     if (interval_ns == 0) interval_ns = 1'000'000;  // 1 ms
-    sampler = std::thread([this, tr, interval_ns, &sampler_stop] {
-      while (!sampler_stop.load(std::memory_order_acquire)) {
+    sampler = std::jthread([this, tr, interval_ns](std::stop_token stop) {
+      while (!stop.stop_requested()) {
         obs::Sample s;
         s.ts_ns = tr->now();
         s.live_threads = live_.load(std::memory_order_relaxed);
@@ -1459,7 +1393,6 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
       }
     });
   }
-#endif
 
   while (!done_.load(std::memory_order_acquire)) host_parker_.park();
   for (auto& w : workers_) w.thread.join();
@@ -1475,12 +1408,6 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   sup_cv_.notify_all();
   supervisor_.join();
 
-#if DFTH_TRACE
-  if (sampler.joinable()) {
-    sampler_stop.store(true, std::memory_order_release);
-    sampler.join();
-  }
-#endif
   ext_counters_.sched_lock_sections += ext_sections_.load(std::memory_order_relaxed);
   ext_counters_.add_to(&stats_);
   for (const Worker& w : workers_) w.counters.add_to(&stats_);
@@ -1500,22 +1427,6 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   }
 #endif
 
-#if DFTH_TRACE
-  if (obs::Tracer* tr = obs::tracer()) {
-    tr->end_run();
-    obs::detail::set_tracer(nullptr);
-  }
-#endif
-#if DFTH_PROF
-  if (opts_.profiler) {
-    opts_.profiler->end_run(stats_.elapsed_us, opts_.nprocs);
-    stats_.profile = opts_.profiler->stats();
-    obs::detail::set_profiler(nullptr);
-  }
-#endif
-  stats_.faults_injected = inj.injected_total() - injected0;
-  stats_.faults_recovered = inj.recovered_total() - recovered0;
-  if (armed_here) inj.disarm();
   return stats_;
 }
 

@@ -84,6 +84,7 @@ class RealEngine final : public Engine {
   void wake(Tcb* t) override;
   void charge_sync_op() override {}
   std::uint64_t now_ns() const override;
+  int trace_lanes() const override { return opts_.nprocs + 1; }
   void on_alloc(std::size_t bytes, std::int64_t fresh_bytes) override;
   void on_free(std::size_t bytes) override;
   bool uses_alloc_quota() const override;
@@ -148,6 +149,8 @@ class RealEngine final : public Engine {
     /// switches back (and uses it as the uncharged offset on edges taken
     /// from inside the slice). Maintained only while a profiler is installed.
     std::uint64_t slice_start_ns = 0;
+    /// Steady-clock start of the pick before the next dispatch (profiler).
+    std::uint64_t pick_start_ns = 0;
     /// Steady-clock instant the worker last finished a slice; the next
     /// dispatch reads it as its dispatch-gap measurement.
     std::uint64_t idle_since_ns = 0;
@@ -221,6 +224,8 @@ class RealEngine final : public Engine {
 
   static void fiber_entry(void* arg);
   static Worker* this_worker();
+  /// This kernel thread's trace lane: its worker's, else the external one.
+  int trace_lane() const;
 
   /// Applies f to the calling lane's counters: w's own, else ext_counters_
   /// under mu_. Never called with mu_ or a domain lock held.
@@ -240,6 +245,8 @@ class RealEngine final : public Engine {
   /// on the caller's stack (the serial depth-first order). Never registered
   /// with the scheduler.
   Tcb* run_inline(Tcb* child);
+  /// Switches fiber cur out of w for `reason`; w's next section requeues it.
+  void requeue(Worker* w, Tcb* cur, std::uint64_t reason);
   void worker_loop(Worker& w);
   /// One scheduling transition of w: the section of its own domain settles
   /// the post-switch action and dispatches the fork dive's child or its own
@@ -302,7 +309,7 @@ class RealEngine final : public Engine {
   /// Publishes t's exit under its join lock; returns the blocked joiner
   /// (not yet woken), if any.
   Tcb* publish_exit(Tcb* t);
-  /// Trace + profiler side of a wake edge from the calling context.
+  /// Observer side of a wake edge from the calling context.
   void note_wake(Tcb* t);
   void start_bound_thread(Tcb* t);
   void finish_bound_thread(Tcb* t);
@@ -314,6 +321,8 @@ class RealEngine final : public Engine {
   /// Fires every due sleeper. Called with `lk` (sup_mu_) held; drops it
   /// around the claim-and-wake of each entry.
   void fire_due_sleepers(std::unique_lock<std::mutex>& lk);
+  /// The timer won t's claim: mark the timeout and ready t.
+  void timer_ready(Tcb* t);
 #if DFTH_REPLAY
   /// Replay-pinned variant: fires a sleeper exactly when the schedule log's
   /// next ordered decision is the timer's TimeoutClaim for it — wall-clock

@@ -4,10 +4,9 @@
 #include <limits>
 
 #include "analyze/auditor.h"
-#include "analyze/race_hooks.h"
 #include "core/worksteal_sched.h"
 #include "obs/counters.h"
-#include "obs/profile.h"
+#include "obs/edges.h"
 #include "replay/hooks.h"
 #include "replay/log.h"
 #include "resil/faults.h"
@@ -21,6 +20,10 @@
 #endif
 
 namespace dfth {
+
+using obs::edges::At;
+using obs::edges::DispatchCost;
+
 namespace {
 
 constexpr std::uint64_t kInf = std::numeric_limits<std::uint64_t>::max();
@@ -153,10 +156,6 @@ Tcb* SimEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy
   child->cancel = attr.cancel != nullptr ? attr.cancel : cur_->cancel;
   child->site_file = site_file;
   child->site_line = site_line;
-  DFTH_RACE_FORK(child, cur_);
-  DFTH_TRACE_EMIT(cur_proc_,
-                  is_dummy ? obs::EvKind::DummySpawn : obs::EvKind::Fork,
-                  cur_->id, child->id);
   if (!child->stack) return run_inline(child);
   ev_ = Ev::Spawn;
   ev_child_ = child;
@@ -170,6 +169,12 @@ Tcb* SimEngine::run_inline(Tcb* child) {
   // parent's continuation in the serial depth-first order, so this is the
   // 1-processor AsyncDF schedule — correct, just not parallel. The child is
   // never registered with the scheduler and never gets its own fiber.
+  // The child's body charges the parent (serialized on its span, which is
+  // what running inline means); the child keeps the span it inherits here,
+  // creation charge below included.
+  obs::edges::fork(cur_proc_, cur_, child, [this] {
+    return pend_total_ns() + us_to_ns(opts_.cost.create_unbound_us);
+  });
   ++stats_.threads_created;
   ++stats_.inline_runs;
   if (child->is_dummy) ++stats_.dummy_threads;
@@ -181,14 +186,7 @@ Tcb* SimEngine::run_inline(Tcb* child) {
   live_events_.emplace_back(vnow_ns(), +1);
   child->state.store(ThreadState::Running, std::memory_order_relaxed);
   ++child->dispatches;
-  DFTH_TRACE_EMIT(cur_proc_, obs::EvKind::Dispatch, child->id,
-                  child->dispatches);
-  // Profiler bookkeeping so fiber counts match: the child exists, but its
-  // body's charges accrue to the parent (serialized on the parent's span —
-  // exactly what running inline means), so its own span stays at the
-  // inherited fork-instant value.
-  DFTH_PROF_THREAD_START(child->id, cur_->id, pend_total_ns(),
-                         child->site_file, child->site_line);
+  obs::edges::dispatch(cur_proc_, child, DispatchCost{});
   // cur_ stays the parent: virtual cost and race segments accrued by the
   // child's body are attributed to the parent, which is exactly what running
   // on the parent's stack in its scheduling window means.
@@ -198,8 +196,7 @@ Tcb* SimEngine::run_inline(Tcb* child) {
   child->finished = true;
   child->state.store(ThreadState::Done, std::memory_order_relaxed);
   live_events_.emplace_back(vnow_ns(), -1);
-  DFTH_TRACE_EMIT(cur_proc_, obs::EvKind::Exit, child->id, 0);
-  DFTH_PROF_EXIT(child->id, 0);
+  obs::edges::exit(cur_proc_, child);
   // No joiner can exist yet: the handle only becomes visible once we return.
   return child;
 }
@@ -209,7 +206,9 @@ void* SimEngine::join(Tcb* t) {
   DFTH_CHECK_MSG(!t->detached, "join of detached thread");
   DFTH_CHECK_MSG(!t->joined, "thread joined twice");
   charge(kThread, opts_.cost.join_us);
-  DFTH_TRACE_EMIT(cur_proc_, obs::EvKind::Join, cur_->id, t->id);
+  // A finished child gives its edge here (offset: uncharged fiber-side
+  // costs, join_us included); otherwise wake() gives it at the child's exit.
+  obs::edges::join(cur_proc_, cur_, t, [this] { return pend_total_ns(); });
   if (!t->finished) {
     DFTH_CHECK_MSG(t->joiner == nullptr, "two concurrent joiners");
     t->joiner = cur_;
@@ -218,12 +217,6 @@ void* SimEngine::join(Tcb* t) {
     ev_guard_ = nullptr;
     switch_to_loop();
     DFTH_CHECK(t->finished);
-    // The span edge for this path came from wake() when the child exited.
-  } else {
-    // Fast path — the child already finished, the joiner never blocks; take
-    // the span max here (offset: the joiner's uncharged fiber-side costs,
-    // join_us included).
-    DFTH_PROF_JOIN(cur_->id, t->id, pend_total_ns());
   }
   t->joined = true;
   return t->result;
@@ -293,7 +286,7 @@ void SimEngine::fire_due_sleepers(VProc& vp, int pid) {
     s.t->timed_out = true;
     ++stats_.sync_timeouts;
     DFTH_COUNT(obs::Counter::SyncTimeouts);
-    DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Wake, vp.clock_ns, s.t->id, 0);
+    obs::edges::wake(At{pid, vp.clock_ns}, nullptr, s.t, 0);
     sched_lock_own(vp, pid);
     s.t->state.store(ThreadState::Ready, std::memory_order_relaxed);
     s.t->ready_at_ns = s.deadline_ns;  // eligible from its deadline instant
@@ -303,13 +296,11 @@ void SimEngine::fire_due_sleepers(VProc& vp, int pid) {
 
 void SimEngine::wake(Tcb* t) {
   DFTH_CHECK(t->state.load(std::memory_order_relaxed) == ThreadState::Blocked);
-  DFTH_TRACE_EMIT(cur_proc_ >= 0 ? cur_proc_ : 0, obs::EvKind::Wake, t->id,
-                  cur_ ? cur_->id : 0);
-  // Happens-before edge waker → wakee: the same edge the race detector
-  // orders. Covers both sync-object wakes (fiber context, offset = pending
-  // charges) and the exit → joiner wake (loop context, cur_ = the exiting
-  // child whose final span the joiner inherits).
-  DFTH_PROF_WAKE(cur_ ? cur_->id : 0, t->id, in_fiber_ ? pend_total_ns() : 0);
+  // Happens-before edge waker → wakee. Covers both sync-object wakes (fiber
+  // context, offset = pending charges) and the exit → joiner wake (loop
+  // context, cur_ = the exiting child whose final span the joiner inherits).
+  obs::edges::wake(cur_proc_ >= 0 ? cur_proc_ : 0, cur_, t,
+                   [this] { return in_fiber_ ? pend_total_ns() : 0; });
   t->state.store(ThreadState::Ready, std::memory_order_relaxed);
   t->ready_at_ns = vnow_ns();
   sched_->on_ready(t, cur_proc_ >= 0 ? cur_proc_ : 0);
@@ -329,13 +320,12 @@ void SimEngine::charge_sync_op() {
 void SimEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
   charge(kMem, opts_.cost.malloc_us(bytes, fresh_bytes));
   heap_events_.emplace_back(vnow_ns(), static_cast<std::int64_t>(bytes));
-  DFTH_TRACE_ALLOC_EVENT(cur_proc_ >= 0 ? cur_proc_ : 0, obs::EvKind::Alloc,
-                         cur_ ? cur_->id : 0, bytes);
+  obs::edges::heap(cur_proc_ >= 0 ? cur_proc_ : 0, cur_, bytes, /*freed=*/false);
   if (sched_->needs_quota() && in_fiber_) {
     cur_->quota -= static_cast<std::int64_t>(bytes);
     if (cur_->quota <= 0) {
       // §4 item 2: "when the counter reaches zero, the thread is preempted."
-      DFTH_TRACE_EMIT(cur_proc_, obs::EvKind::QuotaExhaust, cur_->id, bytes);
+      obs::edges::quota_exhaust(cur_proc_, cur_, bytes);
       ev_ = Ev::QuotaPreempt;
       switch_to_loop();
     }
@@ -345,8 +335,7 @@ void SimEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
 void SimEngine::on_free(std::size_t bytes) {
   charge(kMem, opts_.cost.free_base_us);
   heap_events_.emplace_back(vnow_ns(), -static_cast<std::int64_t>(bytes));
-  DFTH_TRACE_ALLOC_EVENT(cur_proc_ >= 0 ? cur_proc_ : 0, obs::EvKind::Free,
-                         cur_ ? cur_->id : 0, bytes);
+  obs::edges::heap(cur_proc_ >= 0 ? cur_proc_ : 0, cur_, bytes, /*freed=*/true);
 }
 
 bool SimEngine::uses_alloc_quota() const { return sched_->needs_quota(); }
@@ -404,23 +393,21 @@ double SimEngine::sim_stack_acquire_us(std::size_t bytes) {
   sim_stack_live_ += static_cast<std::int64_t>(bytes);
   auto it = sim_stack_pool_.find(bytes);
   double us;
-  if (it != sim_stack_pool_.end() && it->second > 0) {
+  const bool fresh = it == sim_stack_pool_.end() || it->second == 0;
+  if (!fresh) {
     // A cached stack is already mapped and touched; its footprint simply
     // moves from the pool back to a live thread.
     --it->second;
     sim_stack_pooled_ -= static_cast<std::int64_t>(bytes);
     ++stats_.stacks_reused;
-    DFTH_TRACE_EMIT(cur_proc_ >= 0 ? cur_proc_ : 0, obs::EvKind::StackReuse,
-                    cur_ ? cur_->id : 0, bytes);
     us = opts_.cost.stack_pooled_us;
   } else {
     ++stats_.stacks_fresh;
     sim_stack_touched_ += static_cast<std::int64_t>(
         std::min(bytes, opts_.cost.stack_touched_cap));
-    DFTH_TRACE_EMIT(cur_proc_ >= 0 ? cur_proc_ : 0, obs::EvKind::StackFresh,
-                    cur_ ? cur_->id : 0, bytes);
     us = opts_.cost.stack_fresh_us(bytes);
   }
+  obs::edges::stack(cur_proc_ >= 0 ? cur_proc_ : 0, cur_, bytes, fresh);
   sim_stack_peak_ = std::max(sim_stack_peak_, sim_stack_live_ + sim_stack_pooled_);
   return us;
 }
@@ -438,32 +425,6 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
   heap_initial_live_ = TrackedHeap::instance().live_bytes();
   eff_quota_ = opts_.mem_quota;
 
-  // Arm the fault injector for this run if the caller supplied a plan.
-  // Per-run fault stats are deltas so a harness that armed the injector
-  // itself (and keeps it armed across runs) still gets accurate counts.
-  auto& inj = resil::FaultInjector::instance();
-  const bool armed_here = opts_.fault_plan != nullptr;
-  if (armed_here) inj.arm(*opts_.fault_plan);
-  const std::uint64_t injected0 = inj.injected_total();
-  const std::uint64_t recovered0 = inj.recovered_total();
-
-#if DFTH_TRACE
-  if (opts_.tracer) {
-    obs::detail::set_tracer(opts_.tracer);
-    opts_.tracer->begin_run(opts_.nprocs, [this] { return vnow_ns(); });
-    sample_interval_ns_ = opts_.tracer->config().sample_interval_ns;
-    if (sample_interval_ns_ == 0) sample_interval_ns_ = 1000;  // 1 µs virtual
-    next_sample_ns_ = 0;
-  }
-#endif
-
-#if DFTH_PROF
-  if (opts_.profiler) {
-    opts_.profiler->begin_run();
-    obs::detail::set_profiler(opts_.profiler);
-  }
-#endif
-
   Attr main_attr;
   Tcb* main = new Tcb(next_tid_++);
   main->attr = main_attr;
@@ -479,7 +440,9 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
   DFTH_CHECK_MSG(main->stack, "out of memory acquiring the main fiber stack");
   context_make(&main->ctx, main->stack.base, main->stack.top(), &fiber_entry, main);
   all_tcbs_.push_back(main);
-  DFTH_RACE_FORK(main, nullptr);
+  main->site_file = "<main>";
+  main->site_line = 0;
+  obs::edges::fork(0, nullptr, main, 0);
 
   live_ = 1;
   stats_.threads_created = 1;
@@ -494,9 +457,6 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
   main->state.store(ThreadState::Ready, std::memory_order_relaxed);
   main->ready_at_ns = 0;
   sched_->on_ready(main, 0);
-  main->site_file = "<main>";
-  main->site_line = 0;
-  DFTH_PROF_THREAD_START(main->id, 0, 0, main->site_file, main->site_line);
 
   sim_loop();
 
@@ -547,26 +507,12 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
     stats_.steals = ws->steal_count();
   }
   finish_trace(completion);
-#if DFTH_PROF
-  if (opts_.profiler) {
-    opts_.profiler->end_run(stats_.elapsed_us, opts_.nprocs);
-    stats_.profile = opts_.profiler->stats();
-    obs::detail::set_profiler(nullptr);
-  }
-#endif
-  stats_.faults_injected = inj.injected_total() - injected0;
-  stats_.faults_recovered = inj.recovered_total() - recovered0;
-  if (armed_here) inj.disarm();
   return stats_;
 }
 
 void SimEngine::finish_trace(std::uint64_t completion_ns) {
-#if DFTH_TRACE
   obs::Tracer* tr = obs::tracer();
-  if (!tr) {
-    (void)completion_ns;
-    return;
-  }
+  if (!tr) return;
   // Close the time series at the completion instant, then fill in the exact
   // live-thread and heap levels at every sample instant by sweeping the
   // already-sorted virtual-time event lists (the online pass cannot know
@@ -594,16 +540,13 @@ void SimEngine::finish_trace(std::uint64_t completion_ns) {
     s.heap_bytes = heap_level;
     tr->add_sample(s);
   }
-  tr->end_run();
-  obs::detail::set_tracer(nullptr);
-#else
-  (void)completion_ns;
-#endif
 }
 
 void SimEngine::maybe_sample(std::uint64_t now_ns) {
-#if DFTH_TRACE
-  if (!obs::tracer() || now_ns < next_sample_ns_) return;
+  obs::Tracer* tr = obs::tracer();
+  if (!tr || now_ns < next_sample_ns_) return;
+  if (sample_interval_ns_ == 0) sample_interval_ns_ = tr->config().sample_interval_ns;
+  if (sample_interval_ns_ == 0) sample_interval_ns_ = 1000;  // 1 µs virtual
   obs::Sample s;
   s.ts_ns = now_ns;
   s.stack_bytes = sim_stack_live_ + sim_stack_pooled_;
@@ -623,9 +566,6 @@ void SimEngine::maybe_sample(std::uint64_t now_ns) {
     trace_samples_.swap(kept);
     sample_interval_ns_ *= 2;
   }
-#else
-  (void)now_ns;
-#endif
 }
 
 void SimEngine::sim_loop() {
@@ -697,7 +637,7 @@ void SimEngine::apply_pending(VProc& vp) {
   // Everything a fiber charged between scheduling points is pure fiber time:
   // it is the profiler's "work" (advances span too), as opposed to the
   // loop-side clock advances below, which are scheduler overhead.
-  DFTH_PROF_WORK(vp.running->id, pend_total_ns());
+  obs::edges::work(vp.running, [this] { return pend_total_ns(); });
   vp.clock_ns += pend_ns_[kWork] + pend_ns_[kThread] + pend_ns_[kMem] + pend_ns_[kSync];
   vp.bd.work_us += ns_to_us(pend_ns_[kWork]);
   vp.bd.thread_us += ns_to_us(pend_ns_[kThread]);
@@ -772,8 +712,7 @@ std::uint64_t SimEngine::expire_on_dispatch(Tcb* t, int pid,
   // replays of the same format stay uniform and tools see it.
   c->cancel();
   ++stats_.deadline_expirations;
-  DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Preempt, now, t->id,
-                     obs::kPreemptDeadline);
+  obs::edges::preempt(At{pid, now}, t, obs::kPreemptDeadline);
   DFTH_REPLAY_CANCEL_FIRE(pid, t->id);
   return ::dfth::replay::kDispatchDeadline;
 }
@@ -784,7 +723,7 @@ void SimEngine::attempt_dispatch(VProc& vp, int pid) {
   loop_now_ns_ = vp.clock_ns;
   const std::uint64_t fire_t0 = vp.clock_ns;
   fire_due_sleepers(vp, pid);
-  DFTH_PROF_OVERHEAD(0, vp.clock_ns - fire_t0);
+  obs::edges::overhead(0, vp.clock_ns - fire_t0);
   std::uint64_t earliest = kInf;
   const std::uint64_t disp_t0 = vp.clock_ns;
   Tcb* t = pick_or_steal(vp, pid, &earliest);
@@ -795,18 +734,17 @@ void SimEngine::attempt_dispatch(VProc& vp, int pid) {
     t->quota = static_cast<std::int64_t>(eff_quota_);
     ++t->dispatches;
     ++stats_.dispatches;
-    DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Dispatch, vp.clock_ns, t->id,
-                       t->dispatches);
+    // The lane's accumulated idle time is this dispatch's gap; it burdens
+    // the fiber (an ideal scheduler would have run it sooner) and must be
+    // consumed whether or not a profiler is installed.
+    obs::edges::dispatch(At{pid, vp.clock_ns}, t,
+                         DispatchCost{vp.clock_ns - disp_t0, vp.pending_gap_ns});
     // Outside the commit macro: the deadline check must run even when the
     // build has no replay layer.
     [[maybe_unused]] const std::uint64_t cancel_b =
         expire_on_dispatch(t, pid, vp.clock_ns);
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Dispatch,
                        ::dfth::replay::lane_actor(pid), t->id, cancel_b);
-    // The lane's accumulated idle time is this dispatch's gap; it burdens
-    // the fiber (an ideal scheduler would have run it sooner) and must be
-    // consumed whether or not a profiler is installed.
-    DFTH_PROF_DISPATCH(t->id, vp.clock_ns - disp_t0, vp.pending_gap_ns);
     DFTH_HIST(obs::Hist::DispatchGapNs, vp.pending_gap_ns);
     vp.pending_gap_ns = 0;
     vp.running = t;
@@ -836,6 +774,10 @@ void SimEngine::handle_event(VProc& vp, int pid) {
     case Ev::Spawn: {
       Tcb* child = ev_child_;
       Tcb* parent = vp.running;
+      // Fork edge: the child inherits the parent's span as of the fork
+      // instant (the parent's charges were applied before this event, so no
+      // pending offset), and carries the observed creation cost as burden.
+      obs::edges::fork(pid, parent, child, 0);
       const std::uint64_t fork_t0 = vp.clock_ns;
       const double create_us = child->attr.bound ? opts_.cost.create_bound_us
                                                  : opts_.cost.create_unbound_us;
@@ -855,18 +797,12 @@ void SimEngine::handle_event(VProc& vp, int pid) {
       ++stats_.threads_created;
       if (child->is_dummy) ++stats_.dummy_threads;
       live_events_.emplace_back(vp.clock_ns, +1);
-      // Fork edge: the child inherits the parent's span as of the fork
-      // instant (the parent's charges were applied before this event, so no
-      // pending offset), and carries the observed creation cost as burden.
-      DFTH_PROF_THREAD_START(child->id, parent->id, 0, child->site_file,
-                             child->site_line);
-      DFTH_PROF_FORK_COST(child->id, vp.clock_ns - fork_t0);
+      obs::edges::fork_cost(child, vp.clock_ns - fork_t0);
 
       if (preempt_parent) {
         // AsyncDF / work stealing: the processor dives into the child.
         make_ready(vp, pid, parent);
-        DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Preempt, vp.clock_ns, parent->id,
-                           obs::kPreemptForkDive);
+        obs::edges::preempt(At{pid, vp.clock_ns}, parent, obs::kPreemptForkDive);
         child->state.store(ThreadState::Running, std::memory_order_relaxed);
         child->ready_at_ns = vp.clock_ns;
         child->quota = static_cast<std::int64_t>(eff_quota_);
@@ -875,9 +811,8 @@ void SimEngine::handle_event(VProc& vp, int pid) {
         vp.running = child;
         vp.clock_ns += us_to_ns(opts_.cost.ctx_switch_us);
         vp.bd.thread_us += opts_.cost.ctx_switch_us;
-        DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Dispatch, vp.clock_ns, child->id,
-                           child->dispatches);
-        DFTH_PROF_DISPATCH(child->id, us_to_ns(opts_.cost.ctx_switch_us), 0);
+        obs::edges::dispatch(At{pid, vp.clock_ns}, child,
+                             DispatchCost{us_to_ns(opts_.cost.ctx_switch_us), 0});
         [[maybe_unused]] const std::uint64_t cancel_b =
             expire_on_dispatch(child, pid, vp.clock_ns);
         DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Dispatch,
@@ -905,11 +840,10 @@ void SimEngine::handle_event(VProc& vp, int pid) {
       StackPool::instance().release(t->stack);
       t->stack = Stack{};
       sim_stack_release(t->attr.stack_size);
-      DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Exit, vp.clock_ns, t->id, 0);
       DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::ExitSched, t->id, t->id, 0);
-      DFTH_PROF_OVERHEAD(t->id, vp.clock_ns - exit_t0);
+      obs::edges::overhead(t->id, vp.clock_ns - exit_t0);
       // Finalize the span before the joiner wake below reads it.
-      DFTH_PROF_EXIT(t->id, 0);
+      obs::edges::exit(At{pid, vp.clock_ns}, t);
       loop_now_ns_ = vp.clock_ns;
       cur_proc_ = pid;
       if (t->joiner) {
@@ -924,7 +858,7 @@ void SimEngine::handle_event(VProc& vp, int pid) {
     case Ev::Block: {
       Tcb* t = vp.running;
       DFTH_CHECK(t->state.load(std::memory_order_relaxed) == ThreadState::Blocked);
-      DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Block, vp.clock_ns, t->id, 0);
+      obs::edges::block(At{pid, vp.clock_ns}, t);
       if (ev_guard_) ev_guard_->unlock();
       vp.running = nullptr;
       break;
@@ -938,13 +872,14 @@ void SimEngine::handle_event(VProc& vp, int pid) {
       vp.clock_ns += us_to_ns(opts_.cost.ctx_switch_us);
       vp.bd.thread_us += opts_.cost.ctx_switch_us;
       sched_lock_own(vp, pid);
-      DFTH_PROF_OVERHEAD(t->id, vp.clock_ns - pre_t0);
+      const std::uint64_t pre_ns = vp.clock_ns - pre_t0;
       make_ready(vp, pid, t);
       if (ev_ == Ev::QuotaPreempt) ++stats_.quota_preemptions;
-      DFTH_TRACE_EMIT_AT(pid, obs::EvKind::Preempt, vp.clock_ns, t->id,
-                         ev_ == Ev::QuotaPreempt  ? obs::kPreemptQuota
-                         : ev_ == Ev::OomPreempt ? obs::kPreemptOom
-                                                 : obs::kPreemptYield);
+      obs::edges::preempt(At{pid, vp.clock_ns}, t,
+                          ev_ == Ev::QuotaPreempt  ? obs::kPreemptQuota
+                          : ev_ == Ev::OomPreempt ? obs::kPreemptOom
+                                                  : obs::kPreemptYield,
+                          pre_ns);
       vp.running = nullptr;
       break;
     }

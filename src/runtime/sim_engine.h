@@ -56,6 +56,7 @@ class SimEngine final : public Engine {
   void wake(Tcb* t) override;
   void charge_sync_op() override;
   std::uint64_t now_ns() const override { return vnow_ns(); }
+  int trace_lanes() const override { return opts_.nprocs; }
   void on_alloc(std::size_t bytes, std::int64_t fresh_bytes) override;
   void on_free(std::size_t bytes) override;
   bool uses_alloc_quota() const override;
@@ -162,6 +163,7 @@ class SimEngine final : public Engine {
   /// Records a time-series sample (ready depth, stack footprint) if the
   /// sampling instant has been reached; decimates to bound sample count.
   void maybe_sample(std::uint64_t now_ns);
+  /// Closes the time series at `completion_ns` and hands it to the tracer.
   void finish_trace(std::uint64_t completion_ns);
 
   RuntimeOptions opts_;

@@ -4,26 +4,10 @@
 #include "runtime/engine.h"
 #include "util/check.h"
 
-// Lockset hooks (analyze/lock_graph.h): every acquire/release of a Mutex or
-// RwLock — write *and* read mode, since a shared hold blocks the next writer
-// under the writer-preferring discipline — is reported to the lock-order
-// graph of a validated run. Any other run pays one load and a branch.
-#include "analyze/lock_graph.h"
-#define DFTH_LOCK_HOOK(method, t, l)                               \
-  do {                                                             \
-    if (auto* lg_ = ::dfth::analyze::active_lock_graph()) {        \
-      lg_->method((t), (l));                                       \
-    }                                                              \
-  } while (0)
-#define DFTH_LOCK_ACQUIRED(t, l) DFTH_LOCK_HOOK(on_acquire, t, l)
-#define DFTH_LOCK_ACQUIRED_SHARED(t, l) DFTH_LOCK_HOOK(on_acquire_shared, t, l)
-#define DFTH_LOCK_RELEASED(t, l) DFTH_LOCK_HOOK(on_release, t, l)
-
-// Happens-before hooks (analyze/race_hooks.h, -DDFTH_RACE builds): every
-// primitive publishes release→acquire edges to the race detector. See the
-// placement contract in race_hooks.h — release-side and fast-path
-// acquire-side hooks run under the object's guard_.
-#include "analyze/race_hooks.h"
+// Observer edges (obs/edges.h): one call per release→acquire edge or lock
+// hold, placed by the contract in edges.h — release-side and fast-path
+// acquire-side calls run under the object's guard_.
+#include "obs/edges.h"
 
 // Record/replay hooks (replay/hooks.h, -DDFTH_REPLAY builds): every guard_
 // critical section is one ordered decision. The SYNC_GATE runs before
@@ -44,12 +28,20 @@
 #endif
 
 namespace dfth {
+
+using obs::edges::Hold;
+
 namespace {
 
 Engine* checked_engine() {
   Engine* e = engine();
   DFTH_CHECK_MSG(e, "synchronization primitive used outside dfth::run");
   return e;
+}
+
+// The calling thread, looked up (out of line) only if an observer reads it.
+auto self(Engine* e) {
+  return [e] { return e->current(); };
 }
 
 }  // namespace
@@ -75,9 +67,8 @@ void Mutex::lock() {
   Tcb* cur = e->current();
   if (owner_ == nullptr) {
     owner_ = cur;
-    DFTH_RACE_ACQUIRE(cur, this);
+    obs::edges::acquire(cur, this, Hold::kLock);
     guard_.unlock();
-    DFTH_LOCK_ACQUIRED(cur, this);
     return;
   }
   DFTH_CHECK_MSG(owner_ != cur, "recursive Mutex::lock");
@@ -86,8 +77,7 @@ void Mutex::lock() {
   e->block_current(&guard_);
   // unlock() handed ownership to us before waking (and recorded its release
   // clock under the guard, so this acquire needs no guard).
-  DFTH_RACE_ACQUIRE(cur, this);
-  DFTH_LOCK_ACQUIRED(cur, this);
+  obs::edges::acquire(cur, this, Hold::kLock);
 }
 
 bool Mutex::try_lock_for(std::uint64_t timeout_ns) {
@@ -102,9 +92,8 @@ bool Mutex::try_lock_for(std::uint64_t timeout_ns) {
   Tcb* cur = e->current();
   if (owner_ == nullptr) {
     owner_ = cur;
-    DFTH_RACE_ACQUIRE(cur, this);
+    obs::edges::acquire(cur, this, Hold::kLock);
     guard_.unlock();
-    DFTH_LOCK_ACQUIRED(cur, this);
     return true;
   }
   DFTH_CHECK_MSG(owner_ != cur, "recursive Mutex::try_lock_for");
@@ -117,8 +106,7 @@ bool Mutex::try_lock_for(std::uint64_t timeout_ns) {
   // unlock() handed ownership to us before waking; the timer lost the claim
   // (we were already off the wait list), so only this path takes the
   // release→acquire edge — the race detector stays schedule-insensitive.
-  DFTH_RACE_ACQUIRE(cur, this);
-  DFTH_LOCK_ACQUIRED(cur, this);
+  obs::edges::acquire(cur, this, Hold::kLock);
   return true;
 }
 
@@ -131,9 +119,8 @@ bool Mutex::try_lock() {
     return false;
   }
   owner_ = e->current();
-  DFTH_RACE_ACQUIRE(owner_, this);
+  obs::edges::acquire(owner_, this, Hold::kLock);
   guard_.unlock();
-  DFTH_LOCK_ACQUIRED(e->current(), this);
   return true;
 }
 
@@ -142,11 +129,10 @@ void Mutex::unlock() {
   e->charge_sync_op();
   DFTH_SYNC_SECTION(MutexUnlock);
   DFTH_CHECK_MSG(owner_ == e->current(), "Mutex::unlock by non-owner");
-  DFTH_RACE_RELEASE(e->current(), this);
+  obs::edges::release(self(e), this, Hold::kLock);
   Tcb* next = waiters_.pop();
   owner_ = next;  // direct handoff keeps the queue FIFO-fair
   guard_.unlock();
-  DFTH_LOCK_RELEASED(e->current(), this);
   if (next) e->wake(next);
 }
 
@@ -171,7 +157,7 @@ void CondVar::wait(Mutex& m) {
   // Re-fetch the engine: we may resume on another kernel thread.
   engine()->current();  // (no-op read; documents the refetch discipline)
   // signal()/broadcast() recorded the signaler's clock before waking us.
-  DFTH_RACE_ACQUIRE(cur, this);
+  obs::edges::acquire(cur, this);
   m.lock();
 }
 
@@ -196,7 +182,7 @@ bool CondVar::timed_wait(Mutex& m, std::uint64_t timeout_ns) {
   cur->timed_out = false;
   // Only a genuine signal carries the signaler's release→acquire edge; a
   // timeout synchronizes with nobody.
-  if (!timed_out) DFTH_RACE_ACQUIRE(cur, this);
+  if (!timed_out) obs::edges::acquire(cur, this);
   m.lock();
   return !timed_out;
 }
@@ -205,7 +191,7 @@ void CondVar::signal() {
   Engine* e = checked_engine();
   e->charge_sync_op();
   DFTH_SYNC_SECTION(CvSignal);
-  DFTH_RACE_RELEASE(e->current(), this);
+  obs::edges::release(self(e), this);
   Tcb* t = waiters_.pop();
   guard_.unlock();
   if (t) e->wake(t);
@@ -215,7 +201,7 @@ void CondVar::broadcast() {
   Engine* e = checked_engine();
   e->charge_sync_op();
   DFTH_SYNC_SECTION(CvBroadcast);
-  DFTH_RACE_RELEASE(e->current(), this);
+  obs::edges::release(self(e), this);
   WaitList woken;
   while (Tcb* t = waiters_.pop()) woken.push(t);
   guard_.unlock();
@@ -231,7 +217,7 @@ void Semaphore::acquire() {
   Tcb* cur = e->current();
   if (count_ > 0) {
     --count_;
-    DFTH_RACE_ACQUIRE(cur, this);
+    obs::edges::acquire(cur, this);
     guard_.unlock();
     return;
   }
@@ -240,7 +226,7 @@ void Semaphore::acquire() {
   e->block_current(&guard_);
   // release() transferred one unit directly to us (V→P edge recorded under
   // the guard before the wake).
-  DFTH_RACE_ACQUIRE(cur, this);
+  obs::edges::acquire(cur, this);
 }
 
 bool Semaphore::try_acquire() {
@@ -250,7 +236,7 @@ bool Semaphore::try_acquire() {
   const bool ok = count_ > 0;
   if (ok) {
     --count_;
-    DFTH_RACE_ACQUIRE(e->current(), this);
+    obs::edges::acquire(self(e), this);
   }
   guard_.unlock();
   return ok;
@@ -267,7 +253,7 @@ bool Semaphore::try_acquire_for(std::uint64_t timeout_ns) {
   Tcb* cur = e->current();
   if (count_ > 0) {
     --count_;
-    DFTH_RACE_ACQUIRE(cur, this);
+    obs::edges::acquire(cur, this);
     guard_.unlock();
     return true;
   }
@@ -278,7 +264,7 @@ bool Semaphore::try_acquire_for(std::uint64_t timeout_ns) {
   cur->timed_out = false;
   if (timed_out) return false;
   // release() transferred one unit directly to us (V→P edge).
-  DFTH_RACE_ACQUIRE(cur, this);
+  obs::edges::acquire(cur, this);
   return true;
 }
 
@@ -286,7 +272,7 @@ void Semaphore::release() {
   Engine* e = checked_engine();
   e->charge_sync_op();
   DFTH_SYNC_SECTION(SemRelease);
-  DFTH_RACE_RELEASE(e->current(), this);
+  obs::edges::release(self(e), this);
   Tcb* t = waiters_.pop();
   if (!t) ++count_;
   guard_.unlock();
@@ -307,19 +293,18 @@ void Barrier::arrive_and_wait() {
     // Every earlier arrival recorded its clock under the guard; the `last`
     // arrival seals generation `gen` as an all-to-all edge and inherits it
     // immediately (it never blocks).
-    DFTH_RACE_BARRIER_ARRIVE(cur, this, gen, /*last=*/true);
-    DFTH_RACE_BARRIER_LEAVE(cur, this, gen);
+    obs::edges::barrier_arrive(cur, this, gen, /*last=*/true);
     WaitList woken;
     while (Tcb* t = waiters_.pop()) woken.push(t);
     guard_.unlock();
     while (Tcb* t = woken.pop()) e->wake(t);
     return;
   }
-  DFTH_RACE_BARRIER_ARRIVE(cur, this, gen, /*last=*/false);
+  obs::edges::barrier_arrive(cur, this, gen, /*last=*/false);
   waiters_.push(cur);
   cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
   e->block_current(&guard_);
-  DFTH_RACE_BARRIER_LEAVE(cur, this, gen);
+  obs::edges::barrier_leave(cur, this, gen);
 }
 
 // -- RwLock ----------------------------------------------------------------------
@@ -331,17 +316,15 @@ void RwLock::rdlock() {
   Tcb* cur = e->current();
   if (!writer_ && waiting_writers_ == 0) {
     ++readers_;
-    DFTH_RACE_RD_ACQUIRE(cur, this);
+    obs::edges::acquire(cur, this, Hold::kRead);
     guard_.unlock();
-    DFTH_LOCK_ACQUIRED_SHARED(cur, this);
     return;
   }
   read_waiters_.push(cur);
   cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
   e->block_current(&guard_);
   // The releasing thread counted us into readers_ before waking us.
-  DFTH_RACE_RD_ACQUIRE(cur, this);
-  DFTH_LOCK_ACQUIRED_SHARED(cur, this);
+  obs::edges::acquire(cur, this, Hold::kRead);
 }
 
 bool RwLock::try_rdlock() {
@@ -351,10 +334,9 @@ bool RwLock::try_rdlock() {
   const bool ok = !writer_ && waiting_writers_ == 0;
   if (ok) {
     ++readers_;
-    DFTH_RACE_RD_ACQUIRE(e->current(), this);
+    obs::edges::acquire(self(e), this, Hold::kRead);
   }
   guard_.unlock();
-  if (ok) DFTH_LOCK_ACQUIRED_SHARED(e->current(), this);
   return ok;
 }
 
@@ -364,8 +346,7 @@ void RwLock::rdunlock() {
   DFTH_SYNC_SECTION(RwRdUnlock);
   DFTH_CHECK_MSG(readers_ > 0, "rdunlock without rdlock");
   --readers_;
-  DFTH_RACE_RD_RELEASE(e->current(), this);
-  DFTH_LOCK_RELEASED(e->current(), this);
+  obs::edges::release(self(e), this, Hold::kRead);
   if (readers_ == 0 && !writer_) {
     release_to_next();
     return;  // release_to_next unlocked the guard
@@ -380,9 +361,8 @@ void RwLock::wrlock() {
   Tcb* cur = e->current();
   if (!writer_ && readers_ == 0) {
     writer_ = true;
-    DFTH_RACE_WR_ACQUIRE(cur, this);
+    obs::edges::acquire(cur, this, Hold::kWrite);
     guard_.unlock();
-    DFTH_LOCK_ACQUIRED(cur, this);
     return;
   }
   ++waiting_writers_;
@@ -390,8 +370,7 @@ void RwLock::wrlock() {
   cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
   e->block_current(&guard_);
   // The releasing thread set writer_ = true on our behalf.
-  DFTH_RACE_WR_ACQUIRE(cur, this);
-  DFTH_LOCK_ACQUIRED(cur, this);
+  obs::edges::acquire(cur, this, Hold::kWrite);
 }
 
 bool RwLock::try_wrlock() {
@@ -401,10 +380,9 @@ bool RwLock::try_wrlock() {
   const bool ok = !writer_ && readers_ == 0;
   if (ok) {
     writer_ = true;
-    DFTH_RACE_WR_ACQUIRE(e->current(), this);
+    obs::edges::acquire(self(e), this, Hold::kWrite);
   }
   guard_.unlock();
-  if (ok) DFTH_LOCK_ACQUIRED(e->current(), this);
   return ok;
 }
 
@@ -414,8 +392,7 @@ void RwLock::wrunlock() {
   DFTH_SYNC_SECTION(RwWrUnlock);
   DFTH_CHECK_MSG(writer_, "wrunlock without wrlock");
   writer_ = false;
-  DFTH_RACE_RELEASE(e->current(), this);
-  DFTH_LOCK_RELEASED(e->current(), this);
+  obs::edges::release(self(e), this, Hold::kWrite);
   release_to_next();
 }
 
@@ -452,20 +429,17 @@ void Once::call(const std::function<void()>& fn) {
   if (::dfth::replay::active() == nullptr)
 #endif
   if (done_.load(std::memory_order_acquire)) {
-#if DFTH_RACE
     // Fast-path observers synchronize with the runner through done_ alone
     // (no mutex), so the run→observe edge must be inherited here too. The
     // release clock is recorded before the store that made done_ visible.
-    if (Engine* e = engine()) {
-      if (Tcb* cur = e->current()) DFTH_RACE_ACQUIRE(cur, this);
-    }
-#endif
+    obs::edges::acquire([] { return engine() ? engine()->current() : nullptr; },
+                        this);
     return;
   }
   LockGuard lock(m_);
   if (!done_.load(std::memory_order_relaxed)) {
     fn();
-    DFTH_RACE_RELEASE(engine()->current(), this);
+    obs::edges::release([] { return engine()->current(); }, this);
     done_.store(true, std::memory_order_release);
   }
   // Slow-path observers inherit the runner's clock through m_'s own

@@ -316,39 +316,5 @@ TEST(ProfileTest, StatsMergedIntoRunStats) {
   EXPECT_EQ(bare.profile.work_ns, 0u);
 }
 
-#if !DFTH_PROF
-// With profiling compiled out, the hook macros must expand to literally
-// ((void)0) — no profiler symbol, no argument evaluation, zero cost.
-#define DFTH_PROF_STR2(x) #x
-#define DFTH_PROF_STR(x) DFTH_PROF_STR2(x)
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_THREAD_START(a, b, c, d, e))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_THREAD_START must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_WORK(a, b))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_WORK must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_OVERHEAD(a, b))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_OVERHEAD must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_DISPATCH(a, b, c))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_DISPATCH must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_FORK_COST(a, b))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_FORK_COST must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_JOIN(a, b, c))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_JOIN must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_WAKE(a, b, c))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_WAKE must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_STEAL(a, b))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_STEAL must compile away");
-static_assert(sizeof(DFTH_PROF_STR(DFTH_PROF_EXIT(a, b))) ==
-                  sizeof("((void)0)"),
-              "DFTH_PROF_EXIT must compile away");
-#endif
-
 }  // namespace
 }  // namespace dfth
