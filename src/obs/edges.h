@@ -13,8 +13,8 @@
 // Placement contract for acquire/release (it matters under the
 // RealEngine): release-side and fast-path acquire-side calls run under the
 // sync object's guard_, so a releaser's clock is recorded before the next
-// acquirer reads it; a blocked acquirer calls after Engine::block_current
-// returns, which the wake protocol orders after the releaser's call. Lock
+// acquirer reads it; a blocked acquirer calls after Engine::block returns
+// true, which the wake protocol orders after the releaser's call. Lock
 // order: guard_ → detector mu_ and guard_ → graph mu_; neither takes a
 // guard. Replay's gate/commit, the fault probes and DFTH_COUNT/DFTH_HIST
 // stay outside: they decide ordering, or count regardless.

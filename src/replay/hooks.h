@@ -95,6 +95,7 @@ struct SectionLog {
 inline std::uint64_t self_actor() { return 0; }
 inline bool pinned() { return false; }
 inline bool pinned_active() { return false; }
+inline bool next_timer_claim(std::uint64_t* /*tid*/) { return false; }
 inline std::uint64_t observe_u64(std::uint64_t /*site*/, std::uint64_t live) {
   return live;
 }

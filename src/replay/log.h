@@ -50,7 +50,7 @@ enum class EvKind : std::uint16_t {
   ExitJoin,       ///< exiting fiber published `finished` under its join lock
   Join,           ///< actor joined child `a`; b = 1 when the joiner blocked
   Sync,           ///< actor's sync-primitive op: a = object id, b = op code
-  TimeoutClaim,   ///< timer (or bound waiter) claimed sleeper `a` off its wait list
+  TimeoutClaim,   ///< timer claimed sleeper `a` off its wait list
   TimeoutReady,   ///< timer re-enqueued timed-out fiber `a` with the scheduler
   Fault,          ///< actor probed fault site `a`; b = 1 when injected
   Steal,          ///< annotation: lane actor stole fiber `a` from victim `b`
@@ -65,6 +65,31 @@ enum class EvKind : std::uint16_t {
 };
 
 const char* to_string(EvKind kind);
+
+/// Sync-section op codes (Record.b of EvKind::Sync). One code per
+/// guard_-serialized section in runtime/sync.cpp.
+enum class SyncOp : std::uint64_t {
+  MutexLock = 1,
+  MutexTryLockFor,
+  MutexTryLock,
+  MutexUnlock,
+  CvWait,
+  CvTimedWait,
+  CvSignal,
+  CvBroadcast,
+  SemAcquire,
+  SemTryAcquire,
+  SemTryAcquireFor,
+  SemRelease,
+  BarrierArrive,
+  RwRdLock,
+  RwTryRdLock,
+  RwRdUnlock,
+  RwWrLock,
+  RwTryWrLock,
+  RwWrUnlock,
+  OnceCall,
+};
 
 // -- actor encoding ------------------------------------------------------------
 //
@@ -134,7 +159,8 @@ inline constexpr char kLogMagic[8] = {'D', 'F', 'T', 'H', 'L', 'O', 'G', '1'};
 /// 3: the real engine retires an exiting fiber (ExitSched, its joiner's
 /// Wake) in the lane's next scheduling section, committed as one batch.
 /// 4: SpawnReg `b` carries the observed live-thread count (kSpawnLiveShift).
-inline constexpr std::uint32_t kLogVersion = 4;
+/// 5: the timer, not the waiter, commits a bound thread's TimeoutClaim.
+inline constexpr std::uint32_t kLogVersion = 5;
 inline constexpr int kMaxFaultSitesWire = 8;
 
 struct LogHeader {

@@ -54,6 +54,12 @@ bool pinned_active() {
   return s != nullptr && s->mode() == Mode::Replay && !s->replay_exhausted();
 }
 
+bool next_timer_claim(std::uint64_t* tid) {
+  Session* s = active();
+  return s != nullptr && s->mode() == Mode::Replay &&
+         s->head_is(EvKind::TimeoutClaim, kActorTimer, tid);
+}
+
 std::uint64_t observe_u64(std::uint64_t site, std::uint64_t live) {
   Session* rs = active();
   if (rs == nullptr) return live;

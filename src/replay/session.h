@@ -59,31 +59,6 @@ enum class Mode : std::uint8_t {
   CrossReplay,  ///< other engine: no pinning; ReplayScheduler maps the log
 };
 
-/// Sync-section op codes (Record.b of EvKind::Sync). One code per
-/// guard_-serialized section in runtime/sync.cpp.
-enum class SyncOp : std::uint64_t {
-  MutexLock = 1,
-  MutexTryLockFor,
-  MutexTryLock,
-  MutexUnlock,
-  CvWait,
-  CvTimedWait,
-  CvSignal,
-  CvBroadcast,
-  SemAcquire,
-  SemTryAcquire,
-  SemTryAcquireFor,
-  SemRelease,
-  BarrierArrive,
-  RwRdLock,
-  RwTryRdLock,
-  RwRdUnlock,
-  RwWrLock,
-  RwTryWrLock,
-  RwWrUnlock,
-  OnceCall,
-};
-
 class Session {
  public:
   /// Recording session: `lanes` writer lanes (nprocs workers + 1 external).
@@ -159,8 +134,8 @@ class Session {
                      std::uint64_t* victim);
 
   /// Replay: non-blocking head peek — true when the next ordered record is
-  /// {kind, actor}; fills *a (and *seq / *b when non-null). Timer/bound-
-  /// waiter polling, ReplayScheduler's dispatch serving, and the engines'
+  /// {kind, actor}; fills *a (and *seq / *b when non-null). The timer's
+  /// poll, ReplayScheduler's dispatch serving, and the engines'
   /// recorded-Dispatch-flags reads (deadline expiry).
   bool head_is(EvKind kind, std::uint64_t actor, std::uint64_t* a,
                std::uint64_t* seq = nullptr, std::uint64_t* b = nullptr) const;
@@ -282,6 +257,11 @@ bool pinned();
 /// bytes) consults this to *pre-read* the recorded outcome via observe_u64
 /// before performing — or skipping — the live operation.
 bool pinned_active();
+
+/// True when strict Replay's next ordered record is the timer's
+/// TimeoutClaim; *tid names the sleeper it claims. The supervisor fires
+/// exactly that sleeper, never one its wall-clock deadline picks.
+bool next_timer_claim(std::uint64_t* tid);
 
 /// Pins a raced read. Record (Real engine only): commits {Observe, actor,
 /// live, site} and returns `live`. Replay: gates, verifies the head record's

@@ -20,6 +20,9 @@
 
 namespace dfth {
 
+/// Engine::block's timeout for a wait without a timer.
+inline constexpr std::uint64_t kNoTimeout = ~std::uint64_t{0};
+
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -42,24 +45,22 @@ class Engine {
   virtual void yield() = 0;
 
   // -- synchronization support ----------------------------------------------
-  /// Blocks the current fiber. The caller has already enqueued itself on a
-  /// wait list and set its state to Blocked while holding `guard`; the
-  /// engine releases `guard` only after the fiber's context is fully saved
-  /// (so a concurrent wake() can never resume a half-saved context).
-  virtual void block_current(SpinLock* guard) = 0;
+  /// Blocks the current thread: the one blocking wait behind every sync
+  /// primitive and join. The caller has already enqueued itself on `list`
+  /// and set its state to Blocked while holding `guard`; the engine releases
+  /// `guard` only after the fiber's context is fully saved (so a concurrent
+  /// wake() can never resume a half-saved context). A timed wait
+  /// (`timeout_ns` other than kNoTimeout: virtual ns in Sim, steady-clock ns
+  /// in Real) arms a timer before the guard is released. If it fires before
+  /// a waker pops the thread from `list`, the timer removes it itself (the
+  /// wait-list membership under `guard` is the claim token — exactly one of
+  /// timer and waker wins) and resumes it. Returns false when the timer won,
+  /// true when a waker did. Only a timed wait reads `list`, so joins and
+  /// untimed waits may pass null. An untimed wait reads no clock.
+  virtual bool block(SpinLock* guard, WaitList* list, std::uint64_t timeout_ns) = 0;
 
   /// Makes a previously Blocked thread runnable again.
   virtual void wake(Tcb* t) = 0;
-
-  /// Timed variant of block_current() for the sync timed-waits: the engine
-  /// additionally arms a timer for `timeout_ns` (virtual ns in Sim,
-  /// steady-clock ns in Real). If the timer fires before a waker pops the
-  /// fiber from `list`, the engine removes it itself (the wait-list
-  /// membership under `guard` is the claim token — exactly one of timer and
-  /// waker wins), sets t->timed_out, and resumes the fiber. On return the
-  /// caller inspects current()->timed_out to distinguish the two outcomes.
-  virtual void block_current_timed(SpinLock* guard, WaitList* list,
-                                   std::uint64_t timeout_ns) = 0;
 
   /// Charges the virtual cost of one uncontended sync operation (no-op in
   /// the real engine, where the cost is real).

@@ -44,19 +44,6 @@ std::uint64_t take_tid(std::atomic<std::uint64_t>& next) {
   return next++;
 }
 
-// True while a same-engine replay still pins dispatches to the log. Idle
-// lanes then wait in the session's gate for their next record instead of
-// parking: the gate, not a scheduler notification, admits them.
-bool replay_pins_dispatch() {
-#if DFTH_REPLAY
-  auto* rs = replay::active();
-  return rs != nullptr && rs->mode() == replay::Mode::Replay &&
-         !rs->replay_exhausted();
-#else
-  return false;
-#endif
-}
-
 // A SpawnReg record's b: the placement flags plus the live-thread count the
 // spawn observed. live_ is one atomic across every lock domain, so a pinned
 // replay cannot reproduce its increment order; it reads the recorded count
@@ -445,7 +432,8 @@ void* RealEngine::join(Tcb* t) {
     DFTH_CHECK_MSG(t->joiner == nullptr, "two concurrent joiners");
     t->joiner = cur;
     cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-    block_current(&t->join_lock);  // releases join_lock after the switch
+    // Releases join_lock after the switch.
+    block(&t->join_lock, nullptr, kNoTimeout);
     DFTH_CHECK(t->finished);
   }
   t->joined = true;
@@ -470,91 +458,46 @@ void RealEngine::requeue(Worker* w, Tcb* cur, std::uint64_t reason) {
   context_switch(&cur->ctx, &w->ctx);
 }
 
-void RealEngine::block_current(SpinLock* guard) {
+bool RealEngine::block(SpinLock* guard, WaitList* list, std::uint64_t timeout_ns) {
   Tcb* cur = current();
   DFTH_CHECK(cur && cur->state.load(std::memory_order_relaxed) == ThreadState::Blocked);
-  DFTH_CHECK_MSG(guard->is_locked(),
-                 "block_current without holding the wait-list guard");
+  DFTH_CHECK_MSG(guard->is_locked(), "block without holding the wait-list guard");
+  const bool timed = timeout_ns != kNoTimeout;
   Worker* w = this_worker();
   obs::edges::block(w ? w->id : opts_.nprocs, cur);
-  if (!w || cur->attr.bound) {
+  if (timed) {
+    DFTH_CHECK(list != nullptr);
+    // Arm the supervisor's timer *before* the guard is released. The timer
+    // claims a waiter off its list only under the guard, so a premature
+    // fire waits until the waiter has blocked (a fiber: until its context
+    // is saved, Post::ReleaseGuard).
+    {
+      std::lock_guard<std::mutex> lk(sup_mu_);
+      sleepers_.push_back({steady_now_ns() + timeout_ns, cur, guard, list});
+    }
+    sup_cv_.notify_all();
+  }
+  if (w && !cur->attr.bound) {
+    w->post = Post::ReleaseGuard;
+    w->post_guard = guard;
+    // An untimed wait tail-calls the switch: the resumed fiber returns
+    // straight to the sync primitive, with no frame of ours to unwind.
+    if (!timed) return context_switch(&cur->ctx, &w->ctx);
+    context_switch(&cur->ctx, &w->ctx);
+  } else {
     // Bound threads have no fiber to switch away from: release the guard
-    // and wait for wake() to flip the state (kernel-level blocking stand-in).
+    // and wait for a waker or the timer to flip the state.
     guard->unlock();
     while (cur->state.load(std::memory_order_acquire) == ThreadState::Blocked) {
       std::this_thread::yield();
     }
-    return;
   }
-  w->post = Post::ReleaseGuard;
-  w->post_guard = guard;
-  context_switch(&cur->ctx, &w->ctx);
-}
-
-void RealEngine::block_current_timed(SpinLock* guard, WaitList* list,
-                                     std::uint64_t timeout_ns) {
-  Tcb* cur = current();
-  DFTH_CHECK(cur && cur->state.load(std::memory_order_relaxed) == ThreadState::Blocked);
-  DFTH_CHECK_MSG(guard != nullptr && guard->is_locked(),
-                 "block_current_timed without holding the wait-list guard");
-  DFTH_CHECK(list != nullptr);
-  cur->timed_out = false;
-  Worker* w = this_worker();
-  obs::edges::block(w ? w->id : opts_.nprocs, cur);
-
-  if (!w || cur->attr.bound) {
-    // Bound threads poll with a deadline: on expiry, claim ourselves off the
-    // wait list under the guard. Losing the claim means a waker popped us
-    // and is about to flip our state — keep spinning for that.
-    guard->unlock();
-    const std::uint64_t deadline = steady_now_ns() + timeout_ns;
-    while (cur->state.load(std::memory_order_acquire) == ThreadState::Blocked) {
-      bool due = steady_now_ns() >= deadline;
-#if DFTH_REPLAY
-      if (auto* rs = replay::active();
-          rs != nullptr && rs->mode() == replay::Mode::Replay &&
-          !rs->replay_exhausted()) {
-        // The deadline-vs-waker race is pinned: expire exactly when the log
-        // says this waiter claimed itself, never on this run's wall clock.
-        due = rs->head_is(replay::EvKind::TimeoutClaim, cur->id, nullptr);
-      }
-#endif
-      if (due) {
-        guard->lock();
-        const bool claimed = list->remove(cur);
-        if (claimed) {
-          DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::TimeoutClaim, cur->id,
-                             cur->id, 0);
-        }
-        guard->unlock();
-        if (claimed) {
-          cur->timed_out = true;
-          cur->state.store(ThreadState::Ready, std::memory_order_relaxed);
-          count(nullptr, [](LaneCounters& c) { ++c.sync_timeouts; });
-          DFTH_COUNT(obs::Counter::SyncTimeouts);
-          obs::edges::wake(opts_.nprocs, nullptr, cur, 0);
-          return;
-        }
-      }
-      std::this_thread::yield();
-    }
-    return;
-  }
-
-  // Unbound fiber: arm the supervisor's timer *before* switching away. The
-  // timer can only claim us off the wait list under the guard, which the
-  // worker releases strictly after our context is saved (Post::ReleaseGuard)
-  // — so a premature fire blocks on the guard until the save completes.
-  {
-    std::lock_guard<std::mutex> lk(sup_mu_);
-    sleepers_.push_back({steady_now_ns() + timeout_ns, cur, guard, list});
-  }
-  sup_cv_.notify_all();
-  w->post = Post::ReleaseGuard;
-  w->post_guard = guard;
-  context_switch(&cur->ctx, &w->ctx);
+  if (!timed) return true;
   // Resumed by the timer or a waker; either way the timer entry is dead.
   cancel_sleeper(cur);
+  const bool timed_out = cur->timed_out;
+  cur->timed_out = false;
+  return !timed_out;
 }
 
 void RealEngine::cancel_sleeper(Tcb* t) {
@@ -1026,8 +969,10 @@ void RealEngine::worker_loop(Worker& w) {
         wake_all();
         break;
       }
-      // In a pinned replay the gate does the waiting instead of the parker.
-      if (replay_pins_dispatch()) continue;
+      // While a same-engine replay still pins dispatches to the log, idle
+      // lanes wait in the session's gate for their next record instead of
+      // parking: the gate, not a scheduler notification, admits them.
+      if (replay::pinned_active()) continue;
       if (!w.idle.load(std::memory_order_relaxed)) {
         // Register, then scan every domain once more before parking.
         go_idle(w);
@@ -1070,26 +1015,41 @@ void RealEngine::timer_ready(Tcb* t) {
   obs::edges::wake(opts_.nprocs, nullptr, t, 0);
   DFTH_COUNT(obs::Counter::SyncTimeouts);
   count(nullptr, [](LaneCounters& c) { ++c.sync_timeouts; });
+  if (t->attr.bound) {
+    // A bound waiter spins on its own state word (see wake()).
+    t->state.store(ThreadState::Ready, std::memory_order_release);
+    return;
+  }
   ready_section(t, nullptr, ::dfth::replay::EvKind::TimeoutReady,
                 ::dfth::replay::kActorTimer);
 }
 
-void RealEngine::fire_due_sleepers(std::unique_lock<std::mutex>& lk) {
+void RealEngine::fire_sleepers(std::unique_lock<std::mutex>& lk) {
   // Called with lk (sup_mu_) held. The vector mutates while unlocked, so
   // restart the scan after every fire; fired entries are gone, so it ends.
 restart:
+  // A pinned replay fires the sleeper the log's next TimeoutClaim names,
+  // never one this run's wall clock picks; its sleeper may not be armed
+  // yet (the waiter is still blocking), so the next poll retries.
+  const bool pinned = replay::pinned_active();
+  std::uint64_t tid = 0;
+  if (pinned && !replay::next_timer_claim(&tid)) return;
   const std::uint64_t now = steady_now_ns();
   for (std::size_t i = 0; i < sleepers_.size(); ++i) {
-    if (sleepers_[i].deadline_ns > now) continue;
+    if (pinned ? sleepers_[i].t->id != tid : sleepers_[i].deadline_ns > now) {
+      continue;
+    }
     const RtSleeper s = sleepers_[i];
     sleepers_.erase(sleepers_.begin() + static_cast<std::ptrdiff_t>(i));
     firing_ = s.t;
     lk.unlock();
     // Claim protocol: wait-list membership under the guard is the claim.
-    // Losing means a waker popped the fiber first; its wake() owns the
-    // resume and the timer loses quietly.
+    // Losing means a waker popped the waiter first; its wake() owns the
+    // resume and the timer loses quietly. In a pinned replay the waker's
+    // section is gated behind this very record, so it cannot lose.
     s.guard->lock();
     const bool claimed = s.list->remove(s.t);
+    DFTH_CHECK_MSG(claimed || !pinned, "replay: logged timeout claim lost its race");
     if (claimed) {
       DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::TimeoutClaim,
                          ::dfth::replay::kActorTimer, s.t->id, 0);
@@ -1102,44 +1062,6 @@ restart:
     goto restart;
   }
 }
-
-#if DFTH_REPLAY
-void RealEngine::replay_fire_sleepers(std::unique_lock<std::mutex>& lk) {
-  auto* rs = replay::active();
-  DFTH_CHECK(rs != nullptr && rs->mode() == replay::Mode::Replay);
-restart:
-  std::uint64_t tid = 0;
-  if (!rs->head_is(replay::EvKind::TimeoutClaim, replay::kActorTimer, &tid)) {
-    // A truncated (abort-time) log free-runs on wall-clock deadlines once
-    // every ordered decision has been consumed.
-    if (rs->replay_exhausted()) fire_due_sleepers(lk);
-    return;
-  }
-  // The log's next decision is a timer claim of fiber `tid`. Its sleeper may
-  // not be armed yet (the fiber is still switching away) — leave the head
-  // alone and retry on the next supervisor poll.
-  for (std::size_t i = 0; i < sleepers_.size(); ++i) {
-    if (sleepers_[i].t->id != tid) continue;
-    const RtSleeper s = sleepers_[i];
-    sleepers_.erase(sleepers_.begin() + static_cast<std::ptrdiff_t>(i));
-    firing_ = s.t;
-    lk.unlock();
-    s.guard->lock();
-    const bool claimed = s.list->remove(s.t);
-    // A waker cannot have popped the fiber first: its guard section is gated
-    // behind this very record. Losing the claim anyway means the run
-    // diverged from the log.
-    DFTH_CHECK_MSG(claimed, "replay: logged timeout claim lost its race");
-    rs->commit(replay::EvKind::TimeoutClaim, replay::kActorTimer, tid, 0);
-    s.guard->unlock();
-    timer_ready(s.t);
-    lk.lock();
-    firing_ = nullptr;
-    sup_cv_.notify_all();
-    goto restart;
-  }
-}
-#endif  // DFTH_REPLAY
 
 void RealEngine::supervisor_loop() {
   using std::chrono::milliseconds;
@@ -1168,38 +1090,24 @@ void RealEngine::supervisor_loop() {
       nap_ns = std::min(
           nap_ns, static_cast<std::uint64_t>(nanoseconds(poll).count()));
     }
-#if DFTH_REPLAY
-    const bool pinned = [] {
-      auto* rs = replay::active();
-      return rs != nullptr && rs->mode() == replay::Mode::Replay;
-    }();
-    if (pinned) {
+    if (replay::pinned_active()) {
       // Replayed timer fires are driven by the log head, not by deadlines —
       // no notification marks the head becoming a TimeoutClaim, so poll at a
-      // flat 1ms. Deadline-derived naps must not apply here: a past-due
-      // sleeper the log is not yet ready to fire yields nap_ns == 0, and a
-      // zero nap skips both wait branches below — the loop would then spin
-      // without ever releasing sup_mu_, starving fibers that register and
-      // deregister sleepers under it (a replay-only livelock).
+      // flat 1ms while the log still has records. Deadline-derived naps must
+      // not apply here: a past-due sleeper the log is not yet ready to fire
+      // yields nap_ns == 0, and a zero nap skips both wait branches below —
+      // the loop would then spin without ever releasing sup_mu_, starving
+      // threads that register and deregister sleepers under it (a
+      // replay-only livelock).
       nap_ns = std::uint64_t{1'000'000};
     }
-#endif
     if (nap_ns == kInf) {
       sup_cv_.wait(lk);
     } else if (nap_ns > 0) {
       sup_cv_.wait_for(lk, nanoseconds(nap_ns));
     }
     if (sup_stop_) break;
-
-#if DFTH_REPLAY
-    if (pinned) {
-      replay_fire_sleepers(lk);
-    } else {
-      fire_due_sleepers(lk);
-    }
-#else
-    fire_due_sleepers(lk);
-#endif
+    fire_sleepers(lk);
 
     if (stall.count() > 0) {
       // Liveness heartbeat (resil/watchdog.h): an intentionally idle serving

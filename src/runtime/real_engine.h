@@ -78,9 +78,7 @@ class RealEngine final : public Engine {
   void* join(Tcb* t) override;
   void detach(Tcb* t) override;
   void yield() override;
-  void block_current(SpinLock* guard) override;
-  void block_current_timed(SpinLock* guard, WaitList* list,
-                           std::uint64_t timeout_ns) override;
+  bool block(SpinLock* guard, WaitList* list, std::uint64_t timeout_ns) override;
   void wake(Tcb* t) override;
   void charge_sync_op() override {}
   std::uint64_t now_ns() const override;
@@ -213,8 +211,9 @@ class RealEngine final : public Engine {
     RealEngine& e_;
   };
 
-  /// A timed wait's timer entry, fired by the supervisor thread. Deadlines
-  /// are steady-clock nanoseconds (steady_now_ns).
+  /// A timed wait's timer entry (a fiber's or a bound thread's), fired by
+  /// the supervisor thread. Deadlines are steady-clock nanoseconds
+  /// (steady_now_ns).
   struct RtSleeper {
     std::uint64_t deadline_ns = 0;
     Tcb* t = nullptr;
@@ -318,18 +317,14 @@ class RealEngine final : public Engine {
   /// flight-recorder dump when no dispatch progress happens for longer than
   /// WatchdogConfig::stall_deadline_ms.
   void supervisor_loop();
-  /// Fires every due sleeper. Called with `lk` (sup_mu_) held; drops it
-  /// around the claim-and-wake of each entry.
-  void fire_due_sleepers(std::unique_lock<std::mutex>& lk);
+  /// Fires every due sleeper: in a pinned replay the one the log's next
+  /// TimeoutClaim names, otherwise each whose deadline passed. The one
+  /// place a timeout is claimed, for fibers and bound threads alike. Called
+  /// with `lk` (sup_mu_) held; drops it around the claim-and-wake of each
+  /// entry.
+  void fire_sleepers(std::unique_lock<std::mutex>& lk);
   /// The timer won t's claim: mark the timeout and ready t.
   void timer_ready(Tcb* t);
-#if DFTH_REPLAY
-  /// Replay-pinned variant: fires a sleeper exactly when the schedule log's
-  /// next ordered decision is the timer's TimeoutClaim for it — wall-clock
-  /// deadlines are ignored, the recorded timer-vs-waker race outcome is
-  /// what's honored. Free-runs via fire_due_sleepers once the log ends.
-  void replay_fire_sleepers(std::unique_lock<std::mutex>& lk);
-#endif
   /// Removes t's timer entry, waiting out an in-flight fire for t so a
   /// stale timer can never claim t's *next* wait.
   void cancel_sleeper(Tcb* t);

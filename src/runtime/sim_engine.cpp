@@ -230,33 +230,25 @@ void SimEngine::yield() {
   switch_to_loop();
 }
 
-void SimEngine::block_current(SpinLock* guard) {
+bool SimEngine::block(SpinLock* guard, WaitList* list, std::uint64_t timeout_ns) {
   DFTH_CHECK_MSG(in_fiber_, "block outside a thread");
   DFTH_CHECK(cur_->state.load(std::memory_order_relaxed) == ThreadState::Blocked);
   DFTH_CHECK_MSG(guard == nullptr || guard->is_locked(),
-                 "block_current without holding the wait-list guard");
+                 "block without holding the wait-list guard");
+  const bool timed = timeout_ns != kNoTimeout;
+  DFTH_CHECK(!timed || (guard != nullptr && list != nullptr));
   charge(kSync, opts_.cost.block_us);
+  if (timed) sleepers_.push_back({vnow_ns() + timeout_ns, cur_, guard, list});
   ev_ = Ev::Block;
   ev_guard_ = guard;
   switch_to_loop();
-}
-
-void SimEngine::block_current_timed(SpinLock* guard, WaitList* list,
-                                    std::uint64_t timeout_ns) {
-  DFTH_CHECK_MSG(in_fiber_, "timed block outside a thread");
-  DFTH_CHECK(cur_->state.load(std::memory_order_relaxed) == ThreadState::Blocked);
-  DFTH_CHECK_MSG(guard != nullptr && guard->is_locked(),
-                 "block_current_timed without holding the wait-list guard");
-  DFTH_CHECK(list != nullptr);
-  cur_->timed_out = false;
-  charge(kSync, opts_.cost.block_us);
-  sleepers_.push_back({vnow_ns() + timeout_ns, cur_, guard, list});
-  ev_ = Ev::Block;
-  ev_guard_ = guard;
-  switch_to_loop();
+  if (!timed) return true;
   // Resumed — by the timer or by a waker. Either way our timer entry is
   // dead; drop it so a later wait cannot be hit by this deadline.
   cancel_sleeper(cur_);
+  const bool timed_out = cur_->timed_out;
+  cur_->timed_out = false;
+  return !timed_out;
 }
 
 void SimEngine::cancel_sleeper(Tcb* t) {

@@ -50,9 +50,7 @@ class SimEngine final : public Engine {
   void* join(Tcb* t) override;
   void detach(Tcb* t) override;
   void yield() override;
-  void block_current(SpinLock* guard) override;
-  void block_current_timed(SpinLock* guard, WaitList* list,
-                           std::uint64_t timeout_ns) override;
+  bool block(SpinLock* guard, WaitList* list, std::uint64_t timeout_ns) override;
   void wake(Tcb* t) override;
   void charge_sync_op() override;
   std::uint64_t now_ns() const override { return vnow_ns(); }

@@ -18,18 +18,15 @@
 // function of that order plus the wait-list FIFO discipline).
 #include "replay/hooks.h"
 
-#if DFTH_REPLAY
-#define DFTH_SYNC_SECTION(op)                             \
-  DFTH_REPLAY_SYNC_GATE();                                \
-  guard_.lock();                                          \
-  DFTH_REPLAY_SYNC_COMMIT(this, ::dfth::replay::SyncOp::op)
-#else
-#define DFTH_SYNC_SECTION(op) guard_.lock()
-#endif
+#define DFTH_SYNC_SECTION(op) \
+  DFTH_REPLAY_SYNC_GATE();    \
+  guard_.lock();              \
+  DFTH_REPLAY_SYNC_COMMIT(this, op)
 
 namespace dfth {
 
 using obs::edges::Hold;
+using replay::SyncOp;
 
 namespace {
 
@@ -60,35 +57,22 @@ RwLock::~RwLock() { DFTH_REPLAY_SYNC_DESTROY(this); }
 
 // -- Mutex --------------------------------------------------------------------
 
-void Mutex::lock() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(MutexLock);
-  Tcb* cur = e->current();
-  if (owner_ == nullptr) {
-    owner_ = cur;
-    obs::edges::acquire(cur, this, Hold::kLock);
-    guard_.unlock();
-    return;
-  }
-  DFTH_CHECK_MSG(owner_ != cur, "recursive Mutex::lock");
-  waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block_current(&guard_);
-  // unlock() handed ownership to us before waking (and recorded its release
-  // clock under the guard, so this acquire needs no guard).
-  obs::edges::acquire(cur, this, Hold::kLock);
-}
+void Mutex::lock() { lock_for(kNoTimeout, SyncOp::MutexLock); }
 
 bool Mutex::try_lock_for(std::uint64_t timeout_ns) {
+  return lock_for(timeout_ns, SyncOp::MutexTryLockFor);
+}
+
+bool Mutex::lock_for(std::uint64_t timeout_ns, [[maybe_unused]] SyncOp op) {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  if (DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kSyncTimeout)) {
+  if (timeout_ns != kNoTimeout &&
+      DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kSyncTimeout)) {
     // Injected immediate timeout; the caller's timeout path absorbs it.
     DFTH_FAULT_RECOVERED(resil::FaultSite::kSyncTimeout);
     return false;
   }
-  DFTH_SYNC_SECTION(MutexTryLockFor);
+  DFTH_SYNC_SECTION(op);
   Tcb* cur = e->current();
   if (owner_ == nullptr) {
     owner_ = cur;
@@ -96,16 +80,14 @@ bool Mutex::try_lock_for(std::uint64_t timeout_ns) {
     guard_.unlock();
     return true;
   }
-  DFTH_CHECK_MSG(owner_ != cur, "recursive Mutex::try_lock_for");
+  DFTH_CHECK_MSG(owner_ != cur, "recursive Mutex::lock");
   waiters_.push(cur);
   cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block_current_timed(&guard_, &waiters_, timeout_ns);
-  const bool timed_out = cur->timed_out;
-  cur->timed_out = false;
-  if (timed_out) return false;
-  // unlock() handed ownership to us before waking; the timer lost the claim
-  // (we were already off the wait list), so only this path takes the
-  // release→acquire edge — the race detector stays schedule-insensitive.
+  if (!e->block(&guard_, &waiters_, timeout_ns)) return false;
+  // unlock() handed ownership to us before waking (and recorded its release
+  // clock under the guard, so this acquire needs no guard). A timer that
+  // claimed us instead takes no release→acquire edge, so the race detector
+  // stays schedule-insensitive.
   obs::edges::acquire(cur, this, Hold::kLock);
   return true;
 }
@@ -113,7 +95,7 @@ bool Mutex::try_lock_for(std::uint64_t timeout_ns) {
 bool Mutex::try_lock() {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  DFTH_SYNC_SECTION(MutexTryLock);
+  DFTH_SYNC_SECTION(SyncOp::MutexTryLock);
   if (owner_ != nullptr) {
     guard_.unlock();
     return false;
@@ -127,7 +109,7 @@ bool Mutex::try_lock() {
 void Mutex::unlock() {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  DFTH_SYNC_SECTION(MutexUnlock);
+  DFTH_SYNC_SECTION(SyncOp::MutexUnlock);
   DFTH_CHECK_MSG(owner_ == e->current(), "Mutex::unlock by non-owner");
   obs::edges::release(self(e), this, Hold::kLock);
   Tcb* next = waiters_.pop();
@@ -138,59 +120,47 @@ void Mutex::unlock() {
 
 // -- CondVar --------------------------------------------------------------------
 
-void CondVar::wait(Mutex& m) {
+void CondVar::wait(Mutex& m) { wait_for(m, kNoTimeout, SyncOp::CvWait); }
+
+bool CondVar::timed_wait(Mutex& m, std::uint64_t timeout_ns) {
+  return wait_for(m, timeout_ns, SyncOp::CvTimedWait);
+}
+
+bool CondVar::wait_for(Mutex& m, std::uint64_t timeout_ns,
+                       [[maybe_unused]] SyncOp op) {
   Engine* e = checked_engine();
   e->charge_sync_op();
   Tcb* cur = e->current();
   DFTH_CHECK_MSG(m.held_by(cur), "CondVar::wait caller does not hold the mutex");
+  if (timeout_ns != kNoTimeout &&
+      DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kSyncTimeout)) {
+    // Injected immediate timeout: the mutex is never released, exactly as
+    // if the deadline expired before the wait began.
+    DFTH_FAULT_RECOVERED(resil::FaultSite::kSyncTimeout);
+    return false;
+  }
   // The m.unlock() below commits its own nested MutexUnlock while this
-  // CvWait section still holds guard_ — safe: no other actor's event on this
+  // section still holds guard_ — safe: no other actor's event on this
   // CondVar can sit between the two in the log (it would have needed guard_).
-  DFTH_SYNC_SECTION(CvWait);
+  DFTH_SYNC_SECTION(op);
   waiters_.push(cur);
   cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
   // Release the user mutex only after we are on the wait list (we still hold
   // guard_, so a signaler cannot pop-and-wake us before we finish blocking —
   // no lost-wakeup window).
   m.unlock();
-  e->block_current(&guard_);
-  // Re-fetch the engine: we may resume on another kernel thread.
-  engine()->current();  // (no-op read; documents the refetch discipline)
-  // signal()/broadcast() recorded the signaler's clock before waking us.
-  obs::edges::acquire(cur, this);
+  const bool signalled = e->block(&guard_, &waiters_, timeout_ns);
+  // Only a genuine signal carries the signaler's release→acquire edge,
+  // recorded before it woke us; a timeout synchronizes with nobody.
+  if (signalled) obs::edges::acquire(cur, this);
   m.lock();
-}
-
-bool CondVar::timed_wait(Mutex& m, std::uint64_t timeout_ns) {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  Tcb* cur = e->current();
-  DFTH_CHECK_MSG(m.held_by(cur),
-                 "CondVar::timed_wait caller does not hold the mutex");
-  if (DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kSyncTimeout)) {
-    // Injected immediate timeout: the mutex is never released, exactly as
-    // if the deadline expired before the wait began.
-    DFTH_FAULT_RECOVERED(resil::FaultSite::kSyncTimeout);
-    return false;
-  }
-  DFTH_SYNC_SECTION(CvTimedWait);
-  waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  m.unlock();
-  e->block_current_timed(&guard_, &waiters_, timeout_ns);
-  const bool timed_out = cur->timed_out;
-  cur->timed_out = false;
-  // Only a genuine signal carries the signaler's release→acquire edge; a
-  // timeout synchronizes with nobody.
-  if (!timed_out) obs::edges::acquire(cur, this);
-  m.lock();
-  return !timed_out;
+  return signalled;
 }
 
 void CondVar::signal() {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  DFTH_SYNC_SECTION(CvSignal);
+  DFTH_SYNC_SECTION(SyncOp::CvSignal);
   obs::edges::release(self(e), this);
   Tcb* t = waiters_.pop();
   guard_.unlock();
@@ -200,7 +170,7 @@ void CondVar::signal() {
 void CondVar::broadcast() {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  DFTH_SYNC_SECTION(CvBroadcast);
+  DFTH_SYNC_SECTION(SyncOp::CvBroadcast);
   obs::edges::release(self(e), this);
   WaitList woken;
   while (Tcb* t = waiters_.pop()) woken.push(t);
@@ -210,29 +180,12 @@ void CondVar::broadcast() {
 
 // -- Semaphore ----------------------------------------------------------------
 
-void Semaphore::acquire() {
-  Engine* e = checked_engine();
-  e->charge_sync_op();
-  DFTH_SYNC_SECTION(SemAcquire);
-  Tcb* cur = e->current();
-  if (count_ > 0) {
-    --count_;
-    obs::edges::acquire(cur, this);
-    guard_.unlock();
-    return;
-  }
-  waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block_current(&guard_);
-  // release() transferred one unit directly to us (V→P edge recorded under
-  // the guard before the wake).
-  obs::edges::acquire(cur, this);
-}
+void Semaphore::acquire() { acquire_for(kNoTimeout, SyncOp::SemAcquire); }
 
 bool Semaphore::try_acquire() {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  DFTH_SYNC_SECTION(SemTryAcquire);
+  DFTH_SYNC_SECTION(SyncOp::SemTryAcquire);
   const bool ok = count_ > 0;
   if (ok) {
     --count_;
@@ -243,13 +196,18 @@ bool Semaphore::try_acquire() {
 }
 
 bool Semaphore::try_acquire_for(std::uint64_t timeout_ns) {
+  return acquire_for(timeout_ns, SyncOp::SemTryAcquireFor);
+}
+
+bool Semaphore::acquire_for(std::uint64_t timeout_ns, [[maybe_unused]] SyncOp op) {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  if (DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kSyncTimeout)) {
+  if (timeout_ns != kNoTimeout &&
+      DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kSyncTimeout)) {
     DFTH_FAULT_RECOVERED(resil::FaultSite::kSyncTimeout);
     return false;
   }
-  DFTH_SYNC_SECTION(SemTryAcquireFor);
+  DFTH_SYNC_SECTION(op);
   Tcb* cur = e->current();
   if (count_ > 0) {
     --count_;
@@ -259,11 +217,9 @@ bool Semaphore::try_acquire_for(std::uint64_t timeout_ns) {
   }
   waiters_.push(cur);
   cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block_current_timed(&guard_, &waiters_, timeout_ns);
-  const bool timed_out = cur->timed_out;
-  cur->timed_out = false;
-  if (timed_out) return false;
-  // release() transferred one unit directly to us (V→P edge).
+  if (!e->block(&guard_, &waiters_, timeout_ns)) return false;
+  // release() transferred one unit directly to us (V→P edge recorded under
+  // the guard before the wake).
   obs::edges::acquire(cur, this);
   return true;
 }
@@ -271,7 +227,7 @@ bool Semaphore::try_acquire_for(std::uint64_t timeout_ns) {
 void Semaphore::release() {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  DFTH_SYNC_SECTION(SemRelease);
+  DFTH_SYNC_SECTION(SyncOp::SemRelease);
   obs::edges::release(self(e), this);
   Tcb* t = waiters_.pop();
   if (!t) ++count_;
@@ -284,7 +240,7 @@ void Semaphore::release() {
 void Barrier::arrive_and_wait() {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  DFTH_SYNC_SECTION(BarrierArrive);
+  DFTH_SYNC_SECTION(SyncOp::BarrierArrive);
   Tcb* cur = e->current();
   const std::uint64_t gen = generation_.load(std::memory_order_relaxed);
   if (++arrived_ == parties_) {
@@ -303,7 +259,7 @@ void Barrier::arrive_and_wait() {
   obs::edges::barrier_arrive(cur, this, gen, /*last=*/false);
   waiters_.push(cur);
   cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block_current(&guard_);
+  e->block(&guard_, nullptr, kNoTimeout);
   obs::edges::barrier_leave(cur, this, gen);
 }
 
@@ -312,7 +268,7 @@ void Barrier::arrive_and_wait() {
 void RwLock::rdlock() {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  DFTH_SYNC_SECTION(RwRdLock);
+  DFTH_SYNC_SECTION(SyncOp::RwRdLock);
   Tcb* cur = e->current();
   if (!writer_ && waiting_writers_ == 0) {
     ++readers_;
@@ -322,7 +278,7 @@ void RwLock::rdlock() {
   }
   read_waiters_.push(cur);
   cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block_current(&guard_);
+  e->block(&guard_, nullptr, kNoTimeout);
   // The releasing thread counted us into readers_ before waking us.
   obs::edges::acquire(cur, this, Hold::kRead);
 }
@@ -330,7 +286,7 @@ void RwLock::rdlock() {
 bool RwLock::try_rdlock() {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  DFTH_SYNC_SECTION(RwTryRdLock);
+  DFTH_SYNC_SECTION(SyncOp::RwTryRdLock);
   const bool ok = !writer_ && waiting_writers_ == 0;
   if (ok) {
     ++readers_;
@@ -343,7 +299,7 @@ bool RwLock::try_rdlock() {
 void RwLock::rdunlock() {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  DFTH_SYNC_SECTION(RwRdUnlock);
+  DFTH_SYNC_SECTION(SyncOp::RwRdUnlock);
   DFTH_CHECK_MSG(readers_ > 0, "rdunlock without rdlock");
   --readers_;
   obs::edges::release(self(e), this, Hold::kRead);
@@ -357,7 +313,7 @@ void RwLock::rdunlock() {
 void RwLock::wrlock() {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  DFTH_SYNC_SECTION(RwWrLock);
+  DFTH_SYNC_SECTION(SyncOp::RwWrLock);
   Tcb* cur = e->current();
   if (!writer_ && readers_ == 0) {
     writer_ = true;
@@ -368,7 +324,7 @@ void RwLock::wrlock() {
   ++waiting_writers_;
   write_waiters_.push(cur);
   cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block_current(&guard_);
+  e->block(&guard_, nullptr, kNoTimeout);
   // The releasing thread set writer_ = true on our behalf.
   obs::edges::acquire(cur, this, Hold::kWrite);
 }
@@ -376,7 +332,7 @@ void RwLock::wrlock() {
 bool RwLock::try_wrlock() {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  DFTH_SYNC_SECTION(RwTryWrLock);
+  DFTH_SYNC_SECTION(SyncOp::RwTryWrLock);
   const bool ok = !writer_ && readers_ == 0;
   if (ok) {
     writer_ = true;
@@ -389,7 +345,7 @@ bool RwLock::try_wrlock() {
 void RwLock::wrunlock() {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  DFTH_SYNC_SECTION(RwWrUnlock);
+  DFTH_SYNC_SECTION(SyncOp::RwWrUnlock);
   DFTH_CHECK_MSG(writer_, "wrunlock without wrlock");
   writer_ = false;
   obs::edges::release(self(e), this, Hold::kWrite);

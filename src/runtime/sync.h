@@ -7,14 +7,18 @@
 // All primitives follow one protocol, engine-agnostic:
 //   1. take the object's spinlock guard,
 //   2. fast path or: enqueue self on the wait list, set state Blocked,
-//   3. Engine::block_current(&guard) — the engine releases the guard only
-//      after the blocking thread's context is fully saved,
+//   3. Engine::block(&guard, &list, timeout) — the engine releases the
+//      guard only after the blocking thread's context is fully saved; a
+//      timed wait's timer claims the thread off the list under the guard,
 //   4. a releasing thread pops a waiter under the guard and Engine::wake()s
 //      it.
+// Each blocking primitive has one wait body for its untimed and timed
+// calls; an untimed call passes kNoTimeout (runtime/engine.h).
 // Blocked threads keep their placeholder in the AsyncDF ordered list, so
 // blocking composes with the space-efficient scheduler exactly as the paper
-// describes. Bound threads use the same code; the engine parks them on the
-// kernel instead of switching fibers.
+// describes. Bound threads use the same code; having no fiber to switch
+// away from, they spin-yield on their own state word until a waker or the
+// timer flips it.
 #pragma once
 
 #include <atomic>
@@ -25,6 +29,10 @@
 #include "util/spinlock.h"
 
 namespace dfth {
+
+namespace replay {
+enum class SyncOp : std::uint64_t;  // replay/log.h
+}
 
 /// pthread_mutex_t equivalent. Non-recursive; FIFO handoff to waiters.
 class Mutex {
@@ -41,10 +49,10 @@ class Mutex {
   bool try_lock();
   /// lock() with a deadline: returns true if the mutex was acquired within
   /// `timeout_ns`, false on timeout (the mutex is then NOT held). Timeouts
-  /// use the claim-token protocol (Engine::block_current_timed): wait-list
-  /// membership under the guard is the claim, so a timeout and a handoff
-  /// can never both win. The sync.timeout fault site injects an immediate
-  /// timeout at entry.
+  /// use the claim-token protocol (Engine::block): wait-list membership
+  /// under the guard is the claim, so a timeout and a handoff can never
+  /// both win. The sync.timeout fault site injects an immediate timeout at
+  /// entry.
   bool try_lock_for(std::uint64_t timeout_ns);
   void unlock();
 
@@ -57,6 +65,9 @@ class Mutex {
   bool held_by(const Tcb* t) const { return owner_ == t; }
 
  private:
+  /// The wait body of lock() and try_lock_for(), committed as `op`.
+  bool lock_for(std::uint64_t timeout_ns, replay::SyncOp op);
+
   SpinLock guard_;
   Tcb* owner_ = nullptr;
   WaitList waiters_;
@@ -102,6 +113,9 @@ class CondVar {
   void broadcast();
 
  private:
+  /// The wait body of wait() and timed_wait(), committed as `op`.
+  bool wait_for(Mutex& m, std::uint64_t timeout_ns, replay::SyncOp op);
+
   SpinLock guard_;
   WaitList waiters_;
 };
@@ -125,6 +139,9 @@ class Semaphore {
   int value() const { return count_; }
 
  private:
+  /// The wait body of acquire() and try_acquire_for(), committed as `op`.
+  bool acquire_for(std::uint64_t timeout_ns, replay::SyncOp op);
+
   SpinLock guard_;
   int count_ = 0;
   WaitList waiters_;

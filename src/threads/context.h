@@ -58,8 +58,10 @@ void context_make(Context* ctx, void* stack_lo, void* stack_hi, FiberEntry entry
                   void* arg);
 
 /// Saves the current execution state into *save and resumes *restore.
-/// Returns (into *save) when something later switches back to it.
-void context_switch(Context* save, Context* restore);
+/// Returns true (into *save) when something later switches back to it, so
+/// a caller that returns bool can tail-call it: the resumed fiber then
+/// returns straight to that caller's caller.
+bool context_switch(Context* save, Context* restore);
 
 /// Last switch out of a fiber that will never resume (its entry is done).
 /// Identical to context_switch except that sanitizer builds tear down the

@@ -9,7 +9,7 @@
 #include "util/check.h"
 
 extern "C" {
-void dfth_asm_switch(void** save_sp, void* restore_sp);
+bool dfth_asm_switch(void** save_sp, void* restore_sp);
 void dfth_asm_trampoline();
 }
 
@@ -63,13 +63,14 @@ void context_make(Context* ctx, void* stack_lo, void* stack_hi, FiberEntry entry
   ctx->sp = frame;
 }
 
-void context_switch(Context* save, Context* restore) {
+bool context_switch(Context* save, Context* restore) {
 #if defined(DFTH_ASAN_ENABLED) || defined(DFTH_TSAN_ENABLED)
   san::pre_switch(save, restore);
   dfth_asm_switch(&save->sp, restore->sp);
   san::post_switch(save);
+  return true;
 #else
-  dfth_asm_switch(&save->sp, restore->sp);
+  return dfth_asm_switch(&save->sp, restore->sp);
 #endif
 }
 

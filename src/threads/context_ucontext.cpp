@@ -62,7 +62,7 @@ void context_make(Context* ctx, void* stack_lo, void* stack_hi, FiberEntry entry
               static_cast<unsigned>(arg_bits & 0xffffffffu));
 }
 
-void context_switch(Context* save, Context* restore) {
+bool context_switch(Context* save, Context* restore) {
   ContextImpl* save_impl = ensure_impl(save);
   DFTH_CHECK(restore->impl != nullptr);
 #if defined(DFTH_ASAN_ENABLED) || defined(DFTH_TSAN_ENABLED)
@@ -72,6 +72,7 @@ void context_switch(Context* save, Context* restore) {
 #else
   DFTH_CHECK(swapcontext(&save_impl->uc, &restore->impl->uc) == 0);
 #endif
+  return true;
 }
 
 void context_switch_final(Context* dying, Context* restore) {

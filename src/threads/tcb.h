@@ -78,10 +78,10 @@ struct Tcb {
 
   // -- wait queues ------------------------------------------------------------
   Tcb* wait_next = nullptr;  ///< intrusive link while blocked on a sync object
-  bool timed_out = false;    ///< set by the engine timer when a timed wait
-                             ///< expired before a waker claimed this thread;
-                             ///< read (and reset) by the sync primitive after
-                             ///< block_current_timed returns
+  bool timed_out = false;    ///< set by the engine timer when it claimed
+                             ///< this thread's timed wait before a waker
+                             ///< did; read (and reset) by Engine::block
+                             ///< before it returns
 
   // -- simulation state --------------------------------------------------------
   std::uint64_t ready_at_ns = 0;   ///< virtual time at which it became runnable

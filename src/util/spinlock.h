@@ -32,7 +32,7 @@ class SpinLock {
   void unlock() { locked_.store(false, std::memory_order_release); }
 
   /// Diagnostics only: true while some thread holds the lock. Engines assert
-  /// this on block_current's guard (sync protocol step 3, runtime/sync.h).
+  /// this on Engine::block's guard (sync protocol step 3, runtime/sync.h).
   bool is_locked() const { return locked_.load(std::memory_order_relaxed); }
 
  private:

@@ -4,14 +4,17 @@
 // build carries -DDFTH_RACE); corrupt or mismatched logs are rejected with
 // a diagnostic before any engine state exists; a RealEngine log
 // cross-replays to completion on the SimEngine; the engine's merged
-// scheduling sections (fork dive, exit retirement) replay exactly.
+// scheduling sections (fork dive, exit retirement) and every timed-wait
+// outcome replay exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../runtime/uneven_tree.h"
@@ -20,6 +23,7 @@
 #include "replay/log.h"
 #include "replay/signature.h"
 #include "runtime/api.h"
+#include "runtime/engine.h"
 #include "runtime/sync.h"
 
 namespace dfth {
@@ -227,6 +231,79 @@ INSTANTIATE_TEST_SUITE_P(Policies, ReplayMergedSections,
                          [](const ::testing::TestParamInfo<SchedKind>& info) {
                            return std::string(to_string(info.param));
                          });
+
+// Every timed-wait outcome is an ordered decision: the timer's claims of a
+// fiber's and a bound thread's wait, a timed wait a signal ends, and a
+// timed lock a handoff ends.
+RunStats run_timed_waits(const RuntimeOptions& o) {
+  return run(o, [] {
+    constexpr std::uint64_t kExpireNs = 1'000'000;             // 1 ms
+    constexpr std::uint64_t kGenerousNs = 20'000'000'000ull;  // never expires
+    Semaphore never(0);
+    auto time_out = [&never]() -> void* {
+      EXPECT_FALSE(never.try_acquire_for(kExpireNs));
+      return nullptr;
+    };
+    Attr bound;
+    bound.bound = true;
+    const Thread fiber_timeout = spawn(time_out);
+    const Thread bound_timeout = spawn(time_out, bound);
+
+    // The waiter holds m until timed_wait releases it, so the signal below
+    // finds it on the wait list.
+    Mutex m;
+    CondVar cv;
+    Semaphore waiting(0);
+    bool ready = false;
+    const Thread waiter = spawn([&]() -> void* {
+      LockGuard lock(m);
+      waiting.release();
+      while (!ready) EXPECT_TRUE(cv.timed_wait(m, kGenerousNs));
+      return nullptr;
+    });
+    waiting.acquire();
+    {
+      LockGuard lock(m);
+      ready = true;
+      cv.signal();
+    }
+
+    // unlock() hands the mutex to a locker already blocked in try_lock_for.
+    // The poll sleeps instead of yielding, so it adds no logged decision.
+    Mutex handoff;
+    std::atomic<Tcb*> locker_tcb{nullptr};
+    handoff.lock();
+    const Thread locker = spawn([&]() -> void* {
+      locker_tcb.store(engine()->current());
+      EXPECT_TRUE(handoff.try_lock_for(kGenerousNs));
+      handoff.unlock();
+      return nullptr;
+    });
+    for (;;) {
+      const Tcb* t = locker_tcb.load();
+      if (t && t->state.load() == ThreadState::Blocked) break;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    handoff.unlock();
+    for (const Thread& t : {fiber_timeout, bound_timeout, waiter, locker}) join(t);
+  });
+}
+
+TEST(ReplayDeterminism, TimedWaitsReplay) {
+  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
+  const std::string path = temp_path("timed");
+  RuntimeOptions o = real_opts();
+  o.record_path = path;
+  const RunStats rec = run_timed_waits(o);
+  EXPECT_EQ(rec.sync_timeouts, 2u);
+
+  RuntimeOptions r = real_opts();
+  r.replay_path = path;
+  const RunStats rep = run_timed_waits(r);
+  EXPECT_EQ(replay::determinism_signature(rec),
+            replay::determinism_signature(rep));
+  std::remove(path.c_str());
+}
 
 using ReplayDeathTest = ::testing::Test;
 

@@ -107,6 +107,28 @@ TEST_P(RecoveryTest, SyncTimeoutFaultForcesOneTimedOutLock) {
   bool first = true, second = false;
   run(opts(&plan), [&] {
     Mutex mu;
+    // Untimed waits never draw sync.timeout: one that did would spend the
+    // plan's only failure, and `first` below would come back true.
+    mu.lock();
+    mu.unlock();
+    Semaphore unit(1);
+    unit.acquire();
+    CondVar cv;
+    Semaphore waiting(0);
+    bool ready = false;
+    Thread waiter = spawn([&]() -> void* {
+      LockGuard lock(mu);
+      waiting.release();
+      while (!ready) cv.wait(mu);  // holds mu until it waits: signalled
+      return nullptr;
+    });
+    waiting.acquire();
+    {
+      LockGuard lock(mu);
+      ready = true;
+      cv.signal();
+    }
+    join(waiter);
     // Uncontended, so only an injected fault can make this fail...
     first = mu.try_lock_for(1'000'000);
     // ...and max_failures=1 means the retry must succeed.

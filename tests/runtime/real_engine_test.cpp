@@ -68,19 +68,36 @@ TEST(RealEngine, BoundAndUnboundInterleave) {
   EXPECT_EQ(count.load(), 20);
 }
 
+// Bound threads take the same waits as fibers, timed ones included: the
+// supervisor claims a bound waiter's timeout on the fibers' path.
 TEST(RealEngine, BoundThreadCanUseMutex) {
+  constexpr int kThreads = 8;
+  constexpr int kBound = kThreads / 2;
+  constexpr std::uint64_t kGenerousNs = 20'000'000'000ull;  // never expires
   long long counter = 0;
-  run(real_opts(), [&] {
+  std::atomic<int> timed_locks{0};
+  std::atomic<int> starved{0};
+  const RunStats stats = run(real_opts(), [&] {
     Mutex mu;
+    Semaphore never(0);
     std::vector<Thread> threads;
-    for (int i = 0; i < 8; ++i) {
+    for (int i = 0; i < kThreads; ++i) {
       Attr attr;
       attr.bound = (i % 2 == 0);
       threads.push_back(spawn(
-          [&]() -> void* {
+          [&, bound = attr.bound]() -> void* {
             for (int j = 0; j < 200; ++j) {
               LockGuard lock(mu);
               ++counter;
+            }
+            for (int j = 0; j < 50; ++j) {
+              if (!mu.try_lock_for(kGenerousNs)) continue;
+              ++counter;
+              mu.unlock();
+              timed_locks.fetch_add(1, std::memory_order_relaxed);
+            }
+            if (bound && !never.try_acquire_for(1'000'000)) {
+              starved.fetch_add(1, std::memory_order_relaxed);
             }
             return nullptr;
           },
@@ -88,7 +105,10 @@ TEST(RealEngine, BoundThreadCanUseMutex) {
     }
     for (auto& t : threads) join(t);
   });
-  EXPECT_EQ(counter, 8 * 200);
+  EXPECT_EQ(timed_locks.load(), kThreads * 50);
+  EXPECT_EQ(counter, kThreads * 250);
+  EXPECT_EQ(starved.load(), kBound);
+  EXPECT_EQ(stats.sync_timeouts, static_cast<std::uint64_t>(kBound));
 }
 
 TEST(RealEngine, FibersMigrateBetweenWorkers) {
