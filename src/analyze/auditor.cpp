@@ -49,7 +49,11 @@ void InvariantAuditor::on_register(const Scheduler& inner, Tcb* parent,
   steps_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(mu_);
   if (!live_.insert(child).second) violation("thread registered twice", child);
-  if (parent) check_registered(parent, "register_thread with unknown parent");
+  // A bound parent is scheduled by the OS, not by our policy: it is
+  // legitimately absent from the registered set and the serial order, and
+  // the policy places its child as a root.
+  const bool policy_parent = parent && !parent->attr.bound;
+  if (policy_parent) check_registered(parent, "register_thread with unknown parent");
 
   // Credit δ dummy threads to the nearest non-dummy ancestor: that ancestor
   // is the thread whose oversized df_malloc forked the dummy tree.
@@ -60,7 +64,7 @@ void InvariantAuditor::on_register(const Scheduler& inner, Tcb* parent,
   }
 
   if (const AsyncDfScheduler* adf = as_asyncdf(inner)) {
-    if (parent && parent->attr.priority == child->attr.priority &&
+    if (policy_parent && parent->attr.priority == child->attr.priority &&
         !adf->serial_before(child, parent)) {
       violation("forked child not placed left of its parent", child);
     }

@@ -72,8 +72,9 @@ class InvariantAuditor {
   /// `parent`'s stack. Legal because inline execution *is* the serial
   /// depth-first order — but only if the child was never registered with
   /// the scheduler (a registered child would additionally occupy an
-  /// order-list slot the scheduler believes it can dispatch). Called in
-  /// a section of the spawning lane's lock domain.
+  /// order-list slot the scheduler believes it can dispatch). Called
+  /// where the engine decides the inline run: in Real, a section of the
+  /// spawning worker's domain, or the cold lock for any other caller.
   void on_inline_run(Tcb* parent, Tcb* child);
 
   /// Heap exhaustion preempted `t` AsyncDF-style. The re-dispatch grants a

@@ -346,10 +346,8 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
       // library before the allocation, where δ is proportional to m/K."
       insert_dummy_threads((bytes + quota - 1) / quota);
     }
-  }
-  // Audited after the dummy-tree insertion so the δ credit those dummies
-  // earn at registration is visible to the oversized-allocation check.
-  if (e && e->uses_alloc_quota()) {
+    // Audited after the dummy-tree insertion so the δ credit those dummies
+    // earn at registration is visible to the oversized-allocation check.
     if (analyze::InvariantAuditor* aud = analyze::active_auditor()) {
       aud->on_alloc(e->current(), bytes, e->quota_bytes());
     }

@@ -30,8 +30,8 @@
 
 #include "resil/watchdog.h"
 #include "runtime/cost_model.h"
-#include "runtime/engine.h"
 #include "runtime/run_stats.h"
+#include "threads/tcb.h"
 
 namespace dfth {
 

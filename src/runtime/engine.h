@@ -1,24 +1,41 @@
-// Execution-engine interface. The public API in runtime/api.h dispatches
-// every thread operation to the active engine:
+// Execution engines. The public API in runtime/api.h dispatches every thread
+// operation to the active engine:
 //   * SimEngine — deterministic discrete-event model of a p-processor SMP
 //     (runtime/sim_engine.h); regenerates the paper's measurements.
 //   * RealEngine — kernel-thread workers multiplexing fibers
 //     (runtime/real_engine.h); true concurrency for stress tests and for
 //     the Figure 3 operation-cost microbenchmarks.
 //
+// Engine is the interface and the transition core: the policy half of each
+// transition both engines make is one protected member here (the hot ones
+// inline, the cold ones in engine.cpp), called where the transition
+// happens. Each engine keeps only what differs: its clock, its charge
+// (virtual cost in Sim), its lock (a domain section in Real, the virtual
+// lock in Sim), its threads and its event loop.
+//
 // Threading contract: engine methods are called from fiber context (user
 // code) except run(), which is called from the host thread that owns the
 // runtime for the duration of the run.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 
+#include "core/scheduler.h"
+#include "obs/edges.h"
+#include "runtime/api.h"
 #include "runtime/run_stats.h"
 #include "threads/tcb.h"
+#include "util/check.h"
 #include "util/spinlock.h"
 
 namespace dfth {
+
+namespace resil {
+struct FlightInfo;
+}
 
 /// Engine::block's timeout for a wait without a timer.
 inline constexpr std::uint64_t kNoTimeout = ~std::uint64_t{0};
@@ -41,7 +58,7 @@ class Engine {
   virtual Tcb* spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy,
                      const char* site_file = nullptr, int site_line = 0) = 0;
   virtual void* join(Tcb* t) = 0;
-  virtual void detach(Tcb* t) = 0;
+  void detach(Tcb* t) { t->detached = true; }
   virtual void yield() = 0;
 
   // -- synchronization support ----------------------------------------------
@@ -79,8 +96,11 @@ class Engine {
   virtual void on_free(std::size_t bytes) = 0;
   /// True when the active scheduler bounds memory with per-scheduling quotas
   /// (AsyncDF); df_malloc then forks dummy threads for allocations > quota.
-  virtual bool uses_alloc_quota() const = 0;
-  virtual std::size_t quota_bytes() const = 0;
+  bool uses_alloc_quota() const { return sched_->needs_quota(); }
+  /// The *effective* quota K: opts.mem_quota, halved by each OOM recovery.
+  std::size_t quota_bytes() const {
+    return eff_quota_.load(std::memory_order_relaxed);
+  }
 
   /// Heap exhaustion recovery (df_malloc's retry loop). `attempt` counts
   /// failures for this one allocation, starting at 0. Returns true if the
@@ -93,6 +113,123 @@ class Engine {
   // -- virtual-time annotations (no-ops in the real engine) -------------------
   virtual void add_work(std::uint64_t ops) = 0;
   virtual void touch(const std::uint32_t* block_ids, std::size_t count) = 0;
+
+ protected:
+  /// Run counters one lane owns, summed into the RunStats at run end.
+  struct LaneCounters {
+    std::uint64_t threads_created = 0;
+    std::uint64_t dummy_threads = 0;
+    std::int64_t max_live_threads = 0;
+    std::uint64_t dispatches = 0;
+    std::uint64_t quota_preemptions = 0;
+    std::uint64_t oom_preemptions = 0;
+    std::uint64_t inline_runs = 0;
+    std::uint64_t sync_timeouts = 0;
+    std::uint64_t deadline_expirations = 0;
+    std::uint64_t sched_lock_sections = 0;
+
+    void add_to(RunStats* s) const;
+  };
+
+  /// A timed wait's timer entry: fires at deadline_ns (engine clock) unless
+  /// a waker claimed t first, popping it from `list` under `guard`.
+  struct Sleeper {
+    std::uint64_t deadline_ns = 0;
+    Tcb* t = nullptr;
+    SpinLock* guard = nullptr;
+    WaitList* list = nullptr;
+  };
+
+  /// Builds the scheduler: a replay session's ReplayScheduler (pinned to
+  /// the log in Real, mapped onto virtual time in Sim), else opts.sched.
+  Engine(const RuntimeOptions& opts, EngineKind kind);
+
+  /// Tcb creation: attr defaults, the parent's cancel token unless attr has
+  /// its own, then a fiber (a stack of `stack_bytes` entering `entry`)
+  /// unless `stack_bytes` is 0. A null stack on return (no memory, or a
+  /// failed `probe` of ctx.create) means an inline run.
+  Tcb* new_tcb(std::uint64_t id, std::function<void*()> fn, const Attr& attr,
+               bool is_dummy, Tcb* parent, std::size_t stack_bytes,
+               void (*entry)(void*), bool probe = true);
+
+  // The inline run of a child with no fiber, on its parent's stack: the
+  // child precedes the parent's continuation in the serial depth-first
+  // order, so this is the one-processor schedule. The child is never
+  // registered. decide_inline counts it on `c`, audits it and logs a
+  // kSpawnInline SpawnReg (Real: in a section); run_inline dispatches it
+  // with no burden and runs its body on the parent's span; end_inline gives
+  // its exit edge and Done (no joiner can exist yet).
+  void decide_inline(Tcb* parent, Tcb* child, LaneCounters& c);
+  void run_inline(Tcb* child, int lane);
+  void end_inline(Tcb* child, int lane);
+
+  /// The dispatch grant: t runs on `lane` with a fresh quota of K bytes and
+  /// `cost` (a DispatchCost or callable) as its burden. Returns the Dispatch
+  /// record's kDispatchDeadline bit.
+  template <class C>
+  std::uint64_t grant(Tcb* t, LaneCounters& c, int lane, const C& cost) {
+    t->state.store(ThreadState::Running, std::memory_order_relaxed);
+    t->quota = static_cast<std::int64_t>(quota_bytes());
+    ++t->dispatches;
+    ++c.dispatches;
+    obs::edges::dispatch(lane, t, cost);
+    // No token, no deadline: a faithful replay logged none either.
+    return t->cancel != nullptr ? expire(t, c, lane) : 0;
+  }
+
+  /// The quota debit of a df_malloc under a quota policy (§4 item 2): true
+  /// when it exhausts t's quota — "when the counter reaches zero, the thread
+  /// is preempted" — and the caller preempts t.
+  bool debit(Tcb* t, std::size_t bytes, LaneCounters& c, int lane) {
+    t->quota -= static_cast<std::int64_t>(bytes);
+    if (t->quota > 0) return false;
+    ++c.quota_preemptions;
+    obs::edges::quota_exhaust(lane, t, bytes);
+    return true;
+  }
+
+  /// OOM recovery handles heap exhaustion like quota exhaustion: false once
+  /// `attempt` reaches the bound (the caller surfaces kNoMem), else audits
+  /// t's preempt. The caller counts it, shrinks K, backs off, preempts t.
+  bool oom_preempt(Tcb* t, int attempt);
+  /// Halves K (4 KiB floor): every later scheduling admits fewer live
+  /// allocations. Returns the new K.
+  std::size_t shrink_quota();
+
+  /// The join's checks and edge (as obs::edges::join) once t's exit-or-not
+  /// is settled. True when t has not finished: `cur` is then t's Blocked
+  /// joiner, and the caller blocks it until t's exit wakes it.
+  template <class L, class O>
+  bool join_blocks(Tcb* cur, Tcb* t, const L& lane, const O& offset_ns) {
+    DFTH_CHECK_MSG(!t->detached, "join of detached thread");
+    DFTH_CHECK_MSG(!t->joined, "thread joined twice");
+    obs::edges::join(lane, cur, t, offset_ns);
+    if (t->finished) return false;
+    DFTH_CHECK_MSG(cur, "join from outside the runtime");
+    DFTH_CHECK_MSG(t->joiner == nullptr, "two concurrent joiners");
+    t->joiner = cur;
+    cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
+    return true;
+  }
+
+  /// RunStats::steals: the work-stealing policy's, or a pinned replay's.
+  std::uint64_t steal_count() const;
+  /// Adds the engine, the scheduler, the tracer and the replay session to
+  /// `info`, then writes the flight-recorder dump.
+  void dump(resil::FlightInfo& info);
+
+  RuntimeOptions opts_;
+  std::unique_ptr<Scheduler> sched_;
+  /// Effective K (atomic: Real grants it without the lock that shrinks it).
+  std::atomic<std::size_t> eff_quota_{0};
+  RunStats stats_;  ///< configuration echo; counters merged at run end
+
+ private:
+  /// The grant's deadline check: fires t's cancel token once now_ns() has
+  /// passed its deadline. Cooperative — t still runs, polls
+  /// cancel_requested() and drains. A pinned replay reads the logged bit,
+  /// the one record of the expire-or-not race, instead of the clock.
+  std::uint64_t expire(Tcb* t, LaneCounters& c, int lane);
 };
 
 /// The active engine, or nullptr outside dfth::run(). Deliberately a

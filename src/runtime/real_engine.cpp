@@ -4,8 +4,6 @@
 #include <chrono>
 #include <limits>
 
-#include "analyze/auditor.h"
-#include "core/worksteal_sched.h"
 #include "obs/counters.h"
 #include "obs/edges.h"
 #include "replay/log.h"
@@ -14,10 +12,6 @@
 #include "space/tracked_heap.h"
 #include "util/check.h"
 #include "util/timer.h"
-
-#if DFTH_REPLAY
-#include "replay/replay_sched.h"
-#endif
 
 namespace dfth {
 namespace {
@@ -69,19 +63,6 @@ void push_created(std::atomic<Tcb*>& head, Tcb* t) {
 
 }  // namespace
 
-void RealEngine::LaneCounters::add_to(RunStats* s) const {
-  s->threads_created += threads_created;
-  s->dummy_threads += dummy_threads;
-  s->max_live_threads = std::max(s->max_live_threads, max_live_threads);
-  s->dispatches += dispatches;
-  s->quota_preemptions += quota_preemptions;
-  s->oom_preemptions += oom_preemptions;
-  s->inline_runs += inline_runs;
-  s->sync_timeouts += sync_timeouts;
-  s->deadline_expirations += deadline_expirations;
-  s->sched_lock_sections += sched_lock_sections;
-}
-
 // Both accessors are noinline on purpose: fibers migrate between kernel
 // threads, and a thread-local read cached across a context switch would
 // observe another worker's state (see engine.h).
@@ -119,11 +100,6 @@ void RealEngine::bump_progress(Worker* w) {
   }
 }
 
-void RealEngine::remember(Tcb* t) {
-  Worker* w = this_worker();
-  push_created(w ? w->created : ext_created_, t);
-}
-
 template <typename F>
 void RealEngine::for_each_tcb(F&& f) const {
   auto walk = [&f](const std::atomic<Tcb*>& head) {
@@ -137,30 +113,12 @@ void RealEngine::for_each_tcb(F&& f) const {
   for (const Worker& w : workers_) walk(w.created);
 }
 
-RealEngine::RealEngine(const RuntimeOptions& opts) : opts_(opts) {
-  DFTH_CHECK(opts_.nprocs >= 1);
-#if DFTH_REPLAY
-  if (auto* rs = replay::active();
-      rs != nullptr && rs->mode() == replay::Mode::Replay) {
-    // Schedule-pinned replay: serve the logged dispatch outcomes instead of
-    // re-running the recorded policy (see replay/replay_sched.h for why the
-    // policy itself cannot be replayed through).
-    sched_ = std::make_unique<replay::ReplayScheduler>(
-        rs, opts_.sched, replay::ReplayScheduler::Pinning::Pin);
-  }
-#endif
-  if (!sched_) {
-    sched_ = make_scheduler(opts_.sched, opts_.nprocs, opts_.seed,
-                            opts_.cluster_size);
-  }
+RealEngine::RealEngine(const RuntimeOptions& opts)
+    : Engine(opts, EngineKind::Real) {
   ndomains_ = sched_->domains();
   // A recording or a pinned replay must order every ready in a section.
   posts_ = ndomains_ == 1 && !replay::pinned();
   domains_ = std::make_unique<Domain[]>(static_cast<std::size_t>(ndomains_));
-  eff_quota_.store(opts_.mem_quota, std::memory_order_relaxed);
-  stats_.engine = EngineKind::Real;
-  stats_.sched = opts_.sched;
-  stats_.nprocs = opts_.nprocs;
 }
 
 RealEngine::~RealEngine() {
@@ -171,30 +129,21 @@ RealEngine::~RealEngine() {
   });
 }
 
-Tcb* RealEngine::make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy) {
-  Tcb* t = new Tcb(take_tid(next_tid_));
-  remember(t);
-  t->attr = attr;
-  if (t->attr.stack_size == 0) t->attr.stack_size = opts_.default_stack_size;
-  DFTH_CHECK(t->attr.priority >= 0 && t->attr.priority < kNumPriorities);
-  t->entry = std::move(fn);
-  t->is_dummy = is_dummy;
-  t->detached = attr.detached;
-  if (!t->attr.bound) {
-    // Real stacks honor the requested size but keep a floor under the
-    // benchmarks' serial base cases.
-    t->stack = StackPool::instance().acquire(std::max(t->attr.stack_size, kRealStackFloor));
-    if (t->stack && DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kCtxCreate)) {
-      StackPool::instance().release(t->stack);
-      t->stack = Stack{};
-      // The inline-run fallback in spawn() absorbs this.
-      DFTH_FAULT_RECOVERED(resil::FaultSite::kCtxCreate);
-    }
-    if (t->stack) {
-      context_make(&t->ctx, t->stack.base, t->stack.top(), &fiber_entry, t);
-      obs::edges::stack([this] { return trace_lane(); }, t, t->stack.size,
-                        t->stack.fresh);
-    }
+Tcb* RealEngine::make_tcb(std::function<void*()> fn, const Attr& attr,
+                          bool is_dummy, Tcb* parent) {
+  // Real stacks honor the requested size but keep a floor under the
+  // benchmarks' serial base cases; a bound thread gets none.
+  const std::size_t stack =
+      attr.bound ? 0
+                 : std::max(attr.stack_size ? attr.stack_size : opts_.default_stack_size,
+                            kRealStackFloor);
+  Tcb* t = new_tcb(take_tid(next_tid_), std::move(fn), attr, is_dummy, parent,
+                   stack, &fiber_entry);
+  Worker* w = this_worker();
+  push_created(w ? w->created : ext_created_, t);
+  if (t->stack) {
+    obs::edges::stack([this] { return trace_lane(); }, t, t->stack.size,
+                      t->stack.fresh);
   }
   return t;
 }
@@ -267,17 +216,13 @@ void RealEngine::finish_bound_thread(Tcb* t) {
 
 Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy,
                        const char* site_file, int site_line) {
-  const std::uint64_t fork_t0 = steady_now_ns();
-  Tcb* child = make_tcb(std::move(fn), attr, is_dummy);
-  child->site_file = site_file;
-  child->site_line = site_line;
+  // The profiler's fork-cost burden; no clock read without one.
+  const std::uint64_t fork_t0 = obs::profiler() ? steady_now_ns() : 0;
   Worker* w = this_worker();
   Tcb* parent = current();
-  child->parent = parent;
-  // Deadline propagation: a child without its own cancellation scope joins
-  // the parent's, so a request's token covers the whole spawn subtree.
-  child->cancel =
-      attr.cancel != nullptr ? attr.cancel : (parent ? parent->cancel : nullptr);
+  Tcb* child = make_tcb(std::move(fn), attr, is_dummy, parent);
+  child->site_file = site_file;
+  child->site_line = site_line;
   // Fork edge, taken before the child is published to the scheduler —
   // another worker may dispatch it (and charge work to it) the moment it
   // is ready. The offset is the parent's uncharged partial
@@ -289,54 +234,27 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
   });
 
   if (child->attr.bound) {
-    DFTH_REPLAY_GATE_SELF();
-    {
-      ColdSection s(*this);
-      std::int64_t live = live_.fetch_add(1, std::memory_order_relaxed) + 1;
-      bound_live_.fetch_add(1, std::memory_order_relaxed);
-      [[maybe_unused]] const std::uint64_t b =
-          spawn_record_b(::dfth::replay::kSpawnBound, &live);
-      LaneCounters& c = w ? w->counters : ext_counters_;
-      ++c.threads_created;
-      c.max_live_threads = std::max(c.max_live_threads, live);
-      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                         ::dfth::replay::self_actor(), child->id, b);
-    }
-    start_bound_thread(child);
+    start_bound(child, w);
     return child;
   }
-
-  if (!child->stack) return run_inline(child);
-
-  // Counted live before it is published: its exit may follow at once.
-  std::int64_t live = live_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // A bound (or engine-external) caller has no worker to preempt. The gate
-  // comes first: a pinned replay answers dives() from the gated record.
-  DFTH_REPLAY_GATE_SELF();
-  const bool preempt =
-      w && parent && !parent->attr.bound && sched_->dives(parent, child);
-  // A fork dive's registration, parent requeue and child dispatch wait for
-  // the lane's post-switch step: the parent is published only once it is
-  // saved.
-  if (posts_ && w) {
-    if (!preempt) post(*w, child, PostKind::Spawn);
-  } else {
-    {
-      Section s(*this, own_domain(w), w);
-      sched_->register_thread(parent, child);
-      // b is the *effective* decision (fork dive or queued), which is what
-      // replay must pin.
-      [[maybe_unused]] const std::uint64_t b =
-          spawn_record_b(preempt ? ::dfth::replay::kSpawnPreempt : 0, &live);
-      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                         ::dfth::replay::self_actor(), child->id, b);
-      if (!preempt) {
-        DFTH_DCHECK(sched_->ready_domain(child, w ? w->id : 0) == own_domain(w));
-        make_ready_locked(child, w ? w->id : 0, w);
-      }
+  if (!child->stack) {
+    // The inline run, decided in a section of the worker's own domain; any
+    // other caller decides (and counts) it under mu_.
+    DFTH_REPLAY_GATE_SELF();
+    if (w) {
+      Section s(*this, w->domain, w);
+      decide_inline(parent, child, w->counters);
+    } else {
+      ColdSection s(*this);
+      decide_inline(parent, child, ext_counters_);
     }
-    if (!preempt) wake_idle();
+    run_inline(child, w ? w->id : opts_.nprocs);
+    // The body may have switched workers: look the lane up anew.
+    end_inline(child, trace_lane());
+    return child;
   }
+  std::int64_t live;
+  const bool preempt = enqueue(child, parent, w, &live);
   count(w, [&](LaneCounters& c) {
     ++c.threads_created;
     if (is_dummy) ++c.dummy_threads;
@@ -355,51 +273,55 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
   return child;
 }
 
-Tcb* RealEngine::run_inline(Tcb* child) {
-  // Stack or context acquisition failed even after the pool's fallbacks.
-  // Degrade by running the child to completion on the caller's stack: the
-  // child precedes the parent's continuation in the serial depth-first
-  // order, so this is the 1-processor schedule — correct, just not
-  // parallel. The child is never registered with the scheduler and never
-  // counted in live_ (it is already Done when the handle becomes visible).
-  [[maybe_unused]] Tcb* parent = current();
-  Worker* w = this_worker();
-  count(w, [child](LaneCounters& c) {
-    ++c.threads_created;
-    ++c.inline_runs;
-    if (child->is_dummy) ++c.dummy_threads;
-  });
+bool RealEngine::enqueue(Tcb* child, Tcb* parent, Worker* w, std::int64_t* live) {
+  // Counted live before it is published: its exit may follow at once.
+  *live = live_.fetch_add(1, std::memory_order_relaxed) + 1;
+  // A bound (or engine-external) caller has no worker to preempt. The gate
+  // comes first: a pinned replay answers dives() from the gated record.
   DFTH_REPLAY_GATE_SELF();
+  const bool preempt =
+      w && parent && !parent->attr.bound && sched_->dives(parent, child);
+  // A fork dive's registration, parent requeue and child dispatch wait for
+  // the lane's post-switch step: the parent is published only once it is
+  // saved.
+  if (posts_ && w) {
+    if (!preempt) post(*w, child, PostKind::Spawn);
+    return preempt;
+  }
   {
     Section s(*this, own_domain(w), w);
-    if (auto* aud = analyze::active_auditor()) aud->on_inline_run(parent, child);
+    sched_->register_thread(parent, child);
+    // b is the *effective* decision (fork dive or queued), which is what
+    // replay must pin.
+    [[maybe_unused]] const std::uint64_t b =
+        spawn_record_b(preempt ? ::dfth::replay::kSpawnPreempt : 0, live);
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                       ::dfth::replay::self_actor(), child->id,
-                       ::dfth::replay::kSpawnInline);
+                       ::dfth::replay::self_actor(), child->id, b);
+    if (!preempt) {
+      DFTH_DCHECK(sched_->ready_domain(child, w ? w->id : 0) == own_domain(w));
+      make_ready_locked(child, w ? w->id : 0, w);
+    }
   }
-  DFTH_COUNT(obs::Counter::InlineRuns);
-  child->state.store(ThreadState::Running, std::memory_order_relaxed);
-  ++child->dispatches;
-  obs::edges::dispatch(w ? w->id : opts_.nprocs, child, obs::edges::DispatchCost{});
-  child->result = child->entry();
-  child->entry = nullptr;
-  // The body's time lands in the caller's slice (it ran on the caller's
-  // stack — serialized on the caller's span, which is what inline means).
-  // The body may have switched, so the caller's lane is looked up anew.
-  obs::edges::exit([this] { return trace_lane(); }, child);
-  child->join_lock.lock();
-  child->finished = true;
-  child->join_lock.unlock();
-  child->state.store(ThreadState::Done, std::memory_order_release);
-  return child;
+  if (!preempt) wake_idle();
+  return preempt;
 }
 
-void RealEngine::start_bound_thread(Tcb* t) {
+void RealEngine::start_bound(Tcb* t, Worker* w) {
+  DFTH_REPLAY_GATE_SELF();
   ColdSection s(*this);
+  std::int64_t live = live_.fetch_add(1, std::memory_order_relaxed) + 1;
+  bound_live_.fetch_add(1, std::memory_order_relaxed);
+  [[maybe_unused]] const std::uint64_t b =
+      spawn_record_b(::dfth::replay::kSpawnBound, &live);
+  LaneCounters& c = w ? w->counters : ext_counters_;
+  ++c.threads_created;
+  c.max_live_threads = std::max(c.max_live_threads, live);
+  DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
+                     ::dfth::replay::self_actor(), t->id, b);
   bound_threads_.emplace_back([this, t] {
     tl_bound = t;
     t->state.store(ThreadState::Running, std::memory_order_relaxed);
-    const std::uint64_t t0 = steady_now_ns();
+    const std::uint64_t t0 = obs::profiler() ? steady_now_ns() : 0;
     t->result = t->entry();
     t->entry = nullptr;
     // A bound thread is one uninterrupted slice on its own kernel thread.
@@ -411,8 +333,6 @@ void RealEngine::start_bound_thread(Tcb* t) {
 }
 
 void* RealEngine::join(Tcb* t) {
-  DFTH_CHECK_MSG(!t->detached, "join of detached thread");
-  DFTH_CHECK_MSG(!t->joined, "thread joined twice");
   Tcb* cur = current();
   DFTH_REPLAY_GATE_SELF();
   t->join_lock.lock();
@@ -420,18 +340,12 @@ void* RealEngine::join(Tcb* t) {
   // inside the section so replay reproduces (and verifies) it.
   DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Join, ::dfth::replay::self_actor(),
                      t->id, t->finished ? 0 : 1);
-  const bool blocks = !t->finished;
-  if (!blocks) t->join_lock.unlock();
+  if (t->finished) t->join_lock.unlock();
   // A finished child gives its edge here, else publish_exit's wake does.
-  obs::edges::join([this] { return trace_lane(); }, cur, t, [this, cur] {
-    Worker* w = this_worker();
-    return (w && cur) ? steady_now_ns() - w->slice_start_ns : 0;
-  });
-  if (blocks) {
-    DFTH_CHECK_MSG(cur, "join from outside the runtime");
-    DFTH_CHECK_MSG(t->joiner == nullptr, "two concurrent joiners");
-    t->joiner = cur;
-    cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
+  if (join_blocks(cur, t, [this] { return trace_lane(); }, [this, cur] {
+        Worker* w = this_worker();
+        return (w && cur) ? steady_now_ns() - w->slice_start_ns : 0;
+      })) {
     // Releases join_lock after the switch.
     block(&t->join_lock, nullptr, kNoTimeout);
     DFTH_CHECK(t->finished);
@@ -439,8 +353,6 @@ void* RealEngine::join(Tcb* t) {
   t->joined = true;
   return t->result;
 }
-
-void RealEngine::detach(Tcb* t) { t->detached = true; }
 
 void RealEngine::yield() {
   Worker* w = this_worker();
@@ -505,12 +417,7 @@ void RealEngine::cancel_sleeper(Tcb* t) {
   // An in-flight fire for t already left sleepers_ but may not have taken
   // the guard yet; wait it out or it could claim t's *next* wait.
   sup_cv_.wait(lk, [this, t] { return firing_ != t; });
-  for (std::size_t i = 0; i < sleepers_.size(); ++i) {
-    if (sleepers_[i].t == t) {
-      sleepers_.erase(sleepers_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
+  std::erase_if(sleepers_, [t](const Sleeper& s) { return s.t == t; });
 }
 
 void RealEngine::note_wake(Tcb* t) {
@@ -568,15 +475,11 @@ void RealEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
   (void)fresh_bytes;
   obs::edges::heap([this] { return trace_lane(); }, [this] { return current(); },
                    bytes, /*freed=*/false);
-  if (!sched_->needs_quota()) return;
-  Tcb* cur = current();
+  if (!uses_alloc_quota()) return;
+  // Bound threads and callers outside the runtime have no quota.
   Worker* w = this_worker();
-  if (!cur || !w || cur->attr.bound) return;
-  cur->quota -= static_cast<std::int64_t>(bytes);
-  if (cur->quota <= 0) {
-    ++w->counters.quota_preemptions;
-    obs::edges::quota_exhaust(w->id, cur, bytes);
-    requeue(w, cur, obs::kPreemptQuota);
+  if (w && w->current && debit(w->current, bytes, w->counters, w->id)) {
+    requeue(w, w->current, obs::kPreemptQuota);
   }
 }
 
@@ -585,18 +488,10 @@ void RealEngine::on_free(std::size_t bytes) {
                    bytes, /*freed=*/true);
 }
 
-bool RealEngine::uses_alloc_quota() const { return sched_->needs_quota(); }
-
 bool RealEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   (void)bytes;
-  // Treat heap exhaustion like quota exhaustion: preempt AsyncDF-style,
-  // shrink the effective K, back off, retry — bounded, then df_try_malloc
-  // surfaces DfStatus::kNoMem.
-  constexpr int kOomMaxAttempts = 16;
-  if (attempt >= kOomMaxAttempts) return false;
-  DFTH_COUNT(obs::Counter::OomPreempts);
   Tcb* cur = current();
-  if (auto* aud = analyze::active_auditor()) aud->on_oom_preempt(cur);
+  if (!oom_preempt(cur, attempt)) return false;
   // The halving is an ordered decision: every later dispatch grants
   // t->quota from eff_quota_, so the quota a fiber runs with — and hence
   // where it quota-preempts — depends on how many halvings landed before
@@ -610,12 +505,7 @@ bool RealEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   DFTH_REPLAY_GATE_SELF();
   {
     Section s(*this, own_domain(w), w);
-    const std::size_t q = eff_quota_.load(std::memory_order_relaxed);
-    std::size_t shrunk = q;
-    if (q > 0) {
-      shrunk = std::max<std::size_t>(q / 2, 4096);
-      eff_quota_.store(shrunk, std::memory_order_relaxed);
-    }
+    [[maybe_unused]] const std::size_t shrunk = shrink_quota();
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::QuotaShrink,
                        ::dfth::replay::self_actor(), shrunk,
                        static_cast<std::uint64_t>(attempt));
@@ -752,14 +642,9 @@ void RealEngine::apply_post(Tcb* t, int proc, Worker* w) {
 
 void RealEngine::begin_dispatch(Worker& w, Tcb* t, std::uint64_t flags,
                                 replay::SectionLog& log) {
-  t->state.store(ThreadState::Running, std::memory_order_relaxed);
-  t->quota =
-      static_cast<std::int64_t>(eff_quota_.load(std::memory_order_relaxed));
-  ++t->dispatches;
-  ++w.counters.dispatches;
   bump_progress(&w);
   // Burden: the pick's scheduler time and, but for a dive, the idle gap.
-  obs::edges::dispatch(w.id, t, [&w, flags] {
+  const std::uint64_t deadline = grant(t, w.counters, w.id, [&w, flags] {
     const std::uint64_t now = steady_now_ns();
     const bool dive = (flags & ::dfth::replay::kDispatchForkDive) != 0;
     const std::uint64_t gap =
@@ -768,7 +653,7 @@ void RealEngine::begin_dispatch(Worker& w, Tcb* t, std::uint64_t flags,
     return obs::edges::DispatchCost{now - w.pick_start_ns, gap};
   });
   log.add(::dfth::replay::EvKind::Dispatch, ::dfth::replay::lane_actor(w.id),
-          t->id, dispatch_cancel_flags(w, t, flags));
+          t->id, flags | deadline);
 }
 
 void RealEngine::wake_idle() {
@@ -831,41 +716,6 @@ std::size_t RealEngine::ready_total() {
 }
 
 std::uint64_t RealEngine::now_ns() const { return steady_now_ns(); }
-
-std::uint64_t RealEngine::dispatch_cancel_flags(Worker& w, Tcb* t,
-                                                std::uint64_t base) {
-  CancelToken* c = t->cancel;
-  bool fire = false;
-#if DFTH_REPLAY
-  if (auto* rs = replay::active();
-      rs != nullptr && rs->mode() == replay::Mode::Replay &&
-      !rs->replay_exhausted()) {
-    // Pinned replay: this lane's gate already passed and the section's
-    // earlier records are committed, so the head is this very Dispatch —
-    // read the recorded expire-or-not flag instead of the clock (which
-    // drifts between runs). head_is failing here just means the run is
-    // about to diverge; commit will diagnose that, so stay conservative and
-    // don't fire.
-    std::uint64_t tid = 0;
-    std::uint64_t logged_b = 0;
-    if (rs->head_is(replay::EvKind::Dispatch, replay::lane_actor(w.id), &tid,
-                    nullptr, &logged_b) &&
-        tid == t->id) {
-      fire = (logged_b & replay::kDispatchDeadline) != 0;
-    }
-  } else
-#endif
-  {
-    fire = c != nullptr && c->deadline_ns != 0 && !c->is_cancelled() &&
-           steady_now_ns() >= c->deadline_ns;
-  }
-  if (!fire) return base;
-  if (c != nullptr && !c->is_cancelled()) c->cancel();
-  ++w.counters.deadline_expirations;
-  obs::edges::preempt(w.id, t, obs::kPreemptDeadline);
-  DFTH_REPLAY_CANCEL_FIRE(w.id, t->id);
-  return base | ::dfth::replay::kDispatchDeadline;
-}
 
 Tcb* RealEngine::transition(Worker& w, bool dive) {
   if (dive && posts_) {
@@ -1039,7 +889,7 @@ restart:
     if (pinned ? sleepers_[i].t->id != tid : sleepers_[i].deadline_ns > now) {
       continue;
     }
-    const RtSleeper s = sleepers_[i];
+    const Sleeper s = sleepers_[i];
     sleepers_.erase(sleepers_.begin() + static_cast<std::ptrdiff_t>(i));
     firing_ = s.t;
     lk.unlock();
@@ -1081,7 +931,7 @@ void RealEngine::supervisor_loop() {
     // whichever is sooner; sleep unbounded when neither is armed.
     std::uint64_t nap_ns = kInf;
     const std::uint64_t now_ns = steady_now_ns();
-    for (const RtSleeper& s : sleepers_) {
+    for (const Sleeper& s : sleepers_) {
       nap_ns = std::min(nap_ns,
                         s.deadline_ns > now_ns ? s.deadline_ns - now_ns : 0);
     }
@@ -1163,34 +1013,17 @@ void RealEngine::dump_flight(const char* reason) {
             [](const Tcb* a, const Tcb* b) { return a->id < b->id; });
   resil::FlightInfo info;
   info.reason = reason;
-  info.engine = "real";
   info.live_threads = live_.load(std::memory_order_relaxed);
   info.sched_state_consistent = locked;
   for (const Worker& w : workers_) info.lanes.push_back({w.id, w.current});
   info.all_tcbs = &tcbs;
-  info.sched = sched_.get();
-  info.tracer = obs::tracer();
-#if DFTH_REPLAY
-  if (auto* rs = replay::active()) {
-    if (rs->mode() == replay::Mode::Record) {
-      // Persist the schedule up to the abort so the hang itself replays.
-      rs->flush_partial();
-      info.record_log = rs->path();
-      info.replay_cmd = "tools/dfth-replay replay " + rs->path();
-    } else {
-      info.replay_log = rs->path();
-      info.replay_position = rs->position_summary();
-    }
-  }
-#endif
-  resil::dump_flight_recorder(info, opts_.watchdog);
+  dump(info);
   for (SpinFutexLock* l : held) l->unlock();
 }
 
 RunStats RealEngine::run(const std::function<void()>& main_fn) {
   TrackedHeap::instance().begin_epoch();
   StackPool::instance().begin_epoch();
-  eff_quota_.store(opts_.mem_quota, std::memory_order_relaxed);
 
   Timer timer;
 
@@ -1221,44 +1054,25 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
         main_fn();
         return nullptr;
       },
-      Attr{}, /*is_dummy=*/false);
+      Attr{}, /*is_dummy=*/false, /*parent=*/nullptr);
   main->is_main = true;
   main->site_file = "<main>";
   main->site_line = 0;
   obs::edges::fork(0, nullptr, main, 0);
+  // The host registers main as spawn does its children. With no fiber
+  // stack (even after the pool's heap fallback, or an injected ctx.create
+  // fault) main runs bound on a dedicated kernel thread — the Solaris
+  // bound-thread escape hatch. Children it spawns still go through the
+  // scheduler as usual.
   if (!main->stack) {
-    // No fiber stack for main even after the pool's heap fallback (or an
-    // injected ctx.create fault): run main bound on a dedicated kernel
-    // thread — the Solaris bound-thread escape hatch. Children it spawns
-    // still go through the scheduler as usual.
     main->attr.bound = true;
-    DFTH_REPLAY_GATE(::dfth::replay::kActorHost);
-    {
-      ColdSection s(*this);
-      live_.store(1, std::memory_order_relaxed);
-      bound_live_.fetch_add(1, std::memory_order_relaxed);
-      ext_counters_.threads_created = 1;
-      ext_counters_.max_live_threads = 1;
-      std::int64_t live = 1;
-      [[maybe_unused]] const std::uint64_t b =
-          spawn_record_b(::dfth::replay::kSpawnBound, &live);
-      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                         ::dfth::replay::kActorHost, main->id, b);
-    }
-    start_bound_thread(main);
+    start_bound(main, nullptr);
   } else {
-    DFTH_REPLAY_GATE(::dfth::replay::kActorHost);
-    Section s(*this, own_domain(nullptr), nullptr);
-    sched_->register_thread(nullptr, main);
-    main->state.store(ThreadState::Ready, std::memory_order_relaxed);
-    sched_->on_ready(main, 0);
-    live_.store(1, std::memory_order_relaxed);
+    std::int64_t live;
+    enqueue(main, nullptr, nullptr, &live);
+    // No other thread runs yet: the host's lane needs no mu_.
     ext_counters_.threads_created = 1;
-    ext_counters_.max_live_threads = 1;
-    std::int64_t live = 1;
-    [[maybe_unused]] const std::uint64_t b = spawn_record_b(0, &live);
-    DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
-                       ::dfth::replay::kActorHost, main->id, b);
+    ext_counters_.max_live_threads = live;
   }
 
   for (auto& w : workers_) {
@@ -1326,14 +1140,7 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
   stats_.stacks_fresh = StackPool::instance().fresh_count();
   stats_.stacks_reused = StackPool::instance().reuse_count();
   stats_.stack_high_water = StackPool::instance().high_water_bytes();
-  if (auto* ws = dynamic_cast<WorkStealScheduler*>(sched_->underlying())) {
-    stats_.steals = ws->steal_count();
-  }
-#if DFTH_REPLAY
-  if (auto* prs = dynamic_cast<replay::ReplayScheduler*>(sched_.get())) {
-    stats_.steals = prs->steal_count();
-  }
-#endif
+  stats_.steals = steal_count();
 
   return stats_;
 }

@@ -45,8 +45,8 @@
 // lists are per worker. Idle workers register on an idle list behind its
 // own lock, re-scan every domain, then park; a section that leaves ready
 // work behind, or a post, unparks one of them. mu_ guards only cold state:
-// bound threads, counters of callers that are not workers, and the
-// snapshots of the flight recorder.
+// bound threads, the spawn decisions and counters of callers that are not
+// workers, and the snapshots of the flight recorder.
 #pragma once
 
 #include <atomic>
@@ -76,7 +76,6 @@ class RealEngine final : public Engine {
   Tcb* spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy,
              const char* site_file, int site_line) override;
   void* join(Tcb* t) override;
-  void detach(Tcb* t) override;
   void yield() override;
   bool block(SpinLock* guard, WaitList* list, std::uint64_t timeout_ns) override;
   void wake(Tcb* t) override;
@@ -85,11 +84,6 @@ class RealEngine final : public Engine {
   int trace_lanes() const override { return opts_.nprocs + 1; }
   void on_alloc(std::size_t bytes, std::int64_t fresh_bytes) override;
   void on_free(std::size_t bytes) override;
-  bool uses_alloc_quota() const override;
-  /// Effective K: starts at opts.mem_quota, shrunk by OOM recovery.
-  std::size_t quota_bytes() const override {
-    return eff_quota_.load(std::memory_order_relaxed);
-  }
   bool on_alloc_failed(std::size_t bytes, int attempt) override;
   void add_work(std::uint64_t ops) override { (void)ops; }
   void touch(const std::uint32_t* block_ids, std::size_t count) override {
@@ -115,24 +109,6 @@ class RealEngine final : public Engine {
     Wake,   ///< make the woken fiber ready
   };
 
-  /// Run counters one lane owns. A worker's are written only by its own
-  /// kernel thread; ext_counters_ (host, supervisor, bound threads) only
-  /// under mu_. run() sums them into the RunStats.
-  struct LaneCounters {
-    std::uint64_t threads_created = 0;
-    std::uint64_t dummy_threads = 0;
-    std::int64_t max_live_threads = 0;
-    std::uint64_t dispatches = 0;
-    std::uint64_t quota_preemptions = 0;
-    std::uint64_t oom_preemptions = 0;
-    std::uint64_t inline_runs = 0;
-    std::uint64_t sync_timeouts = 0;
-    std::uint64_t deadline_expirations = 0;
-    std::uint64_t sched_lock_sections = 0;
-
-    void add_to(RunStats* s) const;
-  };
-
   struct alignas(64) Worker {
     int id = 0;
     int domain = 0;          ///< Scheduler::lock_domain(id)
@@ -152,7 +128,7 @@ class RealEngine final : public Engine {
     /// Steady-clock instant the worker last finished a slice; the next
     /// dispatch reads it as its dispatch-gap measurement.
     std::uint64_t idle_since_ns = 0;
-    LaneCounters counters;
+    LaneCounters counters;  ///< written only by this worker's kernel thread
     /// Tcbs created by fibers on this worker (intrusive list through
     /// Tcb::created_next), read by the destructor and the flight recorder.
     std::atomic<Tcb*> created{nullptr};
@@ -211,16 +187,6 @@ class RealEngine final : public Engine {
     RealEngine& e_;
   };
 
-  /// A timed wait's timer entry (a fiber's or a bound thread's), fired by
-  /// the supervisor thread. Deadlines are steady-clock nanoseconds
-  /// (steady_now_ns).
-  struct RtSleeper {
-    std::uint64_t deadline_ns = 0;
-    Tcb* t = nullptr;
-    SpinLock* guard = nullptr;
-    WaitList* list = nullptr;
-  };
-
   static void fiber_entry(void* arg);
   static Worker* this_worker();
   /// This kernel thread's trace lane: its worker's, else the external one.
@@ -237,13 +203,17 @@ class RealEngine final : public Engine {
   }
   /// Counts a dispatch, ready or exit on the calling lane for the watchdog.
   void bump_progress(Worker* w);
-  Tcb* make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy);
-  /// Links t into the calling lane's created list.
-  void remember(Tcb* t);
-  /// Degraded spawn: no stack/context for the child — run it to completion
-  /// on the caller's stack (the serial depth-first order). Never registered
-  /// with the scheduler.
-  Tcb* run_inline(Tcb* child);
+  /// Engine::new_tcb with Real's stack size, linked into the calling lane's
+  /// created list.
+  Tcb* make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy,
+                Tcb* parent);
+  /// Spawn's fiber path: counts child live, then registers it (in a section
+  /// of the caller's domain, or posted) and readies it unless the caller's
+  /// worker dives into it, which it returns. *live: the count it observed.
+  bool enqueue(Tcb* child, Tcb* parent, Worker* w, std::int64_t* live);
+  /// Spawn's bound path: registers t under mu_, counted on w's lane, and
+  /// runs it on a kernel thread of its own.
+  void start_bound(Tcb* t, Worker* w);
   /// Switches fiber cur out of w for `reason`; w's next section requeues it.
   void requeue(Worker* w, Tcb* cur, std::uint64_t reason);
   void worker_loop(Worker& w);
@@ -277,17 +247,10 @@ class RealEngine final : public Engine {
   /// A gated section of t's ready domain that readies t and commits `kind`
   /// for `actor`, then unparks an idle worker if work is left.
   void ready_section(Tcb* t, Worker* w, replay::EvKind kind, std::uint64_t actor);
-  /// Own domain locked: marks t Running on w and stages its Dispatch record.
+  /// Own domain locked: grants t to w and stages its Dispatch record with
+  /// `flags` (kDispatchForkDive or 0) and the grant's deadline bit.
   void begin_dispatch(Worker& w, Tcb* t, std::uint64_t flags,
                       replay::SectionLog& log);
-  /// Deadline check folded into a dispatch: fires `t`'s cancel token when
-  /// its deadline passed on the steady clock, and returns `base` (the
-  /// kDispatchForkDive flag or 0) OR'd with kDispatchDeadline when it fired.
-  /// In a pinned replay the recorded Dispatch flags win over the live clock
-  /// — wall time drifts between runs, and the flag is the one place the
-  /// expire-or-not race is logged. Called inside the dispatching section,
-  /// immediately before the Dispatch record is staged.
-  std::uint64_t dispatch_cancel_flags(Worker& w, Tcb* t, std::uint64_t base);
   // The idle handshake (DESIGN.md §2). A section that leaves ready work
   // behind calls wake_idle() after it unlocks: a seq_cst fence, then a read
   // of idle_count_. A worker that found nothing calls go_idle(): it bumps
@@ -310,10 +273,9 @@ class RealEngine final : public Engine {
   Tcb* publish_exit(Tcb* t);
   /// Observer side of a wake edge from the calling context.
   void note_wake(Tcb* t);
-  void start_bound_thread(Tcb* t);
   void finish_bound_thread(Tcb* t);
 
-  /// Timer + stall-watchdog thread: fires due RtSleepers and aborts with a
+  /// Timer + stall-watchdog thread: fires due Sleepers and aborts with a
   /// flight-recorder dump when no dispatch progress happens for longer than
   /// WatchdogConfig::stall_deadline_ms.
   void supervisor_loop();
@@ -335,8 +297,6 @@ class RealEngine final : public Engine {
   template <typename F>
   void for_each_tcb(F&& f) const;
 
-  RuntimeOptions opts_;
-  std::unique_ptr<Scheduler> sched_;
   int ndomains_ = 1;
   /// One domain and no replay session: readies are posted, not locked.
   bool posts_ = false;
@@ -362,6 +322,7 @@ class RealEngine final : public Engine {
   /// apart from the flight recorder's try-locks.
   alignas(64) SpinFutexLock mu_;
   std::uint64_t global_sections_ = 0;  ///< sections of mu_ (guarded by mu_)
+  /// The lane of the host, the supervisor and bound threads.
   LaneCounters ext_counters_;          ///< guarded by mu_
   std::vector<std::thread> bound_threads_;  ///< guarded by mu_
   /// Domain sections and progress of callers that are not workers.
@@ -371,19 +332,13 @@ class RealEngine final : public Engine {
 
   std::vector<Worker> workers_;
 
-  /// Effective allocation quota K; OOM recovery halves it (atomic: read on
-  /// every dispatch without the lock that shrinks it).
-  std::atomic<std::size_t> eff_quota_{0};
-
   // -- supervisor (timed waits + stall watchdog) ----------------------------
   std::mutex sup_mu_;                 ///< guards sleepers_, firing_, sup_stop_
   std::condition_variable sup_cv_;
-  std::vector<RtSleeper> sleepers_;
+  std::vector<Sleeper> sleepers_;  ///< a fiber's or a bound thread's
   Tcb* firing_ = nullptr;             ///< sleeper whose fire is in flight
   bool sup_stop_ = false;
   std::thread supervisor_;
-
-  RunStats stats_;  ///< configuration echo; counters merged at the end of run()
 };
 
 }  // namespace dfth

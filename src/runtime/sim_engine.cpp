@@ -3,21 +3,13 @@
 #include <algorithm>
 #include <limits>
 
-#include "analyze/auditor.h"
-#include "core/worksteal_sched.h"
 #include "obs/counters.h"
 #include "obs/edges.h"
 #include "replay/hooks.h"
 #include "replay/log.h"
-#include "resil/faults.h"
 #include "resil/watchdog.h"
 #include "space/tracked_heap.h"
 #include "util/check.h"
-#include "util/log.h"
-
-#if DFTH_REPLAY
-#include "replay/replay_sched.h"
-#endif
 
 namespace dfth {
 
@@ -61,30 +53,9 @@ bool SimEngine::LruCache::touch_block(std::uint32_t id) {
   return false;
 }
 
-SimEngine::SimEngine(const RuntimeOptions& opts) : opts_(opts) {
-  DFTH_CHECK(opts_.nprocs >= 1);
-#if DFTH_REPLAY
-  if (auto* rs = replay::active();
-      rs != nullptr && rs->mode() == replay::Mode::CrossReplay) {
-    // Cross-replay: map the recorded run's dispatch order onto virtual time.
-    // The pinned scheduler carries the *logged* policy kind (its needs_quota
-    // answer must match the run that produced the schedule), and is built
-    // directly so AuditedScheduler never audits a pinned schedule against a
-    // policy it does not implement.
-    sched_ = std::make_unique<replay::ReplayScheduler>(
-        rs, static_cast<SchedKind>(rs->header().sched),
-        replay::ReplayScheduler::Pinning::Cross);
-  }
-  if (!sched_)
-#endif
-  sched_ = make_scheduler(opts_.sched, opts_.nprocs, opts_.seed,
-                          opts_.cluster_size);
+SimEngine::SimEngine(const RuntimeOptions& opts) : Engine(opts, EngineKind::Sim) {
   procs_.resize(static_cast<std::size_t>(opts_.nprocs));
   for (auto& vp : procs_) vp.cache.capacity = opts_.cost.cache_blocks;
-  eff_quota_ = opts_.mem_quota;
-  stats_.engine = EngineKind::Sim;
-  stats_.sched = opts_.sched;
-  stats_.nprocs = opts_.nprocs;
 }
 
 SimEngine::~SimEngine() {
@@ -106,37 +77,13 @@ void SimEngine::fiber_entry(void* arg) {
   context_switch_final(&t->ctx, &self->loop_ctx_);
 }
 
-Tcb* SimEngine::make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy) {
-  Tcb* t = new Tcb(next_tid_++);
-  t->attr = attr;
-  if (t->attr.stack_size == 0) t->attr.stack_size = opts_.default_stack_size;
-  DFTH_CHECK(t->attr.priority >= 0 && t->attr.priority < kNumPriorities);
-  t->entry = std::move(fn);
-  t->is_dummy = is_dummy;
-  t->detached = attr.detached;
-  t->stack = StackPool::instance().acquire(is_dummy ? (64 << 10) : kRealStackBytes);
-  if (t->stack && DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kCtxCreate)) {
-    StackPool::instance().release(t->stack);
-    t->stack = Stack{};
-    // The inline-run fallback in spawn() is guaranteed to absorb this.
-    DFTH_FAULT_RECOVERED(resil::FaultSite::kCtxCreate);
-  }
-  if (t->stack) {
-    context_make(&t->ctx, t->stack.base, t->stack.top(), &fiber_entry, t);
-  }
-  all_tcbs_.push_back(t);
-  return t;
-}
-
 void SimEngine::charge(Cat cat, double us) {
   pend_ns_[cat] += us_to_ns(us);
 }
 
 std::uint64_t SimEngine::vnow_ns() const {
   if (!in_fiber_) return loop_now_ns_;
-  std::uint64_t pend = 0;
-  for (int c = 0; c < kNumCats; ++c) pend += pend_ns_[c];
-  return procs_[static_cast<std::size_t>(cur_proc_)].clock_ns + pend;
+  return procs_[static_cast<std::size_t>(cur_proc_)].clock_ns + pend_total_ns();
 }
 
 void SimEngine::switch_to_loop() {
@@ -149,70 +96,38 @@ void SimEngine::switch_to_loop() {
 Tcb* SimEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy,
                       const char* site_file, int site_line) {
   DFTH_CHECK_MSG(in_fiber_, "spawn outside a thread");
-  Tcb* child = make_tcb(std::move(fn), attr, is_dummy);
-  child->parent = cur_;
-  // Deadline propagation: a child without its own cancellation scope joins
-  // the parent's, so a request's token covers the whole spawn subtree.
-  child->cancel = attr.cancel != nullptr ? attr.cancel : cur_->cancel;
+  Tcb* child = new_tcb(next_tid_++, std::move(fn), attr, is_dummy, cur_,
+                       is_dummy ? (64 << 10) : kRealStackBytes, &fiber_entry);
+  all_tcbs_.push_back(child);
   child->site_file = site_file;
   child->site_line = site_line;
-  if (!child->stack) return run_inline(child);
+  if (!child->stack) {
+    // The inline run. cur_ stays the parent: the virtual cost and race
+    // segments of the child's body accrue to the parent. The child keeps
+    // the span it inherits here, creation charge included.
+    obs::edges::fork(cur_proc_, cur_, child, [this] {
+      return pend_total_ns() + us_to_ns(opts_.cost.create_unbound_us);
+    });
+    decide_inline(cur_, child, counters_);
+    charge(kThread, opts_.cost.create_unbound_us);
+    live_events_.emplace_back(vnow_ns(), +1);
+    run_inline(child, cur_proc_);
+    charge(kThread, opts_.cost.exit_us);
+    live_events_.emplace_back(vnow_ns(), -1);
+    end_inline(child, cur_proc_);
+    return child;
+  }
   ev_ = Ev::Spawn;
   ev_child_ = child;
   switch_to_loop();
   return child;
 }
 
-Tcb* SimEngine::run_inline(Tcb* child) {
-  // Stack or context acquisition failed. Degrade by running the child to
-  // completion right here, on the parent's stack: the child precedes the
-  // parent's continuation in the serial depth-first order, so this is the
-  // 1-processor AsyncDF schedule — correct, just not parallel. The child is
-  // never registered with the scheduler and never gets its own fiber.
-  // The child's body charges the parent (serialized on its span, which is
-  // what running inline means); the child keeps the span it inherits here,
-  // creation charge below included.
-  obs::edges::fork(cur_proc_, cur_, child, [this] {
-    return pend_total_ns() + us_to_ns(opts_.cost.create_unbound_us);
-  });
-  ++stats_.threads_created;
-  ++stats_.inline_runs;
-  if (child->is_dummy) ++stats_.dummy_threads;
-  DFTH_COUNT(obs::Counter::InlineRuns);
-  if (auto* aud = analyze::active_auditor()) aud->on_inline_run(cur_, child);
-  charge(kThread, opts_.cost.create_unbound_us);
-  DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg, cur_->id, child->id,
-                     ::dfth::replay::kSpawnInline);
-  live_events_.emplace_back(vnow_ns(), +1);
-  child->state.store(ThreadState::Running, std::memory_order_relaxed);
-  ++child->dispatches;
-  obs::edges::dispatch(cur_proc_, child, DispatchCost{});
-  // cur_ stays the parent: virtual cost and race segments accrued by the
-  // child's body are attributed to the parent, which is exactly what running
-  // on the parent's stack in its scheduling window means.
-  child->result = child->entry();
-  child->entry = nullptr;
-  charge(kThread, opts_.cost.exit_us);
-  child->finished = true;
-  child->state.store(ThreadState::Done, std::memory_order_relaxed);
-  live_events_.emplace_back(vnow_ns(), -1);
-  obs::edges::exit(cur_proc_, child);
-  // No joiner can exist yet: the handle only becomes visible once we return.
-  return child;
-}
-
 void* SimEngine::join(Tcb* t) {
   DFTH_CHECK_MSG(in_fiber_, "join outside a thread");
-  DFTH_CHECK_MSG(!t->detached, "join of detached thread");
-  DFTH_CHECK_MSG(!t->joined, "thread joined twice");
   charge(kThread, opts_.cost.join_us);
-  // A finished child gives its edge here (offset: uncharged fiber-side
-  // costs, join_us included); otherwise wake() gives it at the child's exit.
-  obs::edges::join(cur_proc_, cur_, t, [this] { return pend_total_ns(); });
-  if (!t->finished) {
-    DFTH_CHECK_MSG(t->joiner == nullptr, "two concurrent joiners");
-    t->joiner = cur_;
-    cur_->state.store(ThreadState::Blocked, std::memory_order_relaxed);
+  // The edge's offset: uncharged fiber-side costs, join_us included.
+  if (join_blocks(cur_, t, cur_proc_, [this] { return pend_total_ns(); })) {
     ev_ = Ev::Block;
     ev_guard_ = nullptr;
     switch_to_loop();
@@ -221,8 +136,6 @@ void* SimEngine::join(Tcb* t) {
   t->joined = true;
   return t->result;
 }
-
-void SimEngine::detach(Tcb* t) { t->detached = true; }
 
 void SimEngine::yield() {
   DFTH_CHECK_MSG(in_fiber_, "yield outside a thread");
@@ -252,12 +165,7 @@ bool SimEngine::block(SpinLock* guard, WaitList* list, std::uint64_t timeout_ns)
 }
 
 void SimEngine::cancel_sleeper(Tcb* t) {
-  for (std::size_t i = 0; i < sleepers_.size(); ++i) {
-    if (sleepers_[i].t == t) {
-      sleepers_.erase(sleepers_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
+  std::erase_if(sleepers_, [t](const Sleeper& s) { return s.t == t; });
 }
 
 void SimEngine::fire_due_sleepers(VProc& vp, int pid) {
@@ -266,7 +174,7 @@ void SimEngine::fire_due_sleepers(VProc& vp, int pid) {
       ++i;
       continue;
     }
-    const SimSleeper s = sleepers_[i];
+    const Sleeper s = sleepers_[i];
     sleepers_.erase(sleepers_.begin() + static_cast<std::ptrdiff_t>(i));
     // Claim protocol: membership in the wait list under its guard is the
     // claim. If the waiter is no longer on the list, a waker popped it first
@@ -276,13 +184,11 @@ void SimEngine::fire_due_sleepers(VProc& vp, int pid) {
     s.guard->unlock();
     if (!claimed) continue;
     s.t->timed_out = true;
-    ++stats_.sync_timeouts;
+    ++counters_.sync_timeouts;
     DFTH_COUNT(obs::Counter::SyncTimeouts);
     obs::edges::wake(At{pid, vp.clock_ns}, nullptr, s.t, 0);
     sched_lock_own(vp, pid);
-    s.t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-    s.t->ready_at_ns = s.deadline_ns;  // eligible from its deadline instant
-    sched_->on_ready(s.t, pid);
+    make_ready(s.t, pid, s.deadline_ns);  // eligible from its deadline instant
   }
 }
 
@@ -293,9 +199,7 @@ void SimEngine::wake(Tcb* t) {
   // context, cur_ = the exiting child whose final span the joiner inherits).
   obs::edges::wake(cur_proc_ >= 0 ? cur_proc_ : 0, cur_, t,
                    [this] { return in_fiber_ ? pend_total_ns() : 0; });
-  t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-  t->ready_at_ns = vnow_ns();
-  sched_->on_ready(t, cur_proc_ >= 0 ? cur_proc_ : 0);
+  make_ready(t, cur_proc_ >= 0 ? cur_proc_ : 0, vnow_ns());
   if (in_fiber_) charge(kSync, opts_.cost.sched_op_us);
 }
 
@@ -313,14 +217,9 @@ void SimEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
   charge(kMem, opts_.cost.malloc_us(bytes, fresh_bytes));
   heap_events_.emplace_back(vnow_ns(), static_cast<std::int64_t>(bytes));
   obs::edges::heap(cur_proc_ >= 0 ? cur_proc_ : 0, cur_, bytes, /*freed=*/false);
-  if (sched_->needs_quota() && in_fiber_) {
-    cur_->quota -= static_cast<std::int64_t>(bytes);
-    if (cur_->quota <= 0) {
-      // §4 item 2: "when the counter reaches zero, the thread is preempted."
-      obs::edges::quota_exhaust(cur_proc_, cur_, bytes);
-      ev_ = Ev::QuotaPreempt;
-      switch_to_loop();
-    }
+  if (in_fiber_ && uses_alloc_quota() && debit(cur_, bytes, counters_, cur_proc_)) {
+    ev_ = Ev::QuotaPreempt;
+    switch_to_loop();
   }
 }
 
@@ -330,21 +229,11 @@ void SimEngine::on_free(std::size_t bytes) {
   obs::edges::heap(cur_proc_ >= 0 ? cur_proc_ : 0, cur_, bytes, /*freed=*/true);
 }
 
-bool SimEngine::uses_alloc_quota() const { return sched_->needs_quota(); }
-
 bool SimEngine::on_alloc_failed(std::size_t bytes, int attempt) {
   (void)bytes;
-  // Treat heap exhaustion as quota exhaustion (AsyncDF-style): preempt,
-  // reinsert leftmost-ready, shrink the effective K so every later
-  // scheduling window admits fewer live allocations, back off, retry. A
-  // bounded number of attempts keeps a genuinely-unsatisfiable request from
-  // looping forever; df_try_malloc then surfaces DfStatus::kNoMem.
-  constexpr int kOomMaxAttempts = 16;
-  if (!in_fiber_ || attempt >= kOomMaxAttempts) return false;
-  ++stats_.oom_preemptions;
-  DFTH_COUNT(obs::Counter::OomPreempts);
-  if (auto* aud = analyze::active_auditor()) aud->on_oom_preempt(cur_);
-  if (eff_quota_ > 0) eff_quota_ = std::max<std::size_t>(eff_quota_ / 2, 4096);
+  if (!in_fiber_ || !oom_preempt(cur_, attempt)) return false;
+  ++counters_.oom_preemptions;
+  shrink_quota();
   // Exponential virtual backoff: later attempts wait longer for concurrent
   // frees to land.
   charge(kMem, opts_.cost.free_base_us *
@@ -415,29 +304,28 @@ void SimEngine::sim_stack_release(std::size_t bytes) {
 RunStats SimEngine::run(const std::function<void()>& main_fn) {
   TrackedHeap::instance().begin_epoch();
   heap_initial_live_ = TrackedHeap::instance().live_bytes();
-  eff_quota_ = opts_.mem_quota;
 
-  Attr main_attr;
-  Tcb* main = new Tcb(next_tid_++);
-  main->attr = main_attr;
-  main->attr.stack_size = opts_.default_stack_size;
-  main->is_main = true;
-  main->entry = [&main_fn]() -> void* {
-    main_fn();
-    return nullptr;
-  };
-  main->stack = StackPool::instance().acquire(kRealMainStackBytes);
-  // The main fiber has no parent to run inline on: a null stack here means
-  // even the heap-backed fallback failed — the host is truly out of memory.
+  // Main skips the ctx.create probe: it has no parent to run inline on, and
+  // a draw here would shift every later one.
+  Tcb* main = new_tcb(
+      next_tid_++,
+      [&main_fn]() -> void* {
+        main_fn();
+        return nullptr;
+      },
+      Attr{}, /*is_dummy=*/false, /*parent=*/nullptr, kRealMainStackBytes,
+      &fiber_entry, /*probe=*/false);
+  // A null stack here means even the heap-backed fallback failed — the
+  // host is truly out of memory.
   DFTH_CHECK_MSG(main->stack, "out of memory acquiring the main fiber stack");
-  context_make(&main->ctx, main->stack.base, main->stack.top(), &fiber_entry, main);
+  main->is_main = true;
   all_tcbs_.push_back(main);
   main->site_file = "<main>";
   main->site_line = 0;
   obs::edges::fork(0, nullptr, main, 0);
 
   live_ = 1;
-  stats_.threads_created = 1;
+  counters_.threads_created = 1;
   live_events_.emplace_back(0, +1);
   sim_stack_acquire_us(main->attr.stack_size);  // cost of the first stack: free
   sched_->register_thread(nullptr, main);
@@ -446,9 +334,7 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
   // a Sim log can be inspected and cross-replayed like a Real one.
   DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
                      ::dfth::replay::kActorHost, main->id, 0);
-  main->state.store(ThreadState::Ready, std::memory_order_relaxed);
-  main->ready_at_ns = 0;
-  sched_->on_ready(main, 0);
+  make_ready(main, 0, 0);
 
   sim_loop();
 
@@ -495,9 +381,8 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
   // Real stacks back the simulated fibers too, so the watermark is
   // meaningful even under the Sim engine.
   stats_.stack_high_water = StackPool::instance().high_water_bytes();
-  if (auto* ws = dynamic_cast<WorkStealScheduler*>(sched_->underlying())) {
-    stats_.steals = ws->steal_count();
-  }
+  stats_.steals = steal_count();
+  counters_.add_to(&stats_);
   finish_trace(completion);
   return stats_;
 }
@@ -630,7 +515,7 @@ void SimEngine::apply_pending(VProc& vp) {
   // it is the profiler's "work" (advances span too), as opposed to the
   // loop-side clock advances below, which are scheduler overhead.
   obs::edges::work(vp.running, [this] { return pend_total_ns(); });
-  vp.clock_ns += pend_ns_[kWork] + pend_ns_[kThread] + pend_ns_[kMem] + pend_ns_[kSync];
+  vp.clock_ns += pend_total_ns();
   vp.bd.work_us += ns_to_us(pend_ns_[kWork]);
   vp.bd.thread_us += ns_to_us(pend_ns_[kThread]);
   vp.bd.mem_us += ns_to_us(pend_ns_[kMem]);
@@ -686,27 +571,10 @@ void SimEngine::sched_lock_acquire(VProc& vp, int domain) {
   if (start + op > lock_free) lock_free = start + op;
 }
 
-void SimEngine::make_ready(VProc& vp, int pid, Tcb* t) {
+void SimEngine::make_ready(Tcb* t, int pid, std::uint64_t at) {
   t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-  t->ready_at_ns = vp.clock_ns;
+  t->ready_at_ns = at;
   sched_->on_ready(t, pid);
-}
-
-std::uint64_t SimEngine::expire_on_dispatch(Tcb* t, int pid,
-                                            std::uint64_t now) {
-  CancelToken* c = t->cancel;
-  if (c == nullptr || c->deadline_ns == 0 || c->is_cancelled() ||
-      now < c->deadline_ns) {
-    return 0;
-  }
-  // Virtual time makes this decision deterministic, so no replay pinning is
-  // needed here — the flag still lands in the Dispatch record so Real
-  // replays of the same format stay uniform and tools see it.
-  c->cancel();
-  ++stats_.deadline_expirations;
-  obs::edges::preempt(At{pid, now}, t, obs::kPreemptDeadline);
-  DFTH_REPLAY_CANCEL_FIRE(pid, t->id);
-  return ::dfth::replay::kDispatchDeadline;
 }
 
 void SimEngine::attempt_dispatch(VProc& vp, int pid) {
@@ -722,19 +590,14 @@ void SimEngine::attempt_dispatch(VProc& vp, int pid) {
   if (t) {
     vp.clock_ns += us_to_ns(opts_.cost.ctx_switch_us);
     vp.bd.thread_us += opts_.cost.ctx_switch_us;
-    t->state.store(ThreadState::Running, std::memory_order_relaxed);
-    t->quota = static_cast<std::int64_t>(eff_quota_);
-    ++t->dispatches;
-    ++stats_.dispatches;
     // The lane's accumulated idle time is this dispatch's gap; it burdens
     // the fiber (an ideal scheduler would have run it sooner) and must be
-    // consumed whether or not a profiler is installed.
-    obs::edges::dispatch(At{pid, vp.clock_ns}, t,
-                         DispatchCost{vp.clock_ns - disp_t0, vp.pending_gap_ns});
-    // Outside the commit macro: the deadline check must run even when the
-    // build has no replay layer.
-    [[maybe_unused]] const std::uint64_t cancel_b =
-        expire_on_dispatch(t, pid, vp.clock_ns);
+    // consumed whether or not a profiler is installed. The grant runs
+    // outside the commit macro, which a build without replay compiles away,
+    // and its deadline check reads the loop clock.
+    loop_now_ns_ = vp.clock_ns;
+    [[maybe_unused]] const std::uint64_t cancel_b = grant(
+        t, counters_, pid, DispatchCost{vp.clock_ns - disp_t0, vp.pending_gap_ns});
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Dispatch,
                        ::dfth::replay::lane_actor(pid), t->id, cancel_b);
     DFTH_HIST(obs::Hist::DispatchGapNs, vp.pending_gap_ns);
@@ -748,7 +611,7 @@ void SimEngine::attempt_dispatch(VProc& vp, int pid) {
   // clock of a processor that holds a fiber (its next event may wake/spawn
   // work).
   std::uint64_t horizon = earliest;
-  for (const SimSleeper& s : sleepers_) {
+  for (const Sleeper& s : sleepers_) {
     horizon = std::min(horizon, s.deadline_ns);
   }
   for (const auto& other : procs_) {
@@ -786,35 +649,29 @@ void SimEngine::handle_event(VProc& vp, int pid) {
                          child->id,
                          preempt_parent ? ::dfth::replay::kSpawnPreempt : 0);
       ++live_;
-      ++stats_.threads_created;
-      if (child->is_dummy) ++stats_.dummy_threads;
+      ++counters_.threads_created;
+      if (child->is_dummy) ++counters_.dummy_threads;
       live_events_.emplace_back(vp.clock_ns, +1);
       obs::edges::fork_cost(child, vp.clock_ns - fork_t0);
 
       if (preempt_parent) {
         // AsyncDF / work stealing: the processor dives into the child.
-        make_ready(vp, pid, parent);
+        make_ready(parent, pid, vp.clock_ns);
         obs::edges::preempt(At{pid, vp.clock_ns}, parent, obs::kPreemptForkDive);
-        child->state.store(ThreadState::Running, std::memory_order_relaxed);
         child->ready_at_ns = vp.clock_ns;
-        child->quota = static_cast<std::int64_t>(eff_quota_);
-        ++child->dispatches;
-        ++stats_.dispatches;
         vp.running = child;
         vp.clock_ns += us_to_ns(opts_.cost.ctx_switch_us);
         vp.bd.thread_us += opts_.cost.ctx_switch_us;
-        obs::edges::dispatch(At{pid, vp.clock_ns}, child,
-                             DispatchCost{us_to_ns(opts_.cost.ctx_switch_us), 0});
+        loop_now_ns_ = vp.clock_ns;
         [[maybe_unused]] const std::uint64_t cancel_b =
-            expire_on_dispatch(child, pid, vp.clock_ns);
+            grant(child, counters_, pid,
+                  DispatchCost{us_to_ns(opts_.cost.ctx_switch_us), 0});
         DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Dispatch,
                            ::dfth::replay::lane_actor(pid), child->id,
                            ::dfth::replay::kDispatchForkDive | cancel_b);
       } else {
         // FIFO / LIFO: the child waits its turn; the parent continues.
-        child->state.store(ThreadState::Ready, std::memory_order_relaxed);
-        child->ready_at_ns = vp.clock_ns;
-        sched_->on_ready(child, pid);
+        make_ready(child, pid, vp.clock_ns);
       }
       break;
     }
@@ -865,8 +722,7 @@ void SimEngine::handle_event(VProc& vp, int pid) {
       vp.bd.thread_us += opts_.cost.ctx_switch_us;
       sched_lock_own(vp, pid);
       const std::uint64_t pre_ns = vp.clock_ns - pre_t0;
-      make_ready(vp, pid, t);
-      if (ev_ == Ev::QuotaPreempt) ++stats_.quota_preemptions;
+      make_ready(t, pid, vp.clock_ns);
       obs::edges::preempt(At{pid, vp.clock_ns}, t,
                           ev_ == Ev::QuotaPreempt  ? obs::kPreemptQuota
                           : ev_ == Ev::OomPreempt ? obs::kPreemptOom
@@ -889,7 +745,6 @@ void SimEngine::handle_event(VProc& vp, int pid) {
 void SimEngine::dump_flight(const char* reason) {
   resil::FlightInfo info;
   info.reason = reason;
-  info.engine = "sim";
   info.live_threads = live_;
   // Single host thread: the snapshot is exact, no locks involved.
   info.sched_state_consistent = true;
@@ -897,39 +752,12 @@ void SimEngine::dump_flight(const char* reason) {
     info.lanes.push_back({i, procs_[static_cast<std::size_t>(i)].running});
   }
   info.all_tcbs = &all_tcbs_;
-  info.sched = sched_.get();
-  info.tracer = obs::tracer();
-#if DFTH_REPLAY
-  if (auto* rs = replay::active()) {
-    if (rs->mode() == replay::Mode::Record) {
-      rs->flush_partial();
-      info.record_log = rs->path();
-      info.replay_cmd = "tools/dfth-replay replay " + rs->path();
-    } else {
-      info.replay_log = rs->path();
-      info.replay_position = rs->position_summary();
-    }
-  }
-#endif
-  resil::dump_flight_recorder(info, opts_.watchdog);
+  dump(info);
 }
 
 void SimEngine::report_deadlock() {
+  // The dump lists every thread with its state.
   dump_flight("SimEngine: deadlock — live threads but none runnable");
-  DFTH_LOG_ERROR("dfth: DEADLOCK — %lld live threads, none runnable:",
-                 static_cast<long long>(live_));
-  int shown = 0;
-  for (Tcb* t : all_tcbs_) {
-    const auto st = t->state.load(std::memory_order_relaxed);
-    if (st == ThreadState::Done) continue;
-    DFTH_LOG_ERROR("  thread %llu state=%s%s",
-                   static_cast<unsigned long long>(t->id), to_string(st),
-                   t->is_dummy ? " (dummy)" : "");
-    if (++shown >= 50) {
-      DFTH_LOG_ERROR("  ...");
-      break;
-    }
-  }
   DFTH_CHECK_MSG(false, "deadlock detected in simulation");
 }
 

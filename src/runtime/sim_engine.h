@@ -48,7 +48,6 @@ class SimEngine final : public Engine {
   Tcb* spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy,
              const char* site_file, int site_line) override;
   void* join(Tcb* t) override;
-  void detach(Tcb* t) override;
   void yield() override;
   bool block(SpinLock* guard, WaitList* list, std::uint64_t timeout_ns) override;
   void wake(Tcb* t) override;
@@ -57,10 +56,6 @@ class SimEngine final : public Engine {
   int trace_lanes() const override { return opts_.nprocs; }
   void on_alloc(std::size_t bytes, std::int64_t fresh_bytes) override;
   void on_free(std::size_t bytes) override;
-  bool uses_alloc_quota() const override;
-  /// The *effective* quota: starts at opts.mem_quota and shrinks when OOM
-  /// recovery degrades the run toward serial order (on_alloc_failed).
-  std::size_t quota_bytes() const override { return eff_quota_; }
   bool on_alloc_failed(std::size_t bytes, int attempt) override;
   void add_work(std::uint64_t ops) override;
   void touch(const std::uint32_t* block_ids, std::size_t count) override;
@@ -98,22 +93,8 @@ class SimEngine final : public Engine {
     std::uint64_t pending_gap_ns = 0;
   };
 
-  /// A timed wait's timer entry: fires at deadline_ns unless the waiter was
-  /// claimed (popped from `list` under `guard`) by a waker first.
-  struct SimSleeper {
-    std::uint64_t deadline_ns = 0;
-    Tcb* t = nullptr;
-    SpinLock* guard = nullptr;
-    WaitList* list = nullptr;
-  };
-
   static void fiber_entry(void* arg);
 
-  Tcb* make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy);
-  /// Degraded spawn: no stack/context could be acquired, so the child runs
-  /// to completion right here on the parent's stack (legal: that is the
-  /// serial depth-first order).
-  Tcb* run_inline(Tcb* child);
   void charge(Cat cat, double us);
   std::uint64_t vnow_ns() const;
   /// Sum of the not-yet-applied fiber charges: the profiler's span edges
@@ -144,13 +125,8 @@ class SimEngine final : public Engine {
   void sched_lock_own(VProc& vp, int pid) {
     sched_lock_acquire(vp, sched_->lock_domain(pid));
   }
-  void make_ready(VProc& vp, int pid, Tcb* t);
-  /// Deadline check at a dispatch: fires `t`'s cancel token (once per token)
-  /// when the virtual clock has passed its deadline, and returns the
-  /// kDispatchDeadline flag to fold into the Dispatch record's `b`.
-  /// Cooperative — the fiber still runs; its body polls
-  /// dfth::cancel_requested() and drains.
-  std::uint64_t expire_on_dispatch(Tcb* t, int pid, std::uint64_t now);
+  /// t becomes Ready on processor pid, eligible from virtual time `at`.
+  void make_ready(Tcb* t, int pid, std::uint64_t at);
   [[noreturn]] void report_deadlock();
 
   // Simulated stack pool (Solaris stack caching): maps simulated stack size
@@ -164,8 +140,7 @@ class SimEngine final : public Engine {
   /// Closes the time series at `completion_ns` and hands it to the tracer.
   void finish_trace(std::uint64_t completion_ns);
 
-  RuntimeOptions opts_;
-  std::unique_ptr<Scheduler> sched_;
+  LaneCounters counters_;
   std::vector<VProc> procs_;
   std::vector<Tcb*> all_tcbs_;
   Context loop_ctx_;
@@ -173,13 +148,14 @@ class SimEngine final : public Engine {
   Tcb* cur_ = nullptr;         ///< fiber currently executing (host CPU)
   int cur_proc_ = -1;          ///< virtual processor it executes on
   bool in_fiber_ = false;
-  std::uint64_t loop_now_ns_ = 0;  ///< vnow while handling events in the loop
+  /// vnow while handling events in the loop; a dispatch sets it to the
+  /// processor's clock before the grant, whose deadline check reads it.
+  std::uint64_t loop_now_ns_ = 0;
 
   std::vector<std::uint64_t> lock_free_ns_;  ///< per-domain lock availability
   std::int64_t live_ = 0;
   std::uint64_t next_tid_ = 1;
-  std::size_t eff_quota_ = 0;          ///< effective K (shrinks on OOM recovery)
-  std::vector<SimSleeper> sleepers_;   ///< armed timed-wait timers
+  std::vector<Sleeper> sleepers_;   ///< armed timed-wait timers
 
   std::uint64_t pend_ns_[kNumCats] = {0, 0, 0, 0};
   Ev ev_ = Ev::None;
@@ -211,8 +187,6 @@ class SimEngine final : public Engine {
   std::int64_t sim_stack_pooled_ = 0;
   std::int64_t sim_stack_peak_ = 0;
   std::int64_t sim_stack_touched_ = 0;  ///< resident stack bytes (pressure)
-
-  RunStats stats_;
 };
 
 }  // namespace dfth

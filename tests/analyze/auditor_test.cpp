@@ -86,6 +86,21 @@ TEST(InvariantAuditor, CleanAsyncDfRunIsSilent) {
   EXPECT_GT(s.auditor().steps(), 0u);
 }
 
+// A bound thread is scheduled by the OS, never registered with the policy,
+// and may still spawn unbound children (the engine never dives from it); an
+// unbound parent must be registered.
+TEST(InvariantAuditor, OnlyABoundParentMayBeUnregistered) {
+  analyze::AuditedScheduler s(std::make_unique<AsyncDfScheduler>());
+  s.auditor().set_abort_on_violation(false);
+  Harness h;
+  Tcb* bound = h.make();
+  bound->attr.bound = true;
+  s.register_thread(bound, h.make());
+  EXPECT_EQ(s.auditor().violations(), 0u);
+  s.register_thread(h.make(), h.make());
+  EXPECT_GE(s.auditor().violations(), 1u);
+}
+
 TEST(InvariantAuditor, ForwardsSchedulerSurface) {
   analyze::AuditedScheduler s(std::make_unique<AsyncDfScheduler>());
   EXPECT_EQ(s.kind(), SchedKind::AsyncDf);

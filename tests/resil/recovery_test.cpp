@@ -10,6 +10,7 @@
 
 #include "resil/faults.h"
 #include "runtime/api.h"
+#include "runtime/engine.h"
 #include "runtime/sync.h"
 #include "space/stack_pool.h"
 
@@ -175,6 +176,65 @@ TEST(RecoveryRealTest, WorkerSpawnFaultsDegradeToFewerWorkers) {
   const RunStats stats = run(o, [&] { sum = fork_tree_sum(kDepth, 0); });
   EXPECT_EQ(sum, kWantSum);
   EXPECT_GE(stats.faults_injected, 3u);  // workers 1..3 each probed once
+  EXPECT_EQ(stats.faults_recovered, stats.faults_injected);
+}
+
+TEST(RecoveryRealTest, MainRunsBoundWhenItsContextFails) {
+  // The plan's one ctx.create failure hits main's own fiber: main falls back
+  // to a bound kernel thread, registered as spawn registers a bound child.
+  // Its fiber children still go through the scheduler, and its blocking
+  // waits (joins, a Semaphore handoff) spin on its state word.
+  resil::FaultPlan plan;
+  plan.site(resil::FaultSite::kCtxCreate).every_nth = 1;
+  plan.site(resil::FaultSite::kCtxCreate).max_failures = 1;
+  RuntimeOptions o;
+  o.engine = EngineKind::Real;
+  o.sched = SchedKind::AsyncDf;
+  o.nprocs = 4;
+  o.default_stack_size = 8 << 10;
+  o.fault_plan = &plan;
+  bool bound = false;
+  long long sum = -1;
+  int handed = 0;
+  const RunStats stats = run(o, [&] {
+    bound = engine()->current()->attr.bound;
+    sum = fork_tree_sum(kDepth, 0);
+    Semaphore ping(0), pong(0);
+    Thread peer = spawn([&]() -> void* {
+      ping.acquire();
+      handed = 1;
+      pong.release();
+      return nullptr;
+    });
+    ping.release();
+    pong.acquire();
+    join(peer);
+  });
+  EXPECT_TRUE(bound);
+  EXPECT_EQ(sum, kWantSum);
+  EXPECT_EQ(handed, 1);
+  EXPECT_EQ(stats.threads_created, 1u + 126u + 1u);
+  EXPECT_EQ(stats.inline_runs, 0u);
+  EXPECT_EQ(stats.faults_injected, 1u);
+  EXPECT_EQ(stats.faults_recovered, 1u);
+}
+
+TEST(RecoveryRealTest, BoundMainRunsEveryChildInlineWhenNoContextCanBeMade) {
+  // Every ctx.create fails: main runs bound, and each child runs inline on
+  // main's kernel thread, a caller that is not a worker.
+  resil::FaultPlan plan;
+  plan.site(resil::FaultSite::kCtxCreate).every_nth = 1;
+  RuntimeOptions o;
+  o.engine = EngineKind::Real;
+  o.sched = SchedKind::AsyncDf;
+  o.nprocs = 4;
+  o.default_stack_size = 8 << 10;
+  o.fault_plan = &plan;
+  long long sum = -1;
+  const RunStats stats = run(o, [&] { sum = fork_tree_sum(kDepth, 0); });
+  EXPECT_EQ(sum, kWantSum);
+  EXPECT_EQ(stats.inline_runs, 126u);
+  EXPECT_EQ(stats.threads_created, 127u);
   EXPECT_EQ(stats.faults_recovered, stats.faults_injected);
 }
 
