@@ -109,6 +109,9 @@ inline std::uint64_t lane_actor(int lane) {
 inline constexpr std::uint64_t kSpawnPreempt = 1;  ///< fork dive: child runs now
 inline constexpr std::uint64_t kSpawnBound = 2;    ///< child got a kernel thread
 inline constexpr std::uint64_t kSpawnInline = 4;   ///< child ran on the parent's stack
+/// An inline child's cancel token fired at its dispatch (the grant's bit,
+/// which a Dispatch record carries for every other thread).
+inline constexpr std::uint64_t kSpawnDeadline = 8;
 /// Real-engine SpawnReg `b` bits from here up: the live-thread count the
 /// spawn observed. The real engine counts live threads in one atomic shared
 /// by every lock domain, and the log does not pin that atomic's increment

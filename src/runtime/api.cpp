@@ -290,6 +290,14 @@ std::uint64_t now_ns() {
 
 namespace {
 
+// The calling thread's request scope, if it has one, pays `delta` bytes.
+void charge_scope(Engine* e, std::int64_t delta) {
+  Tcb* cur = e->current();
+  if (cur && cur->cancel != nullptr && cur->cancel->alloc_charge != nullptr) {
+    cur->cancel->alloc_charge->fetch_add(delta, std::memory_order_relaxed);
+  }
+}
+
 // Forks `count` dummy (no-op) threads as a binary tree — the paper forks the
 // δ threads "as a binary tree instead of a δ-way fork" because the Pthreads
 // interface only has a binary fork. The tree node itself is one of the
@@ -384,13 +392,7 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
   }
   if (injected) DFTH_FAULT_RECOVERED(resil::FaultSite::kHeapAlloc);
   if (e) {
-    if (Tcb* cur = e->current()) {
-      if (cur->cancel != nullptr && cur->cancel->alloc_charge != nullptr) {
-        cur->cancel->alloc_charge->fetch_add(
-            static_cast<std::int64_t>(TrackedHeap::allocated_size(p)),
-            std::memory_order_relaxed);
-      }
-    }
+    charge_scope(e, static_cast<std::int64_t>(TrackedHeap::allocated_size(p)));
     e->on_alloc(bytes, fresh);  // may quota-preempt the calling thread
   }
   if (status) *status = DfStatus::kOk;
@@ -402,12 +404,7 @@ void df_free(void* p) {
   const std::size_t bytes = TrackedHeap::allocated_size(p);
   TrackedHeap::instance().deallocate(p);
   if (Engine* e = engine()) {
-    if (Tcb* cur = e->current()) {
-      if (cur->cancel != nullptr && cur->cancel->alloc_charge != nullptr) {
-        cur->cancel->alloc_charge->fetch_sub(static_cast<std::int64_t>(bytes),
-                                             std::memory_order_relaxed);
-      }
-    }
+    charge_scope(e, -static_cast<std::int64_t>(bytes));
     e->on_free(bytes);
   }
 }

@@ -6,25 +6,31 @@
 //     (runtime/real_engine.h); true concurrency for stress tests and for
 //     the Figure 3 operation-cost microbenchmarks.
 //
-// Engine is the interface and the transition core: the policy half of each
-// transition both engines make is one protected member here (the hot ones
-// inline, the cold ones in engine.cpp), called where the transition
-// happens. Each engine keeps only what differs: its clock, its charge
-// (virtual cost in Sim), its lock (a domain section in Real, the virtual
-// lock in Sim), its threads and its event loop.
+// Engine is the interface, the transition core and the thread lifecycle:
+// the policy half of each transition both engines make is one protected
+// member here (hot ones inline, cold ones in engine.cpp), called where the
+// transition happens. It owns every Tcb from birth (main's too) in one
+// registry to its exit handoff, stack retirement and deletion, and each
+// timed wait's claim and epilogue. Each engine keeps only what differs: its
+// clock, its charge (virtual cost in Sim), its lock (a domain section in
+// Real, the virtual lock in Sim) and its event loop.
 //
 // Threading contract: engine methods are called from fiber context (user
 // code) except run(), which is called from the host thread that owns the
 // runtime for the duration of the run.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "core/scheduler.h"
+#include "obs/counters.h"
 #include "obs/edges.h"
+#include "replay/hooks.h"
 #include "runtime/api.h"
 #include "runtime/run_stats.h"
 #include "threads/tcb.h"
@@ -42,7 +48,8 @@ inline constexpr std::uint64_t kNoTimeout = ~std::uint64_t{0};
 
 class Engine {
  public:
-  virtual ~Engine() = default;
+  /// Frees every Tcb the run created, with its stack.
+  virtual ~Engine();
 
   virtual EngineKind kind() const = 0;
 
@@ -62,19 +69,26 @@ class Engine {
   virtual void yield() = 0;
 
   // -- synchronization support ----------------------------------------------
-  /// Blocks the current thread: the one blocking wait behind every sync
-  /// primitive and join. The caller has already enqueued itself on `list`
-  /// and set its state to Blocked while holding `guard`; the engine releases
-  /// `guard` only after the fiber's context is fully saved (so a concurrent
-  /// wake() can never resume a half-saved context). A timed wait
-  /// (`timeout_ns` other than kNoTimeout: virtual ns in Sim, steady-clock ns
-  /// in Real) arms a timer before the guard is released. If it fires before
-  /// a waker pops the thread from `list`, the timer removes it itself (the
-  /// wait-list membership under `guard` is the claim token — exactly one of
-  /// timer and waker wins) and resumes it. Returns false when the timer won,
-  /// true when a waker did. Only a timed wait reads `list`, so joins and
-  /// untimed waits may pass null. An untimed wait reads no clock.
+  /// Blocks the current thread: the one blocking wait behind join and,
+  /// through wait(), every sync primitive. The caller has already enqueued
+  /// itself on `list` and set its state to Blocked while holding `guard`;
+  /// the engine releases `guard` only after the fiber's context is fully
+  /// saved (so a concurrent wake() can never resume a half-saved context).
+  /// A timed wait (`timeout_ns` other than kNoTimeout: virtual ns in Sim,
+  /// steady-clock ns in Real) arms a timer before the guard is released. If
+  /// it fires before a waker pops the thread from `list`, the timer removes
+  /// it itself (the wait-list membership under `guard` is the claim token —
+  /// exactly one of timer and waker wins) and resumes it. Returns false when
+  /// the timer won, true when a waker did. Only a timed wait reads `list`,
+  /// so a join may pass null. An untimed wait reads no clock.
   virtual bool block(SpinLock* guard, WaitList* list, std::uint64_t timeout_ns) = 0;
+
+  /// Enqueues the calling thread `cur` on `list` as Blocked, then blocks.
+  bool wait(Tcb* cur, SpinLock* guard, WaitList* list, std::uint64_t timeout_ns) {
+    list->push(cur);
+    cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
+    return block(guard, list, timeout_ns);
+  }
 
   /// Makes a previously Blocked thread runnable again.
   virtual void wake(Tcb* t) = 0;
@@ -142,39 +156,63 @@ class Engine {
 
   /// Builds the scheduler: a replay session's ReplayScheduler (pinned to
   /// the log in Real, mapped onto virtual time in Sim), else opts.sched.
-  Engine(const RuntimeOptions& opts, EngineKind kind);
+  /// The Tcb registry has `lanes` lists; fibers enter at `entry`.
+  Engine(const RuntimeOptions& opts, EngineKind kind, int lanes,
+         void (*entry)(void*));
 
-  /// Tcb creation: attr defaults, the parent's cancel token unless attr has
-  /// its own, then a fiber (a stack of `stack_bytes` entering `entry`)
-  /// unless `stack_bytes` is 0. A null stack on return (no memory, or a
-  /// failed `probe` of ctx.create) means an inline run.
+  /// Tcb creation, on `lane`'s registry list: attr defaults, the spawn
+  /// site, the parent's cancel token unless attr has its own, then a fiber
+  /// (a stack of `stack_bytes`) unless that is 0. A null stack on return
+  /// (no memory, or a failed `probe` of ctx.create) means an inline run.
   Tcb* new_tcb(std::uint64_t id, std::function<void*()> fn, const Attr& attr,
-               bool is_dummy, Tcb* parent, std::size_t stack_bytes,
-               void (*entry)(void*), bool probe = true);
+               bool is_dummy, Tcb* parent, const char* site_file, int site_line,
+               std::size_t stack_bytes, int lane, bool probe = true);
+  /// The birth of main: a Tcb running main_fn, its site and its fork edge.
+  Tcb* new_main(const std::function<void()>& main_fn, std::uint64_t id,
+                std::size_t stack_bytes, int lane, bool probe);
+  /// t becomes Ready with the policy on `proc`, eligible from `at` (virtual
+  /// time in Sim, 0 in Real), under the lock of its ready domain.
+  void ready(Tcb* t, int proc, std::uint64_t at) {
+    t->state.store(ThreadState::Ready, std::memory_order_relaxed);
+    t->ready_at_ns = at;
+    sched_->on_ready(t, proc);
+  }
+  /// Counts t's birth on c, which saw `live` live threads (Sim: 0).
+  static void count_birth(LaneCounters& c, const Tcb* t, std::int64_t live) {
+    ++c.threads_created;
+    if (t->is_dummy) ++c.dummy_threads;
+    c.max_live_threads = std::max(c.max_live_threads, live);
+  }
+  /// A thread's body: runs it, keeps its result, drops its closure.
+  static void run_body(Tcb* t) {
+    t->result = t->entry();
+    t->entry = nullptr;
+  }
 
   // The inline run of a child with no fiber, on its parent's stack: the
   // child precedes the parent's continuation in the serial depth-first
   // order, so this is the one-processor schedule. The child is never
-  // registered. decide_inline counts it on `c`, audits it and logs a
-  // kSpawnInline SpawnReg (Real: in a section); run_inline dispatches it
-  // with no burden and runs its body on the parent's span; end_inline gives
-  // its exit edge and Done (no joiner can exist yet).
-  void decide_inline(Tcb* parent, Tcb* child, LaneCounters& c);
-  void run_inline(Tcb* child, int lane);
+  // registered. decide_inline counts and audits it, grants it to `lane`
+  // with no burden and logs a kSpawnInline SpawnReg with the grant's
+  // deadline bit (Real: in a section); the caller runs its body; end_inline
+  // gives its exit edge and Done (no joiner can exist yet).
+  void decide_inline(Tcb* parent, Tcb* child, LaneCounters& c, int lane);
   void end_inline(Tcb* child, int lane);
 
   /// The dispatch grant: t runs on `lane` with a fresh quota of K bytes and
-  /// `cost` (a DispatchCost or callable) as its burden. Returns the Dispatch
-  /// record's kDispatchDeadline bit.
+  /// `cost` (a DispatchCost or callable) as its burden. Returns the deadline
+  /// bit of its record: the Dispatch's kDispatchDeadline, or for an inline
+  /// child (`inline_run`) the SpawnReg's kSpawnDeadline.
   template <class C>
-  std::uint64_t grant(Tcb* t, LaneCounters& c, int lane, const C& cost) {
+  std::uint64_t grant(Tcb* t, LaneCounters& c, int lane, const C& cost,
+                      bool inline_run = false) {
     t->state.store(ThreadState::Running, std::memory_order_relaxed);
     t->quota = static_cast<std::int64_t>(quota_bytes());
     ++t->dispatches;
     ++c.dispatches;
     obs::edges::dispatch(lane, t, cost);
     // No token, no deadline: a faithful replay logged none either.
-    return t->cancel != nullptr ? expire(t, c, lane) : 0;
+    return t->cancel != nullptr ? expire(t, c, lane, inline_run) : 0;
   }
 
   /// The quota debit of a df_malloc under a quota policy (§4 item 2): true
@@ -212,24 +250,68 @@ class Engine {
     return true;
   }
 
+  /// The exit handoff: under t's join_lock, t finishes and its blocked
+  /// joiner, if any, is taken and returned (not yet woken). With `log`
+  /// (Real's fiber and bound exits) the race is gated and committed as
+  /// ExitJoin inside the lock.
+  Tcb* hand_off(Tcb* t, bool log);
+  /// Finalizes exited t's context, then returns its stack to the pool.
+  static void retire_stack(Tcb* t);
+
+  /// The timer's claim on s: s.t's membership in s.list under s.guard is
+  /// the token, and the timer loses quietly (false) to a waker that popped
+  /// it first. With `log` (Real) a won claim commits its TimeoutClaim under
+  /// the guard. A won claim marks and counts the timeout, with its edge.
+  template <class L>
+  bool claim(const Sleeper& s, LaneCounters& c, const L& lane, bool log) {
+    s.guard->lock();
+    const bool claimed = s.list->remove(s.t);
+    if (log && claimed) {
+      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::TimeoutClaim,
+                         ::dfth::replay::kActorTimer, s.t->id, 0);
+    }
+    s.guard->unlock();
+    if (!claimed) return false;
+    s.t->timed_out = true;
+    ++c.sync_timeouts;
+    DFTH_COUNT(obs::Counter::SyncTimeouts);
+    obs::edges::wake(lane, nullptr, s.t, 0);
+    return true;
+  }
+  /// A timed wait's epilogue, once t resumed: its dead timer entry leaves
+  /// sleepers_ (Real: under their lock), then the claim's mark is read and
+  /// cleared. True when a waker, not the timer, resumed t.
+  bool end_wait(Tcb* t);
+
   /// RunStats::steals: the work-stealing policy's, or a pinned replay's.
   std::uint64_t steal_count() const;
-  /// Adds the engine, the scheduler, the tracer and the replay session to
-  /// `info`, then writes the flight-recorder dump.
-  void dump(resil::FlightInfo& info);
+  /// Adds the engine, the scheduler, the tracer, the replay session and
+  /// every thread (by id) to `info`, writes the flight-recorder dump, then
+  /// aborts with `what`.
+  [[noreturn]] void dump_and_abort(resil::FlightInfo& info, const char* what);
 
   RuntimeOptions opts_;
   std::unique_ptr<Scheduler> sched_;
   /// Effective K (atomic: Real grants it without the lock that shrinks it).
   std::atomic<std::size_t> eff_quota_{0};
   RunStats stats_;  ///< configuration echo; counters merged at run end
+  std::vector<Sleeper> sleepers_;  ///< armed timers (Real: under sup_mu_)
 
  private:
+  /// One lane's registry list (through Tcb::created_next), on its own line.
+  struct alignas(64) Registry {
+    std::atomic<Tcb*> head{nullptr};
+  };
+
   /// The grant's deadline check: fires t's cancel token once now_ns() has
   /// passed its deadline. Cooperative — t still runs, polls
   /// cancel_requested() and drains. A pinned replay reads the logged bit,
   /// the one record of the expire-or-not race, instead of the clock.
-  std::uint64_t expire(Tcb* t, LaneCounters& c, int lane);
+  std::uint64_t expire(Tcb* t, LaneCounters& c, int lane, bool inline_run);
+
+  int lanes_;
+  std::unique_ptr<Registry[]> registry_;
+  void (*entry_)(void*);
 };
 
 /// The active engine, or nullptr outside dfth::run(). Deliberately a

@@ -53,14 +53,6 @@ std::uint64_t spawn_record_b(std::uint64_t flags, std::int64_t* live) {
   return flags | (static_cast<std::uint64_t>(*live) << shift);
 }
 
-void push_created(std::atomic<Tcb*>& head, Tcb* t) {
-  t->created_next = head.load(std::memory_order_relaxed);
-  while (!head.compare_exchange_weak(t->created_next, t,
-                                     std::memory_order_release,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 // Both accessors are noinline on purpose: fibers migrate between kernel
@@ -100,58 +92,26 @@ void RealEngine::bump_progress(Worker* w) {
   }
 }
 
-template <typename F>
-void RealEngine::for_each_tcb(F&& f) const {
-  auto walk = [&f](const std::atomic<Tcb*>& head) {
-    for (Tcb* t = head.load(std::memory_order_acquire); t != nullptr;) {
-      Tcb* next = t->created_next;
-      f(t);
-      t = next;
-    }
-  };
-  walk(ext_created_);
-  for (const Worker& w : workers_) walk(w.created);
-}
-
 RealEngine::RealEngine(const RuntimeOptions& opts)
-    : Engine(opts, EngineKind::Real) {
+    // One registry list per worker, and the external lane's.
+    : Engine(opts, EngineKind::Real, opts.nprocs + 1, &fiber_entry) {
   ndomains_ = sched_->domains();
   // A recording or a pinned replay must order every ready in a section.
   posts_ = ndomains_ == 1 && !replay::pinned();
   domains_ = std::make_unique<Domain[]>(static_cast<std::size_t>(ndomains_));
 }
 
-RealEngine::~RealEngine() {
-  for_each_tcb([](Tcb* t) {
-    if (t->stack) StackPool::instance().release(t->stack);
-    context_destroy(&t->ctx);
-    delete t;
-  });
-}
-
-Tcb* RealEngine::make_tcb(std::function<void*()> fn, const Attr& attr,
-                          bool is_dummy, Tcb* parent) {
+std::size_t RealEngine::fiber_stack(const Attr& attr) const {
   // Real stacks honor the requested size but keep a floor under the
   // benchmarks' serial base cases; a bound thread gets none.
-  const std::size_t stack =
-      attr.bound ? 0
-                 : std::max(attr.stack_size ? attr.stack_size : opts_.default_stack_size,
-                            kRealStackFloor);
-  Tcb* t = new_tcb(take_tid(next_tid_), std::move(fn), attr, is_dummy, parent,
-                   stack, &fiber_entry);
-  Worker* w = this_worker();
-  push_created(w ? w->created : ext_created_, t);
-  if (t->stack) {
-    obs::edges::stack([this] { return trace_lane(); }, t, t->stack.size,
-                      t->stack.fresh);
-  }
-  return t;
+  if (attr.bound) return 0;
+  return std::max(attr.stack_size ? attr.stack_size : opts_.default_stack_size,
+                  kRealStackFloor);
 }
 
 void RealEngine::fiber_entry(void* arg) {
   Tcb* t = static_cast<Tcb*>(arg);
-  t->result = t->entry();
-  t->entry = nullptr;
+  run_body(t);
   auto* self = static_cast<RealEngine*>(engine());
   // No switch before the final one below, so w stays this fiber's worker.
   Worker* w = this_worker();
@@ -165,14 +125,10 @@ void RealEngine::fiber_entry(void* arg) {
     w->slice_start_ns = now;
     return ns;
   });
-  Tcb* joiner = self->publish_exit(t);
+  Tcb* joiner = self->hand_off(t, /*log=*/true);
   if (joiner != nullptr) {
     self->note_wake(joiner);
-    if (joiner->attr.bound) {
-      // A bound joiner spins on its own state word (see wake()).
-      joiner->state.store(ThreadState::Ready, std::memory_order_release);
-      joiner = nullptr;
-    }
+    if (ready_bound(joiner)) joiner = nullptr;
   }
   t->state.store(ThreadState::Done, std::memory_order_release);
   // The scheduler side of the exit (unregister, live_, the joiner's wake)
@@ -183,35 +139,10 @@ void RealEngine::fiber_entry(void* arg) {
   context_switch_final(&t->ctx, &w->ctx);
 }
 
-Tcb* RealEngine::publish_exit(Tcb* t) {
-  DFTH_REPLAY_GATE_SELF();
-  t->join_lock.lock();
-  t->finished = true;
-  Tcb* joiner = t->joiner;
-  t->joiner = nullptr;
-  // The exit-vs-join race on join_lock decides whether the joiner blocks;
-  // b records which joiner (0 = none yet) so replay verifies the outcome.
-  DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::ExitJoin,
-                     ::dfth::replay::self_actor(), t->id,
-                     joiner ? joiner->id : 0);
-  t->join_lock.unlock();
-  return joiner;
-}
-
-void RealEngine::finish_bound_thread(Tcb* t) {
-  bool done;
-  DFTH_REPLAY_GATE_SELF();
-  {
-    ColdSection s(*this);
-    bound_live_.fetch_sub(1, std::memory_order_relaxed);
-    bump_progress(nullptr);
-    DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::ExitSched,
-                       ::dfth::replay::self_actor(), t->id, 0);
-    done = live_.fetch_sub(1, std::memory_order_relaxed) == 1;
-    if (done) done_.store(true, std::memory_order_release);
-  }
-  if (done) wake_all();
-  if (Tcb* joiner = publish_exit(t)) wake(joiner);
+bool RealEngine::ready_bound(Tcb* t) {
+  if (!t->attr.bound) return false;
+  t->state.store(ThreadState::Ready, std::memory_order_release);
+  return true;
 }
 
 Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy,
@@ -219,15 +150,15 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
   // The profiler's fork-cost burden; no clock read without one.
   const std::uint64_t fork_t0 = obs::profiler() ? steady_now_ns() : 0;
   Worker* w = this_worker();
+  const int lane = w ? w->id : opts_.nprocs;
   Tcb* parent = current();
-  Tcb* child = make_tcb(std::move(fn), attr, is_dummy, parent);
-  child->site_file = site_file;
-  child->site_line = site_line;
+  Tcb* child = new_tcb(take_tid(next_tid_), std::move(fn), attr, is_dummy, parent,
+                       site_file, site_line, fiber_stack(attr), lane);
   // Fork edge, taken before the child is published to the scheduler —
   // another worker may dispatch it (and charge work to it) the moment it
   // is ready. The offset is the parent's uncharged partial
   // slice so the child inherits the span as of *now*, not slice start.
-  obs::edges::fork(w ? w->id : opts_.nprocs, parent, child, [&] {
+  obs::edges::fork(lane, parent, child, [&] {
     return (w && parent && !parent->attr.bound)
                ? steady_now_ns() - w->slice_start_ns
                : 0;
@@ -243,23 +174,19 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
     DFTH_REPLAY_GATE_SELF();
     if (w) {
       Section s(*this, w->domain, w);
-      decide_inline(parent, child, w->counters);
+      decide_inline(parent, child, w->counters, lane);
     } else {
       ColdSection s(*this);
-      decide_inline(parent, child, ext_counters_);
+      decide_inline(parent, child, ext_counters_, lane);
     }
-    run_inline(child, w ? w->id : opts_.nprocs);
+    run_body(child);
     // The body may have switched workers: look the lane up anew.
     end_inline(child, trace_lane());
     return child;
   }
   std::int64_t live;
   const bool preempt = enqueue(child, parent, w, &live);
-  count(w, [&](LaneCounters& c) {
-    ++c.threads_created;
-    if (is_dummy) ++c.dummy_threads;
-    c.max_live_threads = std::max(c.max_live_threads, live);
-  });
+  count(w, [&](LaneCounters& c) { count_birth(c, child, live); });
   obs::edges::fork_cost(child, [fork_t0] { return steady_now_ns() - fork_t0; });
 
   if (preempt) {
@@ -274,6 +201,8 @@ Tcb* RealEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dumm
 }
 
 bool RealEngine::enqueue(Tcb* child, Tcb* parent, Worker* w, std::int64_t* live) {
+  obs::edges::stack(w ? w->id : opts_.nprocs, child, child->stack.size,
+                    child->stack.fresh);
   // Counted live before it is published: its exit may follow at once.
   *live = live_.fetch_add(1, std::memory_order_relaxed) + 1;
   // A bound (or engine-external) caller has no worker to preempt. The gate
@@ -313,21 +242,30 @@ void RealEngine::start_bound(Tcb* t, Worker* w) {
   bound_live_.fetch_add(1, std::memory_order_relaxed);
   [[maybe_unused]] const std::uint64_t b =
       spawn_record_b(::dfth::replay::kSpawnBound, &live);
-  LaneCounters& c = w ? w->counters : ext_counters_;
-  ++c.threads_created;
-  c.max_live_threads = std::max(c.max_live_threads, live);
+  count_birth(w ? w->counters : ext_counters_, t, live);
   DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
                      ::dfth::replay::self_actor(), t->id, b);
   bound_threads_.emplace_back([this, t] {
     tl_bound = t;
     t->state.store(ThreadState::Running, std::memory_order_relaxed);
     const std::uint64_t t0 = obs::profiler() ? steady_now_ns() : 0;
-    t->result = t->entry();
-    t->entry = nullptr;
+    run_body(t);
     // A bound thread is one uninterrupted slice on its own kernel thread.
     obs::edges::exit(opts_.nprocs, t, [t0] { return steady_now_ns() - t0; });
     t->state.store(ThreadState::Done, std::memory_order_release);
-    finish_bound_thread(t);
+    bool done;
+    DFTH_REPLAY_GATE_SELF();
+    {
+      ColdSection s(*this);
+      bound_live_.fetch_sub(1, std::memory_order_relaxed);
+      bump_progress(nullptr);
+      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::ExitSched,
+                         ::dfth::replay::self_actor(), t->id, 0);
+      done = live_.fetch_sub(1, std::memory_order_relaxed) == 1;
+      if (done) done_.store(true, std::memory_order_release);
+    }
+    if (done) wake_all();
+    if (Tcb* joiner = hand_off(t, /*log=*/true)) wake(joiner);
     tl_bound = nullptr;
   });
 }
@@ -405,19 +343,11 @@ bool RealEngine::block(SpinLock* guard, WaitList* list, std::uint64_t timeout_ns
     }
   }
   if (!timed) return true;
-  // Resumed by the timer or a waker; either way the timer entry is dead.
-  cancel_sleeper(cur);
-  const bool timed_out = cur->timed_out;
-  cur->timed_out = false;
-  return !timed_out;
-}
-
-void RealEngine::cancel_sleeper(Tcb* t) {
   std::unique_lock<std::mutex> lk(sup_mu_);
-  // An in-flight fire for t already left sleepers_ but may not have taken
-  // the guard yet; wait it out or it could claim t's *next* wait.
-  sup_cv_.wait(lk, [this, t] { return firing_ != t; });
-  std::erase_if(sleepers_, [t](const Sleeper& s) { return s.t == t; });
+  // An in-flight fire for cur already left sleepers_ but may not have taken
+  // the guard yet; wait it out or it could claim cur's *next* wait.
+  sup_cv_.wait(lk, [this, cur] { return firing_ != cur; });
+  return end_wait(cur);
 }
 
 void RealEngine::note_wake(Tcb* t) {
@@ -431,13 +361,7 @@ void RealEngine::note_wake(Tcb* t) {
 
 void RealEngine::wake(Tcb* t) {
   note_wake(t);
-  if (t->attr.bound) {
-    // A bound waiter spins on its own state word; no shared scheduler state
-    // is touched, so this store is not an ordered replay event (documented
-    // limitation: bound-thread wake timing is not bit-pinned).
-    t->state.store(ThreadState::Ready, std::memory_order_release);
-    return;
-  }
+  if (ready_bound(t)) return;
   // The waker may keep running (a barrier's last arrival, a spin-wait on
   // the woken fiber), so a parked worker takes the woken fiber now. A fiber
   // whose own dive registration is still posted is readied in a section,
@@ -451,10 +375,9 @@ void RealEngine::wake(Tcb* t) {
                 ::dfth::replay::self_actor());
 }
 
-void RealEngine::ready_section(Tcb* t, Worker* w, replay::EvKind kind,
-                               std::uint64_t actor) {
-  (void)kind;
-  (void)actor;
+void RealEngine::ready_section(Tcb* t, Worker* w,
+                               [[maybe_unused]] replay::EvKind kind,
+                               [[maybe_unused]] std::uint64_t actor) {
   const int proc = w ? w->id : 0;
   // With one domain there is nothing to ask, and asking would read t's
   // placement, which a drain may be writing: t's registration can still be
@@ -471,8 +394,7 @@ void RealEngine::ready_section(Tcb* t, Worker* w, replay::EvKind kind,
   if (left) wake_idle();
 }
 
-void RealEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
-  (void)fresh_bytes;
+void RealEngine::on_alloc(std::size_t bytes, std::int64_t /*fresh_bytes*/) {
   obs::edges::heap([this] { return trace_lane(); }, [this] { return current(); },
                    bytes, /*freed=*/false);
   if (!uses_alloc_quota()) return;
@@ -488,18 +410,14 @@ void RealEngine::on_free(std::size_t bytes) {
                    bytes, /*freed=*/true);
 }
 
-bool RealEngine::on_alloc_failed(std::size_t bytes, int attempt) {
-  (void)bytes;
+bool RealEngine::on_alloc_failed(std::size_t /*bytes*/, int attempt) {
   Tcb* cur = current();
   if (!oom_preempt(cur, attempt)) return false;
-  // The halving is an ordered decision: every later dispatch grants
-  // t->quota from eff_quota_, so the quota a fiber runs with — and hence
-  // where it quota-preempts — depends on how many halvings landed before
-  // its dispatch. Serialize the shrink under the caller's domain lock (for
-  // a one-domain policy, the lock every grant holds) and log it like any
-  // other scheduling decision; a lock-free CAS here raced the grants at
-  // physical timing, which record/replay cannot pin. A clustered policy's
-  // other clusters grant under their own locks, unordered with the shrink.
+  // The halving is an ordered decision: how many landed before a dispatch
+  // sets the quota it grants, hence where the fiber quota-preempts. So the
+  // shrink takes the caller's domain lock (for a one-domain policy, the lock
+  // every grant holds) and is logged; a clustered policy's other clusters
+  // grant under their own locks, unordered with it.
   Worker* w = this_worker();
   count(w, [](LaneCounters& c) { ++c.oom_preemptions; });
   DFTH_REPLAY_GATE_SELF();
@@ -519,10 +437,8 @@ bool RealEngine::on_alloc_failed(std::size_t bytes, int attempt) {
 
 void RealEngine::run_fiber(Worker& w, Tcb* t) {
   w.current = t;
+  // Each action sets the fields it reads.
   w.post = Post::None;
-  w.post_fiber = nullptr;
-  w.post_next = nullptr;
-  w.post_guard = nullptr;
   if (obs::profiler()) w.slice_start_ns = steady_now_ns();
   context_switch(&w.ctx, &t->ctx);
   if (obs::profiler()) {
@@ -539,10 +455,7 @@ void RealEngine::release_post(Worker& w) {
     w.post_guard->unlock();
     w.post = Post::None;
   } else if (w.post == Post::ExitCleanup) {
-    Tcb* t = w.post_fiber;
-    context_finalize(&t->ctx);
-    StackPool::instance().release(t->stack);
-    t->stack = Stack{};
+    retire_stack(w.post_fiber);
   }
 }
 
@@ -585,9 +498,7 @@ Tcb* RealEngine::settle_post(Worker& w, replay::SectionLog& log) {
 }
 
 void RealEngine::make_ready_locked(Tcb* t, int proc, Worker* w) {
-  t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-  t->ready_at_ns = 0;
-  sched_->on_ready(t, proc);
+  ready(t, proc, 0);
   bump_progress(w);
 }
 
@@ -698,12 +609,15 @@ void RealEngine::wake_all() {
   host_parker_.unpark();
 }
 
-bool RealEngine::all_stuck() const {
-  return idle_count_.load(std::memory_order_relaxed) ==
-             static_cast<int>(workers_.size()) &&
-         live_.load(std::memory_order_relaxed) > 0 &&
-         bound_live_.load(std::memory_order_relaxed) == 0 &&
-         !done_.load(std::memory_order_relaxed);
+bool RealEngine::all_stuck() {
+  if (idle_count_.load(std::memory_order_relaxed) != static_cast<int>(workers_.size()) ||
+      live_.load(std::memory_order_relaxed) == 0 ||
+      bound_live_.load(std::memory_order_relaxed) != 0 ||
+      done_.load(std::memory_order_relaxed)) {
+    return false;
+  }
+  std::lock_guard<std::mutex> lk(sup_mu_);
+  return sleepers_.empty();
 }
 
 std::size_t RealEngine::ready_total() {
@@ -714,8 +628,6 @@ std::size_t RealEngine::ready_total() {
   }
   return n;
 }
-
-std::uint64_t RealEngine::now_ns() const { return steady_now_ns(); }
 
 Tcb* RealEngine::transition(Worker& w, bool dive) {
   if (dive && posts_) {
@@ -768,8 +680,7 @@ Tcb* RealEngine::transition(Worker& w, bool dive) {
 }
 
 Tcb* RealEngine::steal_round(Worker& w, int start) {
-  const std::uint64_t lane = ::dfth::replay::lane_actor(w.id);
-  (void)lane;
+  [[maybe_unused]] const std::uint64_t lane = ::dfth::replay::lane_actor(w.id);
   for (int i = 0; i < ndomains_; ++i) {
     const int victim = (start + i) % ndomains_;
     // The unlocked count skips dry victims without touching their lock.
@@ -832,8 +743,8 @@ void RealEngine::worker_loop(Worker& w) {
       const bool stuck = all_stuck();
       if (stuck && stuck_timed_out) {
         // Nothing readied anyone during the grace period.
-        dump_flight("RealEngine: deadlock — all workers idle, no ready work");
-        DFTH_CHECK_MSG(false, "deadlock: all threads blocked");
+        dump_flight("RealEngine: deadlock — all workers idle, no ready work",
+                    "deadlock: all threads blocked");
       }
       // Parked until a section leaves ready work behind (or, when every
       // worker is idle with live work, until the deadlock grace ends).
@@ -860,20 +771,6 @@ void RealEngine::worker_loop(Worker& w) {
 
 // -- supervisor: timed-wait timers + stall watchdog -------------------------
 
-void RealEngine::timer_ready(Tcb* t) {
-  t->timed_out = true;
-  obs::edges::wake(opts_.nprocs, nullptr, t, 0);
-  DFTH_COUNT(obs::Counter::SyncTimeouts);
-  count(nullptr, [](LaneCounters& c) { ++c.sync_timeouts; });
-  if (t->attr.bound) {
-    // A bound waiter spins on its own state word (see wake()).
-    t->state.store(ThreadState::Ready, std::memory_order_release);
-    return;
-  }
-  ready_section(t, nullptr, ::dfth::replay::EvKind::TimeoutReady,
-                ::dfth::replay::kActorTimer);
-}
-
 void RealEngine::fire_sleepers(std::unique_lock<std::mutex>& lk) {
   // Called with lk (sup_mu_) held. The vector mutates while unlocked, so
   // restart the scan after every fire; fired entries are gone, so it ends.
@@ -893,19 +790,14 @@ restart:
     sleepers_.erase(sleepers_.begin() + static_cast<std::ptrdiff_t>(i));
     firing_ = s.t;
     lk.unlock();
-    // Claim protocol: wait-list membership under the guard is the claim.
-    // Losing means a waker popped the waiter first; its wake() owns the
-    // resume and the timer loses quietly. In a pinned replay the waker's
-    // section is gated behind this very record, so it cannot lose.
-    s.guard->lock();
-    const bool claimed = s.list->remove(s.t);
+    // In a pinned replay the waker's section is gated behind this very
+    // record, so the claim cannot lose.
+    const bool claimed = claim(s, timer_counters_, opts_.nprocs, /*log=*/true);
     DFTH_CHECK_MSG(claimed || !pinned, "replay: logged timeout claim lost its race");
-    if (claimed) {
-      DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::TimeoutClaim,
-                         ::dfth::replay::kActorTimer, s.t->id, 0);
+    if (claimed && !ready_bound(s.t)) {
+      ready_section(s.t, nullptr, ::dfth::replay::EvKind::TimeoutReady,
+                    ::dfth::replay::kActorTimer);
     }
-    s.guard->unlock();
-    if (claimed) timer_ready(s.t);
     lk.lock();
     firing_ = nullptr;
     sup_cv_.notify_all();
@@ -941,14 +833,9 @@ void RealEngine::supervisor_loop() {
           nap_ns, static_cast<std::uint64_t>(nanoseconds(poll).count()));
     }
     if (replay::pinned_active()) {
-      // Replayed timer fires are driven by the log head, not by deadlines —
-      // no notification marks the head becoming a TimeoutClaim, so poll at a
-      // flat 1ms while the log still has records. Deadline-derived naps must
-      // not apply here: a past-due sleeper the log is not yet ready to fire
-      // yields nap_ns == 0, and a zero nap skips both wait branches below —
-      // the loop would then spin without ever releasing sup_mu_, starving
-      // threads that register and deregister sleepers under it (a
-      // replay-only livelock).
+      // The log head, not a deadline, fires a replayed timer, and nothing
+      // signals the head becoming a TimeoutClaim: poll at a flat 1 ms. A
+      // past-due sleeper's zero nap would spin holding sup_mu_ instead.
       nap_ns = std::uint64_t{1'000'000};
     }
     if (nap_ns == kInf) {
@@ -978,8 +865,8 @@ void RealEngine::supervisor_loop() {
         if (live_.load(std::memory_order_relaxed) > 0 &&
             !done_.load(std::memory_order_acquire)) {
           dump_flight("RealEngine watchdog: no scheduler progress within the "
-                      "stall deadline");
-          DFTH_CHECK_MSG(false, "stall watchdog tripped");
+                      "stall deadline",
+                      "stall watchdog tripped");
         }
         lk.lock();
         last_change = now;  // run is draining; don't re-trip every poll
@@ -988,16 +875,13 @@ void RealEngine::supervisor_loop() {
   }
 }
 
-void RealEngine::dump_flight(const char* reason) {
+void RealEngine::dump_flight(const char* reason, const char* what) {
   // A wedged worker may hold a lock forever; bound the wait, then dump the
-  // possibly-inconsistent snapshot anyway (flagged as such).
-  std::vector<SpinFutexLock*> held;
-  auto try_hold = [&held](SpinFutexLock& l, int* budget) {
+  // possibly-inconsistent snapshot anyway (flagged as such). The locks
+  // taken stay held through the abort.
+  auto try_hold = [](SpinFutexLock& l, int* budget) {
     for (; *budget > 0; --*budget) {
-      if (l.try_lock()) {
-        held.push_back(&l);
-        return true;
-      }
+      if (l.try_lock()) return true;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     return false;
@@ -1007,18 +891,12 @@ void RealEngine::dump_flight(const char* reason) {
   for (int d = 0; d < ndomains_; ++d) {
     locked = try_hold(domains_[static_cast<std::size_t>(d)].lock, &budget) && locked;
   }
-  std::vector<Tcb*> tcbs;
-  for_each_tcb([&tcbs](Tcb* t) { tcbs.push_back(t); });
-  std::sort(tcbs.begin(), tcbs.end(),
-            [](const Tcb* a, const Tcb* b) { return a->id < b->id; });
   resil::FlightInfo info;
   info.reason = reason;
   info.live_threads = live_.load(std::memory_order_relaxed);
   info.sched_state_consistent = locked;
   for (const Worker& w : workers_) info.lanes.push_back({w.id, w.current});
-  info.all_tcbs = &tcbs;
-  dump(info);
-  for (SpinFutexLock* l : held) l->unlock();
+  dump_and_abort(info, what);
 }
 
 RunStats RealEngine::run(const std::function<void()>& main_fn) {
@@ -1049,16 +927,8 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
     w.domain = sched_->lock_domain(i);
   }
 
-  Tcb* main = make_tcb(
-      [&main_fn]() -> void* {
-        main_fn();
-        return nullptr;
-      },
-      Attr{}, /*is_dummy=*/false, /*parent=*/nullptr);
-  main->is_main = true;
-  main->site_file = "<main>";
-  main->site_line = 0;
-  obs::edges::fork(0, nullptr, main, 0);
+  Tcb* main = new_main(main_fn, take_tid(next_tid_), fiber_stack(Attr{}),
+                       opts_.nprocs, /*probe=*/true);
   // The host registers main as spawn does its children. With no fiber
   // stack (even after the pool's heap fallback, or an injected ctx.create
   // fault) main runs bound on a dedicated kernel thread — the Solaris
@@ -1071,8 +941,7 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
     std::int64_t live;
     enqueue(main, nullptr, nullptr, &live);
     // No other thread runs yet: the host's lane needs no mu_.
-    ext_counters_.threads_created = 1;
-    ext_counters_.max_live_threads = live;
+    count_birth(ext_counters_, main, live);
   }
 
   for (auto& w : workers_) {
@@ -1132,6 +1001,7 @@ RunStats RealEngine::run(const std::function<void()>& main_fn) {
 
   ext_counters_.sched_lock_sections += ext_sections_.load(std::memory_order_relaxed);
   ext_counters_.add_to(&stats_);
+  timer_counters_.add_to(&stats_);
   for (const Worker& w : workers_) w.counters.add_to(&stats_);
   stats_.global_lock_sections = global_sections_;
   stats_.elapsed_us = timer.elapsed_us();

@@ -41,12 +41,12 @@
 // takes a section instead, so its events apply in order. With a replay
 // session installed, readies take the sections above, which the log orders.
 //
-// live_ is an atomic; run counters, progress counts and the created-Tcb
-// lists are per worker. Idle workers register on an idle list behind its
-// own lock, re-scan every domain, then park; a section that leaves ready
-// work behind, or a post, unparks one of them. mu_ guards only cold state:
-// bound threads, the spawn decisions and counters of callers that are not
-// workers, and the snapshots of the flight recorder.
+// live_ is an atomic; run counters, progress counts and the Tcb registry's
+// lists (engine.h) are per worker. Idle workers register on an idle list
+// behind its own lock, re-scan every domain, then park; a section that
+// leaves ready work behind, or a post, unparks one of them. mu_ guards only
+// cold state: bound threads, the spawn decisions and counters of callers
+// that are not workers, and the snapshots of the flight recorder.
 #pragma once
 
 #include <atomic>
@@ -61,13 +61,13 @@
 #include "runtime/api.h"
 #include "runtime/engine.h"
 #include "util/spin_park.h"
+#include "util/timer.h"
 
 namespace dfth {
 
 class RealEngine final : public Engine {
  public:
   explicit RealEngine(const RuntimeOptions& opts);
-  ~RealEngine() override;
 
   EngineKind kind() const override { return EngineKind::Real; }
   RunStats run(const std::function<void()>& main_fn) override;
@@ -80,7 +80,7 @@ class RealEngine final : public Engine {
   bool block(SpinLock* guard, WaitList* list, std::uint64_t timeout_ns) override;
   void wake(Tcb* t) override;
   void charge_sync_op() override {}
-  std::uint64_t now_ns() const override;
+  std::uint64_t now_ns() const override { return steady_now_ns(); }
   int trace_lanes() const override { return opts_.nprocs + 1; }
   void on_alloc(std::size_t bytes, std::int64_t fresh_bytes) override;
   void on_free(std::size_t bytes) override;
@@ -129,9 +129,6 @@ class RealEngine final : public Engine {
     /// dispatch reads it as its dispatch-gap measurement.
     std::uint64_t idle_since_ns = 0;
     LaneCounters counters;  ///< written only by this worker's kernel thread
-    /// Tcbs created by fibers on this worker (intrusive list through
-    /// Tcb::created_next), read by the destructor and the flight recorder.
-    std::atomic<Tcb*> created{nullptr};
     /// Dispatches, readies and exits on this lane; only this lane writes
     /// it, the watchdog sums every lane's.
     std::atomic<std::uint64_t> progress{0};
@@ -203,10 +200,8 @@ class RealEngine final : public Engine {
   }
   /// Counts a dispatch, ready or exit on the calling lane for the watchdog.
   void bump_progress(Worker* w);
-  /// Engine::new_tcb with Real's stack size, linked into the calling lane's
-  /// created list.
-  Tcb* make_tcb(std::function<void*()> fn, const Attr& attr, bool is_dummy,
-                Tcb* parent);
+  /// The fiber stack size new_tcb gives a thread of `attr`.
+  std::size_t fiber_stack(const Attr& attr) const;
   /// Spawn's fiber path: counts child live, then registers it (in a section
   /// of the caller's domain, or posted) and readies it unless the caller's
   /// worker dives into it, which it returns. *live: the count it observed.
@@ -263,17 +258,17 @@ class RealEngine final : public Engine {
   /// Once done_ is set: unparks every worker (each then sees done_ in its
   /// next transition and leaves) and the host.
   void wake_all();
-  /// Every worker idle, live work remains, and no bound thread that could
-  /// make some ready. The caller's re-scan just found nothing.
-  bool all_stuck() const;
+  /// Every worker idle, live work remains, and no bound thread or armed
+  /// timer that could make some ready. The caller's re-scan found nothing.
+  bool all_stuck();
   /// Ready threads over all domains, each read under its lock.
   std::size_t ready_total();
-  /// Publishes t's exit under its join lock; returns the blocked joiner
-  /// (not yet woken), if any.
-  Tcb* publish_exit(Tcb* t);
+  /// A bound waiter spins on its own state word: readies it (true), or
+  /// false for a fiber. No scheduler state is touched, so this is not an
+  /// ordered replay event (bound-thread wake timing is not bit-pinned).
+  static bool ready_bound(Tcb* t);
   /// Observer side of a wake edge from the calling context.
   void note_wake(Tcb* t);
-  void finish_bound_thread(Tcb* t);
 
   /// Timer + stall-watchdog thread: fires due Sleepers and aborts with a
   /// flight-recorder dump when no dispatch progress happens for longer than
@@ -285,17 +280,10 @@ class RealEngine final : public Engine {
   /// with `lk` (sup_mu_) held; drops it around the claim-and-wake of each
   /// entry.
   void fire_sleepers(std::unique_lock<std::mutex>& lk);
-  /// The timer won t's claim: mark the timeout and ready t.
-  void timer_ready(Tcb* t);
-  /// Removes t's timer entry, waiting out an in-flight fire for t so a
-  /// stale timer can never claim t's *next* wait.
-  void cancel_sleeper(Tcb* t);
-  /// Best-effort crash dump through resil::dump_flight_recorder. mu_ and
-  /// every domain lock are try-locked within a bounded wait — a wedged
-  /// worker holding one must not block the dump forever.
-  void dump_flight(const char* reason);
-  template <typename F>
-  void for_each_tcb(F&& f) const;
+  /// Best-effort crash dump through resil::dump_flight_recorder, then the
+  /// abort. mu_ and every domain lock are try-locked within a bounded wait —
+  /// a wedged worker holding one must not block the dump forever.
+  [[noreturn]] void dump_flight(const char* reason, const char* what);
 
   int ndomains_ = 1;
   /// One domain and no replay session: readies are posted, not locked.
@@ -328,14 +316,13 @@ class RealEngine final : public Engine {
   /// Domain sections and progress of callers that are not workers.
   std::atomic<std::uint64_t> ext_sections_{0};
   std::atomic<std::uint64_t> ext_progress_{0};
-  std::atomic<Tcb*> ext_created_{nullptr};  ///< Tcbs made off the workers
 
   std::vector<Worker> workers_;
 
   // -- supervisor (timed waits + stall watchdog) ----------------------------
   std::mutex sup_mu_;                 ///< guards sleepers_, firing_, sup_stop_
   std::condition_variable sup_cv_;
-  std::vector<Sleeper> sleepers_;  ///< a fiber's or a bound thread's
+  LaneCounters timer_counters_;       ///< written only by the supervisor
   Tcb* firing_ = nullptr;             ///< sleeper whose fire is in flight
   bool sup_stop_ = false;
   std::thread supervisor_;

@@ -29,6 +29,22 @@ constexpr std::size_t kRealMainStackBytes = 1 << 20;
 
 double ns_to_us(std::uint64_t ns) { return static_cast<double>(ns) * 1e-3; }
 
+// The peak level over virtual time of `base` plus the (instant, delta)
+// changes in `ev`, which it sorts; equal instants apply rises first when
+// `rises_first`, else falls first.
+template <class Delta>
+std::int64_t peak_level(std::vector<std::pair<std::uint64_t, Delta>>& ev,
+                        std::int64_t base, bool rises_first) {
+  std::sort(ev.begin(), ev.end(), [rises_first](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return rises_first ? a.second > b.second : a.second < b.second;
+  });
+  std::int64_t level = base;
+  std::int64_t peak = base;
+  for (const auto& e : ev) peak = std::max(peak, level += e.second);
+  return peak;
+}
+
 }  // namespace
 
 bool SimEngine::LruCache::touch_block(std::uint32_t id) {
@@ -53,54 +69,37 @@ bool SimEngine::LruCache::touch_block(std::uint32_t id) {
   return false;
 }
 
-SimEngine::SimEngine(const RuntimeOptions& opts) : Engine(opts, EngineKind::Sim) {
+SimEngine::SimEngine(const RuntimeOptions& opts)
+    : Engine(opts, EngineKind::Sim, /*lanes=*/1, &fiber_entry) {
   procs_.resize(static_cast<std::size_t>(opts_.nprocs));
   for (auto& vp : procs_) vp.cache.capacity = opts_.cost.cache_blocks;
 }
 
-SimEngine::~SimEngine() {
-  for (Tcb* t : all_tcbs_) {
-    if (t->stack) StackPool::instance().release(t->stack);
-    context_destroy(&t->ctx);
-    delete t;
-  }
-  context_destroy(&loop_ctx_);
-}
+SimEngine::~SimEngine() { context_destroy(&loop_ctx_); }
 
 void SimEngine::fiber_entry(void* arg) {
   Tcb* t = static_cast<Tcb*>(arg);
   auto* self = static_cast<SimEngine*>(engine());
-  t->result = t->entry();
-  t->entry = nullptr;  // release captured resources promptly
+  run_body(t);
   self->charge(kThread, self->opts_.cost.exit_us);
   self->ev_ = Ev::Exit;
   context_switch_final(&t->ctx, &self->loop_ctx_);
 }
 
-void SimEngine::charge(Cat cat, double us) {
-  pend_ns_[cat] += us_to_ns(us);
-}
-
-std::uint64_t SimEngine::vnow_ns() const {
+std::uint64_t SimEngine::now_ns() const {
   if (!in_fiber_) return loop_now_ns_;
   return procs_[static_cast<std::size_t>(cur_proc_)].clock_ns + pend_total_ns();
 }
 
-void SimEngine::switch_to_loop() {
-  Tcb* self = cur_;
-  context_switch(&self->ctx, &loop_ctx_);
-}
+void SimEngine::switch_to_loop() { context_switch(&cur_->ctx, &loop_ctx_); }
 
 // -- fiber-context operations --------------------------------------------------
 
 Tcb* SimEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy,
                       const char* site_file, int site_line) {
   DFTH_CHECK_MSG(in_fiber_, "spawn outside a thread");
-  Tcb* child = new_tcb(next_tid_++, std::move(fn), attr, is_dummy, cur_,
-                       is_dummy ? (64 << 10) : kRealStackBytes, &fiber_entry);
-  all_tcbs_.push_back(child);
-  child->site_file = site_file;
-  child->site_line = site_line;
+  Tcb* child = new_tcb(next_tid_++, std::move(fn), attr, is_dummy, cur_, site_file,
+                       site_line, is_dummy ? (64 << 10) : kRealStackBytes, /*lane=*/0);
   if (!child->stack) {
     // The inline run. cur_ stays the parent: the virtual cost and race
     // segments of the child's body accrue to the parent. The child keeps
@@ -108,12 +107,12 @@ Tcb* SimEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy
     obs::edges::fork(cur_proc_, cur_, child, [this] {
       return pend_total_ns() + us_to_ns(opts_.cost.create_unbound_us);
     });
-    decide_inline(cur_, child, counters_);
     charge(kThread, opts_.cost.create_unbound_us);
-    live_events_.emplace_back(vnow_ns(), +1);
-    run_inline(child, cur_proc_);
+    live_events_.emplace_back(now_ns(), +1);
+    decide_inline(cur_, child, counters_, cur_proc_);
+    run_body(child);
     charge(kThread, opts_.cost.exit_us);
-    live_events_.emplace_back(vnow_ns(), -1);
+    live_events_.emplace_back(now_ns(), -1);
     end_inline(child, cur_proc_);
     return child;
   }
@@ -128,8 +127,7 @@ void* SimEngine::join(Tcb* t) {
   charge(kThread, opts_.cost.join_us);
   // The edge's offset: uncharged fiber-side costs, join_us included.
   if (join_blocks(cur_, t, cur_proc_, [this] { return pend_total_ns(); })) {
-    ev_ = Ev::Block;
-    ev_guard_ = nullptr;
+    ev_ = Ev::Block;  // no guard: the loop reset ev_guard_
     switch_to_loop();
     DFTH_CHECK(t->finished);
   }
@@ -151,21 +149,11 @@ bool SimEngine::block(SpinLock* guard, WaitList* list, std::uint64_t timeout_ns)
   const bool timed = timeout_ns != kNoTimeout;
   DFTH_CHECK(!timed || (guard != nullptr && list != nullptr));
   charge(kSync, opts_.cost.block_us);
-  if (timed) sleepers_.push_back({vnow_ns() + timeout_ns, cur_, guard, list});
+  if (timed) sleepers_.push_back({now_ns() + timeout_ns, cur_, guard, list});
   ev_ = Ev::Block;
   ev_guard_ = guard;
   switch_to_loop();
-  if (!timed) return true;
-  // Resumed — by the timer or by a waker. Either way our timer entry is
-  // dead; drop it so a later wait cannot be hit by this deadline.
-  cancel_sleeper(cur_);
-  const bool timed_out = cur_->timed_out;
-  cur_->timed_out = false;
-  return !timed_out;
-}
-
-void SimEngine::cancel_sleeper(Tcb* t) {
-  std::erase_if(sleepers_, [t](const Sleeper& s) { return s.t == t; });
+  return !timed || end_wait(cur_);
 }
 
 void SimEngine::fire_due_sleepers(VProc& vp, int pid) {
@@ -176,19 +164,9 @@ void SimEngine::fire_due_sleepers(VProc& vp, int pid) {
     }
     const Sleeper s = sleepers_[i];
     sleepers_.erase(sleepers_.begin() + static_cast<std::ptrdiff_t>(i));
-    // Claim protocol: membership in the wait list under its guard is the
-    // claim. If the waiter is no longer on the list, a waker popped it first
-    // and its wake() owns the resume; the timer loses quietly.
-    s.guard->lock();
-    const bool claimed = s.list->remove(s.t);
-    s.guard->unlock();
-    if (!claimed) continue;
-    s.t->timed_out = true;
-    ++counters_.sync_timeouts;
-    DFTH_COUNT(obs::Counter::SyncTimeouts);
-    obs::edges::wake(At{pid, vp.clock_ns}, nullptr, s.t, 0);
+    if (!claim(s, counters_, At{pid, vp.clock_ns}, /*log=*/false)) continue;
     sched_lock_own(vp, pid);
-    make_ready(s.t, pid, s.deadline_ns);  // eligible from its deadline instant
+    ready(s.t, pid, s.deadline_ns);  // eligible from its deadline instant
   }
 }
 
@@ -199,7 +177,7 @@ void SimEngine::wake(Tcb* t) {
   // context, cur_ = the exiting child whose final span the joiner inherits).
   obs::edges::wake(cur_proc_ >= 0 ? cur_proc_ : 0, cur_, t,
                    [this] { return in_fiber_ ? pend_total_ns() : 0; });
-  make_ready(t, cur_proc_ >= 0 ? cur_proc_ : 0, vnow_ns());
+  ready(t, cur_proc_ >= 0 ? cur_proc_ : 0, now_ns());
   if (in_fiber_) charge(kSync, opts_.cost.sched_op_us);
 }
 
@@ -215,7 +193,7 @@ void SimEngine::charge_sync_op() {
 
 void SimEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
   charge(kMem, opts_.cost.malloc_us(bytes, fresh_bytes));
-  heap_events_.emplace_back(vnow_ns(), static_cast<std::int64_t>(bytes));
+  heap_events_.emplace_back(now_ns(), static_cast<std::int64_t>(bytes));
   obs::edges::heap(cur_proc_ >= 0 ? cur_proc_ : 0, cur_, bytes, /*freed=*/false);
   if (in_fiber_ && uses_alloc_quota() && debit(cur_, bytes, counters_, cur_proc_)) {
     ev_ = Ev::QuotaPreempt;
@@ -225,12 +203,11 @@ void SimEngine::on_alloc(std::size_t bytes, std::int64_t fresh_bytes) {
 
 void SimEngine::on_free(std::size_t bytes) {
   charge(kMem, opts_.cost.free_base_us);
-  heap_events_.emplace_back(vnow_ns(), -static_cast<std::int64_t>(bytes));
+  heap_events_.emplace_back(now_ns(), -static_cast<std::int64_t>(bytes));
   obs::edges::heap(cur_proc_ >= 0 ? cur_proc_ : 0, cur_, bytes, /*freed=*/true);
 }
 
-bool SimEngine::on_alloc_failed(std::size_t bytes, int attempt) {
-  (void)bytes;
+bool SimEngine::on_alloc_failed(std::size_t /*bytes*/, int attempt) {
   if (!in_fiber_ || !oom_preempt(cur_, attempt)) return false;
   ++counters_.oom_preemptions;
   shrink_quota();
@@ -307,25 +284,14 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
 
   // Main skips the ctx.create probe: it has no parent to run inline on, and
   // a draw here would shift every later one.
-  Tcb* main = new_tcb(
-      next_tid_++,
-      [&main_fn]() -> void* {
-        main_fn();
-        return nullptr;
-      },
-      Attr{}, /*is_dummy=*/false, /*parent=*/nullptr, kRealMainStackBytes,
-      &fiber_entry, /*probe=*/false);
+  Tcb* main = new_main(main_fn, next_tid_++, kRealMainStackBytes, /*lane=*/0,
+                       /*probe=*/false);
   // A null stack here means even the heap-backed fallback failed — the
   // host is truly out of memory.
   DFTH_CHECK_MSG(main->stack, "out of memory acquiring the main fiber stack");
-  main->is_main = true;
-  all_tcbs_.push_back(main);
-  main->site_file = "<main>";
-  main->site_line = 0;
-  obs::edges::fork(0, nullptr, main, 0);
 
   live_ = 1;
-  counters_.threads_created = 1;
+  count_birth(counters_, main, 0);
   live_events_.emplace_back(0, +1);
   sim_stack_acquire_us(main->attr.stack_size);  // cost of the first stack: free
   sched_->register_thread(nullptr, main);
@@ -334,7 +300,7 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
   // a Sim log can be inspected and cross-replayed like a Real one.
   DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
                      ::dfth::replay::kActorHost, main->id, 0);
-  make_ready(main, 0, 0);
+  ready(main, 0, 0);
 
   sim_loop();
 
@@ -349,34 +315,14 @@ RunStats SimEngine::run(const std::function<void()>& main_fn) {
       stats_.breakdown.category(c) += vp.bd.category(c);
     }
   }
-  // Max simultaneously-active threads: sweep the birth/death events in
-  // virtual-time order (births before deaths at the same instant — a thread
-  // exiting exactly when another starts briefly coexists with it).
-  std::sort(live_events_.begin(), live_events_.end(),
-            [](const auto& a, const auto& b) {
-              return a.first != b.first ? a.first < b.first : a.second > b.second;
-            });
-  std::int64_t level = 0;
-  for (const auto& [when, delta] : live_events_) {
-    (void)when;
-    level += delta;
-    stats_.max_live_threads = std::max(stats_.max_live_threads, level);
-  }
-
-  // Heap high-water over virtual time (frees before allocations at equal
-  // instants, matching allocator reuse), on top of whatever was live when
-  // the run started (e.g. input matrices).
-  std::sort(heap_events_.begin(), heap_events_.end(),
-            [](const auto& a, const auto& b) {
-              return a.first != b.first ? a.first < b.first : a.second < b.second;
-            });
-  std::int64_t heap_level = heap_initial_live_;
-  stats_.heap_peak = heap_level;
-  for (const auto& [when, delta] : heap_events_) {
-    (void)when;
-    heap_level += delta;
-    stats_.heap_peak = std::max(stats_.heap_peak, heap_level);
-  }
+  // Max simultaneously-active threads: births before deaths at the same
+  // instant — a thread exiting exactly when another starts briefly
+  // coexists with it.
+  stats_.max_live_threads = peak_level(live_events_, 0, /*rises_first=*/true);
+  // Heap high-water: frees before allocations at equal instants, matching
+  // allocator reuse, on top of whatever was live when the run started
+  // (e.g. input matrices).
+  stats_.heap_peak = peak_level(heap_events_, heap_initial_live_, false);
   stats_.stack_peak = sim_stack_peak_;
   // Real stacks back the simulated fibers too, so the watermark is
   // meaningful even under the Sim engine.
@@ -467,8 +413,8 @@ void SimEngine::sim_loop() {
         }
       }
       if (vp.clock_ns > hb_base_ns && vp.clock_ns - hb_base_ns > wd_deadline) {
-        dump_flight("SimEngine watchdog: virtual-time deadline exceeded");
-        DFTH_CHECK_MSG(false, "virtual-time stall watchdog tripped");
+        dump_flight("SimEngine watchdog: virtual-time deadline exceeded",
+                    "virtual-time stall watchdog tripped");
       }
     }
     if (vp.running) {
@@ -571,12 +517,6 @@ void SimEngine::sched_lock_acquire(VProc& vp, int domain) {
   if (start + op > lock_free) lock_free = start + op;
 }
 
-void SimEngine::make_ready(Tcb* t, int pid, std::uint64_t at) {
-  t->state.store(ThreadState::Ready, std::memory_order_relaxed);
-  t->ready_at_ns = at;
-  sched_->on_ready(t, pid);
-}
-
 void SimEngine::attempt_dispatch(VProc& vp, int pid) {
   // Keep the loop clock fresh: schedulers emit Steal events from inside
   // pick_next through the tracer clock, which reads loop_now_ns_ here.
@@ -617,7 +557,10 @@ void SimEngine::attempt_dispatch(VProc& vp, int pid) {
   for (const auto& other : procs_) {
     if (other.running) horizon = std::min(horizon, other.clock_ns);
   }
-  if (horizon == kInf) report_deadlock();
+  if (horizon == kInf) {
+    dump_flight("SimEngine: deadlock — live threads but none runnable",
+                "deadlock detected in simulation");
+  }
   DFTH_CHECK_MSG(horizon > vp.clock_ns, "simulation failed to make progress");
   vp.bd.idle_us += ns_to_us(horizon - vp.clock_ns);
   vp.pending_gap_ns += horizon - vp.clock_ns;
@@ -649,14 +592,13 @@ void SimEngine::handle_event(VProc& vp, int pid) {
                          child->id,
                          preempt_parent ? ::dfth::replay::kSpawnPreempt : 0);
       ++live_;
-      ++counters_.threads_created;
-      if (child->is_dummy) ++counters_.dummy_threads;
+      count_birth(counters_, child, 0);
       live_events_.emplace_back(vp.clock_ns, +1);
       obs::edges::fork_cost(child, vp.clock_ns - fork_t0);
 
       if (preempt_parent) {
         // AsyncDF / work stealing: the processor dives into the child.
-        make_ready(parent, pid, vp.clock_ns);
+        ready(parent, pid, vp.clock_ns);
         obs::edges::preempt(At{pid, vp.clock_ns}, parent, obs::kPreemptForkDive);
         child->ready_at_ns = vp.clock_ns;
         vp.running = child;
@@ -671,7 +613,7 @@ void SimEngine::handle_event(VProc& vp, int pid) {
                            ::dfth::replay::kDispatchForkDive | cancel_b);
       } else {
         // FIFO / LIFO: the child waits its turn; the parent continues.
-        make_ready(child, pid, vp.clock_ns);
+        ready(child, pid, vp.clock_ns);
       }
       break;
     }
@@ -681,13 +623,11 @@ void SimEngine::handle_event(VProc& vp, int pid) {
       const std::uint64_t exit_t0 = vp.clock_ns;
       sched_lock_own(vp, pid);
       sched_->unregister_thread(t);
-      t->finished = true;
+      Tcb* joiner = hand_off(t, /*log=*/false);
       t->state.store(ThreadState::Done, std::memory_order_relaxed);
       --live_;
       live_events_.emplace_back(vp.clock_ns, -1);
-      context_finalize(&t->ctx);
-      StackPool::instance().release(t->stack);
-      t->stack = Stack{};
+      retire_stack(t);
       sim_stack_release(t->attr.stack_size);
       DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::ExitSched, t->id, t->id, 0);
       obs::edges::overhead(t->id, vp.clock_ns - exit_t0);
@@ -695,11 +635,7 @@ void SimEngine::handle_event(VProc& vp, int pid) {
       obs::edges::exit(At{pid, vp.clock_ns}, t);
       loop_now_ns_ = vp.clock_ns;
       cur_proc_ = pid;
-      if (t->joiner) {
-        Tcb* j = t->joiner;
-        t->joiner = nullptr;
-        wake(j);
-      }
+      if (joiner) wake(joiner);
       vp.running = nullptr;
       break;
     }
@@ -722,7 +658,7 @@ void SimEngine::handle_event(VProc& vp, int pid) {
       vp.bd.thread_us += opts_.cost.ctx_switch_us;
       sched_lock_own(vp, pid);
       const std::uint64_t pre_ns = vp.clock_ns - pre_t0;
-      make_ready(t, pid, vp.clock_ns);
+      ready(t, pid, vp.clock_ns);
       obs::edges::preempt(At{pid, vp.clock_ns}, t,
                           ev_ == Ev::QuotaPreempt  ? obs::kPreemptQuota
                           : ev_ == Ev::OomPreempt ? obs::kPreemptOom
@@ -742,7 +678,7 @@ void SimEngine::handle_event(VProc& vp, int pid) {
   }
 }
 
-void SimEngine::dump_flight(const char* reason) {
+void SimEngine::dump_flight(const char* reason, const char* what) {
   resil::FlightInfo info;
   info.reason = reason;
   info.live_threads = live_;
@@ -751,14 +687,7 @@ void SimEngine::dump_flight(const char* reason) {
   for (int i = 0; i < static_cast<int>(procs_.size()); ++i) {
     info.lanes.push_back({i, procs_[static_cast<std::size_t>(i)].running});
   }
-  info.all_tcbs = &all_tcbs_;
-  dump(info);
-}
-
-void SimEngine::report_deadlock() {
-  // The dump lists every thread with its state.
-  dump_flight("SimEngine: deadlock — live threads but none runnable");
-  DFTH_CHECK_MSG(false, "deadlock detected in simulation");
+  dump_and_abort(info, what);
 }
 
 }  // namespace dfth

@@ -52,7 +52,7 @@ class SimEngine final : public Engine {
   bool block(SpinLock* guard, WaitList* list, std::uint64_t timeout_ns) override;
   void wake(Tcb* t) override;
   void charge_sync_op() override;
-  std::uint64_t now_ns() const override { return vnow_ns(); }
+  std::uint64_t now_ns() const override;
   int trace_lanes() const override { return opts_.nprocs; }
   void on_alloc(std::size_t bytes, std::int64_t fresh_bytes) override;
   void on_free(std::size_t bytes) override;
@@ -95,8 +95,7 @@ class SimEngine final : public Engine {
 
   static void fiber_entry(void* arg);
 
-  void charge(Cat cat, double us);
-  std::uint64_t vnow_ns() const;
+  void charge(Cat cat, double us) { pend_ns_[cat] += us_to_ns(us); }
   /// Sum of the not-yet-applied fiber charges: the profiler's span edges
   /// take it as the "uncharged work" offset so fiber-context edges are exact.
   std::uint64_t pend_total_ns() const {
@@ -104,9 +103,8 @@ class SimEngine final : public Engine {
   }
   void switch_to_loop();
   void fire_due_sleepers(VProc& vp, int pid);
-  void cancel_sleeper(Tcb* t);
-  /// Best-effort crash dump through resil::dump_flight_recorder.
-  void dump_flight(const char* reason);
+  /// The crash dump through resil::dump_flight_recorder, then the abort.
+  [[noreturn]] void dump_flight(const char* reason, const char* what);
 
   void sim_loop();
   int pick_proc() const;
@@ -125,9 +123,6 @@ class SimEngine final : public Engine {
   void sched_lock_own(VProc& vp, int pid) {
     sched_lock_acquire(vp, sched_->lock_domain(pid));
   }
-  /// t becomes Ready on processor pid, eligible from virtual time `at`.
-  void make_ready(Tcb* t, int pid, std::uint64_t at);
-  [[noreturn]] void report_deadlock();
 
   // Simulated stack pool (Solaris stack caching): maps simulated stack size
   // to the number of cached stacks; tracks mapped-bytes footprint.
@@ -142,20 +137,18 @@ class SimEngine final : public Engine {
 
   LaneCounters counters_;
   std::vector<VProc> procs_;
-  std::vector<Tcb*> all_tcbs_;
   Context loop_ctx_;
 
   Tcb* cur_ = nullptr;         ///< fiber currently executing (host CPU)
   int cur_proc_ = -1;          ///< virtual processor it executes on
   bool in_fiber_ = false;
-  /// vnow while handling events in the loop; a dispatch sets it to the
+  /// now_ns() while handling events in the loop; a dispatch sets it to the
   /// processor's clock before the grant, whose deadline check reads it.
   std::uint64_t loop_now_ns_ = 0;
 
   std::vector<std::uint64_t> lock_free_ns_;  ///< per-domain lock availability
   std::int64_t live_ = 0;
   std::uint64_t next_tid_ = 1;
-  std::vector<Sleeper> sleepers_;   ///< armed timed-wait timers
 
   std::uint64_t pend_ns_[kNumCats] = {0, 0, 0, 0};
   Ev ev_ = Ev::None;

@@ -81,9 +81,7 @@ bool Mutex::lock_for(std::uint64_t timeout_ns, [[maybe_unused]] SyncOp op) {
     return true;
   }
   DFTH_CHECK_MSG(owner_ != cur, "recursive Mutex::lock");
-  waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  if (!e->block(&guard_, &waiters_, timeout_ns)) return false;
+  if (!e->wait(cur, &guard_, &waiters_, timeout_ns)) return false;
   // unlock() handed ownership to us before waking (and recorded its release
   // clock under the guard, so this acquire needs no guard). A timer that
   // claimed us instead takes no release→acquire edge, so the race detector
@@ -143,13 +141,10 @@ bool CondVar::wait_for(Mutex& m, std::uint64_t timeout_ns,
   // section still holds guard_ — safe: no other actor's event on this
   // CondVar can sit between the two in the log (it would have needed guard_).
   DFTH_SYNC_SECTION(op);
-  waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  // Release the user mutex only after we are on the wait list (we still hold
-  // guard_, so a signaler cannot pop-and-wake us before we finish blocking —
-  // no lost-wakeup window).
+  // Release the user mutex while holding guard_: a signaler cannot pop and
+  // wake us before we finish blocking — no lost-wakeup window.
   m.unlock();
-  const bool signalled = e->block(&guard_, &waiters_, timeout_ns);
+  const bool signalled = e->wait(cur, &guard_, &waiters_, timeout_ns);
   // Only a genuine signal carries the signaler's release→acquire edge,
   // recorded before it woke us; a timeout synchronizes with nobody.
   if (signalled) obs::edges::acquire(cur, this);
@@ -215,9 +210,7 @@ bool Semaphore::acquire_for(std::uint64_t timeout_ns, [[maybe_unused]] SyncOp op
     guard_.unlock();
     return true;
   }
-  waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  if (!e->block(&guard_, &waiters_, timeout_ns)) return false;
+  if (!e->wait(cur, &guard_, &waiters_, timeout_ns)) return false;
   // release() transferred one unit directly to us (V→P edge recorded under
   // the guard before the wake).
   obs::edges::acquire(cur, this);
@@ -257,9 +250,7 @@ void Barrier::arrive_and_wait() {
     return;
   }
   obs::edges::barrier_arrive(cur, this, gen, /*last=*/false);
-  waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block(&guard_, nullptr, kNoTimeout);
+  e->wait(cur, &guard_, &waiters_, kNoTimeout);
   obs::edges::barrier_leave(cur, this, gen);
 }
 
@@ -276,9 +267,7 @@ void RwLock::rdlock() {
     guard_.unlock();
     return;
   }
-  read_waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block(&guard_, nullptr, kNoTimeout);
+  e->wait(cur, &guard_, &read_waiters_, kNoTimeout);
   // The releasing thread counted us into readers_ before waking us.
   obs::edges::acquire(cur, this, Hold::kRead);
 }
@@ -322,9 +311,7 @@ void RwLock::wrlock() {
     return;
   }
   ++waiting_writers_;
-  write_waiters_.push(cur);
-  cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
-  e->block(&guard_, nullptr, kNoTimeout);
+  e->wait(cur, &guard_, &write_waiters_, kNoTimeout);
   // The releasing thread set writer_ = true on our behalf.
   obs::edges::acquire(cur, this, Hold::kWrite);
 }

@@ -68,7 +68,7 @@ struct Tcb {
   int home_proc = 0;        ///< policy data: WS deque / clustered SMP id
   Tcb* sched_next = nullptr;  ///< intrusive link for FIFO/LIFO/deque storage
                               ///< and AsyncDF's ready list
-  Tcb* created_next = nullptr;  ///< RealEngine's per-lane list of created Tcbs
+  Tcb* created_next = nullptr;  ///< the engine's per-lane Tcb registry list
   /// RealEngine's posted readies (one-domain policies): the next older entry
   /// of the lane's posted list, what the entry asks for, and whether it is
   /// still waiting for a section to apply it. A Tcb sits on at most one list.

@@ -4,8 +4,8 @@
 // build carries -DDFTH_RACE); corrupt or mismatched logs are rejected with
 // a diagnostic before any engine state exists; a RealEngine log
 // cross-replays to completion on the SimEngine; the engine's merged
-// scheduling sections (fork dive, exit retirement) and every timed-wait
-// outcome replay exactly.
+// scheduling sections (fork dive, exit retirement), every timed-wait
+// outcome and an inline child's deadline replay exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "apps_runner.h"
 #include "replay/log.h"
 #include "replay/signature.h"
+#include "resil/faults.h"
 #include "runtime/api.h"
 #include "runtime/engine.h"
 #include "runtime/sync.h"
@@ -300,6 +302,48 @@ TEST(ReplayDeterminism, TimedWaitsReplay) {
   RuntimeOptions r = real_opts();
   r.replay_path = path;
   const RunStats rep = run_timed_waits(r);
+  EXPECT_EQ(replay::determinism_signature(rec),
+            replay::determinism_signature(rep));
+  std::remove(path.c_str());
+}
+
+// A child whose context fails runs inline on main's stack; its token's
+// deadline has passed by then (1 ns) in the recording, and never comes in
+// the replay, which must fire it from the log, not the clock.
+RunStats run_inline_deadline(RuntimeOptions o, std::uint64_t deadline_ns,
+                             CancelToken* token) {
+  token->deadline_ns = deadline_ns;
+  return run(o, [token] {
+    Attr attr;
+    attr.cancel = token;
+    join(spawn([]() -> void* { return tree(2); }, attr));
+  });
+}
+
+TEST(ReplayDeterminism, InlineChildDeadlineFiresAgain) {
+  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
+  const std::string path = temp_path("inline_deadline");
+  // main draws ctx.create first; the token child's draw fails.
+  resil::FaultPlan plan;
+  plan.site(resil::FaultSite::kCtxCreate) = {
+      .every_nth = 1, .skip_first = 1, .max_failures = 1};
+  RuntimeOptions o = real_opts();
+  o.fault_plan = &plan;
+  o.record_path = path;
+  CancelToken rec_token;
+  const RunStats rec = run_inline_deadline(o, 1, &rec_token);
+  EXPECT_EQ(rec.inline_runs, 1u);
+  EXPECT_EQ(rec.deadline_expirations, 1u);
+  EXPECT_TRUE(rec_token.is_cancelled());
+
+  RuntimeOptions r = real_opts();
+  r.replay_path = path;
+  CancelToken rep_token;
+  const RunStats rep =
+      run_inline_deadline(r, std::numeric_limits<std::uint64_t>::max(), &rep_token);
+  EXPECT_EQ(rep.inline_runs, 1u);
+  EXPECT_EQ(rep.deadline_expirations, 1u);
+  EXPECT_TRUE(rep_token.is_cancelled());
   EXPECT_EQ(replay::determinism_signature(rec),
             replay::determinism_signature(rep));
   std::remove(path.c_str());

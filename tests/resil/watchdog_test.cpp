@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -27,6 +28,20 @@ std::string slurp(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+// The dump lists both threads of a hung run, exactly one of them main.
+void expect_two_threads_one_main(const std::string& dump) {
+  EXPECT_NE(dump.find("-- threads (2 total) --"), std::string::npos) << dump;
+  int mains = 0;
+  std::istringstream lines(dump);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  t", 0) == 0 && line.find(" state=") != std::string::npos &&
+        line.find(" main") != std::string::npos) {
+      ++mains;
+    }
+  }
+  EXPECT_EQ(mains, 1) << dump;
 }
 
 TEST(FlightRecorder, DumpHasEverySectionEvenWithNothingToReport) {
@@ -50,6 +65,7 @@ TEST(FlightRecorder, DumpHasEverySectionEvenWithNothingToReport) {
 TEST(WatchdogDeathTest, SimVirtualDeadlineTripsAndDumpsFlightRecorder) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const std::string dump_path = ::testing::TempDir() + "dfth_flight_sim.txt";
+  std::remove(dump_path.c_str());
   auto hang = [&dump_path] {
     obs::Tracer tracer;
     RuntimeOptions o;
@@ -79,7 +95,7 @@ TEST(WatchdogDeathTest, SimVirtualDeadlineTripsAndDumpsFlightRecorder) {
   // the trace-ring tail.
   const std::string dump = slurp(dump_path);
   EXPECT_NE(dump.find("virtual-time deadline"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("-- threads"), std::string::npos) << dump;
+  expect_two_threads_one_main(dump);
   EXPECT_NE(dump.find("held-locks="), std::string::npos) << dump;
   EXPECT_NE(dump.find("order-list"), std::string::npos) << dump;
   EXPECT_NE(dump.find("-- trace-ring tail --"), std::string::npos) << dump;
@@ -91,13 +107,16 @@ TEST(WatchdogDeathTest, SimVirtualDeadlineTripsAndDumpsFlightRecorder) {
 
 TEST(WatchdogDeathTest, RealStallDeadlineTripsOnNoProgress) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  auto hang = [] {
+  const std::string dump_path = ::testing::TempDir() + "dfth_flight_real.txt";
+  std::remove(dump_path.c_str());
+  auto hang = [&dump_path] {
     RuntimeOptions o;
     o.engine = EngineKind::Real;
     o.sched = SchedKind::AsyncDf;
     o.nprocs = 2;
     o.default_stack_size = 16 << 10;
     o.watchdog.stall_deadline_ms = 200;
+    o.watchdog.dump_path = dump_path;
     run(o, [] {
       auto t = spawn([]() -> void* {
         // Spins without ever yielding or blocking: not a deadlock (one
@@ -111,6 +130,10 @@ TEST(WatchdogDeathTest, RealStallDeadlineTripsOnNoProgress) {
     });
   };
   EXPECT_DEATH(hang(), "DFTH FLIGHT RECORDER");
+
+  const std::string dump = slurp(dump_path);
+  EXPECT_NE(dump.find("stall deadline"), std::string::npos) << dump;
+  expect_two_threads_one_main(dump);
 }
 
 TEST(Watchdog, GenerousDeadlinesDoNotTripHealthyRuns) {

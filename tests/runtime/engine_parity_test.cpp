@@ -3,13 +3,14 @@
 // count the same transitions — the same spawns, dummy threads, dispatches,
 // quota preemptions and deadline expirations. And a cancel token's deadline
 // must expire at dispatch on both engines, whether the token's thread comes
-// in by a fork dive or by a queued pick.
+// in by a fork dive, by a queued pick or by an inline run.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <string>
 #include <tuple>
 
+#include "resil/faults.h"
 #include "runtime/api.h"
 #include "threads/cancel.h"
 
@@ -121,35 +122,55 @@ INSTANTIATE_TEST_SUITE_P(Scheds, EngineParity,
                          });
 
 // AsyncDF dives into the token child (at p = 1 and p = 4); FIFO queues it
-// and a later pick dispatches it.
-using DeadlineParam = std::tuple<EngineKind, SchedKind, int>;
+// and a later pick dispatches it. With `inline_run`, a ctx.create plan fails
+// the token child's context, so it runs inline on main's stack.
+using DeadlineParam = std::tuple<EngineKind, SchedKind, int, bool>;
 
 class DeadlineAtDispatch : public ::testing::TestWithParam<DeadlineParam> {};
 
 TEST_P(DeadlineAtDispatch, ExpiresOnceAndBothThreadsDrain) {
-  const auto [engine, sched, procs] = GetParam();
+  const auto [engine, sched, procs, inline_run] = GetParam();
+  RuntimeOptions o = options(engine, sched, procs);
+  resil::FaultPlan plan;
+  // Real's main draws the site first; Sim's never does.
+  plan.site(resil::FaultSite::kCtxCreate) = {
+      .every_nth = 1, .skip_first = engine == EngineKind::Real ? 1u : 0u,
+      .max_failures = 1};
+  if (inline_run) o.fault_plan = &plan;
   CancelToken token;
   token.deadline_ns = 1;
   DeadlineSeen seen;
-  const RunStats stats = run(options(engine, sched, procs),
-                             [&] { deadline_child(&token, &seen); });
+  const RunStats stats = run(o, [&] { deadline_child(&token, &seen); });
   EXPECT_EQ(stats.deadline_expirations, 1u);
+  EXPECT_EQ(stats.inline_runs, inline_run ? 1u : 0u);
   EXPECT_TRUE(token.is_cancelled());
-  expect_deadline_seen(seen);
+  if (!inline_run) {
+    expect_deadline_seen(seen);
+    return;
+  }
+  // The token fires, but an inline child never sees its own expiry: its
+  // body runs as its parent, so it and its own child poll main's scope,
+  // which has no token. This pins that gap; once an inline child runs in
+  // its own scope, both must see the cancellation (expect_deadline_seen).
+  EXPECT_EQ(seen.child_ran.load(), 1);
+  EXPECT_EQ(seen.grandchild_ran.load(), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     EnginesPaths, DeadlineAtDispatch,
-    ::testing::Values(DeadlineParam{EngineKind::Sim, SchedKind::AsyncDf, 1},
-                      DeadlineParam{EngineKind::Sim, SchedKind::AsyncDf, 4},
-                      DeadlineParam{EngineKind::Sim, SchedKind::Fifo, 1},
-                      DeadlineParam{EngineKind::Real, SchedKind::AsyncDf, 1},
-                      DeadlineParam{EngineKind::Real, SchedKind::AsyncDf, 4},
-                      DeadlineParam{EngineKind::Real, SchedKind::Fifo, 1}),
+    ::testing::Values(DeadlineParam{EngineKind::Sim, SchedKind::AsyncDf, 1, false},
+                      DeadlineParam{EngineKind::Sim, SchedKind::AsyncDf, 4, false},
+                      DeadlineParam{EngineKind::Sim, SchedKind::Fifo, 1, false},
+                      DeadlineParam{EngineKind::Sim, SchedKind::AsyncDf, 1, true},
+                      DeadlineParam{EngineKind::Real, SchedKind::AsyncDf, 1, false},
+                      DeadlineParam{EngineKind::Real, SchedKind::AsyncDf, 4, false},
+                      DeadlineParam{EngineKind::Real, SchedKind::Fifo, 1, false},
+                      DeadlineParam{EngineKind::Real, SchedKind::AsyncDf, 4, true}),
     [](const ::testing::TestParamInfo<DeadlineParam>& info) {
       return std::string(to_string(std::get<0>(info.param))) + "_" +
              to_string(std::get<1>(info.param)) + "_p" +
-             std::to_string(std::get<2>(info.param));
+             std::to_string(std::get<2>(info.param)) +
+             (std::get<3>(info.param) ? "_inline" : "");
     });
 
 }  // namespace

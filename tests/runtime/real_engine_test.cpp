@@ -379,6 +379,16 @@ TEST(RealEngineDeathTest, AllIdleDeadlockAbortsWithFlightRecorder) {
   }
 }
 
+// An armed timer is live work: a timed wait that outlasts the deadlock
+// grace (500 ms) with every lane idle ends in its timeout, not an abort.
+TEST(RealEngine, LongTimedWaitWithEveryLaneIdleIsNoDeadlock) {
+  const RunStats stats = run(real_opts(SchedKind::AsyncDf, 2), [] {
+    Semaphore never(0);
+    EXPECT_FALSE(never.try_acquire_for(700'000'000));
+  });
+  EXPECT_EQ(stats.sync_timeouts, 1u);
+}
+
 // No lost wakeup: between rounds every lane parks, and the only wakes then
 // come from outside the lanes — a bound thread releasing a semaphore and
 // the timer expiring timed waits. A lost one leaves ready work with every
