@@ -1,6 +1,7 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "analyze/auditor.h"
 #include "core/worksteal_sched.h"
@@ -128,9 +129,12 @@ void Engine::decide_inline(Tcb* parent, Tcb* child, LaneCounters& c, int lane) {
   DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
                      ::dfth::replay::self_actor(), child->id,
                      ::dfth::replay::kSpawnInline | deadline);
+  // The body runs as its parent, in the child's cancellation scope.
+  if (parent) std::swap(parent->cancel, child->cancel);
 }
 
 void Engine::end_inline(Tcb* child, int lane) {
+  if (child->parent) std::swap(child->parent->cancel, child->cancel);
   obs::edges::exit(lane, child);
   hand_off(child, /*log=*/false);
   child->state.store(ThreadState::Done, std::memory_order_release);

@@ -83,9 +83,15 @@ class Engine {
   /// so a join may pass null. An untimed wait reads no clock.
   virtual bool block(SpinLock* guard, WaitList* list, std::uint64_t timeout_ns) = 0;
 
-  /// Enqueues the calling thread `cur` on `list` as Blocked, then blocks.
-  bool wait(Tcb* cur, SpinLock* guard, WaitList* list, std::uint64_t timeout_ns) {
-    list->push(cur);
+  /// Enqueues the calling thread `cur` on `list` (at its head with
+  /// `front`) as Blocked, then blocks.
+  bool wait(Tcb* cur, SpinLock* guard, WaitList* list, std::uint64_t timeout_ns,
+            bool front = false) {
+    if (front) {
+      list->push_front(cur);
+    } else {
+      list->push(cur);
+    }
     cur->state.store(ThreadState::Blocked, std::memory_order_relaxed);
     return block(guard, list, timeout_ns);
   }
@@ -193,9 +199,12 @@ class Engine {
   // child precedes the parent's continuation in the serial depth-first
   // order, so this is the one-processor schedule. The child is never
   // registered. decide_inline counts and audits it, grants it to `lane`
-  // with no burden and logs a kSpawnInline SpawnReg with the grant's
-  // deadline bit (Real: in a section); the caller runs its body; end_inline
-  // gives its exit edge and Done (no joiner can exist yet).
+  // with no burden, logs a kSpawnInline SpawnReg with the grant's deadline
+  // bit (Real: in a section) and swaps the child's cancel token onto the
+  // parent; the caller runs its body as the parent, so cancel_requested()
+  // and the child's own spawns see the child's scope; end_inline swaps the
+  // tokens back and gives the child's exit edge and Done (no joiner can
+  // exist yet).
   void decide_inline(Tcb* parent, Tcb* child, LaneCounters& c, int lane);
   void end_inline(Tcb* child, int lane);
 

@@ -1,5 +1,7 @@
 #include "runtime/sync.h"
 
+#include <algorithm>
+
 #include "resil/faults.h"
 #include "runtime/engine.h"
 #include "util/check.h"
@@ -15,7 +17,8 @@
 // section, immediately after the acquire — so the log captures exactly the
 // order in which fibers won each object's guard, which is the only
 // nondeterminism these primitives have (everything else is a deterministic
-// function of that order plus the wait-list FIFO discipline).
+// function of that order plus the wait lists' discipline; a Mutex spin
+// only delays a section and decides nothing).
 #include "replay/hooks.h"
 
 #define DFTH_SYNC_SECTION(op) \
@@ -66,40 +69,74 @@ bool Mutex::try_lock_for(std::uint64_t timeout_ns) {
 bool Mutex::lock_for(std::uint64_t timeout_ns, [[maybe_unused]] SyncOp op) {
   Engine* e = checked_engine();
   e->charge_sync_op();
-  if (timeout_ns != kNoTimeout &&
-      DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kSyncTimeout)) {
+  const bool timed = timeout_ns != kNoTimeout;
+  if (timed && DFTH_FAULT_SHOULD_FAIL(resil::FaultSite::kSyncTimeout)) {
     // Injected immediate timeout; the caller's timeout path absorbs it.
     DFTH_FAULT_RECOVERED(resil::FaultSite::kSyncTimeout);
     return false;
   }
-  DFTH_SYNC_SECTION(op);
   Tcb* cur = e->current();
-  if (owner_ == nullptr) {
-    owner_ = cur;
-    obs::edges::acquire(cur, this, Hold::kLock);
-    guard_.unlock();
-    return true;
+  std::uint64_t deadline = 0;  // a timed wait's, on the engine clock
+  // Every pass after the first is a woken waiter's retry.
+  for (bool retry = false;; retry = true) {
+    if (owner() != nullptr && e->kind() == EngineKind::Real) {
+      spin_while_owner_runs(cur);
+    }
+    DFTH_SYNC_SECTION(op);
+    if (owner() == nullptr) {
+      set_owner(cur);
+      obs::edges::acquire(cur, this, Hold::kLock);
+      guard_.unlock();
+      return true;
+    }
+    DFTH_CHECK_MSG(owner() != cur, "recursive Mutex::lock");
+    std::uint64_t wait_ns = timeout_ns;
+    if (timed) {
+      // A loser re-arms with the time it has left: the timeout is still
+      // only ever the timer's claim.
+      const std::uint64_t now = e->now_ns();
+      if (!retry) {
+        deadline = now + std::min(timeout_ns, kNoTimeout - 1 - now);
+      } else {
+        wait_ns = deadline > now ? deadline - now : 1;
+      }
+    }
+    // A retry that lost is owed the next unlock's handoff.
+    if (retry) ++heirs_;
+    if (!e->wait(cur, &guard_, &waiters_, wait_ns, /*front=*/retry)) return false;
+    // unlock() either handed the mutex to us, recording its release clock
+    // under the guard (so this acquire needs no guard), or released it and
+    // woke us to retry. A timer that claimed us instead takes no
+    // release→acquire edge, so the race detector stays schedule-insensitive.
+    if (owner() == cur) {
+      obs::edges::acquire(cur, this, Hold::kLock);
+      return true;
+    }
   }
-  DFTH_CHECK_MSG(owner_ != cur, "recursive Mutex::lock");
-  if (!e->wait(cur, &guard_, &waiters_, timeout_ns)) return false;
-  // unlock() handed ownership to us before waking (and recorded its release
-  // clock under the guard, so this acquire needs no guard). A timer that
-  // claimed us instead takes no release→acquire edge, so the race detector
-  // stays schedule-insensitive.
-  obs::edges::acquire(cur, this, Hold::kLock);
-  return true;
+}
+
+void Mutex::spin_while_owner_runs(const Tcb* cur) const {
+  for (int i = 0; i < kSpinBudget; ++i) {
+    const Tcb* o = owner();
+    if (o == nullptr || o == cur ||
+        o->state.load(std::memory_order_relaxed) != ThreadState::Running) {
+      return;
+    }
+    cpu_relax();
+  }
 }
 
 bool Mutex::try_lock() {
   Engine* e = checked_engine();
   e->charge_sync_op();
   DFTH_SYNC_SECTION(SyncOp::MutexTryLock);
-  if (owner_ != nullptr) {
+  if (owner() != nullptr) {
     guard_.unlock();
     return false;
   }
-  owner_ = e->current();
-  obs::edges::acquire(owner_, this, Hold::kLock);
+  Tcb* cur = e->current();
+  set_owner(cur);
+  obs::edges::acquire(cur, this, Hold::kLock);
   guard_.unlock();
   return true;
 }
@@ -108,10 +145,14 @@ void Mutex::unlock() {
   Engine* e = checked_engine();
   e->charge_sync_op();
   DFTH_SYNC_SECTION(SyncOp::MutexUnlock);
-  DFTH_CHECK_MSG(owner_ == e->current(), "Mutex::unlock by non-owner");
+  DFTH_CHECK_MSG(owner() == e->current(), "Mutex::unlock by non-owner");
   obs::edges::release(self(e), this, Hold::kLock);
+  // An heir takes the mutex; any other waiter is woken to retry for it. A
+  // timer may have claimed an heir meanwhile, so an empty list clears them.
   Tcb* next = waiters_.pop();
-  owner_ = next;  // direct handoff keeps the queue FIFO-fair
+  const bool handoff = next != nullptr && heirs_ > 0;
+  heirs_ = handoff ? heirs_ - 1 : 0;
+  set_owner(handoff ? next : nullptr);
   guard_.unlock();
   if (next) e->wake(next);
 }

@@ -11,7 +11,9 @@
 //      guard only after the blocking thread's context is fully saved; a
 //      timed wait's timer claims the thread off the list under the guard,
 //   4. a releasing thread pops a waiter under the guard and Engine::wake()s
-//      it.
+//      it. Semaphore, CondVar, Barrier and RwLock hand the released unit to
+//      that waiter; Mutex releases it instead, and its woken waiter retries
+//      from step 1 (Mutex below says why).
 // Each blocking primitive has one wait body for its untimed and timed
 // calls; an untimed call passes kNoTimeout (runtime/engine.h).
 // Blocked threads keep their placeholder in the AsyncDF ordered list, so
@@ -34,9 +36,24 @@ namespace replay {
 enum class SyncOp : std::uint64_t;  // replay/log.h
 }
 
-/// pthread_mutex_t equivalent. Non-recursive; FIFO handoff to waiters.
+/// pthread_mutex_t equivalent, non-recursive, and adaptive like the Solaris
+/// 2.5 mutexes the paper's runtime ran on. A handoff would leave the mutex
+/// held by a fiber that is not running, and every later locker would queue
+/// behind it (a lock convoy), so:
+///   * Spin. On Real, lock() and try_lock_for() first poll the owner for
+///     kSpinBudget pauses while it runs on another lane, with no section.
+///     Sim runs every virtual processor on one host thread, so it never spins.
+///   * Barge. unlock() releases the mutex and wakes the head waiter, which
+///     retries; a locker that is running may take the mutex first.
+///   * One loss. A woken waiter that loses its retry re-queues at the head
+///     and the next unlock() hands the mutex straight to it, so no waiter
+///     loses twice. The rule reads no clock, so Sim and replays stay
+///     deterministic; a timed loser re-arms with the time it has left.
 class Mutex {
  public:
+  /// Owner polls before a locker takes the guard (as SpinFutexLock's).
+  static constexpr int kSpinBudget = 128;
+
   Mutex() = default;
   /// Unbinds the address from the record/replay schedule log (the allocator
   /// may recycle it for a new primitive within the same run). Same for every
@@ -50,26 +67,35 @@ class Mutex {
   /// lock() with a deadline: returns true if the mutex was acquired within
   /// `timeout_ns`, false on timeout (the mutex is then NOT held). Timeouts
   /// use the claim-token protocol (Engine::block): wait-list membership
-  /// under the guard is the claim, so a timeout and a handoff can never
-  /// both win. The sync.timeout fault site injects an immediate timeout at
+  /// under the guard is the claim, so a timeout and a wake can never both
+  /// win. The sync.timeout fault site injects an immediate timeout at
   /// entry.
   bool try_lock_for(std::uint64_t timeout_ns);
   void unlock();
 
   /// The thread currently holding the mutex (diagnostics/tests).
-  bool held() const { return owner_ != nullptr; }
+  bool held() const { return owner() != nullptr; }
 
   /// True iff `t` is the current owner. CondVar::wait asserts this on its
   /// caller — waiting without holding the mutex is the classic lost-wakeup
   /// bug and is unconditionally fatal.
-  bool held_by(const Tcb* t) const { return owner_ == t; }
+  bool held_by(const Tcb* t) const { return owner() == t; }
 
  private:
   /// The wait body of lock() and try_lock_for(), committed as `op`.
   bool lock_for(std::uint64_t timeout_ns, replay::SyncOp op);
+  /// Polls while another thread holds the mutex and runs.
+  void spin_while_owner_runs(const Tcb* cur) const;
+  Tcb* owner() const { return owner_.load(std::memory_order_acquire); }
+  void set_owner(Tcb* t) { owner_.store(t, std::memory_order_release); }
 
   SpinLock guard_;
-  Tcb* owner_ = nullptr;
+  /// Written under guard_; atomic so that a spinner may poll it without,
+  /// and release/acquire so that it may then read the owner's Tcb.
+  std::atomic<Tcb*> owner_{nullptr};
+  /// Waiters at the head of waiters_ that lost a retry and are owed a
+  /// handoff. Two woken waiters can lose to one barger, so this counts.
+  int heirs_ = 0;
   WaitList waiters_;
 };
 

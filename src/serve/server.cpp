@@ -266,12 +266,16 @@ void Server::finish(Request* r, Outcome o, RejectReason why, bool admitted) {
         DFTH_CHECK_MSG(false, "finish() with non-terminal outcome");
     }
   }
+  // stop() and the pump's join wait for the inflight count to drain, and a
+  // caller may then free its requests and the server. So on_done comes
+  // first, and the decrement is a handler's last touch of either; a pump
+  // woken just before it only polls once more.
+  if (cfg_.on_done) cfg_.on_done(r);
   if (admitted) {
     admission_.release(ep.mem_bound);
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
     signal_.release();  // wake a pump blocked on the inflight cap
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  if (cfg_.on_done) cfg_.on_done(r);
 }
 
 Tier Server::decide_tier(std::size_t depth, std::int64_t live_bytes) {

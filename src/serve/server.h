@@ -189,8 +189,9 @@ class Server {
   void dispatch_one(Request* r);
   void launch(Request* r);
   /// The single place a request becomes terminal: stamps finish_ns, writes
-  /// outcome/reject, updates counters, releases the admission reservation
-  /// when `admitted`, wakes the pump and fires on_done.
+  /// outcome/reject, updates counters, fires on_done, then, when
+  /// `admitted`, releases the admission reservation, wakes the pump and
+  /// gives back the inflight slot, its last touch of the server.
   void finish(Request* r, Outcome o, RejectReason why, bool admitted);
   Tier decide_tier(std::size_t depth, std::int64_t live_bytes);
   void beat();

@@ -115,6 +115,14 @@ class WaitList {
     tail_ = t;
   }
 
+  /// Queues t ahead of every other waiter (a Mutex waiter that lost its
+  /// retry once, runtime/sync.h).
+  void push_front(Tcb* t) {
+    t->wait_next = head_;
+    head_ = t;
+    if (!tail_) tail_ = t;
+  }
+
   Tcb* pop() {
     Tcb* t = head_;
     if (t) {

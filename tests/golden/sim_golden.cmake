@@ -16,6 +16,9 @@ foreach(var BENCH_DIR GOLDEN_DIR WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "sim_golden.cmake: -D${var}=... is required")
   endif()
+  # The programs run in WORK_DIR, so a path relative to the caller's
+  # directory (as in the regeneration command above) must be made absolute.
+  get_filename_component(${var} "${${var}}" ABSOLUTE)
 endforeach()
 
 file(REMOVE_RECURSE "${WORK_DIR}")

@@ -12,6 +12,7 @@
 
 #include "resil/faults.h"
 #include "runtime/api.h"
+#include "runtime/engine.h"
 #include "threads/cancel.h"
 
 namespace dfth {
@@ -126,16 +127,22 @@ INSTANTIATE_TEST_SUITE_P(Scheds, EngineParity,
 // the token child's context, so it runs inline on main's stack.
 using DeadlineParam = std::tuple<EngineKind, SchedKind, int, bool>;
 
+// Fails the first context a run's fibers draw after main's: Real's main
+// draws the site first; Sim's never does.
+resil::FaultPlan inline_first_child(EngineKind engine) {
+  resil::FaultPlan plan;
+  plan.site(resil::FaultSite::kCtxCreate) = {
+      .every_nth = 1, .skip_first = engine == EngineKind::Real ? 1u : 0u,
+      .max_failures = 1};
+  return plan;
+}
+
 class DeadlineAtDispatch : public ::testing::TestWithParam<DeadlineParam> {};
 
 TEST_P(DeadlineAtDispatch, ExpiresOnceAndBothThreadsDrain) {
   const auto [engine, sched, procs, inline_run] = GetParam();
   RuntimeOptions o = options(engine, sched, procs);
-  resil::FaultPlan plan;
-  // Real's main draws the site first; Sim's never does.
-  plan.site(resil::FaultSite::kCtxCreate) = {
-      .every_nth = 1, .skip_first = engine == EngineKind::Real ? 1u : 0u,
-      .max_failures = 1};
+  const resil::FaultPlan plan = inline_first_child(engine);
   if (inline_run) o.fault_plan = &plan;
   CancelToken token;
   token.deadline_ns = 1;
@@ -144,16 +151,8 @@ TEST_P(DeadlineAtDispatch, ExpiresOnceAndBothThreadsDrain) {
   EXPECT_EQ(stats.deadline_expirations, 1u);
   EXPECT_EQ(stats.inline_runs, inline_run ? 1u : 0u);
   EXPECT_TRUE(token.is_cancelled());
-  if (!inline_run) {
-    expect_deadline_seen(seen);
-    return;
-  }
-  // The token fires, but an inline child never sees its own expiry: its
-  // body runs as its parent, so it and its own child poll main's scope,
-  // which has no token. This pins that gap; once an inline child runs in
-  // its own scope, both must see the cancellation (expect_deadline_seen).
-  EXPECT_EQ(seen.child_ran.load(), 1);
-  EXPECT_EQ(seen.grandchild_ran.load(), 1);
+  // An inline child's body runs as its parent, but in the child's scope.
+  expect_deadline_seen(seen);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -172,6 +171,44 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param)) +
              (std::get<3>(info.param) ? "_inline" : "");
     });
+
+// An inline child runs as its parent, in its own cancellation scope: a
+// child it spawns inherits its token, and its parent's scope is back once
+// it returns.
+class InlineChildScope : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(InlineChildScope, ItsChildrenInheritItsToken) {
+  const EngineKind kind = GetParam();
+  RuntimeOptions o = options(kind, SchedKind::AsyncDf, kind == EngineKind::Real ? 4 : 1);
+  const resil::FaultPlan plan = inline_first_child(kind);
+  o.fault_plan = &plan;
+  CancelToken token;  // no deadline: only the scope is under test
+  const CancelToken* grandchild_scope = nullptr;
+  const CancelToken* main_scope_after = &token;
+  const RunStats stats = run(o, [&] {
+    Attr attr;
+    attr.cancel = &token;
+    join(spawn(
+        [&]() -> void* {
+          join(spawn([&]() -> void* {
+            grandchild_scope = engine()->current()->cancel;
+            return nullptr;
+          }));
+          return nullptr;
+        },
+        attr));
+    main_scope_after = engine()->current()->cancel;
+  });
+  EXPECT_EQ(stats.inline_runs, 1u);
+  EXPECT_EQ(grandchild_scope, &token);
+  EXPECT_EQ(main_scope_after, nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, InlineChildScope,
+                         ::testing::Values(EngineKind::Sim, EngineKind::Real),
+                         [](const ::testing::TestParamInfo<EngineKind>& info) {
+                           return std::string(to_string(info.param));
+                         });
 
 }  // namespace
 }  // namespace dfth

@@ -156,6 +156,46 @@ TEST(RealEngine, StressManyFibersManyWorkers) {
   EXPECT_EQ(stats.threads_created, 1001u);
 }
 
+TEST(RealEngine, OneMutexManyFibersCountsExactly) {
+  // The adaptive Mutex at 4 lanes: lockers spin while the owner runs, barge
+  // past woken waiters, and hand off to waiters that lost once. Holders that
+  // yield make waiters block; try_lock and try_lock_for take part too.
+  // Every acquisition must still be exclusive.
+  constexpr int kFibers = 64;
+  constexpr int kIters = 100;
+  for (SchedKind sched : {SchedKind::AsyncDf, SchedKind::WorkSteal}) {
+    long long counter = 0;
+    std::atomic<bool> inside{false};
+    std::atomic<int> overlaps{0};
+    run(real_opts(sched, 4), [&] {
+      Mutex mu;
+      std::vector<Thread> threads;
+      for (int i = 0; i < kFibers; ++i) {
+        threads.push_back(spawn([&, i]() -> void* {
+          for (int j = 0; j < kIters; ++j) {
+            if (j % 10 == 0) {
+              if (!mu.try_lock()) mu.lock();
+            } else if (j % 10 == 1) {
+              EXPECT_TRUE(mu.try_lock_for(20'000'000'000ull));
+            } else {
+              mu.lock();
+            }
+            if (inside.exchange(true)) overlaps.fetch_add(1);
+            ++counter;
+            if ((i + j) % 8 == 0) yield();
+            inside.store(false);
+            mu.unlock();
+          }
+          return nullptr;
+        }));
+      }
+      for (auto& t : threads) join(t);
+    });
+    EXPECT_EQ(counter, kFibers * kIters) << to_string(sched);
+    EXPECT_EQ(overlaps.load(), 0) << to_string(sched);
+  }
+}
+
 TEST(RealEngine, NestedForkJoinTreeParallel) {
   // Fibonacci via naive fork/join — heavy spawn/join churn across workers.
   struct Fib {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "runtime/api.h"
@@ -276,6 +277,40 @@ TEST(SimEngine, MutexHandoffIsFifoAcrossPriorities) {
     for (auto& t : threads) join(t);
   });
   EXPECT_EQ(order, (std::vector<int>{1, 7, 3}));  // arrival order, not priority
+}
+
+TEST(SimEngine, MutexWaiterLosesItsRetryAtMostOnce) {
+  // unlock() releases the mutex and wakes its head waiter to retry, so a
+  // locker that keeps running takes it first (a barge). The waiter that lost
+  // its retry re-queues at the head, and the next unlock() hands the mutex
+  // straight to it: the acquisitions run A, A, B, A.
+  std::string order;
+  bool b_blocked_first = false;
+  run(sim_opts(SchedKind::AsyncDf, 1), [&] {
+    Mutex mu;
+    mu.lock();
+    order += 'A';
+    bool b_started = false;
+    const Thread b = spawn([&]() -> void* {
+      b_started = true;
+      LockGuard lock(mu);
+      order += 'B';
+      return nullptr;
+    });
+    b_blocked_first = b_started;  // AsyncDF dived into B, which blocked
+    mu.unlock();  // wakes B to retry
+    mu.lock();    // A barges past the woken B
+    order += 'A';
+    yield();      // B retries, loses, re-queues at the head
+    mu.unlock();  // hands the mutex to B before B runs
+    EXPECT_TRUE(mu.held());
+    mu.lock();    // A waits behind B
+    order += 'A';
+    mu.unlock();
+    join(b);
+  });
+  EXPECT_TRUE(b_blocked_first);
+  EXPECT_EQ(order, "AABA");
 }
 
 TEST(SimEngineDeath, DeadlockIsReported) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "runtime/api.h"
+#include "runtime/engine.h"
 
 namespace dfth {
 namespace {
@@ -330,7 +331,7 @@ TEST_P(SyncTest, TryLockForAcquiresWhenReleasedBeforeDeadline) {
     mu.lock();
     auto t = spawn([&]() -> void* {
       waiting.release();
-      got = mu.try_lock_for(kGenerousNs);  // handoff, not timeout
+      got = mu.try_lock_for(kGenerousNs);  // woken to retry, not timed out
       if (got) mu.unlock();
       return nullptr;
     });
@@ -425,6 +426,43 @@ TEST_P(SyncTest, ManyCompetingTimedLocksNeverLoseTheMutex) {
   });
   EXPECT_GT(counter, 0);
   EXPECT_LE(counter, 24 * 20);
+}
+
+TEST_P(SyncTest, TryLockForThatLosesItsRetryTimesOut) {
+  // unlock() releases the mutex and wakes the blocked timed locker to retry,
+  // but main, still running on the one processor, takes it back first (a
+  // barge). The locker loses its retry, re-queues with the time it has left
+  // and ends on the timer's claim: not held, one timeout.
+  bool got = true;
+  bool locker_holds = true;
+  const RunStats stats = run(opts(SchedKind::AsyncDf, 1), [&] {
+    Mutex mu;
+    std::atomic<Tcb*> locker{nullptr};
+    mu.lock();
+    const Thread t = spawn([&]() -> void* {
+      locker.store(engine()->current());
+      got = mu.try_lock_for(kShortNs);
+      locker_holds = mu.held_by(engine()->current());
+      return nullptr;
+    });
+    for (;;) {
+      const Tcb* l = locker.load();
+      if (l && l->state.load() == ThreadState::Blocked) break;
+      yield();
+    }
+    mu.unlock();
+    mu.lock();
+    join(t);
+    EXPECT_TRUE(mu.held_by(engine()->current()));
+    mu.unlock();
+    // The loser left the wait list on its timeout: nobody is owed the mutex.
+    EXPECT_FALSE(mu.held());
+    EXPECT_TRUE(mu.try_lock());
+    mu.unlock();
+  });
+  EXPECT_FALSE(got);
+  EXPECT_FALSE(locker_holds);
+  EXPECT_EQ(stats.sync_timeouts, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, SyncTest,
