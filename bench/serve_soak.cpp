@@ -30,7 +30,6 @@
 #include "apps/spmv/spmv.h"
 #include "apps/volrend/volrend.h"
 #include "bench_common.h"
-#include "replay/log.h"
 #include "replay/signature.h"
 #include "resil/faults.h"
 #include "runtime/sync.h"
@@ -376,11 +375,6 @@ int main(int argc, char** argv) {
 
   const bool recording = !record_dir->empty();
   const bool replaying = !replay_dir->empty();
-  if ((recording || replaying) && !replay::kReplayEnabled) {
-    std::fprintf(stderr,
-                 "serve_soak: --record-dir/--replay-dir need -DDFTH_REPLAY=ON\n");
-    return 1;
-  }
   if (recording && replaying) {
     std::fprintf(stderr, "serve_soak: --record-dir and --replay-dir are exclusive\n");
     return 1;

@@ -10,9 +10,6 @@
 // workers quiesced, so the exported RunStats-superset JSON carries exact
 // per-run operation counts even for events the ring buffer dropped or that
 // fall under the alloc-event threshold.
-//
-// Increment through DFTH_COUNT so a -DDFTH_TRACE=OFF build compiles the
-// hook to nothing (the registry itself still exists for tests/tools).
 #pragma once
 
 #include <atomic>
@@ -192,7 +189,6 @@ HistogramRegistry& histograms();
 
 }  // namespace dfth::obs
 
-#if DFTH_TRACE
 #define DFTH_COUNT(c) ::dfth::obs::counters().inc(c)
 #define DFTH_COUNT_N(c, n) ::dfth::obs::counters().inc((c), (n))
 #define DFTH_HIST(h, v) ::dfth::obs::histograms().record((h), (v))
@@ -209,9 +205,3 @@ HistogramRegistry& histograms();
                                        dfth_hw_now_ - dfth_hw_rdy_); \
     }                                                               \
   } while (0)
-#else
-#define DFTH_COUNT(c) ((void)0)
-#define DFTH_COUNT_N(c, n) ((void)0)
-#define DFTH_HIST(h, v) ((void)0)
-#define DFTH_HIST_WAIT(h, now_ns, ready_ns) ((void)0)
-#endif

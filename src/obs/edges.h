@@ -1,8 +1,8 @@
 // Observer edges: one inline function per event the engines and the sync
 // primitives report, handing it to every observer that sees it — tracer,
 // work/span profiler, race detector, lock graph. A fixed set: no virtual
-// interface, no registration. Each family compiles under its own option
-// (traced/profiled/raced); the lock graph is armed per run by validation.
+// interface, no registration. The race detector compiles under its own
+// option (raced); the lock graph is armed per run by validation.
 // With nothing installed an edge is one relaxed load and a branch per
 // family; arguments that cost anything (a clock read, a TLS lookup, an
 // out-of-line call) may be passed as callables, run only inside that branch.
@@ -61,18 +61,14 @@ DFTH_EDGE auto get(const T& v) {
 
 inline std::uint64_t id(const Tcb* t) { return t ? t->id : 0; }
 
-// f runs with the installed observer; compiled out with its family.
+// f runs with the installed observer, if any.
 template <class F>
-DFTH_EDGE void traced([[maybe_unused]] const F& f) {
-#if DFTH_TRACE
+DFTH_EDGE void traced(const F& f) {
   if (Tracer* tr = tracer()) f(*tr);
-#endif
 }
 template <class F>
-DFTH_EDGE void profiled([[maybe_unused]] const F& f) {
-#if DFTH_PROF
+DFTH_EDGE void profiled(const F& f) {
   if (Profiler* pr = profiler()) f(*pr);
-#endif
 }
 template <class F>
 DFTH_EDGE void raced([[maybe_unused]] const F& f) {

@@ -69,12 +69,6 @@
 
 namespace dfth::obs {
 
-#if DFTH_PROF
-inline constexpr bool kProfEnabled = true;
-#else
-inline constexpr bool kProfEnabled = false;
-#endif
-
 /// One segment of critical-path attribution: the spawn-site stack of the
 /// fiber(s) that executed it, and how many span nanoseconds they carried.
 struct CritSegment {
@@ -231,10 +225,8 @@ namespace detail {
 inline std::atomic<Profiler*> g_profiler{nullptr};
 }  // namespace detail
 
-/// The active session, or nullptr when none is installed (always, in a
-/// -DDFTH_PROF=OFF build).
+/// The active session, or nullptr when none is installed.
 inline Profiler* profiler() {
-  if constexpr (!kProfEnabled) return nullptr;
   return detail::g_profiler.load(std::memory_order_relaxed);
 }
 

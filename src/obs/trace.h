@@ -36,12 +36,6 @@
 
 namespace dfth::obs {
 
-#if DFTH_TRACE
-inline constexpr bool kTraceEnabled = true;
-#else
-inline constexpr bool kTraceEnabled = false;
-#endif
-
 enum class EvKind : std::uint8_t {
   Fork,          ///< tid = parent, arg = child id
   Join,          ///< tid = joiner, arg = joined id
@@ -174,10 +168,8 @@ namespace detail {
 inline std::atomic<Tracer*> g_tracer{nullptr};
 }  // namespace detail
 
-/// The active session, or nullptr when none is installed (always, in a
-/// -DDFTH_TRACE=OFF build).
+/// The active session, or nullptr when none is installed.
 inline Tracer* tracer() {
-  if constexpr (!kTraceEnabled) return nullptr;
   return detail::g_tracer.load(std::memory_order_relaxed);
 }
 

@@ -1,5 +1,5 @@
-// Record/replay hook macros, compiled to ((void)0) when -DDFTH_REPLAY is
-// OFF (tests/replay static_assert the OFF expansion). They stay macros, and
+// Record/replay hook macros. With no session installed each gate, commit
+// or annotation is one load of replay::active() and a branch. They stay
 // outside the observer edges of obs/edges.h: replay decides the order of
 // the events it logs rather than observing it.
 //
@@ -15,8 +15,6 @@
 //    pick (itself inside the dispatching lane's section), verified on replay
 //    by ReplayScheduler — never gated on.
 #pragma once
-
-#if DFTH_REPLAY
 
 #include "replay/session.h"
 
@@ -75,42 +73,3 @@
     if (auto* dfth_rs_ = ::dfth::replay::active())           \
       dfth_rs_->annotate_cancel_fire((lane), (tid));         \
   } while (0)
-
-#else  // !DFTH_REPLAY
-
-#include <cstdint>
-
-#include "replay/log.h"
-
-namespace dfth::replay {
-// Engine-section batch (see session.h): nothing to record or verify.
-struct SectionLog {
-  void add(EvKind, std::uint64_t, std::uint64_t, std::uint64_t) {}
-  void commit() {}
-};
-
-// Function-shaped hooks (serve/server.cpp threads observed values through
-// its control flow, which a statement macro cannot express): OFF-mode
-// passthroughs matching the session.h declarations.
-inline std::uint64_t self_actor() { return 0; }
-inline bool pinned() { return false; }
-inline bool pinned_active() { return false; }
-inline bool next_timer_claim(std::uint64_t* /*tid*/) { return false; }
-inline std::uint64_t observe_u64(std::uint64_t /*site*/, std::uint64_t live) {
-  return live;
-}
-}  // namespace dfth::replay
-
-#define DFTH_REPLAY_BIND_LANE(lane) ((void)0)
-#define DFTH_REPLAY_GATE(actor) ((void)0)
-#define DFTH_REPLAY_GATE_SELF() ((void)0)
-#define DFTH_REPLAY_COMMIT(kind, actor, a, b) ((void)0)
-#define DFTH_REPLAY_SYNC_GATE() ((void)0)
-#define DFTH_REPLAY_SYNC_COMMIT(obj, op) ((void)0)
-#define DFTH_REPLAY_SYNC_DESTROY(obj) ((void)0)
-#define DFTH_REPLAY_FAULT_GATE() ((void)0)
-#define DFTH_REPLAY_FAULT_COMMIT(site, injected) ((void)0)
-#define DFTH_REPLAY_STEAL(lane, tid, victim) ((void)0)
-#define DFTH_REPLAY_CANCEL_FIRE(lane, tid) ((void)0)
-
-#endif  // DFTH_REPLAY

@@ -30,12 +30,6 @@
 
 namespace dfth::replay {
 
-#if DFTH_REPLAY
-inline constexpr bool kReplayEnabled = true;
-#else
-inline constexpr bool kReplayEnabled = false;
-#endif
-
 /// Ordered decision kinds (consumed strictly in seq order on replay) plus
 /// annotation kinds (per-actor verification streams, never gated on).
 enum class EvKind : std::uint16_t {

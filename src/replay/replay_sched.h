@@ -17,9 +17,7 @@
 // and keeps a divergence count instead of wedging. Constructed directly, not
 // through make_scheduler, so a validated run's AuditedScheduler never audits
 // a pinned schedule against a policy it does not implement.
-//
-// This header is only compiled into the build when -DDFTH_REPLAY is ON (the
-// source list gates on the option); everything else reaches replay through
+// Only engine.cpp constructs one; everything else reaches replay through
 // replay/hooks.h.
 #pragma once
 

@@ -17,7 +17,6 @@ namespace {
 // any instrumented section). Abort with the head record rather than hang.
 constexpr std::uint64_t kStallNs = 10ull * 1000 * 1000 * 1000;
 
-std::atomic<Session*> g_active{nullptr};
 thread_local int g_tls_lane = -1;
 
 // Previous SIGABRT disposition, restored when the recording session dies.
@@ -26,32 +25,22 @@ void (*g_prev_abort)(int) = SIG_DFL;
 void on_abort(int) {
   // Best-effort: persist the in-flight record log so the abort itself is
   // replayable. abort() re-raises with the default action after we return.
-  if (Session* s = g_active.load(std::memory_order_acquire)) s->flush_partial();
+  if (Session* s = active()) s->flush_partial();
 }
 
 }  // namespace
 
-Session* active() { return g_active.load(std::memory_order_acquire); }
-
-void set_active(Session* s) { g_active.store(s, std::memory_order_release); }
+void set_active(Session* s) {
+  detail::g_active.store(s, std::memory_order_release);
+}
 
 void bind_lane(int lane) { g_tls_lane = lane; }
-
-bool pinned() {
-  Session* s = active();
-  return s != nullptr && s->pins();
-}
 
 std::uint64_t self_actor() {
   if (Engine* e = engine()) {
     if (Tcb* cur = e->current()) return cur->id;
   }
   return kActorHost;
-}
-
-bool pinned_active() {
-  Session* s = active();
-  return s != nullptr && s->mode() == Mode::Replay && !s->replay_exhausted();
 }
 
 bool next_timer_claim(std::uint64_t* tid) {
@@ -267,11 +256,8 @@ void Session::commit_batch(const Record* recs, std::size_t n) {
   }
 }
 
-SectionLog::SectionLog() : session_(active()) {}
-
-void SectionLog::add(EvKind kind, std::uint64_t actor, std::uint64_t a,
-                     std::uint64_t b) {
-  if (session_ == nullptr) return;
+void SectionLog::stage(EvKind kind, std::uint64_t actor, std::uint64_t a,
+                       std::uint64_t b) {
   if (session_->mode() != Mode::Record) {
     session_->commit(kind, actor, a, b);
     return;
@@ -282,11 +268,6 @@ void SectionLog::add(EvKind kind, std::uint64_t actor, std::uint64_t a,
   r.kind = static_cast<std::uint16_t>(kind);
   r.a = a;
   r.b = b;
-}
-
-void SectionLog::commit() {
-  if (n_ != 0) session_->commit_batch(recs_, n_);
-  n_ = 0;
 }
 
 std::uint64_t Session::alloc_tid(std::atomic<std::uint64_t>& next,

@@ -212,29 +212,43 @@ class Session {
   std::mutex steal_mu_;
 };
 
+namespace detail {
+/// Set by dfth::run (runtime/api.cpp) for the duration of one run.
+inline std::atomic<Session*> g_active{nullptr};
+}  // namespace detail
+
+/// The installed session, or nullptr. Installed by api.cpp around a run;
+/// read from hot paths with one inline load (same discipline as
+/// obs::tracer()).
+inline Session* active() {
+  return detail::g_active.load(std::memory_order_acquire);
+}
+void set_active(Session* s);
+
 /// Ordered records of one engine section (one lock domain), gated once
 /// before the section and committed as one batch (Session::commit_batch). Recording
 /// buffers the records until commit(); replaying verifies each at add(), so
 /// a pinned pick later in the same section already sees its own Dispatch at
-/// the head of the log.
+/// the head of the log. With no session installed each call is one branch.
 class SectionLog {
  public:
-  SectionLog();
-  void add(EvKind kind, std::uint64_t actor, std::uint64_t a, std::uint64_t b);
-  void commit();
+  SectionLog() : session_(active()) {}
+  void add(EvKind kind, std::uint64_t actor, std::uint64_t a, std::uint64_t b) {
+    if (session_ != nullptr) stage(kind, actor, a, b);
+  }
+  void commit() {
+    if (n_ != 0) session_->commit_batch(recs_, n_);
+    n_ = 0;
+  }
 
  private:
+  void stage(EvKind kind, std::uint64_t actor, std::uint64_t a, std::uint64_t b);
+
   static constexpr std::size_t kMaxRecords = 4;
   Session* session_;
   Record recs_[kMaxRecords];
   std::size_t n_ = 0;
 };
-
-/// The installed session, or nullptr. Installed by api.cpp around a run;
-/// read from hot paths with a relaxed atomic (same discipline as
-/// obs::tracer()).
-Session* active();
-void set_active(Session* s);
 
 /// Binds the calling kernel thread to a writer lane (workers: worker id).
 /// Unbound threads (host, supervisor, bound fibers) write to the shared
@@ -249,14 +263,20 @@ std::uint64_t self_actor();
 /// instrumented critical section (optimistic lock-free descents and similar)
 /// is unreplayable by construction — when this returns true it must take a
 /// lock-ordered equivalent so the schedule log captures every decision.
-bool pinned();
+inline bool pinned() {
+  Session* s = active();
+  return s != nullptr && s->pins();
+}
 
 /// True when an installed session is in strict (same-engine) Replay and the
 /// ordered log still has records to serve. Code with side-effecting raced
 /// operations (an MPSC pop consumes an element; an admission CAS reserves
 /// bytes) consults this to *pre-read* the recorded outcome via observe_u64
 /// before performing — or skipping — the live operation.
-bool pinned_active();
+inline bool pinned_active() {
+  Session* s = active();
+  return s != nullptr && s->mode() == Mode::Replay && !s->replay_exhausted();
+}
 
 /// True when strict Replay's next ordered record is the timer's
 /// TimeoutClaim; *tid names the sleeper it claims. The supervisor fires

@@ -61,7 +61,6 @@ void FaultInjector::disarm() {
 bool FaultInjector::should_fail(FaultSite site) {
   if (!armed()) return false;
   const int i = static_cast<int>(site);
-#if DFTH_REPLAY
   // Only probes of *enabled* sites are ordered decisions: a site's per-thread
   // probe interleaving decides which thread draws each every_nth/probability
   // outcome, so replay must pin it. Disabled-site probes are order-free
@@ -72,7 +71,6 @@ bool FaultInjector::should_fail(FaultSite site) {
   const bool ordered = ::dfth::replay::active() != nullptr &&
                        plan_.sites[i].enabled();
   if (ordered) DFTH_REPLAY_FAULT_GATE();
-#endif
   std::lock_guard<std::mutex> lock(mu_);
   const SiteSpec& spec = plan_.sites[i];
   const std::uint64_t n = ++evals_[i];
@@ -89,9 +87,7 @@ bool FaultInjector::should_fail(FaultSite site) {
       DFTH_COUNT(obs::Counter::FaultsInjected);
     }
   }
-#if DFTH_REPLAY
   if (ordered) DFTH_REPLAY_FAULT_COMMIT(site, fail);
-#endif
   return fail;
 }
 

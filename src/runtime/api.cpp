@@ -1,10 +1,12 @@
 #include "runtime/api.h"
 
 #include <atomic>
+#include <cstring>
 
 #include "analyze/auditor.h"
 #include "analyze/validation.h"
 #include "obs/edges.h"
+#include "replay/session.h"
 #include "resil/faults.h"
 #include "runtime/real_engine.h"
 #include "runtime/sim_engine.h"
@@ -12,18 +14,12 @@
 #include "util/check.h"
 #include "util/log.h"
 #include "util/timer.h"
-#if DFTH_REPLAY
-#include <cstring>
-
-#include "replay/session.h"
-#endif
 
 namespace dfth {
 namespace {
 
 Engine* g_engine = nullptr;
 
-#if DFTH_REPLAY
 // Builds the record or replay session `opts` asks for (nullptr when neither
 // path is set), rejecting malformed logs and header/option mismatches with a
 // specific diagnostic before any engine state exists. On replay the log's
@@ -116,7 +112,6 @@ std::unique_ptr<replay::Session> open_replay_session(RuntimeOptions* opts) {
       (opts->engine == EngineKind::Real ? opts->nprocs : 1) + 1;
   return replay::Session::start_record(h, lanes, opts->record_path);
 }
-#endif  // DFTH_REPLAY
 
 }  // namespace
 
@@ -141,15 +136,10 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
   // embedded fault plan overrides fault_plan so the recorded failure
   // schedule reproduces.
   RuntimeOptions effective = opts;
-#if DFTH_REPLAY
   std::unique_ptr<replay::Session> session = open_replay_session(&effective);
   // Installed before engine construction: RealEngine's constructor consults
   // the active session to substitute the schedule-pinned ReplayScheduler.
   replay::set_active(session.get());
-#else
-  DFTH_CHECK_MSG(opts.record_path.empty() && opts.replay_path.empty(),
-                 "record_path/replay_path set but the build has -DDFTH_REPLAY=OFF");
-#endif
 
   // Validation is read once, before the engine exists: with the switch on,
   // make_scheduler (in the engine's constructor) audits the policy, and the
@@ -184,7 +174,6 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
   stats.faults_injected = inj.injected_total() - injected0;
   stats.faults_recovered = inj.recovered_total() - recovered0;
   if (effective.fault_plan != nullptr) inj.disarm();
-#if DFTH_REPLAY
   if (session) {
     std::string error;
     if (!session->finish_record(/*clean=*/true, &error)) {
@@ -193,7 +182,6 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
     }
     replay::set_active(nullptr);
   }
-#endif
   return stats;
 }
 
@@ -238,7 +226,6 @@ bool cancel_requested() {
   if (!e) return false;
   Tcb* cur = e->current();
   if (!cur || cur->cancel == nullptr) return false;
-#if DFTH_REPLAY
   if (auto* rs = replay::active()) {
     const std::uint64_t actor = replay::self_actor();
     if (rs->mode() == replay::Mode::Replay) {
@@ -268,22 +255,17 @@ bool cancel_requested() {
     rs->commit(replay::EvKind::CancelCheck, actor, v ? 1 : 0, 0);
     return v;
   }
-#endif
   return cur->cancel->is_cancelled();
 }
 
 std::uint64_t now_ns() {
   if (Engine* e = engine()) {
-#if DFTH_REPLAY
     // The wall clock is the archetypal raced read: serve-layer control flow
     // (deadline checks, arrival pacing, retry due times) branches on it.
     // Pin it so strict Real replay re-takes every recorded branch;
     // observe_u64 is a passthrough on Sim (virtual time is deterministic)
     // and when no session is installed.
     return replay::observe_u64(replay::kObsClockNs, e->now_ns());
-#else
-    return e->now_ns();
-#endif
   }
   return steady_now_ns();
 }

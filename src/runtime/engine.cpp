@@ -7,12 +7,9 @@
 #include "core/worksteal_sched.h"
 #include "replay/hooks.h"
 #include "replay/log.h"
+#include "replay/replay_sched.h"
 #include "resil/faults.h"
 #include "resil/watchdog.h"
-
-#if DFTH_REPLAY
-#include "replay/replay_sched.h"
-#endif
 
 namespace dfth {
 
@@ -36,7 +33,6 @@ Engine::Engine(const RuntimeOptions& opts, EngineKind kind, int lanes,
       registry_(std::make_unique<Registry[]>(static_cast<std::size_t>(lanes))),
       entry_(entry) {
   DFTH_CHECK(opts_.nprocs >= 1);
-#if DFTH_REPLAY
   if (auto* rs = replay::active();
       rs != nullptr && rs->mode() != replay::Mode::Record) {
     // Serve the logged dispatch outcomes (replay/replay_sched.h says why the
@@ -48,10 +44,10 @@ Engine::Engine(const RuntimeOptions& opts, EngineKind kind, int lanes,
         rs->mode() == replay::Mode::Replay ? replay::ReplayScheduler::Pinning::Pin
                                            : replay::ReplayScheduler::Pinning::Cross);
   }
-  if (!sched_)
-#endif
-  sched_ = make_scheduler(opts_.sched, opts_.nprocs, opts_.seed,
-                          opts_.cluster_size);
+  if (!sched_) {
+    sched_ = make_scheduler(opts_.sched, opts_.nprocs, opts_.seed,
+                            opts_.cluster_size);
+  }
   eff_quota_.store(opts_.mem_quota, std::memory_order_relaxed);
   stats_.engine = kind;
   stats_.sched = opts_.sched;
@@ -174,7 +170,6 @@ std::uint64_t Engine::expire(Tcb* t, LaneCounters& c, int lane, bool inline_run)
   const std::uint64_t bit =
       inline_run ? ::dfth::replay::kSpawnDeadline : ::dfth::replay::kDispatchDeadline;
   bool fire;
-#if DFTH_REPLAY
   if (replay::pinned_active()) {
     // This actor's gate already passed and the section's earlier records
     // are committed, so the head is this very record: the lane's Dispatch,
@@ -188,7 +183,6 @@ std::uint64_t Engine::expire(Tcb* t, LaneCounters& c, int lane, bool inline_run)
                nullptr, &logged_b) &&
            tid == t->id && (logged_b & bit) != 0;
   } else
-#endif
   {
     fire = tok->deadline_ns != 0 && !tok->is_cancelled() &&
            now_ns() >= tok->deadline_ns;
@@ -219,11 +213,9 @@ std::size_t Engine::shrink_quota() {
 }
 
 std::uint64_t Engine::steal_count() const {
-#if DFTH_REPLAY
   if (auto* rs = dynamic_cast<replay::ReplayScheduler*>(sched_.get())) {
     return rs->steal_count();
   }
-#endif
   auto* ws = dynamic_cast<WorkStealScheduler*>(sched_->underlying());
   return ws ? ws->steal_count() : 0;
 }
@@ -242,7 +234,6 @@ void Engine::dump_and_abort(resil::FlightInfo& info, const char* what) {
   std::sort(threads.begin(), threads.end(),
             [](const Tcb* a, const Tcb* b) { return a->id < b->id; });
   info.all_tcbs = &threads;
-#if DFTH_REPLAY
   if (auto* rs = replay::active()) {
     if (rs->mode() == replay::Mode::Record) {
       // Persist the schedule up to the abort so the failure itself replays.
@@ -254,7 +245,6 @@ void Engine::dump_and_abort(resil::FlightInfo& info, const char* what) {
       info.replay_position = rs->position_summary();
     }
   }
-#endif
   resil::dump_flight_recorder(info, opts_.watchdog);
   DFTH_CHECK_MSG(false, what);
 }

@@ -30,11 +30,9 @@ thread_local Tcb* tl_bound = nullptr;    // bound thread's own Tcb
 // the raw atomic's assignment order is itself a recorded (and replayed)
 // decision, so a replayed run names every fiber identically.
 std::uint64_t take_tid(std::atomic<std::uint64_t>& next) {
-#if DFTH_REPLAY
   if (auto* rs = ::dfth::replay::active()) {
     return rs->alloc_tid(next, ::dfth::replay::self_actor());
   }
-#endif
   return next++;
 }
 
@@ -44,12 +42,10 @@ std::uint64_t take_tid(std::atomic<std::uint64_t>& next) {
 // back into *live instead.
 std::uint64_t spawn_record_b(std::uint64_t flags, std::int64_t* live) {
   const int shift = ::dfth::replay::kSpawnLiveShift;
-#if DFTH_REPLAY
   if (auto* rs = replay::active()) {
     *live = static_cast<std::int64_t>(
         rs->spawn_flags_hint(static_cast<std::uint64_t>(*live) << shift) >> shift);
   }
-#endif
   return flags | (static_cast<std::uint64_t>(*live) << shift);
 }
 

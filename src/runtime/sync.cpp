@@ -11,8 +11,8 @@
 // acquire-side calls run under the object's guard_.
 #include "obs/edges.h"
 
-// Record/replay hooks (replay/hooks.h, -DDFTH_REPLAY builds): every guard_
-// critical section is one ordered decision. The SYNC_GATE runs before
+// Record/replay hooks (replay/hooks.h): every guard_ critical section is one
+// ordered decision. The SYNC_GATE runs before
 // guard_.lock() (no instrumented lock held), the SYNC_COMMIT runs inside the
 // section, immediately after the acquire — so the log captures exactly the
 // order in which fibers won each object's guard, which is the only
@@ -403,16 +403,14 @@ void RwLock::release_to_next() {
 // -- Once ------------------------------------------------------------------------
 
 void Once::call(const std::function<void()>& fn) {
-#if DFTH_REPLAY
   // Under an active record/replay session the lock-free fast path is
   // disabled: whether a caller sees done_ without taking m_ is a data race
   // the log cannot capture. Forcing everyone through m_ makes the whole
   // operation a function of the mutex-acquisition order, which the m_ hooks
   // already record. Same policy on record and replay, so the event streams
   // line up.
-  if (::dfth::replay::active() == nullptr)
-#endif
-  if (done_.load(std::memory_order_acquire)) {
+  if (::dfth::replay::active() == nullptr &&
+      done_.load(std::memory_order_acquire)) {
     // Fast-path observers synchronize with the runner through done_ alone
     // (no mutex), so the run→observe edge must be inherited here too. The
     // release clock is recorded before the store that made done_ visible.

@@ -37,7 +37,9 @@ TEST(SpmvGenerate, MatchesTargets) {
     EXPECT_LE(m.row_ptr()[i], m.row_ptr()[i + 1]);
     for (std::uint32_t k = m.row_ptr()[i]; k < m.row_ptr()[i + 1]; ++k) {
       EXPECT_LT(m.col_idx()[k], m.cols());
-      if (k > m.row_ptr()[i]) EXPECT_LT(m.col_idx()[k - 1], m.col_idx()[k]);
+      if (k > m.row_ptr()[i]) {
+        EXPECT_LT(m.col_idx()[k - 1], m.col_idx()[k]);
+      }
     }
   }
 }

@@ -81,7 +81,9 @@ TEST(OrderList, RepeatedInsertBeforeSamePosition) {
   for (int i = 0; i < kChildren; ++i) {
     kids.push_back(std::make_unique<OrderNode>());
     list.insert_before(&parent, kids.back().get());
-    if (prev) EXPECT_TRUE(list.before(prev, kids.back().get()));
+    if (prev) {
+      EXPECT_TRUE(list.before(prev, kids.back().get()));
+    }
     prev = kids.back().get();
   }
   ASSERT_TRUE(list.check_invariants());

@@ -10,8 +10,7 @@
 #
 # The PROF_*.json goldens name each spawn site as basename:line of its source
 # in src/apps/, so an edit that shifts a line there (a comment too) fails this
-# test with Sim's schedule unchanged; regenerate after such an edit. A build
-# with DFTH_TRACE or DFTH_PROF off writes empty outputs and does not run this.
+# test with Sim's schedule unchanged; regenerate after such an edit.
 foreach(var BENCH_DIR GOLDEN_DIR WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "sim_golden.cmake: -D${var}=... is required")

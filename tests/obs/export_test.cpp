@@ -90,7 +90,6 @@ TEST_F(ExportTest, RunStatsJsonCarriesTheHeadlineFields) {
 }
 
 TEST_F(ExportTest, ChromeTraceHasOneLanePerWorkerAndBalancedJson) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with DFTH_TRACE=OFF";
   TracedRun r;
   const std::string file = path("trace.json");
   ASSERT_TRUE(obs::write_chrome_trace(r.tracer, r.stats, file));
@@ -115,7 +114,6 @@ TEST_F(ExportTest, ChromeTraceHasOneLanePerWorkerAndBalancedJson) {
 }
 
 TEST_F(ExportTest, TimeseriesCsvHasHeaderAndOneRowPerSample) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with DFTH_TRACE=OFF";
   TracedRun r;
   const std::string file = path("series.csv");
   ASSERT_TRUE(obs::write_timeseries_csv(r.tracer, file));
@@ -179,7 +177,6 @@ struct OverflowRun {
 };
 
 TEST_F(ExportTest, OverflowedChromeTraceStaysBalancedAndReportsDrops) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with DFTH_TRACE=OFF";
   OverflowRun r;
   ASSERT_GT(r.tracer.dropped(), 0u);
 
@@ -205,7 +202,6 @@ TEST_F(ExportTest, OverflowedChromeTraceStaysBalancedAndReportsDrops) {
 }
 
 TEST_F(ExportTest, OverflowedCsvAndStatsJsonStayWellFormed) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with DFTH_TRACE=OFF";
   OverflowRun r;
   ASSERT_GT(r.tracer.dropped(), 0u);
 
@@ -235,7 +231,6 @@ TEST_F(ExportTest, OverflowedCsvAndStatsJsonStayWellFormed) {
 // -- profiler report ---------------------------------------------------------
 
 TEST_F(ExportTest, ProfileJsonCarriesSweepAndAttribution) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   RuntimeOptions o;
   o.engine = EngineKind::Sim;

@@ -57,8 +57,6 @@ using Param = std::tuple<EngineKind, SchedKind>;
 class ObserverParityTest : public ::testing::TestWithParam<Param> {};
 
 TEST_P(ObserverParityTest, TracerAndProfilerSeeTheSameThreads) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with DFTH_TRACE=OFF";
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   const auto [engine, sched] = GetParam();
   obs::TraceConfig cfg;
   cfg.ring_capacity = 1 << 14;

@@ -59,7 +59,6 @@ void fork_tree(int depth, std::uint64_t ops) {
 }
 
 TEST(ProfileTest, SingleFiberWorkEqualsSpan) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   run(prof_opts(&prof, 1), [] { annotate_work(500); });
   const ProfileStats& p = prof.stats();
@@ -135,7 +134,6 @@ TEST(ProfileTest, ForkWorkJoinCriticalPathIsExact) {
 }
 
 TEST(ProfileTest, ForkDepthOfSixDeepChain) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   run(prof_opts(&prof, 2), [] { serial_chain(6, 100); });
   EXPECT_EQ(prof.stats().fork_depth, 6u);
@@ -143,7 +141,6 @@ TEST(ProfileTest, ForkDepthOfSixDeepChain) {
 }
 
 TEST(ProfileTest, EndToEndForkJoinThroughRuntime) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   run(prof_opts(&prof, 2), [] {
     annotate_work(100000);
@@ -169,7 +166,6 @@ TEST(ProfileTest, EndToEndForkJoinThroughRuntime) {
 }
 
 TEST(ProfileTest, SerialChainParallelismIsOne) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   run(prof_opts(&prof, 4), [] { serial_chain(64, 100000); });
   const ProfileStats& p = prof.stats();
@@ -182,7 +178,6 @@ TEST(ProfileTest, SerialChainParallelismIsOne) {
 }
 
 TEST(ProfileTest, ForkTreeParallelismMatchesAnalytic) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   constexpr int kDepth = 7;
   obs::Profiler prof;
   run(prof_opts(&prof, 4), [] { fork_tree(kDepth, 30000); });
@@ -196,7 +191,6 @@ TEST(ProfileTest, ForkTreeParallelismMatchesAnalytic) {
 }
 
 TEST(ProfileTest, SimBusyInvariantIsExact) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   for (int nprocs : {1, 4}) {
     obs::Profiler prof;
     const RunStats stats =
@@ -213,7 +207,6 @@ TEST(ProfileTest, SimBusyInvariantIsExact) {
 }
 
 TEST(ProfileTest, MatmulMeasuredFallsBetweenPredictions) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   apps::MatmulConfig cfg;
   cfg.n = 128;
   cfg.base = 32;
@@ -235,7 +228,6 @@ TEST(ProfileTest, MatmulMeasuredFallsBetweenPredictions) {
 }
 
 TEST(ProfileTest, CriticalPathSegmentsSumToSpanExactly) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   run(prof_opts(&prof, 4), [] { fork_tree(6, 150); });
   const std::vector<obs::CritSegment> crit = prof.critical_path();
@@ -249,7 +241,6 @@ TEST(ProfileTest, CriticalPathSegmentsSumToSpanExactly) {
 }
 
 TEST(ProfileTest, CollapsedStacksSumToWorkExactly) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   run(prof_opts(&prof, 4), [] { fork_tree(6, 150); });
   const std::vector<obs::CollapsedLine> lines = prof.collapsed();
@@ -279,7 +270,6 @@ TEST(ProfileTest, ProfilerDoesNotChangeSimResults) {
 }
 
 TEST(ProfileTest, ProfilerIsReusableAcrossRuns) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   run(prof_opts(&prof, 2), [] { fork_tree(5, 100); });
   const std::uint64_t first_work = prof.stats().work_ns;
@@ -289,7 +279,6 @@ TEST(ProfileTest, ProfilerIsReusableAcrossRuns) {
 }
 
 TEST(ProfileTest, RealEngineProfileIsPlausible) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   const RunStats stats = run(prof_opts(&prof, 2, EngineKind::Real),
                              [] { fork_tree(6, 0); });
@@ -304,7 +293,6 @@ TEST(ProfileTest, RealEngineProfileIsPlausible) {
 }
 
 TEST(ProfileTest, StatsMergedIntoRunStats) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   obs::Profiler prof;
   const RunStats stats = run(prof_opts(&prof, 2), [] { fork_tree(4, 100); });
   EXPECT_TRUE(stats.profile.enabled);

@@ -38,7 +38,6 @@ RuntimeOptions base_opts(EngineKind engine, SchedKind sched) {
 }
 
 TEST(TraceHooksTest, SimRunRecordsEventsAndSamples) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with DFTH_TRACE=OFF";
   obs::Tracer tracer;
   RuntimeOptions o = base_opts(EngineKind::Sim, SchedKind::AsyncDf);
   o.tracer = &tracer;
@@ -70,7 +69,6 @@ TEST(TraceHooksTest, SimRunRecordsEventsAndSamples) {
 }
 
 TEST(TraceHooksTest, SimTraceShowsFifoLivePeakAboveAsyncDf) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with DFTH_TRACE=OFF";
   auto peak_live = [](SchedKind sched) {
     obs::Tracer tracer;
     RuntimeOptions o = base_opts(EngineKind::Sim, sched);
@@ -89,7 +87,6 @@ TEST(TraceHooksTest, SimTraceShowsFifoLivePeakAboveAsyncDf) {
 }
 
 TEST(TraceHooksTest, SimDispatchTimestampsMonotonePerLane) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with DFTH_TRACE=OFF";
   obs::Tracer tracer;
   RuntimeOptions o = base_opts(EngineKind::Sim, SchedKind::WorkSteal);
   o.tracer = &tracer;
@@ -104,7 +101,6 @@ TEST(TraceHooksTest, SimDispatchTimestampsMonotonePerLane) {
 }
 
 TEST(TraceHooksTest, RealRunTracesWithMonotoneWorkerLanes) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with DFTH_TRACE=OFF";
   obs::Tracer tracer;
   RuntimeOptions o = base_opts(EngineKind::Real, SchedKind::AsyncDf);
   o.tracer = &tracer;
@@ -143,7 +139,6 @@ TEST(TraceHooksTest, TracerDoesNotChangeSimResults) {
 }
 
 TEST(TraceHooksTest, TracerIsReusableAcrossRuns) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with DFTH_TRACE=OFF";
   obs::Tracer tracer;
   RuntimeOptions o = base_opts(EngineKind::Sim, SchedKind::AsyncDf);
   o.tracer = &tracer;

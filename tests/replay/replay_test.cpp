@@ -83,7 +83,6 @@ std::vector<std::string> race_fingerprint() {
 #endif
 
 TEST(ReplayDeterminism, SevenAppsRealEngine) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   constexpr std::uint64_t kSeed = 0x5eed;
   constexpr int kProcs = 4;
 
@@ -126,7 +125,6 @@ TEST(ReplayDeterminism, SevenAppsRealEngine) {
 }
 
 TEST(ReplayDeterminism, SpawnTreeStatsAndLogStable) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   const std::string path = temp_path("tree");
   RuntimeOptions o = real_opts();
   o.record_path = path;
@@ -150,7 +148,6 @@ TEST(ReplayDeterminism, SpawnTreeStatsAndLogStable) {
 }
 
 TEST(ReplayDeterminism, CrossReplayOnSimCompletes) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   const std::string path = temp_path("cross");
   RuntimeOptions o = real_opts();
   o.record_path = path;
@@ -199,7 +196,6 @@ class ReplayMergedSections : public ::testing::TestWithParam<SchedKind> {
 };
 
 TEST_P(ReplayMergedSections, UnevenTreeReplaysAndCrossReplays) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   const std::string path = temp_path(std::string("merged_") + to_string(GetParam()));
   RuntimeOptions o = opts();
   o.record_path = path;
@@ -292,7 +288,6 @@ RunStats run_timed_waits(const RuntimeOptions& o) {
 }
 
 TEST(ReplayDeterminism, TimedWaitsReplay) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   const std::string path = temp_path("timed");
   RuntimeOptions o = real_opts();
   o.record_path = path;
@@ -321,7 +316,6 @@ RunStats run_inline_deadline(RuntimeOptions o, std::uint64_t deadline_ns,
 }
 
 TEST(ReplayDeterminism, InlineChildDeadlineFiresAgain) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   const std::string path = temp_path("inline_deadline");
   // main draws ctx.create first; the token child's draw fails.
   resil::FaultPlan plan;
@@ -352,7 +346,6 @@ TEST(ReplayDeterminism, InlineChildDeadlineFiresAgain) {
 using ReplayDeathTest = ::testing::Test;
 
 TEST(ReplayDeathTest, CorruptLogRejected) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const std::string path = temp_path("corrupt");
   RuntimeOptions o = real_opts();
@@ -377,7 +370,6 @@ TEST(ReplayDeathTest, CorruptLogRejected) {
 }
 
 TEST(ReplayDeathTest, TruncatedLogRejected) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const std::string path = temp_path("trunc");
   RuntimeOptions o = real_opts();
@@ -399,7 +391,6 @@ TEST(ReplayDeathTest, TruncatedLogRejected) {
 }
 
 TEST(ReplayDeathTest, MismatchedOptionsRejected) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const std::string path = temp_path("mismatch");
   RuntimeOptions o = real_opts();
@@ -414,7 +405,6 @@ TEST(ReplayDeathTest, MismatchedOptionsRejected) {
 }
 
 TEST(ReplayOptions, RecordAndReplayMutuallyExclusive) {
-  if (!replay::kReplayEnabled) GTEST_SKIP() << "built with -DDFTH_REPLAY=OFF";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   RuntimeOptions o = real_opts();
   o.record_path = temp_path("both");

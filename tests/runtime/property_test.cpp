@@ -96,7 +96,6 @@ TEST_P(RandomProgramTest, AllSchedulersComputeTheSameResult) {
 }
 
 TEST_P(RandomProgramTest, AsyncDfLiveThreadsNearSerialDepth) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   RandomProgram prog{GetParam(), 6};
   // Ground truth from the work/span profiler: d is the deepest fork nesting.
   obs::Profiler prof;
@@ -123,7 +122,6 @@ TEST_P(RandomProgramTest, AsyncDfLiveThreadsNearSerialDepth) {
 }
 
 TEST_P(RandomProgramTest, AsyncDfHeapWithinS1PlusPkd) {
-  if (!obs::kProfEnabled) GTEST_SKIP() << "built with DFTH_PROF=OFF";
   RandomProgram prog{GetParam(), 6};
   const std::size_t quota = 16 << 10;
   // S1: serial depth-first execution's heap peak; D: the segment count of

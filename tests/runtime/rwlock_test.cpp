@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "runtime/api.h"
+#include "runtime/engine.h"
 #include "runtime/sync.h"
 
 namespace dfth {
@@ -104,26 +105,36 @@ TEST_P(RwLockTest, WriterPreferenceBlocksNewReaders) {
   std::vector<int> order;
   run(opts(2), [&] {
     RwLock lock;
-    Semaphore reader_in(0);
+    std::atomic<Tcb*> writer_tcb{nullptr};
+    std::atomic<Tcb*> reader_tcb{nullptr};
+    // Each waits until its thread is parked in the lock, not for a count of
+    // yields the host may not give the other processor time enough for.
+    auto wait_blocked = [](const std::atomic<Tcb*>& t) {
+      for (;;) {
+        const Tcb* p = t.load();
+        if (p && p->state.load() == ThreadState::Blocked) return;
+        yield();
+      }
+    };
     lock.rdlock();
 
     auto writer = spawn([&]() -> void* {
-      reader_in.release();  // writer is about to block on wrlock
+      writer_tcb.store(engine()->current());
       lock.wrlock();
       order.push_back(1);  // writer first
       lock.wrunlock();
       return nullptr;
     });
-    reader_in.acquire();
-    for (int i = 0; i < 20; ++i) yield();  // let the writer reach wrlock
+    wait_blocked(writer_tcb);  // the writer is queued on wrlock
 
     auto late_reader = spawn([&]() -> void* {
+      reader_tcb.store(engine()->current());
       lock.rdlock();
       order.push_back(2);  // reader after the writer
       lock.rdunlock();
       return nullptr;
     });
-    for (int i = 0; i < 20; ++i) yield();
+    wait_blocked(reader_tcb);  // the late reader is queued behind it
     lock.rdunlock();  // release the initial read hold
 
     join(writer);

@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "replay/log.h"
 #include "replay/signature.h"
 #include "runtime/api.h"
 #include "runtime/sync.h"
@@ -448,14 +447,20 @@ TEST_P(ServeTest, DeadlineExpiresInQueueBeforeDispatch) {
   EXPECT_EQ(rep.expired_running, 0u);
 }
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr std::uint64_t kTimedWaitDeadlineNs = 30'000'000;
+#else
+constexpr std::uint64_t kTimedWaitDeadlineNs = 3'000'000;
+#endif
+
 // The satellite race this file exists for: a handler parks in timed waits
 // (Semaphore::try_acquire_for and CondVar::timed_wait) holding tracked
 // bytes while its request deadline fires. The cancellation must reach it
 // cooperatively (cancel_requested() after each timed-wait wake), the
 // request must classify as expired-in-flight, and the unwind must release
 // every tracked byte — no leak through either primitive's timeout path.
-// The whole run is recorded when the build carries -DDFTH_REPLAY, so the
-// race's resolution is itself a pinned, replayable schedule.
+// The whole run is recorded, so the race's resolution is itself a pinned,
+// replayable schedule.
 TEST_P(ServeTest, TimedWaitDeadlineRaceUnwindsWithoutLeaks) {
   const std::int64_t live_before = TrackedHeap::instance().live_bytes();
   const std::string log_path = testing::TempDir() + "dfth_serve_timedwait_" +
@@ -473,7 +478,10 @@ TEST_P(ServeTest, TimedWaitDeadlineRaceUnwindsWithoutLeaks) {
       ep.mem_bound = 16 * 1024;
       // Generous on the engine clock, tiny on the test's wall clock: Sim
       // virtual time and Real steady time both cross it within a few waits.
-      ep.deadline_ns = 3'000'000;
+      // It must still outlast each request's wait in the ingress queue, or
+      // the request rightly expires there before it runs; sanitizer builds
+      // pump several times slower, so they get a longer one.
+      ep.deadline_ns = kTimedWaitDeadlineNs;
       ep.handler = [&](Request&) {
         void* held = df_malloc(4096);
         ASSERT_NE(held, nullptr);
@@ -516,7 +524,7 @@ TEST_P(ServeTest, TimedWaitDeadlineRaceUnwindsWithoutLeaks) {
   };
 
   RuntimeOptions o = opts();
-  if (replay::kReplayEnabled) o.record_path = log_path;
+  o.record_path = log_path;
   ServeReport recorded;
   body(o, &recorded);
   EXPECT_EQ(recorded.expired_running, 4u);
@@ -530,7 +538,7 @@ TEST_P(ServeTest, TimedWaitDeadlineRaceUnwindsWithoutLeaks) {
   // Strict replay (RealEngine only — Sim logs cross-replay by design): the
   // recorded resolution of the deadline-vs-timeout race must reproduce,
   // down to the determinism signature.
-  if (replay::kReplayEnabled && GetParam() == EngineKind::Real) {
+  if (GetParam() == EngineKind::Real) {
     RuntimeOptions r = opts();
     r.replay_path = log_path;
     ServeReport replayed;
@@ -538,7 +546,7 @@ TEST_P(ServeTest, TimedWaitDeadlineRaceUnwindsWithoutLeaks) {
     EXPECT_EQ(replayed.expired_running, 4u);
     EXPECT_EQ(replayed.completed, 0u);
   }
-  if (replay::kReplayEnabled) std::remove(log_path.c_str());
+  std::remove(log_path.c_str());
 }
 
 // Light load from four client fibers on four workers: the ring is almost

@@ -418,7 +418,7 @@ void usage() {
   std::fprintf(stderr,
                "usage: dfth-trace summary <trace.json> [--top N]\n"
                "       dfth-trace --serve <BENCH_serve_soak.json>\n"
-               "  trace.json: output of a DFTH_TRACE run "
+               "  trace.json: output of a traced run "
                "(obs::write_chrome_trace)\n"
                "  BENCH_serve_soak.json: output of bench/serve_soak\n");
 }

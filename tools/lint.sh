@@ -144,6 +144,16 @@ if audit_grep "$serve_files" '\b(malloc|calloc|realloc|free)[[:space:]]*\('; the
   status=1
 fi
 
+# Tracing, profiling and record/replay are part of every build: no switch,
+# #if or flavour constant may bring an OFF variant back. (bench/perf is the
+# benchmark harness; its comparison keys and hook_cost.sh still name the
+# old switches until the benchmark itself is revised.)
+if grep -rnE '\bDFTH_(TRACE|PROF|REPLAY)\b|\bk(Trace|Prof|Replay)Enabled\b' \
+     --exclude-dir=perf src tests tools examples bench; then
+  echo "lint: tracing/profiling/replay build switch in src, tests, tools, examples or bench (the families are in every build)" >&2
+  status=1
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "lint: allocation/threading/stdio audit clean (src/apps, src/core, src/runtime, src/obs, src/resil, src/replay, src/serve, tests, bench)"
 fi
