@@ -9,12 +9,15 @@
 // and the tracked-heap high water while serving must stay at or below the
 // admission budget. Latency percentiles (p50/p99/p999 per endpoint from
 // LogHistogram), rejection/shed/timeout counts, the admission-headroom time
-// series and peak RSS are written to BENCH_serve_soak.json; read it back
+// series, the tracked-heap peak (`peak-heap`) and the process's max RSS
+// (`max-rss`, getrusage) are written to BENCH_serve_soak.json; read it back
 // with `tools/dfth-trace --serve BENCH_serve_soak.json`.
 //
 // CI runs this on the default build with a fixed fault seed, then uses
 // --record-dir / --replay-dir (one run per engine pass, like faults_soak)
 // to gate the record leg against the replay leg on the DFTH-SIG lines.
+#include <sys/resource.h>
+
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -230,7 +233,14 @@ struct PassResult {
   std::uint64_t completed = 0, rejected = 0, expired = 0;  // final outcomes
   std::int64_t baseline_live = 0;
   std::uint64_t wall_span_ns = 0;  ///< engine-clock span of the soak
+  long max_rss_kb = 0;  ///< the process's max RSS once the pass ended
 };
+
+long max_rss_kb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
 
 struct SoakParams {
   int requests = 120;
@@ -467,6 +477,7 @@ int main(int argc, char** argv) {
       serve::Server server(cfg, std::move(eps));
       soak_body(server, arena, prm, &pr);
     });
+    pr.max_rss_kb = max_rss_kb();
 
     // Exactly-once termination: every request must be terminal.
     for (const serve::Request& r : arena) {
@@ -504,7 +515,8 @@ int main(int argc, char** argv) {
     const double span_s = static_cast<double>(pr.wall_span_ns) / 1e9;
     std::printf(
         "%-4s %5llu req  %6.2f rps  done=%-5llu rej=%-4llu exp=%-4llu "
-        "retries=%-4llu tiers=%llu peak-rss=%lld faults=%llu expired-disp=%llu\n",
+        "retries=%-4llu tiers=%llu peak-heap=%lld max-rss=%ldKiB faults=%llu "
+        "expired-disp=%llu\n",
         ps.tag, static_cast<unsigned long long>(pr.requests),
         span_s > 0 ? static_cast<double>(pr.requests) / span_s : 0.0,
         static_cast<unsigned long long>(pr.completed),
@@ -512,7 +524,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(pr.expired),
         static_cast<unsigned long long>(pr.retries),
         static_cast<unsigned long long>(pr.report.tier_transitions),
-        static_cast<long long>(pr.report.peak_live_bytes),
+        static_cast<long long>(pr.report.peak_live_bytes), pr.max_rss_kb,
         static_cast<unsigned long long>(pr.stats.faults_injected),
         static_cast<unsigned long long>(pr.stats.deadline_expirations));
     for (const serve::EndpointReport& er : pr.report.endpoints) {
@@ -557,6 +569,7 @@ int main(int argc, char** argv) {
             "\"expired_running\": %llu, \"tier_transitions\": %llu, "
             "\"peak_inflight\": %llu, \"peak_depth\": %llu, "
             "\"peak_live_bytes\": %lld, \"baseline_live_bytes\": %lld, "
+            "\"max_rss_kb\": %ld, "
             "\"admission_usable\": %zu, \"deadline_expirations\": %llu, "
             "\"faults_injected\": %llu, \"elapsed_us\": %.3f, ",
             pi == 0 ? "" : ",", pr.tag.c_str(),
@@ -575,7 +588,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(pr.report.peak_inflight),
             static_cast<unsigned long long>(pr.report.peak_depth),
             static_cast<long long>(pr.report.peak_live_bytes),
-            static_cast<long long>(pr.baseline_live),
+            static_cast<long long>(pr.baseline_live), pr.max_rss_kb,
             pr.report.admission_usable,
             static_cast<unsigned long long>(pr.stats.deadline_expirations),
             static_cast<unsigned long long>(pr.stats.faults_injected),

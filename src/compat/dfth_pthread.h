@@ -24,6 +24,9 @@
 
 // -- types --------------------------------------------------------------------
 
+/// Valid until joined or detached, as a pthread_t: the thread's control
+/// block is then recycled once it has exited, and a join or detach through
+/// the stale handle aborts.
 struct dfth_pthread_t {
   dfth::Thread handle;
 };

@@ -126,8 +126,6 @@ void set_engine(Engine* e) { g_engine = e; }
 
 bool in_runtime() { return engine() != nullptr; }
 
-std::uint64_t Thread::id() const { return tcb_ ? tcb_->id : 0; }
-
 RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
   DFTH_CHECK_MSG(!in_runtime(), "dfth::run is not reentrant");
   DFTH_CHECK(opts.nprocs >= 1);
@@ -191,13 +189,19 @@ Thread spawn(std::function<void*()> fn, const Attr& attr,
   DFTH_CHECK_MSG(e, "spawn outside dfth::run");
   Tcb* child = e->spawn(std::move(fn), attr, /*is_dummy=*/false,
                         site.file_name(), static_cast<int>(site.line()));
-  return Thread(child);
+  // The child's handle party pins it until here, although it may already
+  // run on another lane: a thread created detached drops it now.
+  Thread t(child);
+  if (attr.detached) e->detach(child);
+  return t;
 }
 
 void* join(Thread t) {
   Engine* e = engine();
   DFTH_CHECK_MSG(e, "join outside dfth::run");
   DFTH_CHECK_MSG(t.valid(), "join of invalid thread handle");
+  // A recycled Tcb has id 0 or a later thread's id.
+  DFTH_CHECK_MSG(t.tcb_->id == t.id_, "thread joined twice, or joined after a detach");
   // The engine reports the exit→joiner edge: everything the child (and its
   // whole joined subtree) did happens-before the code after this join.
   return e->join(t.tcb_);
@@ -207,6 +211,7 @@ void detach(Thread t) {
   Engine* e = engine();
   DFTH_CHECK_MSG(e, "detach outside dfth::run");
   DFTH_CHECK_MSG(t.valid(), "detach of invalid thread handle");
+  DFTH_CHECK_MSG(t.tcb_->id == t.id_, "detach of a joined or detached thread");
   e->detach(t.tcb_);
 }
 

@@ -108,21 +108,26 @@ struct RuntimeOptions {
   std::string record_tag;
 };
 
-/// Opaque thread handle (cheap to copy). Valid until the enclosing run()
-/// returns.
+/// Opaque thread handle (cheap to copy). Valid until joined or detached,
+/// as in pthreads: the thread's control block is then recycled once the
+/// thread has exited. Ids are never reused within a run, so a join or
+/// detach through a stale handle still fails loudly.
 class Thread {
  public:
   Thread() = default;
   bool valid() const { return tcb_ != nullptr; }
-  std::uint64_t id() const;
+  /// The thread's id; stays readable after the join or detach.
+  std::uint64_t id() const { return id_; }
 
-  /// Internal: wraps an engine-owned control block. Library code only.
-  explicit Thread(Tcb* tcb) : tcb_(tcb) {}
+  /// Internal: wraps an engine-owned control block that cannot be recycled
+  /// yet. Library code only.
+  explicit Thread(Tcb* tcb) : tcb_(tcb), id_(tcb ? tcb->id : 0) {}
 
  private:
   friend void* join(Thread);
   friend void detach(Thread);
   Tcb* tcb_ = nullptr;
+  std::uint64_t id_ = 0;
 };
 
 /// Runs `main_fn` as the main thread under the given options; returns when
@@ -143,6 +148,7 @@ Thread spawn(std::function<void*()> fn, const Attr& attr = {},
 void* join(Thread t);
 
 /// Marks `t` detached; its resources are reclaimed at exit without a join.
+/// The handle is invalid afterwards.
 void detach(Thread t);
 
 /// Yields the processor back to the scheduler; pthread_yield equivalent.

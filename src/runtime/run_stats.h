@@ -98,6 +98,10 @@ struct RunStats {
   std::uint64_t threads_created = 0;   ///< includes the main thread
   std::uint64_t dummy_threads = 0;     ///< δ no-op threads for large allocs
   std::int64_t max_live_threads = 0;   ///< peak simultaneously-active threads
+  /// Distinct Tcbs the run allocated: a thread's Tcb is recycled once it
+  /// has exited and been joined or detached, so this tracks the peak of
+  /// threads not yet both, plus the free Tcbs the lanes' caches hold.
+  std::uint64_t tcbs_allocated = 0;
   std::uint64_t dispatches = 0;
   std::uint64_t quota_preemptions = 0;
   std::uint64_t steals = 0;            ///< work stealing only

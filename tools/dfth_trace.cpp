@@ -15,9 +15,10 @@
 //
 // `--serve` reads the bench/serve_soak report (DESIGN.md §12): per pass it
 // prints the request outcome breakdown against the exactly-once invariant,
-// the server-side rejection reasons, shed-tier activity, peak tracked RSS
-// against the admission budget, the per-endpoint latency table, and the
-// admission-headroom time series folded into a tier-residency summary.
+// the server-side rejection reasons, shed-tier activity, the tracked-heap
+// peak against the admission budget, the process's max RSS, the
+// per-endpoint latency table, and the admission-headroom time series
+// folded into a tier-residency summary.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -297,7 +298,7 @@ int serve_summarize(const std::string& path) {
     std::int64_t retries = 0, rej_queue = 0, rej_shed = 0, rej_adm = 0;
     std::int64_t exp_queue = 0, exp_running = 0, transitions = 0;
     std::int64_t peak_inflight = 0, peak_depth = 0, peak_live = 0;
-    std::int64_t baseline = 0, usable = 0, faults = 0;
+    std::int64_t baseline = 0, usable = 0, faults = 0, max_rss_kb = 0;
     double rps = 0;
     int_value(line, "requests", &requests);
     int_value(line, "completed", &completed);
@@ -314,6 +315,7 @@ int serve_summarize(const std::string& path) {
     int_value(line, "peak_depth", &peak_depth);
     int_value(line, "peak_live_bytes", &peak_live);
     int_value(line, "baseline_live_bytes", &baseline);
+    int_value(line, "max_rss_kb", &max_rss_kb);
     int_value(line, "admission_usable", &usable);
     int_value(line, "faults_injected", &faults);
     num_value(line, "throughput_rps", &rps);
@@ -345,7 +347,7 @@ int serve_summarize(const std::string& path) {
                 static_cast<long long>(peak_depth),
                 static_cast<long long>(faults));
     const std::int64_t budget = baseline + usable;
-    std::printf("  memory: peak tracked RSS %lld B vs admission budget %lld B "
+    std::printf("  memory: peak tracked heap %lld B vs admission budget %lld B "
                 "(baseline %lld + usable %lld)%s\n",
                 static_cast<long long>(peak_live),
                 static_cast<long long>(budget),
@@ -353,6 +355,10 @@ int serve_summarize(const std::string& path) {
                 static_cast<long long>(usable),
                 peak_live > budget ? "  !! over budget" : "");
     if (peak_live > budget) status = 1;
+    if (max_rss_kb > 0) {
+      std::printf("  process: max RSS %lld KiB after the pass\n",
+                  static_cast<long long>(max_rss_kb));
+    }
 
     const auto endpoints = object_list(line, "endpoints");
     if (!endpoints.empty()) {
