@@ -78,9 +78,15 @@ RaceDetector& RaceDetector::instance() {
 }
 
 // -- fork/join DAG edges --------------------------------------------------------
+//
+// These touch only Tcb clocks, so they take no lock: a clock is written by
+// its own fiber, or by the engine while that fiber cannot run (a child before
+// it starts, a joiner blocked in join), and read by a joiner only after the
+// child's exit, which the engine's join protocol orders. Each is O(thread
+// count), so under mu_ it would stretch every other lane's lock edges, and
+// with them a hot Mutex's critical sections (tests/runtime/hot_lock_test.cpp).
 
 void RaceDetector::on_thread_start(Tcb* t, Tcb* parent) {
-  std::lock_guard<SpinLock> g(mu_);
   if (parent) {
     t->race_vc = parent->race_vc;  // child sees everything pre-fork
     vc_set(t->race_vc, t->id, 1);
@@ -92,7 +98,6 @@ void RaceDetector::on_thread_start(Tcb* t, Tcb* parent) {
 }
 
 void RaceDetector::on_join(Tcb* joiner, Tcb* child) {
-  std::lock_guard<SpinLock> g(mu_);
   vc_join(joiner->race_vc, child->race_vc);
 }
 

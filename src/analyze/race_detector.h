@@ -155,6 +155,8 @@ class RaceDetector {
   /// to. Caller holds mu_ and the shadow table's mutex.
   void report_race(const void* addr, const RaceAccess& prev, const RaceAccess& cur);
 
+  /// Guards the sync and barrier clocks, the shadow cells and the reports;
+  /// not the Tcb clocks (see the fork/join edges).
   mutable SpinLock mu_;
   ShadowTable* shadow_ = nullptr;
   std::unique_ptr<ShadowTable> owned_shadow_;  ///< set for the test ctor

@@ -89,7 +89,7 @@ bool Mutex::lock_for(std::uint64_t timeout_ns, [[maybe_unused]] SyncOp op) {
       guard_.unlock();
       return true;
     }
-    DFTH_CHECK_MSG(owner() != cur, "recursive Mutex::lock");
+    DFTH_CHECK_MSG(!held_by(cur), "recursive Mutex::lock");
     std::uint64_t wait_ns = timeout_ns;
     if (timed) {
       // A loser re-arms with the time it has left: the timeout is still
@@ -108,7 +108,7 @@ bool Mutex::lock_for(std::uint64_t timeout_ns, [[maybe_unused]] SyncOp op) {
     // under the guard (so this acquire needs no guard), or released it and
     // woke us to retry. A timer that claimed us instead takes no
     // release→acquire edge, so the race detector stays schedule-insensitive.
-    if (owner() == cur) {
+    if (held_by(cur)) {
       obs::edges::acquire(cur, this, Hold::kLock);
       return true;
     }
@@ -145,7 +145,7 @@ void Mutex::unlock() {
   Engine* e = checked_engine();
   e->charge_sync_op();
   DFTH_SYNC_SECTION(SyncOp::MutexUnlock);
-  DFTH_CHECK_MSG(owner() == e->current(), "Mutex::unlock by non-owner");
+  DFTH_CHECK_MSG(held_by(e->current()), "Mutex::unlock by non-owner");
   obs::edges::release(self(e), this, Hold::kLock);
   // An heir takes the mutex; any other waiter is woken to retry for it. A
   // timer may have claimed an heir meanwhile, so an empty list clears them.

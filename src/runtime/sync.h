@@ -79,7 +79,9 @@ class Mutex {
   /// True iff `t` is the current owner. CondVar::wait asserts this on its
   /// caller — waiting without holding the mutex is the classic lost-wakeup
   /// bug and is unconditionally fatal.
-  bool held_by(const Tcb* t) const { return owner() == t; }
+  bool held_by(const Tcb* t) const {
+    return owner() == t && owner_tag_.load(std::memory_order_relaxed) == tag(t);
+  }
 
  private:
   /// The wait body of lock() and try_lock_for(), committed as `op`.
@@ -87,7 +89,11 @@ class Mutex {
   /// Polls while another thread holds the mutex and runs.
   void spin_while_owner_runs(const Tcb* cur) const;
   Tcb* owner() const { return owner_.load(std::memory_order_acquire); }
-  void set_owner(Tcb* t) { owner_.store(t, std::memory_order_release); }
+  void set_owner(Tcb* t) {
+    owner_tag_.store(t ? tag(t) : 0, std::memory_order_relaxed);
+    owner_.store(t, std::memory_order_release);
+  }
+  static std::uint32_t tag(const Tcb* t) { return static_cast<std::uint32_t>(t->id); }
 
   SpinLock guard_;
   /// Written under guard_; atomic so that a spinner may poll it without,
@@ -96,6 +102,12 @@ class Mutex {
   /// Waiters at the head of waiters_ that lost a retry and are owed a
   /// handoff. Two woken waiters can lose to one barger, so this counts.
   int heirs_ = 0;
+  /// The low 32 bits of the owner's thread id, written with owner_. The
+  /// engine recycles a Tcb once its thread is done, so a thread that exits
+  /// holding the mutex leaves owner_ naming a Tcb a later thread may reuse;
+  /// ids are not reused, so the ownership checks compare both. 32 bits fill
+  /// the padding after heirs_, so a Mutex stays 40 bytes.
+  std::atomic<std::uint32_t> owner_tag_{0};
   WaitList waiters_;
 };
 
