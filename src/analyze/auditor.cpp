@@ -64,7 +64,9 @@ void InvariantAuditor::on_register(const Scheduler& inner, Tcb* parent,
   }
 
   if (const AsyncDfScheduler* adf = as_asyncdf(inner)) {
-    if (policy_parent && parent->attr.priority == child->attr.priority &&
+    // An unknown parent has no place in the serial order to check against.
+    if (policy_parent && live_.count(parent) != 0 &&
+        parent->attr.priority == child->attr.priority &&
         !adf->serial_before(child, parent)) {
       violation("forked child not placed left of its parent", child);
     }
@@ -76,14 +78,16 @@ void InvariantAuditor::on_register(const Scheduler& inner, Tcb* parent,
   check_asyncdf_step(inner);
 }
 
-void InvariantAuditor::on_ready(const Scheduler& inner, Tcb* t) {
+bool InvariantAuditor::on_ready(const Scheduler& inner, Tcb* t) {
   steps_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t before = violations();
   std::lock_guard<std::mutex> lk(mu_);
   check_registered(t, "on_ready for unregistered thread");
   if (t->state.load(std::memory_order_relaxed) != ThreadState::Ready) {
     violation("on_ready for a thread not in state Ready", t);
   }
   check_asyncdf_step(inner);
+  return violations() == before;
 }
 
 void InvariantAuditor::on_pick(const Scheduler& inner, Tcb* t,
@@ -145,7 +149,13 @@ void InvariantAuditor::on_alloc(Tcb* t, std::size_t bytes, std::size_t quota) {
       t->audit_dummy_credit -= delta;
     }
   }
-  if (t->audit_alloc_since_dispatch > static_cast<std::int64_t>(quota)) {
+  // The window's first allocation reads the quota its dispatch granted (an
+  // OOM recovery may have shrunk K since; the engine preempts against the
+  // grant). A thread never granted one (bound) is held to the current K.
+  if (t->audit_alloc_since_dispatch == 0) t->audit_quota = t->quota;
+  const std::int64_t granted =
+      t->audit_quota > 0 ? t->audit_quota : static_cast<std::int64_t>(quota);
+  if (t->audit_alloc_since_dispatch > granted) {
     // The previous allocation already exhausted the quota; the engine was
     // required to preempt this thread before it allocated again.
     violation("thread allocated past its quota without being preempted", t);
@@ -191,8 +201,9 @@ void AuditedScheduler::register_thread(Tcb* parent, Tcb* child) {
 }
 
 void AuditedScheduler::on_ready(Tcb* t, int proc) {
-  inner_->on_ready(t, proc);
-  auditor_.on_ready(*inner_, t);
+  // Audited first: a policy may assert the same precondition, so a call the
+  // auditor rejects never reaches it. Readying links no order-list node.
+  if (auditor_.on_ready(*inner_, t)) inner_->on_ready(t, proc);
 }
 
 Tcb* AuditedScheduler::pick_next(int proc, std::uint64_t now,

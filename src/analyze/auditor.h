@@ -58,7 +58,8 @@ class InvariantAuditor {
 
   // -- hooks (called by AuditedScheduler / df_malloc) ------------------------
   void on_register(const Scheduler& inner, Tcb* parent, Tcb* child, bool dives);
-  void on_ready(const Scheduler& inner, Tcb* t);
+  /// Checked before the policy sees the call; false when it is invalid.
+  bool on_ready(const Scheduler& inner, Tcb* t);
   void on_pick(const Scheduler& inner, Tcb* t, std::uint64_t now);
   void on_unregister(const Scheduler& inner, Tcb* t);
   /// Fiber-context hook from df_malloc; quota == 0 disables quota checks.

@@ -52,8 +52,10 @@ void tick(Tcb* t) { vc_set(t->race_vc, t->id, self_clock(t) + 1); }
 
 /// Serial-order position of the fiber's current segment: its order-list tag
 /// when the active scheduler maintains the list (AsyncDF family), else 0.
-std::uint64_t order_tag(const Tcb* t) {
-  return t->order.linked() ? t->order.tag : 0;
+/// Reads the list unlocked: the caller has `order_tags` on only when no
+/// other kernel thread can relink it (the simulator).
+std::uint64_t order_tag(const Tcb* t, bool order_tags) {
+  return order_tags && t->order.linked() ? t->order.tag : 0;
 }
 
 const char* site_or(const char* site) { return site ? site : "<unannotated>"; }
@@ -192,7 +194,8 @@ void RaceDetector::access(Tcb* t, const void* p, std::size_t bytes,
       return RaceAccess{epoch_tid(e), epoch_clock(e), prev_write, info.site,
                         info.order_tag};
     };
-    const RaceAccess cur{t->id, clk, is_write, site, order_tag(t)};
+    const RaceAccess cur{t->id, clk, is_write, site,
+                         order_tag(t, order_tags_.load(std::memory_order_relaxed))};
 
     // Write-after-X checks.
     if (is_write) {
@@ -280,7 +283,8 @@ void RaceDetector::report_race(const void* addr, const RaceAccess& prev,
 
 // -- lifecycle / results --------------------------------------------------------
 
-void RaceDetector::begin_run() {
+void RaceDetector::begin_run(bool order_tags) {
+  order_tags_.store(order_tags, std::memory_order_relaxed);
   std::lock_guard<SpinLock> g(mu_);
   sync_.clear();
   barriers_.clear();

@@ -37,6 +37,7 @@
 // instantiable so unit tests can drive it directly, mirroring LockGraph.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -125,8 +126,11 @@ class RaceDetector {
   /// Called at dfth::run() entry: drops all happens-before state (sync
   /// clocks, barrier generations, shadow cells) because fiber ids restart
   /// per run — but keeps accumulated reports so a suite-wide sweep can
-  /// collect evidence across runs.
-  void begin_run();
+  /// collect evidence across runs. `order_tags`: reports carry the fiber's
+  /// order-list position — only when one kernel thread runs the whole run
+  /// (the simulator); elsewhere other lanes relink and retag the list under
+  /// their domain locks, which the detector does not take.
+  void begin_run(bool order_tags);
   /// Drops everything, reports included (tests).
   void clear();
 
@@ -167,6 +171,7 @@ class RaceDetector {
   std::set<std::tuple<std::uintptr_t, const char*, const char*, bool, bool>> seen_;
   std::uint64_t escalations_ = 0;
   bool abort_on_race_ = true;
+  std::atomic<bool> order_tags_{true};  ///< set by begin_run
 };
 
 }  // namespace analyze

@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "obs/counters.h"
 #include "util/check.h"
 
 namespace dfth {
@@ -44,7 +43,6 @@ void AsyncDfScheduler::on_ready(Tcb* t, int proc) {
   t->sched_next = *link;
   *link = t;
   ++ready_count_;
-  DFTH_COUNT(obs::Counter::ReadyPushes);
 }
 
 Tcb* AsyncDfScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) {
@@ -58,8 +56,6 @@ Tcb* AsyncDfScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* ear
         *link = t->sched_next;
         t->sched_next = nullptr;
         --ready_count_;
-        DFTH_COUNT(obs::Counter::ReadyPops);
-        DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
         return t;  // leftmost ready thread at the highest non-empty level
       }
       if (t->ready_at_ns < *earliest) *earliest = t->ready_at_ns;

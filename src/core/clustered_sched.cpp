@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "obs/counters.h"
 #include "obs/edges.h"
 #include "replay/hooks.h"
 #include "util/check.h"
@@ -41,7 +40,6 @@ void ClusteredAdfScheduler::on_ready(Tcb* t, int proc) {
   DFTH_DCHECK(t->order.linked());
   DFTH_DCHECK(t->state.load(std::memory_order_relaxed) == ThreadState::Ready);
   add_ready(t->home_proc, 1);
-  DFTH_COUNT(obs::Counter::ReadyPushes);
 }
 
 Tcb* ClusteredAdfScheduler::scan(int cluster, std::uint64_t now,
@@ -62,11 +60,7 @@ Tcb* ClusteredAdfScheduler::pick_next(int proc, std::uint64_t now,
   *earliest = std::numeric_limits<std::uint64_t>::max();
   const int home = cluster_of(proc);
   Tcb* t = scan(home, now, earliest);
-  if (t) {
-    add_ready(home, -1);
-    DFTH_COUNT(obs::Counter::ReadyPops);
-    DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
-  }
+  if (t) add_ready(home, -1);
   return t;
 }
 
@@ -79,12 +73,8 @@ Tcb* ClusteredAdfScheduler::steal(int proc, int victim, std::uint64_t now,
   if (!t) return nullptr;
   clusters_[static_cast<std::size_t>(victim)].list.erase(&t->order);
   add_ready(victim, -1);
-  DFTH_COUNT(obs::Counter::ReadyPops);
-  DFTH_COUNT(obs::Counter::Steals);
   obs::edges::steal(proc, t, static_cast<std::uint64_t>(victim), now);
   DFTH_REPLAY_STEAL(proc, t->id, static_cast<std::uint64_t>(victim));
-  DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
-  DFTH_HIST_WAIT(obs::Hist::StealLatencyNs, now, t->ready_at_ns);
   return t;
 }
 

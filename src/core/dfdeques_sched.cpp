@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "obs/counters.h"
 #include "obs/edges.h"
 #include "replay/hooks.h"
 #include "util/check.h"
@@ -31,7 +30,6 @@ void DfDequesScheduler::on_ready(Tcb* t, int proc) {
   t->home_proc = dq.owner;
   dq.threads.push_back(t);  // back == top (owner's LIFO end)
   ++ready_;
-  DFTH_COUNT(obs::Counter::ReadyPushes);
 }
 
 Tcb* DfDequesScheduler::take(Deque& dq, bool from_top, std::uint64_t now,
@@ -66,11 +64,7 @@ Tcb* DfDequesScheduler::pick_next(int proc, std::uint64_t now,
   Deque& own = deque_of(proc);
 
   // Own deque first, newest thread first: the locality path.
-  if (Tcb* t = take(own, /*from_top=*/true, now, earliest)) {
-    DFTH_COUNT(obs::Counter::ReadyPops);
-    DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
-    return t;
-  }
+  if (Tcb* t = take(own, /*from_top=*/true, now, earliest)) return t;
 
   // Steal: walk the global deque order from the left and take the BOTTOM
   // (serially earliest) thread of the first deque that has one.
@@ -80,13 +74,9 @@ Tcb* DfDequesScheduler::pick_next(int proc, std::uint64_t now,
     if (victim == &own) continue;
     if (Tcb* t = take(*victim, /*from_top=*/false, now, earliest)) {
       ++steals_;
-      DFTH_COUNT(obs::Counter::ReadyPops);
-      DFTH_COUNT(obs::Counter::Steals);
       obs::edges::steal(proc, t, static_cast<std::uint64_t>(victim->owner),
                         now);
       DFTH_REPLAY_STEAL(proc, t->id, static_cast<std::uint64_t>(victim->owner));
-      DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
-      DFTH_HIST_WAIT(obs::Hist::StealLatencyNs, now, t->ready_at_ns);
       // Reposition the thief's deque right of the victim so work spawned
       // from the stolen thread keeps its serial-order neighborhood.
       order_.erase(&own.order);

@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "obs/counters.h"
 #include "util/check.h"
 
 namespace dfth {
@@ -24,7 +23,6 @@ void FifoScheduler::on_ready(Tcb* t, int proc) {
   }
   q.tail = t;
   ++ready_;
-  DFTH_COUNT(obs::Counter::ReadyPushes);
 }
 
 Tcb* FifoScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) {
@@ -43,8 +41,6 @@ Tcb* FifoScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* earlie
         if (q.tail == t) q.tail = prev;
         t->sched_next = nullptr;
         --ready_;
-        DFTH_COUNT(obs::Counter::ReadyPops);
-        DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
         return t;
       }
       if (t->ready_at_ns < *earliest) *earliest = t->ready_at_ns;

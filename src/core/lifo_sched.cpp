@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "obs/counters.h"
 #include "util/check.h"
 
 namespace dfth {
@@ -19,7 +18,6 @@ void LifoScheduler::on_ready(Tcb* t, int proc) {
   t->sched_next = top;
   top = t;
   ++ready_;
-  DFTH_COUNT(obs::Counter::ReadyPushes);
 }
 
 Tcb* LifoScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) {
@@ -32,8 +30,6 @@ Tcb* LifoScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* earlie
         *link = t->sched_next;
         t->sched_next = nullptr;
         --ready_;
-        DFTH_COUNT(obs::Counter::ReadyPops);
-        DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
         return t;
       }
       if (t->ready_at_ns < *earliest) *earliest = t->ready_at_ns;

@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "obs/counters.h"
 #include "obs/edges.h"
 #include "replay/hooks.h"
 #include "util/check.h"
@@ -30,7 +29,6 @@ void WorkStealScheduler::on_ready(Tcb* t, int proc) {
   lane.dq.push_back(t);
   lane.ready.store(lane.ready.load(std::memory_order_relaxed) + 1,
                    std::memory_order_relaxed);
-  DFTH_COUNT(obs::Counter::ReadyPushes);
 }
 
 Tcb* WorkStealScheduler::take(Lane& lane, bool from_top, std::uint64_t now,
@@ -69,13 +67,8 @@ Tcb* WorkStealScheduler::take(Lane& lane, bool from_top, std::uint64_t now,
 Tcb* WorkStealScheduler::pick_next(int proc, std::uint64_t now, std::uint64_t* earliest) {
   *earliest = std::numeric_limits<std::uint64_t>::max();
   // Own deque only, owner end; the engine steals through steal().
-  Tcb* t = take(lanes_[static_cast<std::size_t>(lock_domain(proc))],
-                /*from_top=*/true, now, earliest);
-  if (t) {
-    DFTH_COUNT(obs::Counter::ReadyPops);
-    DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
-  }
-  return t;
+  return take(lanes_[static_cast<std::size_t>(lock_domain(proc))],
+              /*from_top=*/true, now, earliest);
 }
 
 int WorkStealScheduler::steal_start(int proc) {
@@ -90,14 +83,10 @@ Tcb* WorkStealScheduler::steal(int proc, int victim, std::uint64_t now,
   Tcb* t = take(lane, /*from_top=*/false, now, earliest);
   if (!t) return nullptr;
   ++lane.steals;
-  DFTH_COUNT(obs::Counter::ReadyPops);
-  DFTH_COUNT(obs::Counter::Steals);
   // The steal latency burdens the stolen thread's critical path: an ideal
   // scheduler would have run it the instant it became ready.
   obs::edges::steal(proc, t, static_cast<std::uint64_t>(victim), now);
   DFTH_REPLAY_STEAL(proc, t->id, static_cast<std::uint64_t>(victim));
-  DFTH_HIST_WAIT(obs::Hist::ReadyWaitNs, now, t->ready_at_ns);
-  DFTH_HIST_WAIT(obs::Hist::StealLatencyNs, now, t->ready_at_ns);
   return t;
 }
 

@@ -42,23 +42,4 @@ const char* to_string(Hist h) {
   return "?";
 }
 
-namespace detail {
-
-constinit thread_local int tl_counter_shard = -1;
-constinit CounterRegistry g_counters;
-
-int assign_counter_shard() {
-  static std::atomic<int> next{0};
-  tl_counter_shard = next.fetch_add(1, std::memory_order_relaxed) %
-                     CounterRegistry::kShards;
-  return tl_counter_shard;
-}
-
-}  // namespace detail
-
-HistogramRegistry& histograms() {
-  static HistogramRegistry registry;
-  return registry;
-}
-
 }  // namespace dfth::obs

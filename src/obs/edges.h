@@ -1,7 +1,7 @@
 // Observer edges: one inline function per event the engines and the sync
-// primitives report, handing it to every observer that sees it — tracer,
-// work/span profiler, race detector, lock graph. A fixed set: no virtual
-// interface, no registration. The race detector compiles under its own
+// primitives report, handing it to every observer that sees it — tracer
+// (events, counts), work/span profiler, race detector, lock graph. A fixed
+// set: no virtual interface, no registration. The race detector compiles under its own
 // option (raced); the lock graph is armed per run by validation.
 // With nothing installed an edge is one relaxed load and a branch per
 // family; arguments that cost anything (a clock read, a TLS lookup, an
@@ -16,8 +16,8 @@
 // acquirer reads it; a blocked acquirer calls after Engine::block returns
 // true, which the wake protocol orders after the releaser's call. Lock
 // order: guard_ → detector mu_ and guard_ → graph mu_; neither takes a
-// guard. Replay's gate/commit, the fault probes and DFTH_COUNT/DFTH_HIST
-// stay outside: they decide ordering, or count regardless.
+// guard. Replay's gate/commit and the fault probes stay outside: they
+// decide ordering.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +43,9 @@ namespace dfth::obs::edges {
 /// A lane with an explicit timestamp (SimEngine's loop: processor clock).
 struct At { int lane; std::uint64_t ts_ns; };
 
-/// A dispatch's burden: the pick's scheduler time and the lane's idle gap.
-struct DispatchCost { std::uint64_t overhead_ns = 0, gap_ns = 0; };
+/// A dispatch's burden: the pick's scheduler time and the lane's idle gap;
+/// `idle` for a pick (not a dive or an inline run), whose gap is traced.
+struct DispatchCost { std::uint64_t overhead_ns = 0, gap_ns = 0; bool idle = false; };
 
 /// What an acquire or release holds: none (semaphore, signal, once), a
 /// Mutex, or a RwLock side — only holds reach the lock graph.
@@ -77,38 +78,59 @@ DFTH_EDGE void raced([[maybe_unused]] const F& f) {
 #endif
 }
 
+/// A lane's index: an At's, or an index (or callable).
+template <class L>
+DFTH_EDGE int index(const L& lane) {
+  if constexpr (std::is_same_v<L, At>) return lane.lane;
+  else return static_cast<int>(get(lane));
+}
+
 /// A trace event; `lane` is an At, or an index (or callable) for now().
+template <class L>
+DFTH_EDGE void event(Tracer& tr, const L& lane, EvKind kind,
+                     std::uint64_t tid, std::uint64_t arg) {
+  if constexpr (std::is_same_v<L, At>) {
+    tr.emit_at(lane.lane, kind, lane.ts_ns, tid, arg);
+  } else {
+    tr.emit(index(lane), kind, tid, arg);
+  }
+}
 template <class L>
 DFTH_EDGE void event(const L& lane, EvKind kind, std::uint64_t tid,
                      std::uint64_t arg) {
-  traced([&](auto& tr) {
-    if constexpr (std::is_same_v<L, At>) {
-      tr.emit_at(lane.lane, kind, lane.ts_ns, tid, arg);
-    } else {
-      tr.emit(static_cast<int>(get(lane)), kind, tid, arg);
-    }
-  });
+  traced([&](auto& tr) { event(tr, lane, kind, tid, arg); });
+}
+
+inline constexpr std::uint64_t kNoWait = std::numeric_limits<std::uint64_t>::max();
+
+/// The wait since `t` became ready at scheduler time `now`; kNoWait without
+/// a clock (the real engine picks at now = UINT64_MAX) or for a stale now.
+DFTH_EDGE std::uint64_t ready_wait(const Tcb* t, std::uint64_t now) {
+  return now == kNoWait || now < t->ready_at_ns ? kNoWait : now - t->ready_at_ns;
 }
 
 }  // namespace detail
 
 /// Installs one run's observers, once its engine exists: the lock graph if
-/// validated, a fresh race-detector run, the tracer and profiler if set.
+/// validated, a fresh race-detector run (`simulated`: one kernel thread runs
+/// it all), the tracer and profiler if set.
 inline void begin_run(Tracer* tracer, Profiler* profiler, bool validated,
-                      int lanes, std::function<std::uint64_t()> clock) {
+                      bool simulated, int lanes,
+                      std::function<std::uint64_t()> clock) {
   analyze::detail::g_active_lock_graph.store(
       validated ? &analyze::LockGraph::instance() : nullptr);
   // Fiber ids restart per run: no happens-before state may leak across.
-  detail::raced([](auto& rd) { rd.begin_run(); });
+  detail::raced([&](auto& rd) { rd.begin_run(/*order_tags=*/simulated); });
   obs::detail::g_tracer.store(tracer);
   detail::traced([&](auto& tr) { tr.begin_run(lanes, std::move(clock)); });
   obs::detail::g_profiler.store(profiler);
   detail::profiled([](auto& pr) { pr.begin_run(); });
 }
 
-/// Removes them once every thread has exited; merges the profile.
+/// Removes them once every thread has exited; closes the trace session's
+/// counts with `stats`' and merges the profile.
 inline void end_run(RunStats* stats) {
-  detail::traced([](auto& tr) { tr.end_run(); });
+  detail::traced([&](auto& tr) { tr.end_run(*stats); });
   obs::detail::g_tracer.store(nullptr);
   detail::profiled([&](auto& pr) {
     pr.end_run(stats->elapsed_us, stats->nprocs);
@@ -143,15 +165,33 @@ DFTH_EDGE void fork_cost(Tcb* child, const N& ns) {
   detail::profiled([&](auto& pr) { pr.fork_cost(child->id, detail::get(ns)); });
 }
 
-/// `t` starts a slice; `cost` (a DispatchCost or callable) is its burden —
-/// none for a child with no stack, run on its parent's.
+/// A thread made ready on `proc` (Engine::ready, the policies' one entry).
+DFTH_EDGE void ready(int proc) {
+  detail::traced([&](auto& tr) { tr.add(proc, Counter::ReadyPushes); });
+}
+
+/// `proc` picked or stole `t` at scheduler time `now` (kInf: no clock).
+DFTH_EDGE void pick(int proc, const Tcb* t, std::uint64_t now) {
+  detail::traced([&](auto& tr) {
+    tr.add(proc, Counter::ReadyPops);
+    const std::uint64_t wait = detail::ready_wait(t, now);
+    if (wait != detail::kNoWait) tr.record(proc, Hist::ReadyWaitNs, wait);
+  });
+}
+
+/// `t` starts a slice; `cost` (a DispatchCost or callable, run once) is its
+/// burden — none for a child with no stack, run on its parent's.
 template <class L, class C>
 DFTH_EDGE void dispatch(const L& lane, Tcb* t, const C& cost) {
-  detail::event(lane, EvKind::Dispatch, t->id, t->dispatches);
-  detail::profiled([&](auto& pr) {
-    const DispatchCost c = detail::get(cost);
-    pr.dispatch(t->id, c.overhead_ns, c.gap_ns);
-  });
+  Tracer* tr = tracer();
+  Profiler* pr = profiler();
+  if (!tr && !pr) return;
+  const DispatchCost c = detail::get(cost);
+  if (tr) {
+    detail::event(*tr, lane, EvKind::Dispatch, t->id, t->dispatches);
+    if (c.idle) tr->record(detail::index(lane), Hist::DispatchGapNs, c.gap_ns);
+  }
+  if (pr) pr->dispatch(t->id, c.overhead_ns, c.gap_ns);
 }
 
 /// Lane-side scheduler time for `tid` (0: no fiber owns it).
@@ -227,20 +267,27 @@ DFTH_EDGE void work(Tcb* t, const N& ns) {
 /// clock); the wait since `t` became ready burdens its critical path.
 DFTH_EDGE void steal(int proc, Tcb* t, std::uint64_t victim,
                      std::uint64_t now) {
-  detail::event(proc, EvKind::Steal, t->id, victim);
-  if (now == std::numeric_limits<std::uint64_t>::max()) return;
-  if (now < t->ready_at_ns) return;
-  detail::profiled([&](auto& pr) { pr.steal(t->id, now - t->ready_at_ns); });
+  const std::uint64_t wait = detail::ready_wait(t, now);
+  detail::traced([&](auto& tr) {
+    detail::event(tr, proc, EvKind::Steal, t->id, victim);
+    if (wait != detail::kNoWait) tr.record(proc, Hist::StealLatencyNs, wait);
+  });
+  if (wait == detail::kNoWait) return;
+  detail::profiled([&](auto& pr) { pr.steal(t->id, wait); });
 }
 
 // -- memory ----------------------------------------------------------------
 
-/// An Alloc/Free of `bytes` (from the tracer's threshold) by `t`, or callable.
+/// A df_malloc or df_free of `bytes` by `t` (or callable): counted always,
+/// an Alloc/Free event from the tracer's threshold up.
 template <class L, class T>
 DFTH_EDGE void heap(const L& lane, const T& t, std::size_t bytes, bool freed) {
   detail::traced([&](auto& tr) {
+    const int l = detail::index(lane);
+    tr.add(l, freed ? Counter::Frees : Counter::Allocs);
+    tr.add(l, freed ? Counter::FreeBytes : Counter::AllocBytes, bytes);
     if (bytes < tr.config().alloc_event_min_bytes) return;
-    detail::event(lane, freed ? EvKind::Free : EvKind::Alloc,
+    detail::event(tr, l, freed ? EvKind::Free : EvKind::Alloc,
                   detail::id(detail::get(t)), bytes);
   });
 }

@@ -7,7 +7,9 @@
 //  * write_timeseries_csv — the Figure 1 / Figure 9 curves (live threads,
 //    heap and stack footprint, ready-queue depth over time).
 //  * write_stats_json — RunStats superset: everything RunStats carries plus
-//    the counter registry snapshot, histogram percentiles and trace totals.
+//    the trace session's counters, histogram percentiles and trace totals.
+//    The ready-wait and steal-latency histograms need a pick-time clock,
+//    which only SimEngine has: a RealEngine run reports them with count 0.
 //  * write_profile_json — the work/span profiler report: ProfileStats, the
 //    Brent what-if sweep (predicted lo/hi vs measured T_p), critical-path
 //    attribution and collapsed spawn-site stacks. tools/dfth-prof parses it.

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 
+#include "space/stack_pool.h"
+
 namespace dfth::obs {
 namespace {
 
-/// Map an event kind to the counter it implies, so engines don't have to
-/// pair every traced event with a DFTH_COUNT. Alloc/free and stack
-/// events return kCount (no auto-bump): their counters must count *every*
-/// operation, not just those above the event threshold, so the heap and
-/// stack pool bump them at the source.
+/// The counter an event kind implies: emitting the event is its one count.
+/// Alloc/free and stack events return kCount: their counters count *every*
+/// operation, not just the traced ones (edges::heap counts below the event
+/// threshold; the stack pool keeps exact counts of its own).
 Counter auto_counter(EvKind kind) {
   switch (kind) {
     case EvKind::Fork: return Counter::Forks;
@@ -21,7 +22,7 @@ Counter auto_counter(EvKind kind) {
     case EvKind::Block: return Counter::Blocks;
     case EvKind::Wake: return Counter::Wakes;
     case EvKind::Exit: return Counter::Exits;
-    case EvKind::Steal:
+    case EvKind::Steal: return Counter::Steals;
     case EvKind::StackFresh:
     case EvKind::StackReuse:
     case EvKind::Alloc:
@@ -80,26 +81,54 @@ std::vector<TraceEvent> TraceRing::drain() const {
 Tracer::Tracer(TraceConfig cfg) : cfg_(cfg) {}
 
 void Tracer::begin_run(int lanes, std::function<std::uint64_t()> clock) {
-  rings_.clear();
+  lanes_.clear();
   for (int i = 0; i < std::max(lanes, 1); ++i) {
-    rings_.push_back(std::make_unique<TraceRing>(cfg_.ring_capacity));
+    lanes_.push_back(std::make_unique<Lane>(cfg_.ring_capacity));
   }
   samples_.clear();
   clock_ = std::move(clock);
+  stacks_fresh0_ = StackPool::instance().fresh_count();
+  stacks_reused0_ = StackPool::instance().reuse_count();
   for (auto& c : counter_snapshot_) c = 0;
   for (auto& h : hist_snapshot_) h = HistSnapshot{};
-  counters().reset();
-  histograms().reset();
 }
 
-void Tracer::end_run() {
+void Tracer::end_run(const RunStats& stats) {
   for (int c = 0; c < kNumCounters; ++c) {
-    counter_snapshot_[c] = counters().value(static_cast<Counter>(c));
+    counter_snapshot_[c] = live_counter(static_cast<Counter>(c));
   }
+  counter_snapshot_[static_cast<int>(Counter::OomPreempts)] = stats.oom_preemptions;
+  counter_snapshot_[static_cast<int>(Counter::InlineRuns)] = stats.inline_runs;
+  counter_snapshot_[static_cast<int>(Counter::SyncTimeouts)] = stats.sync_timeouts;
+  counter_snapshot_[static_cast<int>(Counter::FaultsInjected)] = stats.faults_injected;
+  counter_snapshot_[static_cast<int>(Counter::FaultsRecovered)] = stats.faults_recovered;
   for (int h = 0; h < kNumHists; ++h) {
-    hist_snapshot_[h] = histograms().snapshot(static_cast<Hist>(h));
+    hist_snapshot_[h] = live_hist(static_cast<Hist>(h));
   }
   clock_ = nullptr;
+}
+
+std::uint64_t Tracer::live_counter(Counter c) const {
+  if (c == Counter::StacksFresh) {
+    return StackPool::instance().fresh_count() - stacks_fresh0_;
+  }
+  if (c == Counter::StacksReused) {
+    return StackPool::instance().reuse_count() - stacks_reused0_;
+  }
+  std::uint64_t n = 0;
+  for (const auto& l : lanes_) {
+    n += l->counts[static_cast<int>(c)].load(std::memory_order_relaxed);
+  }
+  return n;
+}
+
+HistSnapshot Tracer::live_hist(Hist h) const {
+  HistSnapshot merged;
+  for (const auto& l : lanes_) {
+    const HistSnapshot s = l->hists[static_cast<int>(h)].snapshot();
+    for (int b = 0; b < 64; ++b) merged.buckets[b] += s.buckets[b];
+  }
+  return merged;
 }
 
 void Tracer::emit(int lane, EvKind kind, std::uint64_t tid, std::uint64_t arg) {
@@ -108,30 +137,29 @@ void Tracer::emit(int lane, EvKind kind, std::uint64_t tid, std::uint64_t arg) {
 
 void Tracer::emit_at(int lane, EvKind kind, std::uint64_t ts_ns,
                      std::uint64_t tid, std::uint64_t arg) {
-  if (rings_.empty()) return;
-  const auto idx = std::min(static_cast<std::size_t>(lane < 0 ? 0 : lane),
-                            rings_.size() - 1);
+  if (lanes_.empty()) return;
+  const std::size_t idx = clamp(lane);
   TraceEvent ev;
   ev.ts_ns = ts_ns;
   ev.tid = tid;
   ev.arg = arg;
   ev.lane = static_cast<std::uint16_t>(idx);
   ev.kind = kind;
-  rings_[idx]->push(ev);
+  lanes_[idx]->ring.push(ev);
   const Counter c = auto_counter(kind);
-  if (c != Counter::kCount) counters().inc(c);
+  if (c != Counter::kCount) add(static_cast<int>(idx), c);
 }
 
 std::vector<TraceEvent> Tracer::lane_events(int lane) const {
-  if (lane < 0 || static_cast<std::size_t>(lane) >= rings_.size()) return {};
-  return rings_[static_cast<std::size_t>(lane)]->drain();
+  if (lane < 0 || static_cast<std::size_t>(lane) >= lanes_.size()) return {};
+  return lanes_[static_cast<std::size_t>(lane)]->ring.drain();
 }
 
 std::vector<TraceEvent> Tracer::merged() const {
   std::vector<TraceEvent> all;
   all.reserve(event_count());
-  for (const auto& ring : rings_) {
-    auto events = ring->drain();
+  for (const auto& l : lanes_) {
+    auto events = l->ring.drain();
     all.insert(all.end(), events.begin(), events.end());
   }
   std::stable_sort(all.begin(), all.end(),
@@ -143,13 +171,13 @@ std::vector<TraceEvent> Tracer::merged() const {
 
 std::size_t Tracer::event_count() const {
   std::size_t n = 0;
-  for (const auto& ring : rings_) n += ring->size();
+  for (const auto& l : lanes_) n += l->ring.size();
   return n;
 }
 
 std::uint64_t Tracer::dropped() const {
   std::uint64_t n = 0;
-  for (const auto& ring : rings_) n += ring->dropped();
+  for (const auto& l : lanes_) n += l->ring.dropped();
   return n;
 }
 

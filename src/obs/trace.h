@@ -14,18 +14,25 @@
 // nanoseconds since run start under RealEngine, so the same exporters
 // (obs/export.h) serve both engines.
 //
-// Cost: events come through obs/edges.h (counters through DFTH_COUNT); with
-// no Tracer installed an event is one relaxed load of tracer() and a branch.
-// A ring push is one relaxed fetch_add plus a 24-byte store, no locks; rings
-// never grow, and an overflowing event is dropped and *counted*.
+// The session owns the run's counters and histograms (obs/counters.h), each
+// from one source: an emitted event kind, an edge (ready, pick, heap, steal,
+// dispatch gap) into the lane's counts beside its ring, the stack pool's
+// own counts differenced over the run, or the run's RunStats.
+//
+// Cost: events come through obs/edges.h; with no Tracer installed an event
+// is one relaxed load of tracer() and a branch. A ring push is one relaxed
+// fetch_add plus a 24-byte store, no locks; rings never grow, and an
+// overflowing event is dropped and *counted*. A count is one more relaxed
+// fetch_add on the lane.
 //
 // Writer contract: each lane is written by the kernel thread that owns it
-// (lock-free SPSC in the common case). The reservation index is atomic, so
-// the shared "external" lane tolerates multiple writers (MPSC); rings are
-// only read after the run quiesces (worker join provides the
-// happens-before edge).
+// (lock-free SPSC in the common case). The reservation index, counts and
+// histogram buckets are atomic, so the shared "external" lane tolerates
+// multiple writers (MPSC); rings are only read after the run quiesces
+// (worker join provides the happens-before edge); counts may be read live.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -33,6 +40,7 @@
 #include <vector>
 
 #include "obs/counters.h"
+#include "runtime/run_stats.h"
 
 namespace dfth::obs {
 
@@ -119,24 +127,44 @@ class Tracer {
   explicit Tracer(TraceConfig cfg = {});
 
   // -- engine-side lifecycle --------------------------------------------------
-  /// Clears previous results, resets the global counter registry and arms
-  /// `lanes` rings. `clock` supplies event timestamps (virtual ns in Sim,
-  /// steady-clock ns since run start in Real).
+  /// Clears previous results and arms `lanes` rings with zeroed counts.
+  /// `clock` supplies event timestamps (virtual ns in Sim, steady-clock ns
+  /// since run start in Real).
   void begin_run(int lanes, std::function<std::uint64_t()> clock);
-  /// Snapshots the counter registry and drops the clock (whose captures may
-  /// dangle once the engine is destroyed).
-  void end_run();
+  /// Sums the lanes' counts and histograms, takes the stack pool's counts
+  /// since begin_run() and `stats`' own (inline runs, OOM preempts, sync
+  /// timeouts, faults), and drops the clock (whose captures may dangle once
+  /// the engine is destroyed).
+  void end_run(const RunStats& stats = {});
 
   void emit(int lane, EvKind kind, std::uint64_t tid, std::uint64_t arg);
   void emit_at(int lane, EvKind kind, std::uint64_t ts_ns, std::uint64_t tid,
                std::uint64_t arg);
+  /// Counts `n` of `c` on `lane`; an emitted event counts its own kind.
+  void add(int lane, Counter c, std::uint64_t n = 1) {
+    if (lanes_.empty()) return;
+    lanes_[clamp(lane)]->counts[static_cast<int>(c)].fetch_add(
+        n, std::memory_order_relaxed);
+  }
+  /// Records `v` into `lane`'s histogram `h`.
+  void record(int lane, Hist h, std::uint64_t v) {
+    if (lanes_.empty()) return;
+    lanes_[clamp(lane)]->hists[static_cast<int>(h)].record(v);
+  }
   void add_sample(const Sample& s) { samples_.push_back(s); }
 
   std::uint64_t now() const { return clock_ ? clock_() : 0; }
   const TraceConfig& config() const { return cfg_; }
 
+  /// Counter `c` summed over the lanes so far (stack counts: the pool's
+  /// since begin_run()); RunStats-sourced counters read 0 until end_run().
+  /// Safe while the run is live.
+  std::uint64_t live_counter(Counter c) const;
+  /// Histogram `h` merged over the lanes so far; safe while the run is live.
+  HistSnapshot live_hist(Hist h) const;
+
   // -- results (valid after end_run) -----------------------------------------
-  int lanes() const { return static_cast<int>(rings_.size()); }
+  int lanes() const { return static_cast<int>(lanes_.size()); }
   /// One lane's events in write order (per-lane timestamps are monotone for
   /// single-writer lanes).
   std::vector<TraceEvent> lane_events(int lane) const;
@@ -145,20 +173,35 @@ class Tracer {
   std::size_t event_count() const;
   std::uint64_t dropped() const;
   const std::vector<Sample>& samples() const { return samples_; }
-  /// Counter value snapshotted at end_run().
+  /// Counter value at end_run().
   std::uint64_t counter(Counter c) const {
     return counter_snapshot_[static_cast<int>(c)];
   }
-  /// Histogram snapshotted at end_run() (p50/p99/p999 come from here).
+  /// Histogram at end_run() (p50/p99/p999 come from here).
   const HistSnapshot& hist(Hist h) const {
     return hist_snapshot_[static_cast<int>(h)];
   }
 
  private:
+  /// One lane: its ring, and beside it the lane's counts and histograms.
+  struct alignas(64) Lane {
+    explicit Lane(std::size_t capacity) : ring(capacity) {}
+    TraceRing ring;
+    std::atomic<std::uint64_t> counts[kNumCounters] = {};
+    LogHistogram hists[kNumHists];
+  };
+
+  /// `lane` clamped into [0, lanes()); lanes_ must not be empty.
+  std::size_t clamp(int lane) const {
+    return std::min(static_cast<std::size_t>(lane < 0 ? 0 : lane),
+                    lanes_.size() - 1);
+  }
+
   TraceConfig cfg_;
-  std::vector<std::unique_ptr<TraceRing>> rings_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<Sample> samples_;
   std::function<std::uint64_t()> clock_;
+  std::uint64_t stacks_fresh0_ = 0, stacks_reused0_ = 0;  ///< pool at begin_run
   std::uint64_t counter_snapshot_[kNumCounters] = {};
   HistSnapshot hist_snapshot_[kNumHists] = {};
 };

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "obs/counters.h"
 #include "replay/hooks.h"
 
 namespace dfth::resil {
@@ -82,10 +81,7 @@ bool FaultInjector::should_fail(FaultSite site) {
     if (spec.probability > 0.0 && rng_[i].next_bool(spec.probability)) {
       fail = true;
     }
-    if (fail) {
-      ++injected_[i];
-      DFTH_COUNT(obs::Counter::FaultsInjected);
-    }
+    if (fail) ++injected_[i];
   }
   if (ordered) DFTH_REPLAY_FAULT_COMMIT(site, fail);
   return fail;
@@ -93,7 +89,6 @@ bool FaultInjector::should_fail(FaultSite site) {
 
 void FaultInjector::on_recovered(FaultSite site) {
   recovered_[static_cast<int>(site)].fetch_add(1, std::memory_order_relaxed);
-  DFTH_COUNT(obs::Counter::FaultsRecovered);
 }
 
 std::uint64_t FaultInjector::evaluations(FaultSite site) const {

@@ -96,21 +96,25 @@ void append_trace_tail(std::string* out, obs::Tracer* tracer) {
 
 // -- full-fidelity sections (file dump only; stderr keeps the tail) ----------
 
-void append_counters(std::string* out) {
+/// The trace session's live counters and histograms: they belong to it.
+void append_counts(std::string* out, obs::Tracer* tracer) {
+  const char* none = "  (no trace session installed)\n";
   append(out, "-- counters (live values at abort) --\n");
-  for (int c = 0; c < obs::kNumCounters; ++c) {
+  if (!tracer) append(out, none);
+  for (int c = 0; tracer && c < obs::kNumCounters; ++c) {
     const auto counter = static_cast<obs::Counter>(c);
-    const std::uint64_t v = obs::counters().value(counter);
+    const std::uint64_t v = tracer->live_counter(counter);
     if (v == 0) continue;
     append(out, "  %-16s %" PRIu64 "\n", obs::to_string(counter), v);
   }
-}
-
-void append_histograms(std::string* out) {
   append(out, "-- histograms (live at abort) --\n");
+  if (!tracer) {
+    append(out, none);
+    return;
+  }
   for (int h = 0; h < obs::kNumHists; ++h) {
     const auto hist = static_cast<obs::Hist>(h);
-    const obs::HistSnapshot s = obs::histograms().snapshot(hist);
+    const obs::HistSnapshot s = tracer->live_hist(hist);
     append(out,
            "  %-16s count=%" PRIu64 " p50<=%" PRIu64 " p99<=%" PRIu64
            " p999<=%" PRIu64 " max<=%" PRIu64 "\n",
@@ -211,10 +215,10 @@ void dump_flight_recorder(const FlightInfo& info, const WatchdogConfig& cfg) {
   std::fflush(stderr);
   if (!cfg.dump_path.empty()) {
     // The file gets the full-fidelity dump: every lane's complete ring (not
-    // just the merged tail), the counter registry, histogram summaries and
-    // the sampled time series — everything the abort would otherwise lose.
-    append_counters(&out);
-    append_histograms(&out);
+    // just the merged tail), the trace session's live counters and
+    // histogram summaries and the sampled time series — everything the
+    // abort would otherwise lose.
+    append_counts(&out, info.tracer);
     append_samples(&out, info.tracer);
     append_full_rings(&out, info.tracer);
     append(&out, "==== END FLIGHT RECORDER ====\n");

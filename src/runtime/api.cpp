@@ -162,15 +162,16 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
   // carry engine-clock ns since the run began (virtual in Sim).
   Engine* e = eng.get();
   obs::edges::begin_run(effective.tracer, effective.profiler, validated,
+                        effective.engine == EngineKind::Sim,
                         e->trace_lanes(),
                         [e, t0 = e->now_ns()] { return e->now_ns() - t0; });
 
   detail::set_engine(e);
   RunStats stats = e->run(main_fn);
   detail::set_engine(nullptr);
-  obs::edges::end_run(&stats);
   stats.faults_injected = inj.injected_total() - injected0;
   stats.faults_recovered = inj.recovered_total() - recovered0;
+  obs::edges::end_run(&stats);  // the tracer copies the totals above
   if (effective.fault_plan != nullptr) inj.disarm();
   if (session) {
     std::string error;
@@ -343,8 +344,10 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
     }
     // Audited after the dummy-tree insertion so the δ credit those dummies
     // earn at registration is visible to the oversized-allocation check.
+    // Against the K the insertion used: another thread's OOM recovery may
+    // have shrunk it since.
     if (analyze::InvariantAuditor* aud = analyze::active_auditor()) {
-      aud->on_alloc(e->current(), bytes, e->quota_bytes());
+      aud->on_alloc(e->current(), bytes, quota);
     }
   }
   std::int64_t fresh = 0;

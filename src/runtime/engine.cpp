@@ -125,7 +125,6 @@ Tcb* Engine::new_main(const std::function<void()>& main_fn, std::uint64_t id,
 void Engine::decide_inline(Tcb* parent, Tcb* child, LaneCounters& c, int lane) {
   count_birth(c, child, 0);
   ++c.inline_runs;
-  DFTH_COUNT(obs::Counter::InlineRuns);
   if (auto* aud = analyze::active_auditor()) aud->on_inline_run(parent, child);
   [[maybe_unused]] const std::uint64_t deadline =
       grant(child, c, lane, obs::edges::DispatchCost{}, /*inline_run=*/true);
@@ -268,7 +267,6 @@ std::uint64_t Engine::expire(Tcb* t, LaneCounters& c, int lane, bool inline_run)
 bool Engine::oom_preempt(Tcb* t, int attempt) {
   constexpr int kOomMaxAttempts = 16;
   if (attempt >= kOomMaxAttempts) return false;
-  DFTH_COUNT(obs::Counter::OomPreempts);
   if (auto* aud = analyze::active_auditor()) aud->on_oom_preempt(t);
   return true;
 }

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/scheduler.h"
-#include "obs/counters.h"
 #include "obs/edges.h"
 #include "replay/hooks.h"
 #include "runtime/api.h"
@@ -203,6 +202,7 @@ class Engine {
     t->state.store(ThreadState::Ready, std::memory_order_relaxed);
     t->ready_at_ns = at;
     sched_->on_ready(t, proc);
+    obs::edges::ready(proc);
   }
   /// Counts t's birth on c, which saw `live` live threads (Sim: 0).
   static void count_birth(LaneCounters& c, const Tcb* t, std::int64_t live) {
@@ -309,7 +309,6 @@ class Engine {
     if (!claimed) return false;
     s.t->timed_out = true;
     ++c.sync_timeouts;
-    DFTH_COUNT(obs::Counter::SyncTimeouts);
     obs::edges::wake(lane, nullptr, s.t, 0);
     return true;
   }

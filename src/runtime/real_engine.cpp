@@ -4,7 +4,6 @@
 #include <chrono>
 #include <limits>
 
-#include "obs/counters.h"
 #include "obs/edges.h"
 #include "replay/log.h"
 #include "resil/faults.h"
@@ -95,6 +94,11 @@ RealEngine::RealEngine(const RuntimeOptions& opts)
   // A recording or a pinned replay must order every ready in a section.
   posts_ = ndomains_ == 1 && !replay::pinned();
   domains_ = std::make_unique<Domain[]>(static_cast<std::size_t>(ndomains_));
+  // The run's heap and stack epochs begin before dfth::run installs its
+  // observers, so a trace session's stack counts (the pool's, differenced
+  // from its begin_run) see no reset.
+  TrackedHeap::instance().begin_epoch();
+  StackPool::instance().begin_epoch();
 }
 
 std::size_t RealEngine::fiber_stack(const Attr& attr) const {
@@ -560,8 +564,7 @@ void RealEngine::begin_dispatch(Worker& w, Tcb* t, std::uint64_t flags,
     const bool dive = (flags & ::dfth::replay::kDispatchForkDive) != 0;
     const std::uint64_t gap =
         (!dive && w.idle_since_ns) ? now - w.idle_since_ns : 0;
-    if (!dive) DFTH_HIST(obs::Hist::DispatchGapNs, gap);
-    return obs::edges::DispatchCost{now - w.pick_start_ns, gap};
+    return obs::edges::DispatchCost{now - w.pick_start_ns, gap, !dive};
   });
   log.add(::dfth::replay::EvKind::Dispatch, ::dfth::replay::lane_actor(w.id),
           t->id, flags | deadline);
@@ -663,6 +666,7 @@ Tcb* RealEngine::transition(Worker& w, bool dive) {
       std::uint64_t earliest = kInf;
       t = sched_->pick_next(w.id, kInf, &earliest);
       if (t) {
+        obs::edges::pick(w.id, t, kInf);
         begin_dispatch(w, t, 0, log);
       } else if (ndomains_ > 1) {
         steal_from = sched_->steal_start(w.id);
@@ -696,6 +700,7 @@ Tcb* RealEngine::steal_round(Worker& w, int start) {
       replay::SectionLog log;
       std::uint64_t earliest = kInf;
       t = sched_->steal(w.id, victim, kInf, &earliest);
+      if (t) obs::edges::pick(w.id, t, kInf);
       if (t && !sched_->keeps_home()) begin_dispatch(w, t, 0, log);
       left = sched_->ready_in(victim) > 0;
       log.commit();
@@ -903,9 +908,6 @@ void RealEngine::dump_flight(const char* reason, const char* what) {
 }
 
 RunStats RealEngine::run(const std::function<void()>& main_fn) {
-  TrackedHeap::instance().begin_epoch();
-  StackPool::instance().begin_epoch();
-
   Timer timer;
 
   // Resource-exhaustion degradation: losing workers only loses parallelism.

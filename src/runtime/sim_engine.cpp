@@ -4,7 +4,6 @@
 #include <limits>
 #include <span>
 
-#include "obs/counters.h"
 #include "obs/edges.h"
 #include "replay/hooks.h"
 #include "replay/log.h"
@@ -506,6 +505,7 @@ void SimEngine::apply_pending(VProc& vp) {
 
 Tcb* SimEngine::pick_or_steal(VProc& vp, int pid, std::uint64_t* earliest) {
   if (Tcb* t = sched_->pick_next(pid, vp.clock_ns, earliest)) {
+    obs::edges::pick(pid, t, vp.clock_ns);
     sched_lock_own(vp, pid);
     return t;
   }
@@ -517,6 +517,7 @@ Tcb* SimEngine::pick_or_steal(VProc& vp, int pid, std::uint64_t* earliest) {
     const int victim = (start + i) % n;
     if (victim == home) continue;
     if (Tcb* t = sched_->steal(pid, victim, vp.clock_ns, earliest)) {
+      obs::edges::pick(pid, t, vp.clock_ns);
       // The steal serializes on the victim's lock, not the thief's.
       sched_lock_acquire(vp, victim);
       if (sched_->keeps_home()) sched_->rehome(t, pid);
@@ -572,10 +573,10 @@ void SimEngine::attempt_dispatch(VProc& vp, int pid) {
     // and its deadline check reads the loop clock.
     loop_now_ns_ = vp.clock_ns;
     [[maybe_unused]] const std::uint64_t cancel_b = grant(
-        t, counters_, pid, DispatchCost{vp.clock_ns - disp_t0, vp.pending_gap_ns});
+        t, counters_, pid,
+        DispatchCost{vp.clock_ns - disp_t0, vp.pending_gap_ns, /*idle=*/true});
     DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::Dispatch,
                        ::dfth::replay::lane_actor(pid), t->id, cancel_b);
-    DFTH_HIST(obs::Hist::DispatchGapNs, vp.pending_gap_ns);
     vp.pending_gap_ns = 0;
     vp.running = t;
     return;

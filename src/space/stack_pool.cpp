@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "analyze/san_fibers.h"
-#include "obs/counters.h"
 #include "resil/faults.h"
 #include "space/tracked_heap.h"
 #include "util/check.h"
@@ -98,7 +97,6 @@ Stack StackPool::acquire(std::size_t usable_bytes) {
                                                  : take_shared(lc, usable);
     if (base != nullptr) {
       reuse_.fetch_add(1, std::memory_order_relaxed);
-      DFTH_COUNT(obs::Counter::StacksReused);
       add_live(static_cast<std::int64_t>(usable));
       // Cached stacks are poisoned while idle (release below); re-arm.
       san::unpoison_stack(base, usable);
@@ -145,7 +143,6 @@ Stack StackPool::acquire(std::size_t usable_bytes) {
     }
 
     fresh_.fetch_add(1, std::memory_order_relaxed);
-    DFTH_COUNT(obs::Counter::StacksFresh);
     add_live(static_cast<std::int64_t>(usable));
     if (mmap_failed) DFTH_FAULT_RECOVERED(resil::FaultSite::kStackMmap);
     if (mprotect_failed) DFTH_FAULT_RECOVERED(resil::FaultSite::kStackMprotect);
@@ -164,7 +161,6 @@ Stack StackPool::acquire(std::size_t usable_bytes) {
   void* heap_base = std::aligned_alloc(page_size(), usable);
   if (heap_base == nullptr) return Stack{};  // caller degrades further
   fresh_.fetch_add(1, std::memory_order_relaxed);
-  DFTH_COUNT(obs::Counter::StacksFresh);
   add_live(static_cast<std::int64_t>(usable));
   if (mmap_failed) DFTH_FAULT_RECOVERED(resil::FaultSite::kStackMmap);
   if (mprotect_failed) DFTH_FAULT_RECOVERED(resil::FaultSite::kStackMprotect);

@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "analyze/san_fibers.h"
-#include "obs/counters.h"
 #include "resil/faults.h"
 #include "util/check.h"
 
@@ -96,8 +95,6 @@ void* TrackedHeap::allocate_ex(std::size_t bytes, std::int64_t* fresh_bytes_out,
   header->magic = kMagic;
 
   allocs_.fetch_add(1, std::memory_order_relaxed);
-  DFTH_COUNT(obs::Counter::Allocs);
-  DFTH_COUNT_N(obs::Counter::AllocBytes, bytes);
   const std::int64_t live_now =
       live_.fetch_add(static_cast<std::int64_t>(bytes), std::memory_order_relaxed) +
       static_cast<std::int64_t>(bytes);
@@ -126,8 +123,6 @@ void TrackedHeap::deallocate(void* p) {
   // the new owner's first access against the dead lifetime's last one.
   shadow_.clear_range(p, header->size);
   frees_.fetch_add(1, std::memory_order_relaxed);
-  DFTH_COUNT(obs::Counter::Frees);
-  DFTH_COUNT_N(obs::Counter::FreeBytes, header->size);
   live_.fetch_sub(static_cast<std::int64_t>(header->size), std::memory_order_relaxed);
   std::free(header);
 }

@@ -113,6 +113,7 @@ struct TcbFields {
   std::vector<std::uint64_t> race_vc;   ///< happens-before vector clock,
                                         ///< index = fiber id (race_detector)
   std::int64_t audit_alloc_since_dispatch = 0;  ///< df_malloc bytes since last pick
+  std::int64_t audit_quota = 0;  ///< quota granted at that dispatch
   std::uint64_t audit_dummy_credit = 0;  ///< δ dummies forked, not yet consumed
 };
 

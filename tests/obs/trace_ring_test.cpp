@@ -89,15 +89,20 @@ TEST(TracerTest, EmitBumpsTheKindMappedCounter) {
   tr.emit(0, EvKind::Fork, 1, 2);
   tr.emit(0, EvKind::Dispatch, 1, 0);
   tr.emit(0, EvKind::Dispatch, 1, 1);
-  // Steals are counted at the source (scheduler), not by emit — an emitted
-  // Steal event must NOT double-bump the counter.
+  // A steal is counted by its event too: the policies no longer count it.
   tr.emit(0, EvKind::Steal, 1, 0);
+  // Stack and heap events count nothing: those counters count every
+  // operation at their own source, not just the traced ones.
+  tr.emit(0, EvKind::StackFresh, 1, 4096);
+  tr.emit(0, EvKind::Alloc, 1, 4096);
   tr.end_run();
 
   EXPECT_EQ(tr.counter(Counter::Forks), 1u);
   EXPECT_EQ(tr.counter(Counter::Dispatches), 2u);
-  EXPECT_EQ(tr.counter(Counter::Steals), 0u);
-  EXPECT_EQ(tr.event_count(), 4u);
+  EXPECT_EQ(tr.counter(Counter::Steals), 1u);
+  EXPECT_EQ(tr.counter(Counter::StacksFresh), 0u);
+  EXPECT_EQ(tr.counter(Counter::Allocs), 0u);
+  EXPECT_EQ(tr.event_count(), 6u);
 }
 
 TEST(TracerTest, LaneOutOfRangeIsClampedNotDropped) {

@@ -59,6 +59,13 @@ TEST(FlightRecorder, DumpHasEverySectionEvenWithNothingToReport) {
   EXPECT_NE(dump.find("lane 0: idle"), std::string::npos);
   EXPECT_NE(dump.find("-- trace-ring tail --"), std::string::npos);
   EXPECT_NE(dump.find("-- fault injection --"), std::string::npos);
+  // Counters and histograms belong to a trace session; there is none.
+  EXPECT_NE(dump.find("-- counters (live values at abort) --\n"
+                      "  (no trace session installed)"),
+            std::string::npos);
+  EXPECT_NE(dump.find("-- histograms (live at abort) --\n"
+                      "  (no trace session installed)"),
+            std::string::npos);
   EXPECT_NE(dump.find("==== END FLIGHT RECORDER ===="), std::string::npos);
 }
 
@@ -99,8 +106,11 @@ TEST(WatchdogDeathTest, SimVirtualDeadlineTripsAndDumpsFlightRecorder) {
   EXPECT_NE(dump.find("held-locks="), std::string::npos) << dump;
   EXPECT_NE(dump.find("order-list"), std::string::npos) << dump;
   EXPECT_NE(dump.find("-- trace-ring tail --"), std::string::npos) << dump;
-  // A trace session was installed, so the tail has real events.
+  // A trace session was installed, so the tail has real events and the
+  // counters section its live per-lane counts.
   EXPECT_NE(dump.find(" ns lane "), std::string::npos) << dump;
+  EXPECT_NE(dump.find("\n  dispatches "), std::string::npos) << dump;
+  EXPECT_NE(dump.find("\n  dispatch_gap_ns  count="), std::string::npos) << dump;
 }
 
 TEST(WatchdogDeathTest, RealStallDeadlineTripsOnNoProgress) {

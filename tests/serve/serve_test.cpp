@@ -471,6 +471,12 @@ TEST_P(ServeTest, TimedWaitDeadlineRaceUnwindsWithoutLeaks) {
       Mutex wait_mu;
       CondVar never_signaled;
       Semaphore never_released{0};
+      // Completions reach the client through a runtime Semaphore, not a raw
+      // atomic: replay orders sync operations only, so a client loop that
+      // polled an atomic bumped between two of a handler's ordered events
+      // could read it differently on replay and diverge. It outlives the
+      // server, whose stop() waits for every on_done to return.
+      Semaphore done{0};
       ServerConfig cfg;
       cfg.poll_ns = 100'000;
       EndpointSpec ep;
@@ -500,19 +506,12 @@ TEST_P(ServeTest, TimedWaitDeadlineRaceUnwindsWithoutLeaks) {
         df_free(held);
       };
       *rep_out = serve_scenario(cfg, {ep}, [&](Server& s) {
-        std::atomic<int> done{0};
-        s.set_on_done([&done](Request*) {
-          done.fetch_add(1, std::memory_order_relaxed);
-        });
+        s.set_on_done([&done](Request*) { done.release(); });
         for (std::size_t i = 0; i < arena.size(); ++i) {
           arena[i].id = i;
           ASSERT_TRUE(s.submit(&arena[i]));
         }
-        Semaphore idle{0};
-        while (done.load(std::memory_order_relaxed) <
-               static_cast<int>(arena.size())) {
-          idle.try_acquire_for(100'000);
-        }
+        for (std::size_t i = 0; i < arena.size(); ++i) done.acquire();
       });
       for (const Request& r : arena) {
         EXPECT_EQ(r.outcome, Outcome::kExpired);

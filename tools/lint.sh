@@ -154,6 +154,19 @@ if grep -rnE '\bDFTH_(TRACE|PROF|REPLAY)\b|\bk(Trace|Prof|Replay)Enabled\b' \
   status=1
 fi
 
+# Counters and histograms belong to the trace session and reach it through
+# obs/edges.h, each from one source: no process-global registry or counting
+# macro may come back, and the policies see obs/ only through the edges.
+if grep -rnE '\b(CounterRegistry|HistogramRegistry|g_counters|tl_counter_shard|assign_counter_shard|DFTH_COUNT|DFTH_COUNT_N|DFTH_HIST|DFTH_HIST_WAIT)\b|\b(obs::)?(counters|histograms)\(\)' \
+     --exclude=lint.sh src tests tools examples bench; then
+  echo "lint: a second counter source (global registry or counting macro) in src, tests, tools, examples or bench (count through obs/edges.h into the trace session)" >&2
+  status=1
+fi
+if grep -nE '#include[[:space:]]+"obs/' src/core/*.h src/core/*.cpp | grep -v '"obs/edges\.h"'; then
+  echo "lint: src/core includes an obs/ header other than obs/edges.h" >&2
+  status=1
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "lint: allocation/threading/stdio audit clean (src/apps, src/core, src/runtime, src/obs, src/resil, src/replay, src/serve, tests, bench)"
 fi
