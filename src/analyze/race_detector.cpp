@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <utility>
 
 #include "threads/tcb.h"
 
@@ -40,15 +41,11 @@ void vc_join(std::vector<std::uint64_t>& dst, const std::vector<std::uint64_t>& 
   }
 }
 
-/// `t`'s own clock component, lazily initialized to 1 so a Tcb driven
-/// directly by unit tests (never through on_thread_start) still has a valid
-/// epoch.
-std::uint64_t self_clock(Tcb* t) {
-  if (vc_get(t->race_vc, t->id) == 0) vc_set(t->race_vc, t->id, 1);
-  return t->race_vc[t->id];
-}
+/// `t`'s own clock component: the entry of the fiber its epochs name
+/// (race_tid, set by on_thread_start; swap_inline lends it to a parent).
+std::uint64_t self_clock(const Tcb* t) { return vc_get(t->race_vc, t->race_tid); }
 
-void tick(Tcb* t) { vc_set(t->race_vc, t->id, self_clock(t) + 1); }
+void tick(Tcb* t) { vc_set(t->race_vc, t->race_tid, self_clock(t) + 1); }
 
 /// Serial-order position of the fiber's current segment: its order-list tag
 /// when the active scheduler maintains the list (AsyncDF family), else 0.
@@ -62,21 +59,34 @@ const char* site_or(const char* site) { return site ? site : "<unannotated>"; }
 
 }  // namespace
 
-RaceDetector::RaceDetector()
-    : owned_shadow_(std::make_unique<ShadowTable>()) {
-  shadow_ = owned_shadow_.get();
+// -- ShadowTable ------------------------------------------------------------------
+
+ShadowCell& ShadowTable::cell(std::uintptr_t granule) {
+  auto [it, inserted] = cells_.try_emplace(granule);
+  if (inserted) count_.fetch_add(1, std::memory_order_relaxed);
+  return it->second;
 }
 
-RaceDetector::RaceDetector(ShadowTable* shadow) : shadow_(shadow) {}
+void ShadowTable::clear_range(const void* p, std::size_t bytes) {
+  if (count_.load(std::memory_order_relaxed) == 0 || bytes == 0) return;
+  const auto lo = reinterpret_cast<std::uintptr_t>(p) / kShadowGranuleBytes;
+  const auto hi =
+      (reinterpret_cast<std::uintptr_t>(p) + bytes - 1) / kShadowGranuleBytes;
+  std::lock_guard<std::mutex> g(mu_);
+  for (std::uintptr_t granule = lo; granule <= hi; ++granule) {
+    if (cells_.erase(granule)) count_.fetch_sub(1, std::memory_order_relaxed);
+  }
+}
 
-RaceDetector::~RaceDetector() = default;
+void ShadowTable::clear_all() {
+  std::lock_guard<std::mutex> g(mu_);
+  cells_.clear();
+  count_.store(0, std::memory_order_relaxed);
+}
 
-RaceDetector& RaceDetector::instance() {
-  // Leaked, like LockGraph: hooks may outlive main. Binds to TrackedHeap's
-  // shadow table so df_free retires a freed block's cells.
-  static RaceDetector* detector =
-      new RaceDetector(&TrackedHeap::instance().shadow());
-  return *detector;
+std::size_t ShadowTable::cell_count() const {
+  std::lock_guard<std::mutex> g(mu_);
+  return cells_.size();
 }
 
 // -- fork/join DAG edges --------------------------------------------------------
@@ -89,18 +99,23 @@ RaceDetector& RaceDetector::instance() {
 // with them a hot Mutex's critical sections (tests/runtime/hot_lock_test.cpp).
 
 void RaceDetector::on_thread_start(Tcb* t, Tcb* parent) {
+  t->race_tid = t->id;
   if (parent) {
     t->race_vc = parent->race_vc;  // child sees everything pre-fork
-    vc_set(t->race_vc, t->id, 1);
     tick(parent);  // parent's post-fork segment is concurrent with the child
   } else {
     t->race_vc.clear();
-    vc_set(t->race_vc, t->id, 1);
   }
+  vc_set(t->race_vc, t->race_tid, 1);
 }
 
 void RaceDetector::on_join(Tcb* joiner, Tcb* child) {
   vc_join(joiner->race_vc, child->race_vc);
+}
+
+void RaceDetector::swap_inline(Tcb* parent, Tcb* child) {
+  std::swap(parent->race_vc, child->race_vc);
+  std::swap(parent->race_tid, child->race_tid);
 }
 
 // -- synchronization edges ------------------------------------------------------
@@ -174,27 +189,32 @@ void RaceDetector::on_write(Tcb* t, const void* p, std::size_t bytes,
   access(t, p, bytes, site, /*is_write=*/true);
 }
 
+void RaceDetector::on_retire(const void* p, std::size_t bytes) {
+  shadow_.clear_range(p, bytes);
+}
+
 void RaceDetector::access(Tcb* t, const void* p, std::size_t bytes,
                           const char* site, bool is_write) {
   if (bytes == 0) return;
   std::lock_guard<SpinLock> g(mu_);
-  std::lock_guard<std::mutex> sg(shadow_->mu());
+  std::lock_guard<std::mutex> sg(shadow_.mu());
+  const std::uint64_t tid = t->race_tid;
   const std::uint64_t clk = self_clock(t);
-  const std::uint64_t epoch = pack_epoch(t->id, clk);
+  const std::uint64_t epoch = pack_epoch(tid, clk);
   const VClock& vc = t->race_vc;
   const auto lo = reinterpret_cast<std::uintptr_t>(p) / kShadowGranuleBytes;
   const auto hi =
       (reinterpret_cast<std::uintptr_t>(p) + bytes - 1) / kShadowGranuleBytes;
 
   for (std::uintptr_t granule = lo; granule <= hi; ++granule) {
-    ShadowCell& cell = shadow_->cell(granule);
+    ShadowCell& cell = shadow_.cell(granule);
     const void* addr = reinterpret_cast<const void*>(granule * kShadowGranuleBytes);
     auto prev_of = [&](const std::uint64_t e, const ShadowAccess& info,
                        bool prev_write) {
       return RaceAccess{epoch_tid(e), epoch_clock(e), prev_write, info.site,
                         info.order_tag};
     };
-    const RaceAccess cur{t->id, clk, is_write, site,
+    const RaceAccess cur{tid, clk, is_write, site,
                          order_tag(t, order_tags_.load(std::memory_order_relaxed))};
 
     // Write-after-X checks.
@@ -229,13 +249,13 @@ void RaceDetector::access(Tcb* t, const void* p, std::size_t bytes,
 
     // Read path.
     if (cell.read_epoch == epoch) continue;  // same-segment reread
-    if (!cell.read_vc.empty() && vc_get(cell.read_vc, t->id) == clk) continue;
+    if (!cell.read_vc.empty() && vc_get(cell.read_vc, tid) == clk) continue;
     if (cell.write_epoch != 0 &&
         epoch_clock(cell.write_epoch) > vc_get(vc, epoch_tid(cell.write_epoch))) {
       report_race(addr, prev_of(cell.write_epoch, cell.write_info, true), cur);
     }
     if (!cell.read_vc.empty()) {
-      vc_set(cell.read_vc, t->id, clk);
+      vc_set(cell.read_vc, tid, clk);
     } else if (cell.read_epoch == 0 ||
                epoch_clock(cell.read_epoch) <=
                    vc_get(vc, epoch_tid(cell.read_epoch))) {
@@ -247,7 +267,7 @@ void RaceDetector::access(Tcb* t, const void* p, std::size_t bytes,
       ++escalations_;
       vc_set(cell.read_vc, epoch_tid(cell.read_epoch),
              epoch_clock(cell.read_epoch));
-      vc_set(cell.read_vc, t->id, clk);
+      vc_set(cell.read_vc, tid, clk);
       cell.read_epoch = 0;
     }
     cell.read_info = {site, cur.order_tag};
@@ -288,14 +308,14 @@ void RaceDetector::begin_run(bool order_tags) {
   std::lock_guard<SpinLock> g(mu_);
   sync_.clear();
   barriers_.clear();
-  shadow_->clear_all();
+  shadow_.clear_all();
 }
 
 void RaceDetector::clear() {
   std::lock_guard<SpinLock> g(mu_);
   sync_.clear();
   barriers_.clear();
-  shadow_->clear_all();
+  shadow_.clear_all();
   reports_.clear();
   seen_.clear();
   escalations_ = 0;
@@ -315,6 +335,8 @@ std::uint64_t RaceDetector::read_escalations() const {
   std::lock_guard<SpinLock> g(mu_);
   return escalations_;
 }
+
+std::size_t RaceDetector::shadow_cells() const { return shadow_.cell_count(); }
 
 std::vector<RaceReport> RaceDetector::reports() const {
   std::lock_guard<SpinLock> g(mu_);

@@ -27,25 +27,28 @@
 // vector only while reads are genuinely concurrent (and collapsing back on
 // the next ordered write). Accesses are explicit annotations — df_read /
 // df_write in runtime/api.h, in the same family as annotate_touch — over
-// df_malloc'd memory, shadowed per 8-byte granule (space/tracked_heap.h).
+// df_malloc'd memory, shadowed per 8-byte granule in the detector's own
+// ShadowTable (below).
 //
 // Reports speak the paper's vocabulary: both access sites, the fiber ids,
 // and the serial-order (order-list) positions of the racing segments, so
 // "these two segments are unordered in the depth-first serial order" reads
-// directly off the report. Hooks compile in under -DDFTH_RACE=ON
-// (composable with validation); the class itself is always built and
-// instantiable so unit tests can drive it directly, mirroring LockGraph.
+// directly off the report. A run checks its accesses against a detector
+// its caller owns and installs (RuntimeOptions::race); dfth::run installs it
+// through obs/edges.h like the tracer and the profiler, and without one
+// every edge and every df_read/df_write is one load and a branch. Unit tests
+// drive an instance directly, with no engine.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <mutex>
 #include <set>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
 
-#include "space/tracked_heap.h"
 #include "util/spinlock.h"
 
 namespace dfth {
@@ -54,14 +57,66 @@ struct Tcb;
 
 namespace analyze {
 
-/// True when the build carries the race-detector hooks (-DDFTH_RACE=ON).
-constexpr bool race_enabled() {
-#if DFTH_RACE
-  return true;
-#else
-  return false;
-#endif
+class RaceDetector;
+
+namespace detail {
+/// Set by dfth::run (obs/edges.h) for the duration of one run.
+inline std::atomic<RaceDetector*> g_race{nullptr};
+}  // namespace detail
+
+/// The installed detector, or nullptr when none is.
+inline RaceDetector* race_detector() {
+  return detail::g_race.load(std::memory_order_relaxed);
 }
+
+// -- shadow memory ----------------------------------------------------------
+//
+// One shadow cell per 8-byte *granule* of memory the program has annotated
+// with df_read/df_write. A cell remembers the last write as a FastTrack
+// epoch (thread id, clock) and the read history as either a single epoch
+// (the common, O(1) case) or an escalated per-thread clock vector when reads
+// are genuinely concurrent. df_free and stack retirement drop a range's
+// cells (on_retire) before the memory can be reused: a stale cell would pair
+// the new owner's first access against the dead lifetime's last one.
+
+inline constexpr std::size_t kShadowGranuleBytes = 8;
+
+/// One side of a recorded access, kept for race reports.
+struct ShadowAccess {
+  const char* site = nullptr;     ///< caller-supplied annotation label
+  std::uint64_t order_tag = 0;    ///< serial-order (order-list) position
+};
+
+struct ShadowCell {
+  std::uint64_t write_epoch = 0;  ///< packed (tid, clock); 0 = never written
+  std::uint64_t read_epoch = 0;   ///< single-reader epoch; 0 = none
+  std::vector<std::uint64_t> read_vc;  ///< escalated read clocks (index = tid)
+  ShadowAccess write_info;
+  ShadowAccess read_info;         ///< most recent read
+};
+
+/// Hash map of shadow cells keyed by granule index (address >> 3). The race
+/// detector performs all cell reads/updates while holding mu(); retiring
+/// memory clears ranges through the self-locking helpers.
+class ShadowTable {
+ public:
+  /// Finds or creates the cell for a granule. Caller holds mu().
+  ShadowCell& cell(std::uintptr_t granule);
+
+  /// Drops every cell shadowing [p, p+bytes). Early-outs without locking
+  /// while the table holds no cell.
+  void clear_range(const void* p, std::size_t bytes);
+
+  void clear_all();
+  std::size_t cell_count() const;
+
+  std::mutex& mu() { return mu_; }
+
+ private:
+  mutable std::mutex mu_;
+  std::atomic<std::size_t> count_{0};  ///< cells_ size mirror (lock-free gate)
+  std::unordered_map<std::uintptr_t, ShadowCell> cells_;
+};
 
 /// One side of a reported race.
 struct RaceAccess {
@@ -81,17 +136,9 @@ struct RaceReport {
 
 class RaceDetector {
  public:
-  /// Standalone instance with a private shadow table (unit tests).
-  RaceDetector();
-  /// Instance sharing an external shadow table; the process-wide singleton
-  /// binds to TrackedHeap's so df_free retires shadow automatically.
-  explicit RaceDetector(ShadowTable* shadow);
-  ~RaceDetector();
+  RaceDetector() = default;
   RaceDetector(const RaceDetector&) = delete;
   RaceDetector& operator=(const RaceDetector&) = delete;
-
-  /// Process-wide instance the runtime hooks report to.
-  static RaceDetector& instance();
 
   // -- fork/join DAG edges ----------------------------------------------------
   /// Fork edge parent→child (parent == nullptr for the main thread): the
@@ -101,6 +148,10 @@ class RaceDetector {
   /// Join edge exit→joiner: the joiner inherits everything the exited child
   /// (and transitively its whole subtree) has seen.
   void on_join(Tcb* joiner, Tcb* child);
+  /// An inline child's body runs on its parent's Tcb (the engine's
+  /// decide_inline/end_inline): swaps the two fibers' clocks and epoch ids,
+  /// so the body is checked as the child. Call at its start and its end.
+  void swap_inline(Tcb* parent, Tcb* child);
 
   // -- synchronization edges (object keyed by address) ------------------------
   /// Release→acquire: Mutex unlock→lock, Semaphore V→P, CondVar
@@ -121,6 +172,9 @@ class RaceDetector {
   // -- annotated memory accesses ----------------------------------------------
   void on_read(Tcb* t, const void* p, std::size_t bytes, const char* site);
   void on_write(Tcb* t, const void* p, std::size_t bytes, const char* site);
+  /// [p, p+bytes) leaves its owner (a df_free'd block, a retired stack):
+  /// drops its shadow cells before the memory can be reused.
+  void on_retire(const void* p, std::size_t bytes);
 
   // -- lifecycle / results -----------------------------------------------------
   /// Called at dfth::run() entry: drops all happens-before state (sync
@@ -140,6 +194,8 @@ class RaceDetector {
   /// (observability for the epoch optimization; tests assert the fast path
   /// stays an epoch under totally ordered reads).
   std::uint64_t read_escalations() const;
+  /// Shadow cells currently held (tests: retired memory drops its cells).
+  std::size_t shadow_cells() const;
   std::vector<RaceReport> reports() const;
 
  private:
@@ -162,8 +218,7 @@ class RaceDetector {
   /// Guards the sync and barrier clocks, the shadow cells and the reports;
   /// not the Tcb clocks (see the fork/join edges).
   mutable SpinLock mu_;
-  ShadowTable* shadow_ = nullptr;
-  std::unique_ptr<ShadowTable> owned_shadow_;  ///< set for the test ctor
+  ShadowTable shadow_;
   std::unordered_map<const void*, SyncClock> sync_;
   std::unordered_map<const void*, BarrierClock> barriers_;
   std::vector<RaceReport> reports_;

@@ -1,8 +1,8 @@
 // Observer edges: one inline function per event the engines and the sync
 // primitives report, handing it to every observer that sees it — tracer
 // (events, counts), work/span profiler, race detector, lock graph. A fixed
-// set: no virtual interface, no registration. The race detector compiles under its own
-// option (raced); the lock graph is armed per run by validation.
+// set: no virtual interface, no registration. The caller of dfth::run
+// installs the first three; validation arms the lock graph.
 // With nothing installed an edge is one relaxed load and a branch per
 // family; arguments that cost anything (a clock read, a TLS lookup, an
 // out-of-line call) may be passed as callables, run only inside that branch.
@@ -26,14 +26,11 @@
 #include <type_traits>
 
 #include "analyze/lock_graph.h"
+#include "analyze/race_detector.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "runtime/run_stats.h"
 #include "threads/tcb.h"
-
-#if DFTH_RACE
-#include "analyze/race_detector.h"
-#endif
 
 // Forced inline: the uninstalled path is never a call.
 #define DFTH_EDGE [[gnu::always_inline]] inline
@@ -72,10 +69,8 @@ DFTH_EDGE void profiled(const F& f) {
   if (Profiler* pr = profiler()) f(*pr);
 }
 template <class F>
-DFTH_EDGE void raced([[maybe_unused]] const F& f) {
-#if DFTH_RACE
-  f(analyze::RaceDetector::instance());
-#endif
+DFTH_EDGE void raced(const F& f) {
+  if (analyze::RaceDetector* rd = analyze::race_detector()) f(*rd);
 }
 
 /// A lane's index: an At's, or an index (or callable).
@@ -112,13 +107,15 @@ DFTH_EDGE std::uint64_t ready_wait(const Tcb* t, std::uint64_t now) {
 }  // namespace detail
 
 /// Installs one run's observers, once its engine exists: the lock graph if
-/// validated, a fresh race-detector run (`simulated`: one kernel thread runs
-/// it all), the tracer and profiler if set.
-inline void begin_run(Tracer* tracer, Profiler* profiler, bool validated,
+/// validated, and the race detector (`simulated`: one kernel thread runs it
+/// all), tracer and profiler if set.
+inline void begin_run(Tracer* tracer, Profiler* profiler,
+                      analyze::RaceDetector* race, bool validated,
                       bool simulated, int lanes,
                       std::function<std::uint64_t()> clock) {
   analyze::detail::g_active_lock_graph.store(
       validated ? &analyze::LockGraph::instance() : nullptr);
+  analyze::detail::g_race.store(race);
   // Fiber ids restart per run: no happens-before state may leak across.
   detail::raced([&](auto& rd) { rd.begin_run(/*order_tags=*/simulated); });
   obs::detail::g_tracer.store(tracer);
@@ -137,6 +134,7 @@ inline void end_run(RunStats* stats) {
     stats->profile = pr.stats();
   });
   obs::detail::g_profiler.store(nullptr);
+  analyze::detail::g_race.store(nullptr);
   analyze::detail::g_active_lock_graph.store(nullptr);
 }
 
@@ -157,6 +155,12 @@ DFTH_EDGE void fork(const L& lane, Tcb* parent, Tcb* child,
     pr.thread_start(child->id, detail::id(parent), detail::get(offset_ns),
                     child->site_file, child->site_line);
   });
+}
+
+/// `child`'s body runs inline, on `parent`'s Tcb: the race detector checks
+/// it as the child. Called at the body's start and at its end.
+DFTH_EDGE void inline_body(Tcb* parent, Tcb* child) {
+  detail::raced([&](auto& rd) { rd.swap_inline(parent, child); });
 }
 
 /// The observed cost (or callable) of creating `child`: burden.
@@ -290,6 +294,12 @@ DFTH_EDGE void heap(const L& lane, const T& t, std::size_t bytes, bool freed) {
     detail::event(tr, l, freed ? EvKind::Free : EvKind::Alloc,
                   detail::id(detail::get(t)), bytes);
   });
+}
+
+/// [p, p+bytes) leaves its owner — a df_free'd block, a retired stack —
+/// and may be reused: the race detector drops its shadow.
+DFTH_EDGE void retire(const void* p, std::size_t bytes) {
+  detail::raced([&](auto& rd) { rd.on_retire(p, bytes); });
 }
 
 /// A fiber stack of `bytes` for `t`: freshly mapped, or reused.

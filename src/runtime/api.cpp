@@ -161,8 +161,8 @@ RunStats run(const RuntimeOptions& opts, const std::function<void()>& main_fn) {
   // Every observer is installed here and nowhere else. The tracer's events
   // carry engine-clock ns since the run began (virtual in Sim).
   Engine* e = eng.get();
-  obs::edges::begin_run(effective.tracer, effective.profiler, validated,
-                        effective.engine == EngineKind::Sim,
+  obs::edges::begin_run(effective.tracer, effective.profiler, effective.race,
+                        validated, effective.engine == EngineKind::Sim,
                         e->trace_lanes(),
                         [e, t0 = e->now_ns()] { return e->now_ns() - t0; });
 
@@ -392,6 +392,7 @@ void* df_try_malloc(std::size_t bytes, DfStatus* status) {
 void df_free(void* p) {
   if (!p) return;
   const std::size_t bytes = TrackedHeap::allocated_size(p);
+  obs::edges::retire(p, bytes);  // before the allocator may reuse the block
   TrackedHeap::instance().deallocate(p);
   if (Engine* e = engine()) {
     charge_scope(e, -static_cast<std::int64_t>(bytes));
@@ -399,23 +400,15 @@ void df_free(void* p) {
   }
 }
 
-#if DFTH_RACE
-void df_read(const void* p, std::size_t bytes, const char* site) {
+namespace detail {
+void race_access(analyze::RaceDetector& rd, const void* p, std::size_t bytes,
+                 const char* site, bool is_write) {
   Engine* e = engine();
-  if (!e) return;
-  if (Tcb* cur = e->current()) {
-    analyze::RaceDetector::instance().on_read(cur, p, bytes, site);
-  }
+  Tcb* cur = e ? e->current() : nullptr;
+  if (!cur) return;
+  is_write ? rd.on_write(cur, p, bytes, site) : rd.on_read(cur, p, bytes, site);
 }
-
-void df_write(const void* p, std::size_t bytes, const char* site) {
-  Engine* e = engine();
-  if (!e) return;
-  if (Tcb* cur = e->current()) {
-    analyze::RaceDetector::instance().on_write(cur, p, bytes, site);
-  }
-}
-#endif
+}  // namespace detail
 
 void annotate_work(std::uint64_t ops) {
   if (ops == 0) return;

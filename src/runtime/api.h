@@ -28,6 +28,7 @@
 #include <new>
 #include <source_location>
 
+#include "analyze/race_detector.h"
 #include "resil/watchdog.h"
 #include "runtime/cost_model.h"
 #include "runtime/run_stats.h"
@@ -76,6 +77,12 @@ struct RuntimeOptions {
   /// RunStats::profile, and keeps per-spawn-site attribution in the session
   /// for obs/export.h / tools/dfth-prof.
   obs::Profiler* profiler = nullptr;
+
+  /// Optional caller-owned happens-before race detector
+  /// (analyze/race_detector.h): when set, the run's fork, join and sync
+  /// edges and its df_read/df_write annotations report to it; its reports
+  /// accumulate across the runs it is installed in.
+  analyze::RaceDetector* race = nullptr;
 
   /// Optional caller-owned fault-injection plan (resil/faults.h): when set,
   /// dfth::run arms the injector for the duration of the run, so the named
@@ -246,15 +253,23 @@ struct TrackedAllocator {
 /// the access against its shadow cells and reports when it is unordered with
 /// a prior access from another logical thread — on *any* schedule, not just
 /// the one that ran. `site` must be a string with static storage duration
-/// naming the access site (it is kept by pointer in reports). Compiled to
-/// inline no-ops unless the build sets -DDFTH_RACE=ON.
-#if DFTH_RACE
-void df_read(const void* p, std::size_t bytes, const char* site);
-void df_write(const void* p, std::size_t bytes, const char* site);
-#else
-inline void df_read(const void*, std::size_t, const char*) {}
-inline void df_write(const void*, std::size_t, const char*) {}
-#endif
+/// naming the access site (it is kept by pointer in reports). Without a
+/// detector installed (RuntimeOptions::race) each is one load and a branch.
+namespace detail {
+void race_access(analyze::RaceDetector& rd, const void* p, std::size_t bytes,
+                 const char* site, bool is_write);
+}  // namespace detail
+
+inline void df_read(const void* p, std::size_t bytes, const char* site) {
+  if (analyze::RaceDetector* rd = analyze::race_detector()) {
+    detail::race_access(*rd, p, bytes, site, /*is_write=*/false);
+  }
+}
+inline void df_write(const void* p, std::size_t bytes, const char* site) {
+  if (analyze::RaceDetector* rd = analyze::race_detector()) {
+    detail::race_access(*rd, p, bytes, site, /*is_write=*/true);
+  }
+}
 
 // -- simulator annotations -----------------------------------------------------
 

@@ -131,12 +131,19 @@ void Engine::decide_inline(Tcb* parent, Tcb* child, LaneCounters& c, int lane) {
   DFTH_REPLAY_COMMIT(::dfth::replay::EvKind::SpawnReg,
                      ::dfth::replay::self_actor(), child->id,
                      ::dfth::replay::kSpawnInline | deadline);
-  // The body runs as its parent, in the child's cancellation scope.
-  if (parent) std::swap(parent->cancel, child->cancel);
+  // The body runs as its parent, in the child's cancellation scope and
+  // race-detector segment.
+  if (parent) {
+    std::swap(parent->cancel, child->cancel);
+    obs::edges::inline_body(parent, child);
+  }
 }
 
 void Engine::end_inline(Tcb* child, int lane) {
-  if (child->parent) std::swap(child->parent->cancel, child->cancel);
+  if (Tcb* parent = child->parent) {
+    std::swap(parent->cancel, child->cancel);
+    obs::edges::inline_body(parent, child);
+  }
   obs::edges::exit(lane, child);
   hand_off(child, /*log=*/false);
   child->state.store(ThreadState::Done, std::memory_order_release);
@@ -161,6 +168,7 @@ Tcb* Engine::hand_off(Tcb* t, bool log) {
 
 void Engine::retire_stack(Tcb* t) {
   context_finalize(&t->ctx);
+  obs::edges::retire(t->stack.base, t->stack.size);
   StackPool::instance().release(t->stack);
   t->stack = Stack{};
 }

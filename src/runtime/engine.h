@@ -221,11 +221,11 @@ class Engine {
   // order, so this is the one-processor schedule. The child is never
   // registered. decide_inline counts and audits it, grants it to `lane`
   // with no burden, logs a kSpawnInline SpawnReg with the grant's deadline
-  // bit (Real: in a section) and swaps the child's cancel token onto the
-  // parent; the caller runs its body as the parent, so cancel_requested()
-  // and the child's own spawns see the child's scope; end_inline swaps the
-  // tokens back and gives the child's exit edge and Done (no joiner can
-  // exist yet).
+  // bit (Real: in a section) and swaps the child's cancel token and race
+  // clock onto the parent; the caller runs its body as the parent, so
+  // cancel_requested() and the child's own spawns see the child's scope and
+  // the race detector checks the body as the child; end_inline swaps both
+  // back and gives the child's exit edge and Done (no joiner can exist yet).
   void decide_inline(Tcb* parent, Tcb* child, LaneCounters& c, int lane);
   void end_inline(Tcb* child, int lane);
 

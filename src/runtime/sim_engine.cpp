@@ -121,9 +121,10 @@ Tcb* SimEngine::spawn(std::function<void*()> fn, const Attr& attr, bool is_dummy
   Tcb* child = new_tcb(next_tid_++, std::move(fn), attr, is_dummy, cur_, site_file,
                        site_line, is_dummy ? (64 << 10) : kRealStackBytes, cur_proc_);
   if (!child->stack) {
-    // The inline run. cur_ stays the parent: the virtual cost and race
-    // segments of the child's body accrue to the parent. The child keeps
-    // the span it inherits here, creation charge included.
+    // The inline run. cur_ stays the parent: the virtual cost of the
+    // child's body accrues to the parent (its race segment stays the
+    // child's, decide_inline). The child keeps the span it inherits here,
+    // creation charge included.
     obs::edges::fork(cur_proc_, cur_, child, [this] {
       return pend_total_ns() + us_to_ns(opts_.cost.create_unbound_us);
     });

@@ -11,7 +11,6 @@
 
 #include "analyze/san_fibers.h"
 #include "resil/faults.h"
-#include "space/tracked_heap.h"
 #include "util/check.h"
 
 namespace dfth {
@@ -172,11 +171,6 @@ Stack StackPool::acquire(std::size_t usable_bytes) {
 
 void StackPool::release(Stack stack) {
   if (!stack) return;
-  // Retire race-detector shadow covering the stack before it can be recycled:
-  // a later fiber reusing this region must not inherit epochs from a dead
-  // one's locals (the same reuse hazard df_free handles for heap blocks).
-  // O(1) while the shadow table is empty, i.e. in every non-race run.
-  TrackedHeap::instance().shadow().clear_range(stack.base, stack.size);
 #if DFTH_STACK_USAGE
   const auto used = static_cast<std::int64_t>(painted_usage(stack.base, stack.size));
 #else

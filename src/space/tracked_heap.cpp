@@ -33,36 +33,6 @@ bool header_readable(const Header* header) {
 
 }  // namespace
 
-// -- ShadowTable --------------------------------------------------------------
-
-ShadowCell& ShadowTable::cell(std::uintptr_t granule) {
-  auto [it, inserted] = cells_.try_emplace(granule);
-  if (inserted) count_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
-}
-
-void ShadowTable::clear_range(const void* p, std::size_t bytes) {
-  if (count_.load(std::memory_order_relaxed) == 0 || bytes == 0) return;
-  const auto lo = reinterpret_cast<std::uintptr_t>(p) / kShadowGranuleBytes;
-  const auto hi =
-      (reinterpret_cast<std::uintptr_t>(p) + bytes - 1) / kShadowGranuleBytes;
-  std::lock_guard<std::mutex> g(mu_);
-  for (std::uintptr_t granule = lo; granule <= hi; ++granule) {
-    if (cells_.erase(granule)) count_.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-void ShadowTable::clear_all() {
-  std::lock_guard<std::mutex> g(mu_);
-  cells_.clear();
-  count_.store(0, std::memory_order_relaxed);
-}
-
-std::size_t ShadowTable::cell_count() const {
-  std::lock_guard<std::mutex> g(mu_);
-  return cells_.size();
-}
-
 // -- TrackedHeap --------------------------------------------------------------
 
 TrackedHeap& TrackedHeap::instance() {
@@ -118,10 +88,6 @@ void TrackedHeap::deallocate(void* p) {
   DFTH_CHECK_MSG(header_readable(header) && header->magic == kMagic,
                  "df_free of pointer not from df_malloc");
   header->magic = 0;
-  // Retire the block's shadow with the block: the allocator may hand this
-  // range to an unrelated thread immediately, and a stale cell would pair
-  // the new owner's first access against the dead lifetime's last one.
-  shadow_.clear_range(p, header->size);
   frees_.fetch_add(1, std::memory_order_relaxed);
   live_.fetch_sub(static_cast<std::int64_t>(header->size), std::memory_order_relaxed);
   std::free(header);

@@ -14,63 +14,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
 
 namespace dfth {
-
-// -- race-detector shadow memory ----------------------------------------------
-//
-// The happens-before race detector (analyze/race_detector.h) keeps one
-// shadow cell per 8-byte *granule* of df_malloc'd memory that the program
-// has annotated with df_read/df_write. A cell remembers the last write as a
-// FastTrack epoch (thread id, clock) and the read history as either a single
-// epoch (the common, O(1) case) or an escalated per-thread clock vector when
-// reads are genuinely concurrent. Cells live here — beside the heap that
-// owns the memory they shadow — so df_free can retire a block's shadow in
-// the same breath that retires the block (stale cells across allocator reuse
-// would otherwise report races between unrelated lifetimes).
-
-inline constexpr std::size_t kShadowGranuleBytes = 8;
-
-/// One side of a recorded access, kept for race reports.
-struct ShadowAccess {
-  const char* site = nullptr;     ///< caller-supplied annotation label
-  std::uint64_t order_tag = 0;    ///< serial-order (order-list) position
-};
-
-struct ShadowCell {
-  std::uint64_t write_epoch = 0;  ///< packed (tid, clock); 0 = never written
-  std::uint64_t read_epoch = 0;   ///< single-reader epoch; 0 = none
-  std::vector<std::uint64_t> read_vc;  ///< escalated read clocks (index = tid)
-  ShadowAccess write_info;
-  ShadowAccess read_info;         ///< most recent read
-};
-
-/// Hash map of shadow cells keyed by granule index (address >> 3). The race
-/// detector performs all cell reads/updates while holding mu(); the heap's
-/// deallocation path clears ranges through the self-locking helpers.
-class ShadowTable {
- public:
-  /// Finds or creates the cell for a granule. Caller holds mu().
-  ShadowCell& cell(std::uintptr_t granule);
-
-  /// Drops every cell shadowing [p, p+bytes) — called on df_free so a
-  /// recycled block starts with clean shadow. Early-outs without locking
-  /// while the table has never held a cell (release-build fast path).
-  void clear_range(const void* p, std::size_t bytes);
-
-  void clear_all();
-  std::size_t cell_count() const;
-
-  std::mutex& mu() { return mu_; }
-
- private:
-  mutable std::mutex mu_;
-  std::atomic<std::size_t> count_{0};  ///< cells_ size mirror (lock-free gate)
-  std::unordered_map<std::uintptr_t, ShadowCell> cells_;
-};
 
 class TrackedHeap {
  public:
@@ -115,10 +60,6 @@ class TrackedHeap {
   void* allocate_ex(std::size_t bytes, std::int64_t* fresh_bytes_out,
                     bool probe_faults = true, bool* injected_out = nullptr);
 
-  /// Shadow cells for the race detector; deallocate() clears a freed
-  /// block's range automatically.
-  ShadowTable& shadow() { return shadow_; }
-
  private:
   TrackedHeap() = default;
 
@@ -129,7 +70,6 @@ class TrackedHeap {
   std::atomic<std::int64_t> peak_{0};
   alignas(64) std::atomic<std::uint64_t> allocs_{0};
   std::atomic<std::uint64_t> frees_{0};
-  alignas(64) ShadowTable shadow_;
 };
 
 }  // namespace dfth

@@ -107,11 +107,14 @@ struct TcbFields {
   std::vector<void*> tls;
 
   // -- correctness analysis (src/analyze/; updated only in validated runs
-  //    and DFTH_RACE builds, but always present so layout is flag-independent)
+  //    and runs with a race detector installed)
   std::vector<const void*> held_locks;  ///< locks held (exclusive or read
                                         ///< mode), in acquire order
   std::vector<std::uint64_t> race_vc;   ///< happens-before vector clock,
                                         ///< index = fiber id (race_detector)
+  std::uint64_t race_tid = 0;  ///< fiber id of race_vc's own entry and of the
+                               ///< epochs it makes: `id`, or an inline child's
+                               ///< while its body runs on this Tcb
   std::int64_t audit_alloc_since_dispatch = 0;  ///< df_malloc bytes since last pick
   std::int64_t audit_quota = 0;  ///< quota granted at that dispatch
   std::uint64_t audit_dummy_credit = 0;  ///< δ dummies forked, not yet consumed

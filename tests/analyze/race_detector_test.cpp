@@ -1,12 +1,14 @@
 // Happens-before race-detector tests: the FastTrack core driven directly
-// (standalone instance, no engine), and the engine-level hooks compiled in
-// under -DDFTH_RACE — including the schedule-insensitivity property the
-// detector exists for: one deterministic run under each scheduler policy
-// reports the *same* race set, because the analysis is over the fork/join
-// DAG, not the schedule that happened to run.
+// (standalone instance, no engine), its shadow table, and the engine-level
+// edges of runs that install a detector (RuntimeOptions::race) — including
+// the schedule-insensitivity property the detector exists for: a run under
+// each scheduler policy, on either engine, reports the *same* race set,
+// because the analysis is over the fork/join DAG, not the schedule that
+// happened to run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -20,6 +22,7 @@
 #include "apps/matmul/matmul.h"
 #include "apps/spmv/spmv.h"
 #include "apps/volrend/volrend.h"
+#include "resil/faults.h"
 #include "runtime/api.h"
 #include "runtime/sync.h"
 #include "threads/tcb.h"
@@ -230,15 +233,90 @@ TEST_F(RaceDetectorUnit, ClearResetsEverything) {
   EXPECT_EQ(det_.races_detected(), 1u);
 }
 
-// ---------- engine-level hooks (compiled in under DFTH_RACE) ----------
+// ---------- shadow table ----------
 
-RuntimeOptions sim_opts(SchedKind sched) {
+TEST(ShadowTable, ClearRangeDropsExactlyTheCoveredGranules) {
+  analyze::ShadowTable st;
+  {
+    std::lock_guard<std::mutex> g(st.mu());
+    st.cell(10);
+    st.cell(11);
+    st.cell(12);
+  }
+  EXPECT_EQ(st.cell_count(), 3u);
+  // [granule 10, granule 11] inclusive: 16 bytes starting at granule 10.
+  st.clear_range(reinterpret_cast<void*>(10 * analyze::kShadowGranuleBytes),
+                 2 * analyze::kShadowGranuleBytes);
+  EXPECT_EQ(st.cell_count(), 1u);
+  st.clear_all();
+  EXPECT_EQ(st.cell_count(), 0u);
+}
+
+TEST(ShadowTable, ClearRangeOnEmptyTableIsANoOp) {
+  analyze::ShadowTable st;
+  st.clear_range(reinterpret_cast<void*>(64), 1024);  // lock-free early out
+  EXPECT_EQ(st.cell_count(), 0u);
+}
+
+// ---------- engine-level edges (a detector installed per run) ----------
+
+RuntimeOptions race_opts(EngineKind engine, SchedKind sched, int procs,
+                         RaceDetector* det) {
   RuntimeOptions o;
-  o.engine = EngineKind::Sim;
+  o.engine = engine;
   o.sched = sched;
-  o.nprocs = 4;
-  o.default_stack_size = 16 << 10;
+  o.nprocs = procs;
+  // Sim's fibers stay small; Real's run the apps on real stacks.
+  if (engine == EngineKind::Sim) o.default_stack_size = 16 << 10;
+  o.race = det;
   return o;
+}
+
+TEST(RaceDetectorEngine, RetiredMemoryDropsItsShadowCells) {
+  RaceDetector det;
+  std::size_t cells_written = 0, cells_after_free = 0, cells_after_join = 0;
+  run(race_opts(EngineKind::Sim, SchedKind::AsyncDf, 1, &det), [&] {
+    auto* p = static_cast<char*>(df_malloc(64));
+    df_write(p, 8, "block:first");
+    df_write(p + 56, 8, "block:last");  // last granule of the 64-byte block
+    cells_written = det.shadow_cells();
+    // Freeing must drop the whole block's shadow: the allocator may hand
+    // this range to an unrelated thread, and a stale cell would pair the
+    // new lifetime's first access against the dead one's last.
+    df_free(p);
+    cells_after_free = det.shadow_cells();
+    // So must a retired stack: a later fiber on it must not inherit the
+    // epochs of a dead one's locals.
+    join(spawn([]() -> void* {
+      double local = 0;
+      df_write(&local, sizeof(local), "stack:local");
+      return nullptr;
+    }));
+    cells_after_join = det.shadow_cells();
+  });
+  EXPECT_EQ(cells_written, 2u);
+  EXPECT_EQ(cells_after_free, 0u);
+  EXPECT_EQ(cells_after_join, 0u);
+  EXPECT_EQ(det.races_detected(), 0u);
+}
+
+TEST(RaceDetectorEngine, UninstalledAfterTheRun) {
+  RaceDetector det;
+  run(race_opts(EngineKind::Sim, SchedKind::AsyncDf, 1, &det), [] {});
+  EXPECT_EQ(analyze::race_detector(), nullptr);
+  // A later run without one reports nothing to it.
+  run(race_opts(EngineKind::Sim, SchedKind::AsyncDf, 2, nullptr), [] {
+    auto* cell = static_cast<double*>(df_malloc(sizeof(double)));
+    Thread a = spawn([cell]() -> void* {
+      df_write(cell, sizeof(double), "off:one");
+      return nullptr;
+    });
+    df_write(cell, sizeof(double), "off:two");
+    join(a);
+    df_free(cell);
+  });
+  EXPECT_EQ(det.races_detected(), 0u);
+  EXPECT_EQ(det.shadow_cells(), 0u);
 }
 
 constexpr const char* kLeafSite[4] = {"leaf0", "leaf1", "leaf2", "leaf3"};
@@ -249,16 +327,19 @@ int pair_cell(int lo, int hi) {
   return offset[lo] + (hi - lo - 1);
 }
 
-/// Runs the known racy fork tree under `sched`: four sibling leaves, one
-/// dedicated df_malloc'd cell per leaf pair, each leaf writing the three
-/// cells of its pairs without any lock. Every cell gets exactly two
-/// unordered writes, so the race set is exactly the six leaf pairs — on any
-/// schedule. Returns the reported set normalized to unordered site pairs.
-std::set<std::pair<std::string, std::string>> run_racy_tree(SchedKind sched) {
-  RaceDetector& det = RaceDetector::instance();
-  det.clear();
+using SitePairs = std::set<std::pair<std::string, std::string>>;
+
+/// Runs the known racy fork tree on `engine` under `sched` at p = 4: four
+/// sibling leaves, one dedicated df_malloc'd cell per leaf pair, each leaf
+/// declaring a write to the three cells of its pairs without any lock.
+/// Every cell gets exactly two unordered writes, so the race set is exactly
+/// the six leaf pairs — on any schedule. (The leaves only declare the
+/// writes: on real workers the stores themselves would race on the host.)
+/// Returns the reported set normalized to unordered site pairs.
+SitePairs run_racy_tree(EngineKind engine, SchedKind sched) {
+  RaceDetector det;
   det.set_abort_on_race(false);
-  run(sim_opts(sched), [] {
+  run(race_opts(engine, sched, 4, &det), [] {
     auto* cells = static_cast<double*>(df_malloc(6 * sizeof(double)));
     for (int i = 0; i < 6; ++i) cells[i] = 0.0;
     Thread kids[4];
@@ -268,7 +349,6 @@ std::set<std::pair<std::string, std::string>> run_racy_tree(SchedKind sched) {
           if (j == i) continue;
           const int cell = pair_cell(std::min(i, j), std::max(i, j));
           df_write(&cells[cell], sizeof(double), kLeafSite[i]);
-          cells[cell] += 1.0;
         }
         return nullptr;
       });
@@ -276,44 +356,90 @@ std::set<std::pair<std::string, std::string>> run_racy_tree(SchedKind sched) {
     for (Thread& k : kids) join(k);
     df_free(cells);
   });
-  std::set<std::pair<std::string, std::string>> pairs;
+  SitePairs pairs;
   for (const analyze::RaceReport& r : det.reports()) {
     std::string a = r.prev.site, b = r.cur.site;
     if (b < a) std::swap(a, b);
     pairs.emplace(a, b);
   }
-  det.clear();
-  det.set_abort_on_race(true);
   return pairs;
 }
 
-TEST(RaceDetectorEngine, RacyForkTreeReportsSameSetUnderEveryPolicy) {
-  if (!analyze::race_enabled()) {
-    GTEST_SKIP() << "race hooks need -DDFTH_RACE=ON";
-  }
-  std::set<std::pair<std::string, std::string>> expected;
+SitePairs all_leaf_pairs() {
+  SitePairs expected;
   for (int i = 0; i < 4; ++i) {
     for (int j = i + 1; j < 4; ++j) expected.emplace(kLeafSite[i], kLeafSite[j]);
   }
+  return expected;
+}
+
+TEST(RaceDetectorEngine, RacyForkTreeReportsSameSetUnderEveryPolicy) {
+  const SitePairs expected = all_leaf_pairs();
   ASSERT_EQ(expected.size(), 6u);
   for (SchedKind sched : {SchedKind::Fifo, SchedKind::Lifo, SchedKind::AsyncDf,
                           SchedKind::WorkSteal}) {
-    EXPECT_EQ(run_racy_tree(sched), expected)
+    EXPECT_EQ(run_racy_tree(EngineKind::Sim, sched), expected)
         << "race set differs under scheduler " << to_string(sched);
   }
 }
 
-TEST(RaceDetectorEngine, MutexProtectedProgramCleanOnRealEngine) {
-  if (!analyze::race_enabled()) {
-    GTEST_SKIP() << "race hooks need -DDFTH_RACE=ON";
+// The same six pairs when four workers really run the leaves at once.
+TEST(RaceDetectorEngine, RacyForkTreeReportsSameSetOnRealEngine) {
+  const SitePairs expected = all_leaf_pairs();
+  for (SchedKind sched : {SchedKind::AsyncDf, SchedKind::WorkSteal}) {
+    EXPECT_EQ(run_racy_tree(EngineKind::Real, sched), expected)
+        << "race set differs under scheduler " << to_string(sched);
   }
-  RaceDetector& det = RaceDetector::instance();
-  det.clear();
+}
+
+// A child whose context cannot be made runs inline, on its parent's Tcb
+// (DESIGN §8). The detector must still check its body as the child, or
+// the verdict would depend on whether ctx.create failed.
+class InlineChildRace : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(InlineChildRace, ChildWriteRacesParentContinuationBeforeJoin) {
+  const EngineKind engine = GetParam();
+  // Every context after main's fails (Real's main draws the site first).
+  resil::FaultPlan plan;
+  plan.site(resil::FaultSite::kCtxCreate) = {
+      .every_nth = 1, .skip_first = engine == EngineKind::Real ? 1u : 0u};
+  for (const bool inline_run : {false, true}) {
+    RaceDetector det;
+    det.set_abort_on_race(false);
+    RuntimeOptions o = race_opts(engine, SchedKind::AsyncDf, 1, &det);
+    if (inline_run) o.fault_plan = &plan;
+    const RunStats s = run(o, [] {
+      auto* cell = static_cast<double*>(df_malloc(sizeof(double)));
+      Thread child = spawn([cell]() -> void* {
+        df_write(cell, sizeof(double), "inline:child");
+        *cell = 1.0;
+        return nullptr;
+      });
+      df_write(cell, sizeof(double), "inline:parent");
+      *cell = 2.0;
+      join(child);
+      df_free(cell);
+    });
+    const char* path = inline_run ? "inline child" : "child on its own context";
+    EXPECT_EQ(s.inline_runs, inline_run ? 1u : 0u) << path;
+    ASSERT_EQ(det.races_detected(), 1u) << path;
+    const analyze::RaceReport r = det.reports()[0];
+    EXPECT_STREQ(r.prev.site, "inline:child") << path;
+    EXPECT_STREQ(r.cur.site, "inline:parent") << path;
+    EXPECT_NE(r.prev.fiber, r.cur.fiber) << path;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, InlineChildRace,
+                         ::testing::Values(EngineKind::Sim, EngineKind::Real),
+                         [](const ::testing::TestParamInfo<EngineKind>& info) {
+                           return std::string(to_string(info.param));
+                         });
+
+TEST(RaceDetectorEngine, MutexProtectedProgramCleanOnRealEngine) {
+  RaceDetector det;
   det.set_abort_on_race(false);
-  RuntimeOptions o;
-  o.engine = EngineKind::Real;
-  o.nprocs = 4;
-  run(o, [] {
+  run(race_opts(EngineKind::Real, SchedKind::AsyncDf, 4, &det), [] {
     auto* cell = static_cast<double*>(df_malloc(sizeof(double)));
     *cell = 0.0;
     static Mutex m;
@@ -331,97 +457,91 @@ TEST(RaceDetectorEngine, MutexProtectedProgramCleanOnRealEngine) {
     df_free(cell);
   });
   EXPECT_EQ(det.races_detected(), 0u);
-  det.set_abort_on_race(true);
 }
 
 TEST(RaceDetectorEngine, SevenAppsSmallConfigsProduceZeroReports) {
-  if (!analyze::race_enabled()) {
-    GTEST_SKIP() << "race hooks need -DDFTH_RACE=ON";
+  for (const EngineKind engine : {EngineKind::Sim, EngineKind::Real}) {
+    SCOPED_TRACE(to_string(engine));
+    RaceDetector det;
+    det.set_abort_on_race(false);
+    const RuntimeOptions o = race_opts(engine, SchedKind::AsyncDf, 4, &det);
+    {  // matmul (the one app with leaf-kernel df_read/df_write annotations)
+      apps::MatmulConfig cfg;
+      cfg.n = 64;
+      cfg.base = 16;
+      std::vector<double> a(cfg.n * cfg.n), b(cfg.n * cfg.n), c(cfg.n * cfg.n);
+      apps::matmul_fill(a.data(), cfg.n, 3);
+      apps::matmul_fill(b.data(), cfg.n, 4);
+      run(o, [&] { apps::matmul_threaded(a.data(), b.data(), c.data(), cfg); });
+      EXPECT_EQ(det.races_detected(), 0u) << "matmul";
+      run(o, [&] {
+        apps::matmul_strassen_threaded(a.data(), b.data(), c.data(), cfg);
+      });
+      EXPECT_EQ(det.races_detected(), 0u) << "matmul-strassen";
+    }
+    {  // fft
+      const std::size_t n = 1 << 10;
+      std::vector<apps::Complex> in(n), out(n);
+      apps::fft_fill(in.data(), n, 13);
+      apps::FftPlan plan(n);
+      run(o, [&] { plan.execute_threaded(in.data(), out.data(), 8); });
+      EXPECT_EQ(det.races_detected(), 0u) << "fft";
+    }
+    {  // spmv
+      apps::SpmvConfig cfg;
+      cfg.rows = 2000;
+      cfg.target_nnz = 10000;
+      cfg.iterations = 2;
+      cfg.threads_per_iter = 8;
+      apps::CsrMatrix m(cfg.rows, cfg.rows);
+      spmv_generate(m, cfg);
+      std::vector<double> v(cfg.rows, 1.0), w(cfg.rows);
+      run(o, [&] { spmv_fine(m, v.data(), w.data(), cfg); });
+      EXPECT_EQ(det.races_detected(), 0u) << "spmv";
+    }
+    {  // dtree
+      apps::DtreeConfig cfg;
+      cfg.instances = 8000;
+      cfg.serial_cutoff = 500;
+      cfg.min_leaf = 32;
+      const auto data = apps::dtree_generate(cfg);
+      run(o, [&] { apps::dtree_build_threaded(data, cfg); });
+      EXPECT_EQ(det.races_detected(), 0u) << "dtree";
+    }
+    {  // volrend
+      apps::VolrendConfig cfg;
+      cfg.volume_dim = 64;
+      cfg.image_dim = 48;
+      cfg.frames = 1;
+      cfg.tiles_per_thread = 4;
+      apps::Volume vol(cfg);
+      run(o, [&] { apps::volrend_fine(vol, cfg); });
+      EXPECT_EQ(det.races_detected(), 0u) << "volrend";
+    }
+    {  // barnes
+      apps::BarnesConfig cfg;
+      cfg.bodies = 1500;
+      cfg.timesteps = 1;
+      auto bodies = apps::barnes_generate(cfg);
+      run(o, [&] { apps::barnes_fine(bodies, cfg); });
+      EXPECT_EQ(det.races_detected(), 0u) << "barnes";
+    }
+    {  // fmm
+      apps::FmmConfig cfg;
+      cfg.particles = 1200;
+      cfg.levels = 3;
+      cfg.terms = 12;
+      cfg.chunk = 9;
+      auto particles = apps::fmm_generate(cfg);
+      run(o, [&] { apps::fmm_threaded(particles, cfg); });
+      EXPECT_EQ(det.races_detected(), 0u) << "fmm";
+    }
   }
-  RaceDetector& det = RaceDetector::instance();
-  det.clear();
-  det.set_abort_on_race(false);
-  const RuntimeOptions o = sim_opts(SchedKind::AsyncDf);
-
-  {  // matmul (the one app with leaf-kernel df_read/df_write annotations)
-    apps::MatmulConfig cfg;
-    cfg.n = 64;
-    cfg.base = 16;
-    std::vector<double> a(cfg.n * cfg.n), b(cfg.n * cfg.n), c(cfg.n * cfg.n);
-    apps::matmul_fill(a.data(), cfg.n, 3);
-    apps::matmul_fill(b.data(), cfg.n, 4);
-    run(o, [&] { apps::matmul_threaded(a.data(), b.data(), c.data(), cfg); });
-    EXPECT_EQ(det.races_detected(), 0u) << "matmul";
-    run(o, [&] {
-      apps::matmul_strassen_threaded(a.data(), b.data(), c.data(), cfg);
-    });
-    EXPECT_EQ(det.races_detected(), 0u) << "matmul-strassen";
-  }
-  {  // fft
-    const std::size_t n = 1 << 10;
-    std::vector<apps::Complex> in(n), out(n);
-    apps::fft_fill(in.data(), n, 13);
-    apps::FftPlan plan(n);
-    run(o, [&] { plan.execute_threaded(in.data(), out.data(), 8); });
-    EXPECT_EQ(det.races_detected(), 0u) << "fft";
-  }
-  {  // spmv
-    apps::SpmvConfig cfg;
-    cfg.rows = 2000;
-    cfg.target_nnz = 10000;
-    cfg.iterations = 2;
-    cfg.threads_per_iter = 8;
-    apps::CsrMatrix m(cfg.rows, cfg.rows);
-    spmv_generate(m, cfg);
-    std::vector<double> v(cfg.rows, 1.0), w(cfg.rows);
-    run(o, [&] { spmv_fine(m, v.data(), w.data(), cfg); });
-    EXPECT_EQ(det.races_detected(), 0u) << "spmv";
-  }
-  {  // dtree
-    apps::DtreeConfig cfg;
-    cfg.instances = 8000;
-    cfg.serial_cutoff = 500;
-    cfg.min_leaf = 32;
-    const auto data = apps::dtree_generate(cfg);
-    run(o, [&] { apps::dtree_build_threaded(data, cfg); });
-    EXPECT_EQ(det.races_detected(), 0u) << "dtree";
-  }
-  {  // volrend
-    apps::VolrendConfig cfg;
-    cfg.volume_dim = 64;
-    cfg.image_dim = 48;
-    cfg.frames = 1;
-    cfg.tiles_per_thread = 4;
-    apps::Volume vol(cfg);
-    run(o, [&] { apps::volrend_fine(vol, cfg); });
-    EXPECT_EQ(det.races_detected(), 0u) << "volrend";
-  }
-  {  // barnes
-    apps::BarnesConfig cfg;
-    cfg.bodies = 1500;
-    cfg.timesteps = 1;
-    auto bodies = apps::barnes_generate(cfg);
-    run(o, [&] { apps::barnes_fine(bodies, cfg); });
-    EXPECT_EQ(det.races_detected(), 0u) << "barnes";
-  }
-  {  // fmm
-    apps::FmmConfig cfg;
-    cfg.particles = 1200;
-    cfg.levels = 3;
-    cfg.terms = 12;
-    cfg.chunk = 9;
-    auto particles = apps::fmm_generate(cfg);
-    run(o, [&] { apps::fmm_threaded(particles, cfg); });
-    EXPECT_EQ(det.races_detected(), 0u) << "fmm";
-  }
-  det.clear();
-  det.set_abort_on_race(true);
 }
 
 void run_racy_pair_aborting() {
-  RaceDetector::instance().clear();
-  RaceDetector::instance().set_abort_on_race(true);
-  run(sim_opts(SchedKind::AsyncDf), [] {
+  RaceDetector det;  // aborts on the first race by default
+  run(race_opts(EngineKind::Sim, SchedKind::AsyncDf, 4, &det), [] {
     auto* cell = static_cast<double*>(df_malloc(sizeof(double)));
     *cell = 0.0;
     Thread a = spawn([cell]() -> void* {
@@ -441,9 +561,6 @@ void run_racy_pair_aborting() {
 }
 
 TEST(RaceDetectorDeathTest, RaceAbortsByDefault) {
-  if (!analyze::race_enabled()) {
-    GTEST_SKIP() << "race hooks need -DDFTH_RACE=ON";
-  }
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_DEATH(run_racy_pair_aborting(), "data race");
 }

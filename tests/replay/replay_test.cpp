@@ -1,7 +1,7 @@
 // Behavior tests for deterministic record/replay (src/replay/): the seven
 // paper apps record on the RealEngine at p=4 and replay to identical
-// schedule-dependent RunStats (and identical race-report sets when the
-// build carries -DDFTH_RACE); corrupt or mismatched logs are rejected with
+// schedule-dependent RunStats; a racy fork tree replays to the identical
+// race-report set, fiber ids included; corrupt or mismatched logs are rejected with
 // a diagnostic before any engine state exists; a RealEngine log
 // cross-replays to completion on the SimEngine; the engine's merged
 // scheduling sections (fork dive, exit retirement), every timed-wait
@@ -60,28 +60,6 @@ RunStats run_tree(RuntimeOptions o) {
   return run(o, [] { tree(6); });
 }
 
-#if DFTH_RACE
-// Order-insensitive fingerprint of the accumulated race reports: the site
-// labels and fiber ids, sorted. Identical schedules must produce identical
-// report sets.
-std::vector<std::string> race_fingerprint() {
-  std::vector<std::string> out;
-  for (const analyze::RaceReport& r : analyze::RaceDetector::instance().reports()) {
-    std::string s;
-    s += r.prev.site ? r.prev.site : "?";
-    s += r.prev.is_write ? "w" : "r";
-    s += std::to_string(r.prev.fiber);
-    s += "|";
-    s += r.cur.site ? r.cur.site : "?";
-    s += r.cur.is_write ? "w" : "r";
-    s += std::to_string(r.cur.fiber);
-    out.push_back(std::move(s));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-#endif
-
 TEST(ReplayDeterminism, SevenAppsRealEngine) {
   constexpr std::uint64_t kSeed = 0x5eed;
   constexpr int kProcs = 4;
@@ -104,24 +82,81 @@ TEST(ReplayDeterminism, SevenAppsRealEngine) {
   for (std::size_t i = 0; i < recorded.size(); ++i) {
     rr_tag = bench::app_slug(recorded[i].name);
     rr_path = temp_path(rr_tag);
-#if DFTH_RACE
-    analyze::RaceDetector::instance().clear();
-#endif
     const RunStats rec = recorded[i].fine(SchedKind::AsyncDf, kProcs, kSeed);
-#if DFTH_RACE
-    const std::vector<std::string> rec_races = race_fingerprint();
-    analyze::RaceDetector::instance().clear();
-#endif
     const RunStats rep = replayed[i].fine(SchedKind::AsyncDf, kProcs, kSeed);
     EXPECT_EQ(replay::determinism_signature(rec),
               replay::determinism_signature(rep))
         << recorded[i].name << ": replay diverged from its own recording";
-#if DFTH_RACE
-    EXPECT_EQ(rec_races, race_fingerprint())
-        << recorded[i].name << ": race-report sets differ across replay";
-#endif
     std::remove(rr_path.c_str());
   }
+}
+
+// A binary fork tree of depth 3 whose eight leaves each declare an
+// unlocked write to the seven cells they share with the other leaves (one
+// cell per leaf pair): 28 races, between fibers whose ids the schedule
+// assigns. Only declared: on four workers the stores would race on the host.
+constexpr int kRacyLeaves = 8;
+constexpr const char* kRacyLeaf[kRacyLeaves] = {
+    "leaf0", "leaf1", "leaf2", "leaf3", "leaf4", "leaf5", "leaf6", "leaf7"};
+
+/// Cell of leaf pair (lo, hi), lo < hi: its index in the upper triangle.
+int racy_cell(int lo, int hi) {
+  return lo * kRacyLeaves - lo * (lo + 1) / 2 + (hi - lo - 1);
+}
+
+void* racy_tree(double* cells, int depth, int leaf) {
+  if (depth == 0) {
+    for (int j = 0; j < kRacyLeaves; ++j) {
+      if (j == leaf) continue;
+      const int cell = racy_cell(std::min(leaf, j), std::max(leaf, j));
+      df_write(&cells[cell], sizeof(double), kRacyLeaf[leaf]);
+    }
+    return nullptr;
+  }
+  Thread a = spawn([=]() -> void* { return racy_tree(cells, depth - 1, 2 * leaf); });
+  Thread b = spawn([=]() -> void* { return racy_tree(cells, depth - 1, 2 * leaf + 1); });
+  join(a);
+  join(b);
+  return nullptr;
+}
+
+/// Runs the racy tree under `o` with a detector installed; returns its
+/// reports as sorted "site#fiber|site#fiber" pairs. Each pair is itself
+/// sorted: which of two leaves on different workers writes a cell first is
+/// not a scheduling decision, so replay need not reproduce it.
+std::vector<std::string> racy_tree_races(RuntimeOptions o) {
+  analyze::RaceDetector det;
+  det.set_abort_on_race(false);
+  o.race = &det;
+  run(o, [] {
+    constexpr int kCells = kRacyLeaves * (kRacyLeaves - 1) / 2;
+    auto* cells = static_cast<double*>(df_malloc(kCells * sizeof(double)));
+    std::fill(cells, cells + kCells, 0.0);
+    racy_tree(cells, 3, 0);
+    df_free(cells);
+  });
+  std::vector<std::string> out;
+  for (const analyze::RaceReport& r : det.reports()) {
+    std::string a = std::string(r.prev.site) + "#" + std::to_string(r.prev.fiber);
+    std::string b = std::string(r.cur.site) + "#" + std::to_string(r.cur.fiber);
+    if (b < a) std::swap(a, b);
+    out.push_back(a + "|" + b);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(ReplayDeterminism, RaceReportsReplay) {
+  const std::string path = temp_path("racy_tree");
+  RuntimeOptions rec = real_opts();
+  rec.record_path = path;
+  const std::vector<std::string> recorded = racy_tree_races(rec);
+  RuntimeOptions rep = real_opts();
+  rep.replay_path = path;
+  const std::vector<std::string> replayed = racy_tree_races(rep);
+  EXPECT_EQ(recorded.size(), 28u);
+  EXPECT_EQ(recorded, replayed) << "race-report sets differ across replay";
+  std::remove(path.c_str());
 }
 
 TEST(ReplayDeterminism, SpawnTreeStatsAndLogStable) {

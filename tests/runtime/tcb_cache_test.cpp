@@ -191,10 +191,6 @@ TEST(RealTcbCache, MillionSpawnJoinsGrowMaxRssUnder16MiB) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "process-memory bound; a sanitizer build distorts it";
 #endif
-#if DFTH_RACE
-  GTEST_SKIP() << "the race detector copies a clock as long as the thread "
-                  "count at every fork, so 2^20 forks take O(n^2) time";
-#endif
   auto max_rss_kib = [] {
     rusage ru{};
     getrusage(RUSAGE_SELF, &ru);

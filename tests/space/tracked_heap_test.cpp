@@ -140,48 +140,5 @@ TEST(TrackedHeap, DfTryMallocOutsideRunReportsOk) {
   df_free(p);
 }
 
-// ---------- race-detector shadow cells ----------
-
-TEST(ShadowTable, ClearRangeDropsExactlyTheCoveredGranules) {
-  ShadowTable st;
-  {
-    std::lock_guard<std::mutex> g(st.mu());
-    st.cell(10);
-    st.cell(11);
-    st.cell(12);
-  }
-  EXPECT_EQ(st.cell_count(), 3u);
-  // [granule 10, granule 11] inclusive: 16 bytes starting at granule 10.
-  st.clear_range(reinterpret_cast<void*>(10 * kShadowGranuleBytes),
-                 2 * kShadowGranuleBytes);
-  EXPECT_EQ(st.cell_count(), 1u);
-  st.clear_all();
-  EXPECT_EQ(st.cell_count(), 0u);
-}
-
-TEST(ShadowTable, ClearRangeOnEmptyTableIsANoOp) {
-  ShadowTable st;
-  st.clear_range(reinterpret_cast<void*>(64), 1024);  // lock-free early out
-  EXPECT_EQ(st.cell_count(), 0u);
-}
-
-TEST(TrackedHeap, DeallocateRetiresTheBlocksShadowCells) {
-  auto& heap = TrackedHeap::instance();
-  heap.shadow().clear_all();
-  void* p = heap.allocate(64);
-  const auto granule = reinterpret_cast<std::uintptr_t>(p) / kShadowGranuleBytes;
-  {
-    std::lock_guard<std::mutex> g(heap.shadow().mu());
-    heap.shadow().cell(granule);
-    heap.shadow().cell(granule + 7);  // last granule of the 64-byte block
-  }
-  EXPECT_EQ(heap.shadow().cell_count(), 2u);
-  // Freeing must drop the whole block's shadow: the allocator may hand this
-  // range to an unrelated thread, and a stale cell would pair the new
-  // lifetime's first access against the dead one's last.
-  heap.deallocate(p);
-  EXPECT_EQ(heap.shadow().cell_count(), 0u);
-}
-
 }  // namespace
 }  // namespace dfth

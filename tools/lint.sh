@@ -154,6 +154,15 @@ if grep -rnE '\bDFTH_(TRACE|PROF|REPLAY)\b|\bk(Trace|Prof|Replay)Enabled\b' \
   status=1
 fi
 
+# The race detector is installed per run (RuntimeOptions::race), like the
+# tracer: no build switch, compile-time probe or process-wide instance may
+# bring a second build back. (bench/perf excluded as above.)
+if grep -rnE '\bDFTH_RACE\b|\brace_enabled\b|\bRaceDetector::instance\b' \
+     --exclude=lint.sh --exclude-dir=perf src tests tools examples bench; then
+  echo "lint: race-detector build switch or singleton in src, tests, tools, examples or bench (install one per run through RuntimeOptions::race)" >&2
+  status=1
+fi
+
 # Counters and histograms belong to the trace session and reach it through
 # obs/edges.h, each from one source: no process-global registry or counting
 # macro may come back, and the policies see obs/ only through the edges.
